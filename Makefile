@@ -8,9 +8,13 @@ GO ?= go
 .PHONY: tier1
 tier1: vet build test race
 
+# vet also gates formatting: every Go file in the checkout (tracked or new,
+# minus what .gitignore excludes) must be gofmt-clean.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 .PHONY: build
 build:

@@ -54,7 +54,10 @@ const (
 // axpyKernel and dotKernel are the SIMD level-1 kernels, nil on hosts
 // without AVX2+FMA (selection in microkernel_amd64.go). Vector lengths
 // below simdMin stay on the scalar loops: the call/setup overhead of the
-// assembly outweighs 4-wide FMAs for very short vectors.
+// assembly outweighs 4-wide FMAs for very short vectors. Axpy's scalar loop
+// still fuses when axpyKernel is active, so an element's rounding never
+// depends on the vector's length (a triangular solve's rows, and so a
+// right-hand side's bits, stay independent of how many columns ride along).
 var (
 	axpyKernel func(alpha float64, x, y []float64)
 	dotKernel  func(x, y []float64) float64
@@ -95,9 +98,19 @@ func Axpy(alpha float64, x, y []float64) {
 		axpyKernel(alpha, x, y)
 		return
 	}
+	fused := axpyKernel != nil
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] = madd(fused, alpha, v, y[i])
 	}
+}
+
+// madd returns c + a·b, rounded once when fused is set (the FMA kernels'
+// arithmetic) and twice otherwise (the portable loops').
+func madd(fused bool, a, b, c float64) float64 {
+	if fused {
+		return math.FMA(a, b, c)
+	}
+	return c + a*b
 }
 
 // Scal computes x *= alpha.
@@ -136,82 +149,5 @@ func Ger(alpha float64, x, y []float64, a *mat.Matrix) {
 		for j, yj := range y {
 			row[j] += axi * yj
 		}
-	}
-}
-
-// Gemv computes y = alpha·op(A)·x + beta·y.
-func Gemv(trans Transpose, alpha float64, a *mat.Matrix, x []float64, beta float64, y []float64) {
-	rows, cols := a.Rows, a.Cols
-	if trans == Trans {
-		rows, cols = cols, rows
-	}
-	if len(x) != cols || len(y) != rows {
-		panic(fmt.Sprintf("blas: Gemv shape mismatch op(A)=%dx%d |x|=%d |y|=%d", rows, cols, len(x), len(y)))
-	}
-	if beta != 1 {
-		Scal(beta, y)
-	}
-	if trans == NoTrans {
-		for i := 0; i < a.Rows; i++ {
-			row := a.Row(i)
-			s := 0.0
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] += alpha * s
-		}
-		return
-	}
-	// y += alpha·Aᵀx: accumulate row by row to keep unit stride.
-	for i := 0; i < a.Rows; i++ {
-		axi := alpha * x[i]
-		if axi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			y[j] += axi * v
-		}
-	}
-}
-
-// Trsv solves op(T)·x = b in place (x := solution), with T triangular.
-func Trsv(uplo Uplo, trans Transpose, diag Diag, t *mat.Matrix, x []float64) {
-	n := t.Rows
-	if t.Cols != n || len(x) != n {
-		panic(fmt.Sprintf("blas: Trsv shape mismatch %dx%d |x|=%d", t.Rows, t.Cols, len(x)))
-	}
-	lower := uplo == Lower
-	if trans == Trans {
-		lower = !lower
-	}
-	get := func(i, j int) float64 {
-		if trans == Trans {
-			return t.At(j, i)
-		}
-		return t.At(i, j)
-	}
-	if lower {
-		for i := 0; i < n; i++ {
-			s := x[i]
-			for j := 0; j < i; j++ {
-				s -= get(i, j) * x[j]
-			}
-			if diag == NonUnit {
-				s /= get(i, i)
-			}
-			x[i] = s
-		}
-		return
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= get(i, j) * x[j]
-		}
-		if diag == NonUnit {
-			s /= get(i, i)
-		}
-		x[i] = s
 	}
 }

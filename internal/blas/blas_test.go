@@ -117,37 +117,6 @@ func TestGerMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestGemvBothTransposes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMat(rng, 5, 3)
-	x3 := []float64{1, 2, 3}
-	x5 := []float64{1, -1, 2, -2, 0.5}
-	y := make([]float64, 5)
-	Gemv(NoTrans, 1, a, x3, 0, y)
-	want := mat.MulVec(a, x3)
-	for i := range y {
-		if math.Abs(y[i]-want[i]) > 1e-14 {
-			t.Fatalf("Gemv NoTrans mismatch at %d", i)
-		}
-	}
-	y2 := make([]float64, 3)
-	Gemv(Trans, 2, a, x5, 0, y2)
-	wantT := mat.MulVec(a.T(), x5)
-	for i := range y2 {
-		if math.Abs(y2[i]-2*wantT[i]) > 1e-13 {
-			t.Fatalf("Gemv Trans mismatch at %d: %g vs %g", i, y2[i], 2*wantT[i])
-		}
-	}
-	// beta path: y = 1·A·x + 3·y0
-	y3 := []float64{1, 1, 1, 1, 1}
-	Gemv(NoTrans, 1, a, x3, 3, y3)
-	for i := range y3 {
-		if math.Abs(y3[i]-(want[i]+3)) > 1e-13 {
-			t.Fatalf("Gemv beta mismatch at %d", i)
-		}
-	}
-}
-
 func TestGemmAgainstNaiveAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dims := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 6}, {64, 64, 64}, {65, 70, 67}, {130, 40, 90}}
@@ -238,51 +207,6 @@ func TestGemmAssociativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTrsvAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, uplo := range []Uplo{Upper, Lower} {
-		for _, trans := range []Transpose{NoTrans, Trans} {
-			for _, diag := range []Diag{NonUnit, Unit} {
-				n := 8
-				tm := randTri(rng, n, uplo, diag)
-				x := make([]float64, n)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				b := make([]float64, n)
-				copy(b, x)
-				Trsv(uplo, trans, diag, tm, b)
-				// Verify op(T)·b == x using an explicit multiply honoring diag.
-				y := make([]float64, n)
-				for i := 0; i < n; i++ {
-					s := 0.0
-					for j := 0; j < n; j++ {
-						ii, jj := i, j
-						if trans == Trans {
-							ii, jj = j, i
-						}
-						inTri := (uplo == Lower && jj <= ii) || (uplo == Upper && jj >= ii)
-						v := 0.0
-						if inTri {
-							v = tm.At(ii, jj)
-						}
-						if ii == jj && diag == Unit {
-							v = 1
-						}
-						s += v * b[j]
-					}
-					y[i] = s
-				}
-				for i := range y {
-					if math.Abs(y[i]-x[i]) > 1e-9 {
-						t.Fatalf("Trsv uplo=%v trans=%v diag=%v residual %g at %d", uplo, trans, diag, y[i]-x[i], i)
-					}
-				}
-			}
-		}
 	}
 }
 

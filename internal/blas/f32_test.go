@@ -41,7 +41,7 @@ func TestGemm32Table(t *testing.T) {
 		{3, 5, 7},
 		{7, 3, 5},
 		{5, 7, 3},
-		{6, 16, 6},   // exact micro-tile for the AVX2 f32 geometry
+		{6, 16, 6}, // exact micro-tile for the AVX2 f32 geometry
 		{39, 41, 40},
 		{13, 9, 259}, // k crosses the KC=256 blocking boundary
 		{133, 9, 17}, // m crosses the MC=132 blocking boundary

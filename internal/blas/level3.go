@@ -12,7 +12,9 @@ import (
 // operands are repacked into micro-panels in the exact order the register-
 // blocked micro-kernel consumes (pack.go, microkernel.go), with the
 // transposes absorbed by the packing. Workspace comes from the mat arena,
-// so steady-state calls perform no heap allocation.
+// so steady-state calls perform no heap allocation. A C at most half a
+// micro-tile wide with an untransposed B — a right-hand side's replay —
+// skips packing (gemmNarrow) but rounds every element the same way.
 func Gemm(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
@@ -36,7 +38,47 @@ func Gemm(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta float6
 	if alpha == 0 || ka == 0 || m == 0 || n == 0 {
 		return
 	}
+	// Past half a micro-tile, reading A once per column costs more than
+	// packing it once (the crossover measured at nb=192 is n = 5 of 8).
+	if 2*n <= gemmNR && transB == NoTrans {
+		gemmNarrow(transA, alpha, a, b, c, m, n, ka)
+		return
+	}
 	gemmPacked(transA, transB, alpha, a, b, c, m, n, ka)
+}
+
+// gemmNarrow computes C += alpha·op(A)·B for a narrow C without packing.
+// The packed path would copy all of op(A) and run the micro-kernel over an
+// NR-wide panel with n live columns; this one reads A where it lies. Every
+// element of C gets the micro-kernel's arithmetic exactly (gemmNarrowN and
+// gemmNarrowT are selected with gemmKernel): alpha is folded into A first,
+// each KC block accumulates from zero in one multiply-add chain, and the
+// block's sum is added to C. So column j of a narrow product is
+// bit-identical to column j of any wider one.
+func gemmNarrow(transA Transpose, alpha float64, a, b, c *mat.Matrix, m, n, k int) {
+	var acc []float64
+	if transA == Trans {
+		buf := mat.GetBuf(m)
+		defer mat.PutBuf(buf)
+		acc = buf.Data[:m]
+	}
+	for j := 0; j < n; j++ {
+		for pc := 0; pc < k; pc += gemmKC {
+			kc := min(gemmKC, k-pc)
+			bcol := b.Data[pc*b.Stride+j:]
+			if transA == NoTrans {
+				gemmNarrowN(m, kc, alpha, a.Data[pc:], a.Stride, bcol, b.Stride, c.Data[j:], c.Stride)
+				continue
+			}
+			for i := range acc {
+				acc[i] = 0
+			}
+			gemmNarrowT(kc, alpha, a.Data[pc*a.Stride:], a.Stride, bcol, b.Stride, acc)
+			for i, v := range acc {
+				c.Data[i*c.Stride+j] += v
+			}
+		}
+	}
 }
 
 // gemmPacked is the five-loop blocked driver around the micro-kernel. See
@@ -217,6 +259,10 @@ func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matri
 	if trans == Trans {
 		lower = !lower
 	}
+	if side == Left && b.Cols == 1 {
+		trsmColumn(lower, trans, diag, t, b)
+		return
+	}
 	get := func(i, j int) float64 {
 		if trans == Trans {
 			return t.At(j, i)
@@ -302,6 +348,42 @@ func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matri
 				row[j] = s
 			}
 		}
+	}
+}
+
+// trsmColumn is trsmBasic's Left path for a single column, with lower the
+// orientation of op(T). It indexes T in place instead of through the At
+// closure, and rounds exactly as the row-wise path does: each update is a
+// multiply-add fused exactly when Axpy's is, skipped when the multiplier is
+// zero as Axpy skips it, and the diagonal is applied as a multiplication by
+// 1/t_ii as Scal applies it. So the column's bits match column j of a wider
+// solve.
+func trsmColumn(lower bool, trans Transpose, diag Diag, t, b *mat.Matrix) {
+	n := t.Rows
+	// op(T)[i, p] is t.Data[i*rs+p*cs].
+	rs, cs := t.Stride, 1
+	if trans == Trans {
+		rs, cs = 1, t.Stride
+	}
+	fused := axpyKernel != nil
+	x, xs := b.Data, b.Stride
+	for step := 0; step < n; step++ {
+		// Forward substitution for a lower op(T), backward for an upper one;
+		// x_i needs the already-solved x_p for p in [lo, hi).
+		i, lo, hi := step, 0, step
+		if !lower {
+			i, lo, hi = n-1-step, n-step, n
+		}
+		s := x[i*xs]
+		for p := lo; p < hi; p++ {
+			if m := -t.Data[i*rs+p*cs]; m != 0 {
+				s = madd(fused, m, x[p*xs], s)
+			}
+		}
+		if diag == NonUnit {
+			s *= 1 / t.Data[i*t.Stride+i]
+		}
+		x[i*xs] = s
 	}
 }
 

@@ -18,11 +18,15 @@ package blas
 // full accumulator block in twelve YMM registers.
 
 // Micro-tile geometry and kernel, selected at init. gemmMR×gemmNR is 4×4
-// for the portable kernel and 6×8 for the AVX2 kernel.
+// for the portable kernel and 6×8 for the AVX2 kernel. The narrow-path
+// kernels (gemmNarrow) are selected with it, because they must round every
+// element exactly as it does.
 var (
-	gemmMR     = 4
-	gemmNR     = 4
-	gemmKernel = kernelGeneric4x4
+	gemmMR      = 4
+	gemmNR      = 4
+	gemmKernel  = kernelGeneric4x4
+	gemmNarrowN = narrowNGeneric
+	gemmNarrowT = narrowTGeneric
 )
 
 // kernelGeneric4x4 is the portable micro-kernel: C[0:4, 0:4] += Ap·Bp with
@@ -76,4 +80,30 @@ func kernelGeneric4x4(kc int, a, b, c []float64, ldc int) {
 	r[1] += c31
 	r[2] += c32
 	r[3] += c33
+}
+
+// narrowNGeneric is kernelGeneric4x4's narrow-path companion for op(A) = A:
+// for each row i < m, c[i*ldc] += Σ_p (alpha·a[i*lda+p])·b[p*ldb] over
+// p < k, the sum accumulated from zero in p order as the 4×4 kernel
+// accumulates one element of C.
+func narrowNGeneric(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		var s float64
+		for p, v := range a[i*lda:][:k] {
+			s += alpha * v * b[p*ldb]
+		}
+		c[i*ldc] += s
+	}
+}
+
+// narrowTGeneric is kernelGeneric4x4's narrow-path companion for
+// op(A) = Aᵀ: for p < k in order, acc[i] += (alpha·a[p*lda+i])·b[p*ldb]
+// for every i < len(acc).
+func narrowTGeneric(k int, alpha float64, a []float64, lda int, b []float64, ldb int, acc []float64) {
+	for p := 0; p < k; p++ {
+		bv := b[p*ldb]
+		for i, v := range a[p*lda:][:len(acc)] {
+			acc[i] += alpha * v * bv
+		}
+	}
 }

@@ -38,6 +38,16 @@ func cvtRowAVX(dst *float32, src *float64, n int)
 //go:noescape
 func cvtScaleStrideAVX(dst *float32, stride int, src *float64, alpha float32, n int)
 
+// narrowNFMA and narrowTFMA are kernel6x8FMA's narrow-path companions
+// (narrowNGeneric, narrowTGeneric): the same sums, with the same fused
+// arithmetic per element, read from unpacked operands.
+//
+//go:noescape
+func narrowNFMA(m, k int, alpha float64, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
+
+//go:noescape
+func narrowTFMA(m, k int, alpha float64, a *float64, lda int, b *float64, ldb int, acc *float64)
+
 // axpyFMA computes y[0:n] += alpha·x[0:n] with AVX2 FMAs.
 //
 //go:noescape
@@ -52,6 +62,12 @@ func init() {
 	if hasAVX2FMA() {
 		gemmMR, gemmNR = 6, 8
 		gemmKernel = kernelAVX6x8
+		gemmNarrowN = func(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			narrowNFMA(m, k, alpha, &a[0], lda, &b[0], ldb, &c[0], ldc)
+		}
+		gemmNarrowT = func(k int, alpha float64, a []float64, lda int, b []float64, ldb int, acc []float64) {
+			narrowTFMA(len(acc), k, alpha, &a[0], lda, &b[0], ldb, &acc[0])
+		}
 		gemmMR32, gemmNR32 = 6, 16
 		gemmKernel32 = kernelAVX6x16f32
 		cvtRow32 = func(dst []float32, src []float64) {

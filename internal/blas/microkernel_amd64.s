@@ -451,3 +451,165 @@ dotdone:
 	VMOVSD X1, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// func narrowNFMA(m, k int, alpha float64, a *float64, lda int, b *float64, ldb int, c *float64, ldc int)
+//
+// The narrow GEMM path for op(A) = A (see narrowNGeneric): for each of the
+// m rows i of A, c[i*ldc] += Σ_p (alpha·a[i*lda+p])·b[p*ldb] over p < k.
+// Each row's sum is one scalar FMA chain from zero in p order, with the FMA
+// operands and the final C + sum in kernel6x8FMA's order, so every element
+// rounds exactly as it would in the packed path. Four rows run at once so
+// their chains overlap.
+TEXT ·narrowNFMA(SB), NOSPLIT, $0-72
+	MOVQ   m+0(FP), CX
+	MOVQ   k+8(FP), R8
+	VMOVSD alpha+16(FP), X0
+	MOVQ   a+24(FP), SI
+	MOVQ   lda+32(FP), DX
+	MOVQ   b+40(FP), R9
+	MOVQ   ldb+48(FP), R10
+	MOVQ   c+56(FP), DI
+	MOVQ   ldc+64(FP), R11
+	SHLQ   $3, DX               // A row stride in bytes
+	SHLQ   $3, R10              // B row stride in bytes
+	SHLQ   $3, R11              // C row stride in bytes
+	LEAQ   (DX)(DX*2), BX       // three A rows
+	TESTQ  R8, R8
+	JZ     nndone
+
+nnrows4:
+	CMPQ   CX, $4
+	JLT    nnrows1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	MOVQ   SI, AX
+	MOVQ   R9, R12
+	MOVQ   R8, R13
+
+nnloop4:
+	VMOVSD      (R12), X1
+	VMULSD      (AX), X0, X6
+	VMULSD      (AX)(DX*1), X0, X7
+	VMULSD      (AX)(DX*2), X0, X8
+	VMULSD      (AX)(BX*1), X0, X9
+	VFMADD231SD X6, X1, X2
+	VFMADD231SD X7, X1, X3
+	VFMADD231SD X8, X1, X4
+	VFMADD231SD X9, X1, X5
+	ADDQ        $8, AX
+	ADDQ        R10, R12
+	DECQ        R13
+	JNZ         nnloop4
+
+	LEAQ   (R11)(R11*2), R13    // three C rows
+	VMOVSD (DI), X6
+	VADDSD X2, X6, X6
+	VMOVSD X6, (DI)
+	VMOVSD (DI)(R11*1), X7
+	VADDSD X3, X7, X7
+	VMOVSD X7, (DI)(R11*1)
+	VMOVSD (DI)(R11*2), X8
+	VADDSD X4, X8, X8
+	VMOVSD X8, (DI)(R11*2)
+	VMOVSD (DI)(R13*1), X9
+	VADDSD X5, X9, X9
+	VMOVSD X9, (DI)(R13*1)
+	LEAQ   (SI)(DX*4), SI
+	LEAQ   (DI)(R11*4), DI
+	SUBQ   $4, CX
+	JMP    nnrows4
+
+nnrows1:
+	TESTQ CX, CX
+	JZ    nndone
+
+nnrow:
+	VXORPD X2, X2, X2
+	MOVQ   SI, AX
+	MOVQ   R9, R12
+	MOVQ   R8, R13
+
+nnloop1:
+	VMOVSD      (R12), X1
+	VMULSD      (AX), X0, X6
+	VFMADD231SD X6, X1, X2
+	ADDQ        $8, AX
+	ADDQ        R10, R12
+	DECQ        R13
+	JNZ         nnloop1
+
+	VMOVSD (DI), X6
+	VADDSD X2, X6, X6
+	VMOVSD X6, (DI)
+	ADDQ   DX, SI
+	ADDQ   R11, DI
+	DECQ   CX
+	JNZ    nnrow
+
+nndone:
+	RET
+
+// func narrowTFMA(m, k int, alpha float64, a *float64, lda int, b *float64, ldb int, acc *float64)
+//
+// The narrow GEMM path for op(A) = Aᵀ (see narrowTGeneric): for p < k,
+// acc[i] += (alpha·a[p*lda+i])·b[p*ldb] for i < m, fused, with the FMA
+// operands in kernel6x8FMA's order. Row p of A is contiguous, so four
+// independent chains share each YMM FMA; the m%4 tail runs scalar.
+TEXT ·narrowTFMA(SB), NOSPLIT, $0-64
+	MOVQ         m+0(FP), CX
+	MOVQ         k+8(FP), R8
+	VBROADCASTSD alpha+16(FP), Y0
+	MOVQ         a+24(FP), SI
+	MOVQ         lda+32(FP), DX
+	MOVQ         b+40(FP), R9
+	MOVQ         ldb+48(FP), R10
+	MOVQ         acc+56(FP), DI
+	SHLQ         $3, DX         // A row stride in bytes
+	SHLQ         $3, R10        // B row stride in bytes
+	TESTQ        R8, R8
+	JZ           ntdone
+
+ntrow:
+	VBROADCASTSD (R9), Y1
+	MOVQ         SI, AX
+	MOVQ         DI, BX
+	MOVQ         CX, R11
+	SHRQ         $2, R11
+	JZ           nttail
+
+ntloop4:
+	VMULPD      (AX), Y0, Y2
+	VMOVUPD     (BX), Y3
+	VFMADD231PD Y2, Y1, Y3
+	VMOVUPD     Y3, (BX)
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        R11
+	JNZ         ntloop4
+
+nttail:
+	MOVQ CX, R11
+	ANDQ $3, R11
+	JZ   ntnext
+
+ntscalar:
+	VMULSD      (AX), X0, X2
+	VMOVSD      (BX), X3
+	VFMADD231SD X2, X1, X3
+	VMOVSD      X3, (BX)
+	ADDQ        $8, AX
+	ADDQ        $8, BX
+	DECQ        R11
+	JNZ         ntscalar
+
+ntnext:
+	ADDQ DX, SI
+	ADDQ R10, R9
+	DECQ R8
+	JNZ  ntrow
+
+ntdone:
+	VZEROUPPER
+	RET

@@ -8,15 +8,28 @@ import (
 	"luqr/internal/mat"
 )
 
-// withKernel runs f under a specific micro-kernel geometry, restoring the
-// init-time selection afterwards. It lets the suite exercise the portable
-// 4×4 kernel on hosts where init picked the assembly kernel (and vice
-// versa there is nothing to do — the portable kernel is always available).
-func withKernel(mr, nr int, kernel func(int, []float64, []float64, []float64, int), f func()) {
-	mr0, nr0, k0 := gemmMR, gemmNR, gemmKernel
-	gemmMR, gemmNR, gemmKernel = mr, nr, kernel
-	defer func() { gemmMR, gemmNR, gemmKernel = mr0, nr0, k0 }()
+// withPortableKernels runs f on the portable float64 kernels — the 4×4
+// micro-kernel and the scalar level-1 loops — restoring the init-time
+// selection afterwards. It lets the suite exercise the portable arithmetic
+// on hosts where init picked the assembly kernels (the reverse needs no
+// hook: the portable kernels are always available).
+func withPortableKernels(f func()) {
+	mr0, nr0, k0, n0, t0 := gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT
+	axpy0, dot0 := axpyKernel, dotKernel
+	gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT = 4, 4, kernelGeneric4x4, narrowNGeneric, narrowTGeneric
+	axpyKernel, dotKernel = nil, nil
+	defer func() {
+		gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT = mr0, nr0, k0, n0, t0
+		axpyKernel, dotKernel = axpy0, dot0
+	}()
 	f()
+}
+
+// forEachKernel runs check as the subtests "hostKernel" (the init-time
+// selection) and "portableKernel".
+func forEachKernel(t *testing.T, check func(t *testing.T)) {
+	t.Run("hostKernel", check)
+	t.Run("portableKernel", func(t *testing.T) { withPortableKernels(func() { check(t) }) })
 }
 
 // viewOf embeds a fresh random r×c matrix inside a larger parent so that
@@ -38,12 +51,12 @@ func TestGemmPackedTable(t *testing.T) {
 		{7, 3, 5},
 		{5, 7, 3},
 		{4, 4, 4},
-		{6, 8, 6},     // exact micro-tiles for both kernel geometries
-		{39, 41, 40},  // nb±1 around the default tile order
+		{6, 8, 6},    // exact micro-tiles for both kernel geometries
+		{39, 41, 40}, // nb±1 around the default tile order
 		{41, 39, 41},
-		{13, 9, 259},  // k crosses the KC=256 blocking boundary
-		{133, 9, 17},  // m crosses the MC=132 blocking boundary
-		{9, 513, 5},   // n crosses the NC=512 blocking boundary
+		{13, 9, 259}, // k crosses the KC=256 blocking boundary
+		{133, 9, 17}, // m crosses the MC=132 blocking boundary
+		{9, 513, 5},  // n crosses the NC=512 blocking boundary
 	}
 	alphas := []float64{0, 1, -0.5}
 	betas := []float64{0, 1, 2}
@@ -85,15 +98,9 @@ func TestGemmPackedTable(t *testing.T) {
 		}
 	}
 
-	t.Run("hostKernel", func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
 		check(t, false)
 		check(t, true)
-	})
-	t.Run("portableKernel", func(t *testing.T) {
-		withKernel(4, 4, kernelGeneric4x4, func() {
-			check(t, false)
-			check(t, true)
-		})
 	})
 }
 

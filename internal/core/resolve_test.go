@@ -105,13 +105,18 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 		{Alg: LUQR, Criterion: criteria.Max{Alpha: 200}},
 		{Alg: LUQR, Variant: VarB2, Criterion: criteria.Max{Alpha: 200}},
 		{Alg: HQR},
+		{Alg: LUPP},
 		{Alg: LUIncPiv},
 		{Alg: HLU},
 	}
+	// Widths on both sides of the SIMD level-1 threshold (8) and of the GEMM
+	// micro-tile width: a column's bits must not depend on how many others
+	// share its batch.
+	widths := []int{1, 5, 7, 8, 9, 16}
 	for _, n := range []int{96, 37} {
 		a := matgen.Random(n, rng)
 		b := matgen.RandomVector(n, rng)
-		bs := make([][]float64, 5)
+		bs := make([][]float64, widths[len(widths)-1])
 		for j := range bs {
 			bs[j] = matgen.RandomVector(n, rng)
 		}
@@ -121,21 +126,27 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 				cfg.Grid = tile.NewGrid(2, 2)
 			}
 			res := runOn(t, a, b, cfg)
-			xs, err := res.SolveBatch(bs)
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", cfg.Alg, n, err)
-			}
+			solo := make([][]float64, len(bs))
 			for j := range bs {
-				want, err := res.Solve(bs[j])
+				x, err := res.Solve(bs[j])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(xs[j]) != n {
-					t.Fatalf("%v n=%d: batch solution %d has length %d", cfg.Alg, n, j, len(xs[j]))
+				solo[j] = x
+			}
+			for _, w := range widths {
+				xs, err := res.SolveBatch(bs[:w])
+				if err != nil {
+					t.Fatalf("%v n=%d w=%d: %v", cfg.Alg, n, w, err)
 				}
-				for i := range want {
-					if xs[j][i] != want[i] {
-						t.Fatalf("%v n=%d: batch x[%d][%d] = %g, solo %g", cfg.Alg, n, j, i, xs[j][i], want[i])
+				for j, want := range solo[:w] {
+					if len(xs[j]) != n {
+						t.Fatalf("%v n=%d w=%d: batch solution %d has length %d", cfg.Alg, n, w, j, len(xs[j]))
+					}
+					for i := range want {
+						if xs[j][i] != want[i] {
+							t.Fatalf("%v n=%d w=%d: batch x[%d][%d] = %g, solo %g", cfg.Alg, n, w, j, i, xs[j][i], want[i])
+						}
 					}
 				}
 			}

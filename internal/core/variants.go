@@ -131,11 +131,11 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 					func(x []float64) {
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
 						lapack.Unmqr(blas.Trans, tile, t, c)
-						blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, tile, x)
+						blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tile, c)
 					},
 					func(x []float64) {
-						blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, tile, x)
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
+						blas.Trsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tile, c)
 						lapack.Unmqr(blas.NoTrans, tile, t, c)
 					},
 				)

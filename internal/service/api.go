@@ -16,7 +16,10 @@ import (
 // MatrixSpec names the operator of a request: either a generator from the
 // experiment set ("random", "fiedler", ...) with a seed, or explicit
 // row-major data. Generator-specified matrices cache by (gen, n, seed) and
-// never ship N² floats over the wire.
+// never ship N² floats over the wire. Parsing only validates the spec and
+// derives the cache digest; the operator itself is built by the job worker
+// that factors it, after a cache and store miss, so a hit never generates or
+// copies N² floats.
 type MatrixSpec struct {
 	N    int       `json:"n"`
 	Gen  string    `json:"gen,omitempty"`
@@ -69,11 +72,13 @@ type SolveRequest struct {
 	RHS    []float64  `json:"rhs,omitempty"`
 }
 
-// parsedRequest is a validated, materialized request: the operator, the
+// parsedRequest is a validated request: the operator's spec, the
 // right-hand side, the resolved core.Config, and the cache key its
-// factorization stores under.
+// factorization stores under. The operator is built only on demand
+// (operator), by the worker that factors it.
 type parsedRequest struct {
-	a         *mat.Matrix
+	spec      MatrixSpec
+	gen       matgen.Generator // nil for explicit data
 	b         []float64
 	cfg       core.Config
 	key       string
@@ -91,8 +96,8 @@ type parsedRequest struct {
 	alphaCrit string
 }
 
-// parse validates a request against the service limits and materializes the
-// operator. opts.MaxN guards against a single request exhausting memory.
+// parse validates a request against the service limits without building
+// the operator. opts.MaxN guards against a single request exhausting memory.
 // With a tuner configured, requests that leave nb unset resolve it through
 // the tuning table (first use of a class probes and persists) — the tuned
 // nb, ib, and (with learning on) α land in cfg before the cache key is
@@ -108,7 +113,7 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 		return nil, fmt.Errorf("matrix.n=%d exceeds the service limit %d", n, opts.MaxN)
 	}
 
-	var a *mat.Matrix
+	var gen matgen.Generator
 	switch {
 	case spec.Gen != "" && spec.Data != nil:
 		return nil, fmt.Errorf("matrix.gen and matrix.data are mutually exclusive")
@@ -117,13 +122,14 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 		if err != nil {
 			return nil, err
 		}
-		a = e.Gen(n, rand.New(rand.NewSource(spec.Seed)))
+		if n < e.MinN {
+			return nil, fmt.Errorf("matrix.gen %q needs n >= %d, got %d", spec.Gen, e.MinN, n)
+		}
+		gen = e.Gen
 	case spec.Data != nil:
 		if len(spec.Data) != n*n {
 			return nil, fmt.Errorf("matrix.data has %d entries, want n*n = %d", len(spec.Data), n*n)
 		}
-		a = mat.New(n, n)
-		copy(a.Data, spec.Data)
 	default:
 		return nil, fmt.Errorf("matrix needs either gen or data")
 	}
@@ -237,7 +243,8 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 	}
 
 	return &parsedRequest{
-		a:           a,
+		spec:        spec,
+		gen:         gen,
 		b:           b,
 		cfg:         cfg,
 		key:         digestKey(spec, cfg, critName),
@@ -247,4 +254,15 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 		alphaSource: alphaSource,
 		alphaCrit:   alphaCrit,
 	}, nil
+}
+
+// operator builds the request's matrix: the generator's output, or a view of
+// the decoded matrix.data — core.Run only reads its operand, so the data
+// needs no copy.
+func (p *parsedRequest) operator() *mat.Matrix {
+	n := p.spec.N
+	if p.gen != nil {
+		return p.gen(n, rand.New(rand.NewSource(p.spec.Seed)))
+	}
+	return &mat.Matrix{Rows: n, Cols: n, Stride: n, Data: p.spec.Data}
 }

@@ -24,10 +24,15 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Job is one factorization request moving through the Manager.
+// Job is one factorization request moving through the Manager. A finished
+// job keeps only what its status view reports: the request, with its
+// operator source and right-hand side, and the core.Result are released at
+// finish, so the bounded history never pins N² floats per job.
 type Job struct {
-	ID  string
-	req *parsedRequest
+	ID    string
+	key   string
+	tuned *tune.Entry
+	req   *parsedRequest // nil once the job is terminal
 
 	// ctx is canceled by Cancel or by the manager's shutdown; a job whose
 	// context is canceled before it starts never runs.
@@ -40,7 +45,7 @@ type Job struct {
 	mu        sync.Mutex
 	state     State
 	err       error
-	res       *core.Result
+	report    *ReportView // frozen at finish from the run's core.Report
 	submitted time.Time
 	started   time.Time
 	finishedT time.Time
@@ -50,6 +55,8 @@ func newJob(seq int64, p *parsedRequest, root context.Context) *Job {
 	ctx, cancel := context.WithCancel(root)
 	return &Job{
 		ID:        fmt.Sprintf("j-%06d", seq),
+		key:       p.key,
+		tuned:     p.tuned,
 		req:       p,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -80,6 +87,7 @@ func (j *Job) tryCancel() bool {
 		return false
 	}
 	j.state = StateCanceled
+	j.req = nil
 	j.finishedT = time.Now()
 	j.err = errors.New("service: canceled")
 	j.cancel()
@@ -87,14 +95,18 @@ func (j *Job) tryCancel() bool {
 	return true
 }
 
-// finish records the terminal state and releases every waiter.
+// finish records the terminal state, freezes the report view, releases the
+// request, and releases every waiter.
 func (j *Job) finish(res *core.Result, err error) {
 	j.mu.Lock()
 	if j.state == StateCanceled { // already terminal (raced with cancel)
 		j.mu.Unlock()
 		return
 	}
-	j.res = res
+	if res != nil {
+		j.report = newReportView(res.Report, j.req)
+	}
+	j.req = nil
 	j.err = err
 	if err != nil {
 		j.state = StateFailed
@@ -192,10 +204,11 @@ func (j *Job) View() JobView {
 	v := JobView{
 		ID:            j.ID,
 		State:         j.state,
-		CacheKey:      j.req.key,
-		CacheKeyShort: ShortDigest(j.req.key),
+		CacheKey:      j.key,
+		CacheKeyShort: ShortDigest(j.key),
 		SubmittedMS:   j.submitted.UnixMilli(),
-		Tuned:         j.req.tuned,
+		Tuned:         j.tuned,
+		Report:        j.report,
 	}
 	if !j.started.IsZero() {
 		v.StartedMS = j.started.UnixMilli()
@@ -206,41 +219,43 @@ func (j *Job) View() JobView {
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if j.res != nil {
-		r := j.res.Report
-		rv := &ReportView{
-			Alg: r.Alg.String(), N: r.N, NB: r.NB, IB: r.IB,
-			GridP: r.GridP, GridQ: r.GridQ,
-			Criterion: j.req.criterion,
-			Alpha:     j.req.alpha, AlphaSource: j.req.alphaSource,
-			LUSteps: r.LUSteps, QRSteps: r.QRSteps, FracLU: r.FracLU(),
-			HPL3: r.HPL3, Growth: r.Growth, PeakGrowth: r.PeakGrowth,
-			Breakdown: r.Breakdown,
-			WallMS:    float64(r.WallTime.Microseconds()) / 1000,
-		}
-		if r.Precision != core.PrecisionF64 {
-			rv.Precision = r.Precision.String()
-			rv.F32Steps = r.F32Steps
-			rv.Demotions = r.Demotions
-			rv.F32Epochs = r.F32Epochs
-			rv.Conversions = r.Conversions
-			rv.ConvMS = float64(r.ConvTime.Microseconds()) / 1000
-			rv.RefineIters = r.RefineIters
-		}
-		if !math.IsNaN(r.MarginMin) {
-			// NaN (no step had a finite margin) cannot be marshaled; the pair
-			// is always set together.
-			rv.MarginMin, rv.MarginMax = r.MarginMin, r.MarginMax
-		}
-		rv.Decisions = make([]string, len(r.Decisions))
-		for k, lu := range r.Decisions {
-			if lu {
-				rv.Decisions[k] = "lu"
-			} else {
-				rv.Decisions[k] = "qr"
-			}
-		}
-		v.Report = rv
-	}
 	return v
+}
+
+// newReportView renders a run's report, with the request's criterion and α
+// resolution, in its wire shape.
+func newReportView(r *core.Report, req *parsedRequest) *ReportView {
+	rv := &ReportView{
+		Alg: r.Alg.String(), N: r.N, NB: r.NB, IB: r.IB,
+		GridP: r.GridP, GridQ: r.GridQ,
+		Criterion: req.criterion,
+		Alpha:     req.alpha, AlphaSource: req.alphaSource,
+		LUSteps: r.LUSteps, QRSteps: r.QRSteps, FracLU: r.FracLU(),
+		HPL3: r.HPL3, Growth: r.Growth, PeakGrowth: r.PeakGrowth,
+		Breakdown: r.Breakdown,
+		WallMS:    float64(r.WallTime.Microseconds()) / 1000,
+	}
+	if r.Precision != core.PrecisionF64 {
+		rv.Precision = r.Precision.String()
+		rv.F32Steps = r.F32Steps
+		rv.Demotions = r.Demotions
+		rv.F32Epochs = r.F32Epochs
+		rv.Conversions = r.Conversions
+		rv.ConvMS = float64(r.ConvTime.Microseconds()) / 1000
+		rv.RefineIters = r.RefineIters
+	}
+	if !math.IsNaN(r.MarginMin) {
+		// NaN (no step had a finite margin) cannot be marshaled; the pair
+		// is always set together.
+		rv.MarginMin, rv.MarginMax = r.MarginMin, r.MarginMax
+	}
+	rv.Decisions = make([]string, len(r.Decisions))
+	for k, lu := range r.Decisions {
+		if lu {
+			rv.Decisions[k] = "lu"
+		} else {
+			rv.Decisions[k] = "qr"
+		}
+	}
+	return rv
 }

@@ -106,7 +106,7 @@ func TestPrecisionRestartRoundTrip(t *testing.T) {
 	if m1.met.F32Jobs.Load() != 1 {
 		t.Fatalf("f32 jobs = %d, want 1", m1.met.F32Jobs.Load())
 	}
-	if h := mat.HPL3(p.a, x1, rhs); math.IsNaN(h) || h > 16 {
+	if h := mat.HPL3(p.operator(), x1, rhs); math.IsNaN(h) || h > 16 {
 		t.Fatalf("cold refined solve HPL3 = %g", h)
 	}
 

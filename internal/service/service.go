@@ -18,7 +18,11 @@
 //     operator and the numerically relevant config, so a repeated POST
 //     /v1/solve against the same operator skips the O(N³) factorization
 //     and pays only the O(N²) replay + back-substitution of
-//     core.Result.SolveBatch. Right-hand sides that queue up against the
+//     core.Result.SolveBatch. The digest comes from the request's matrix
+//     spec; the operator itself is built only by the job worker that
+//     factors it after a cache and store miss, so hits, waits on an
+//     in-flight entry, warm loads and rejected submissions never generate
+//     or copy N² floats. Right-hand sides that queue up against the
 //     same factorization while a solve pass is in flight are batched into
 //     one block back-substitution. Factorizations are never duplicated:
 //     concurrent consumers of one key share a single in-flight entry.
@@ -294,7 +298,8 @@ func (m *Manager) runJob(j *Job) {
 		// that actually feed it.
 		cfg.TrackGrowth = true
 	}
-	res, err := core.Run(j.req.a, j.req.b, cfg)
+	// Only a miss in both the cache and the store builds the operator.
+	res, err := core.Run(j.req.operator(), j.req.b, cfg)
 	if err == nil && learning {
 		// Observations happen only here, on actual factorizations — a cache
 		// hit re-serves an old result and carries no new signal.

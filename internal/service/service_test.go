@@ -329,7 +329,7 @@ func TestSolveBatchingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(p.a, p.b, p.cfg)
+	res, err := core.Run(p.operator(), p.b, p.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +537,7 @@ func TestHTTPValidation(t *testing.T) {
 		"over-max-n":   {"matrix": map[string]any{"n": 1024, "gen": "random"}},
 		"bad-alg":      {"matrix": map[string]any{"n": 160, "gen": "random"}, "config": map[string]any{"alg": "cholesky"}},
 		"bad-gen":      {"matrix": map[string]any{"n": 160, "gen": "nosuch"}},
+		"gen-domain":   {"matrix": map[string]any{"n": 3, "gen": "condex"}, "config": map[string]any{"nb": 1}},
 		"rhs-mismatch": {"matrix": map[string]any{"n": 160, "gen": "random"}, "rhs": []float64{1, 2}},
 	} {
 		if st, out := postJSON(t, client, ts.URL+"/v1/jobs", body); st != http.StatusBadRequest {

@@ -279,11 +279,11 @@ func TestStoreFilenamePrefixCollision(t *testing.T) {
 	}
 	p1 := mustParse(t, MatrixSpec{N: 80, Gen: "random", Seed: 1}, ConfigSpec{NB: 40})
 	p2 := mustParse(t, MatrixSpec{N: 80, Gen: "random", Seed: 2}, ConfigSpec{NB: 40})
-	r1, err := core.Run(p1.a, p1.b, p1.cfg)
+	r1, err := core.Run(p1.operator(), p1.b, p1.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.Run(p2.a, p2.b, p2.cfg)
+	r2, err := core.Run(p2.operator(), p2.b, p2.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestCacheRemoveWithQueuedSolves(t *testing.T) {
 	var met Metrics
 	c := newCache(4, &met)
 	p := mustParse(t, MatrixSpec{N: 80, Gen: "random", Seed: 3}, ConfigSpec{NB: 40})
-	res, err := core.Run(p.a, p.b, p.cfg)
+	res, err := core.Run(p.operator(), p.b, p.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@
 package luqr
 
 import (
+	"fmt"
 	"math/rand"
 
 	"luqr/internal/core"
@@ -170,6 +171,9 @@ func GenerateMatrix(name string, n int, rng *rand.Rand) (*Matrix, error) {
 	ent, err := matgen.ByName(name)
 	if err != nil {
 		return nil, err
+	}
+	if n < ent.MinN {
+		return nil, fmt.Errorf("luqr: matrix %q needs n >= %d, got %d", name, ent.MinN, n)
 	}
 	return ent.Gen(n, rng), nil
 }

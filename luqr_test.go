@@ -124,6 +124,9 @@ func TestFacadeSpecialMatrices(t *testing.T) {
 	if _, err := luqr.GenerateMatrix("nonsense", 16, rng); err == nil {
 		t.Fatal("unknown matrix accepted")
 	}
+	if _, err := luqr.GenerateMatrix("condex", 3, rng); err == nil {
+		t.Fatal("condex accepted an order below its minimum")
+	}
 }
 
 func TestFacadeRandSVD(t *testing.T) {
