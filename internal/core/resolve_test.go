@@ -108,6 +108,12 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 		{Alg: LUPP},
 		{Alg: LUIncPiv},
 		{Alg: HLU},
+		{Alg: CALU},
+		{Alg: LUNoPiv},
+		{Alg: LUQR, Variant: VarA2, Criterion: criteria.Max{Alpha: 200}},
+		{Alg: LUQR, Variant: VarB1, Criterion: criteria.Max{Alpha: 200}},
+		{Alg: LUQR, Criterion: criteria.Max{Alpha: 200}, Precision: PrecisionF32},
+		{Alg: LUQR, Criterion: criteria.Max{Alpha: 200}, Precision: PrecisionAuto},
 	}
 	// Widths on both sides of the SIMD level-1 threshold (8) and of the GEMM
 	// micro-tile width: a column's bits must not depend on how many others
