@@ -71,8 +71,7 @@ func TestGemmNarrowMatchesWide(t *testing.T) {
 
 // TestGemmNarrowAgainstReference checks the narrow path's values (n ≤ NR/2)
 // against the naive product, with alpha and beta scaling, both transposes
-// of A, and a column of C embedded in a wider parent: the behaviours the
-// retired matrix-vector kernel was tested for.
+// of A, and a column of C embedded in a wider parent.
 func TestGemmNarrowAgainstReference(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
@@ -173,8 +172,7 @@ func TestTrsmColumnMatchesWide(t *testing.T) {
 
 // TestTrsmColumnSolves checks a single-column Left solve's residual for
 // every uplo/trans/diag, on a column view of a wider parent, with the
-// Unit-diagonal storage holding junk: the behaviours the retired triangular
-// vector solver was tested for.
+// Unit-diagonal storage holding junk.
 func TestTrsmColumnSolves(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(25))
