@@ -6,18 +6,23 @@ import (
 	"luqr/internal/mat"
 )
 
-// Resident mixed-precision level-3 routines: float32 arithmetic on float32
-// storage.
+// Mixed-precision level-3 routines: float32 arithmetic on float32 storage.
 //
-// Gemm32R/Trsm32R/Trmm32R are the conversion-free siblings of
-// Gemm32/Trsm32/Trmm32: same blocking, same micro-kernel, same operation
-// order — the only difference is that operands are mat.Matrix32 tile images,
-// so packing is a pure copy instead of a fused f64→f32 conversion and the
-// merge writes float32 directly instead of widening. Because float32 widens
-// to float64 exactly, a resident kernel chain produces bit-identical values
-// to the round-on-read/widen-on-write chain on float64 storage; the
-// residency layer (package tile) relies on that identity to convert tiles
-// once per precision epoch instead of once per call.
+// The operands are mat.Matrix32 tile images held by the residency layer
+// (package tile), which rounds each tile once per precision epoch; the
+// kernels here never convert. Packing is a plain copy into the same
+// micro-panel layout as the float64 path (pack.go), and the micro-kernel
+// (microkernel32.go) retires twice the lanes per FMA of the f64 one.
+
+// trsmRecLeaf is the order below which the recursive f32 triangular solver
+// drops to the scalar substitution kernel; above it the solve halves and the
+// off-diagonal coupling runs through the packed Gemm32R path.
+const trsmRecLeaf = 8
+
+// trmmPackMin is the order from which the f32 triangular multiply
+// materializes the triangle densely and runs as one packed GEMM; below it
+// the scalar kernel's lower constant wins over the ~2× padded flops.
+const trmmPackMin = 16
 
 // opShape32 returns (rows, cols) of op(A).
 func opShape32(a *mat.Matrix32, trans Transpose) (int, int) {
@@ -28,8 +33,8 @@ func opShape32(a *mat.Matrix32, trans Transpose) (int, int) {
 }
 
 // packA32R packs op(A)[i0:i0+mc, p0:p0+kc], scaled by alpha, into MR-tall
-// column-major float32 micro-panels — the same layout as packA32, minus the
-// conversion.
+// column-major float32 micro-panels (element (ir+i, p) at buf[ir*kc+p*mr+i]),
+// zero-padding rows past mc to a full MR.
 func packA32R(buf []float32, a *mat.Matrix32, transA Transpose, alpha float32, i0, p0, mc, kc, mr int) {
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
@@ -62,7 +67,8 @@ func packA32R(buf []float32, a *mat.Matrix32, transA Transpose, alpha float32, i
 }
 
 // packB32R packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide row-major float32
-// micro-panels — the same layout as packB32, minus the conversion.
+// micro-panels (element (p, jr+j) at buf[jr*kc+p*nr+j]), zero-padding
+// columns past nc to a full NR.
 func packB32R(buf []float32, b *mat.Matrix32, transB Transpose, j0, p0, kc, nc, nr int) {
 	if transB == NoTrans {
 		for p := 0; p < kc; p++ {
@@ -98,9 +104,11 @@ func packB32R(buf []float32, b *mat.Matrix32, transB Transpose, j0, p0, kc, nc, 
 	}
 }
 
-// Gemm32R computes C = alpha·op(A)·op(B) + beta·C on float32 storage. Same
-// padded-accumulator driver as Gemm32; results are bit-identical to Gemm32
-// over float64 storage holding the same (widened) values.
+// Gemm32R computes C = alpha·op(A)·op(B) + beta·C on float32 storage.
+//
+// The accumulator is a float32 scratch block padded to whole micro-tiles,
+// so the kernel never needs the fringe detour of the f64 path; the final
+// merge folds beta in at float32.
 func Gemm32R(transA, transB Transpose, alpha float64, a, b *mat.Matrix32, beta float64, c *mat.Matrix32) {
 	m, ka := opShape32(a, transA)
 	kb, n := opShape32(b, transB)
@@ -121,10 +129,23 @@ func Gemm32R(transA, transB Transpose, alpha float64, a, b *mat.Matrix32, beta f
 	gemmPacked32R(transA, transB, float32(alpha), float32(beta), a, b, c, acc.Data, np, m, n, ka)
 }
 
-// gemmPacked32R is gemmPacked32 over float32 storage: identical five-loop
-// blocking, zero-on-first / merge-on-last accumulator discipline, and
-// micro-kernel. It inherits gemmPacked32's aliasing contract: C may alias
-// the B operand unconditionally, and the A operand when n <= gemmNC.
+// gemmPacked32R is the five-loop blocked float32 driver. The kernel
+// accumulates into acc, a float32 block padded to whole MR×NR micro-tiles
+// (row stride ldc); each micro-tile is zeroed on its first k-block and
+// merged into C — with beta folded in — right after its last k-block,
+// while the tile is still cache-hot. That keeps the padded accumulator from
+// costing separate zero and merge sweeps over cold memory. Blocking
+// constants are shared with the f64 path — MC and NC are multiples of both
+// micro-tile geometries — so every kernel call is a full micro-tile.
+//
+// Aliasing contract (Trmm32R's in-place packed multiply depends on it):
+// C may alias the B operand unconditionally, and the A operand when
+// n <= gemmNC. All of slab jc's packB reads complete before any merge writes
+// to columns jc (packB runs per (jc, pc) and merges only fire on the last
+// pc), merges touch only columns jc, and within the last k-slab packA of row
+// block ic precedes the merges of row block ic while later row blocks are
+// row-disjoint. With more than one jc slab, packA would re-read columns an
+// earlier slab already merged — hence the gemmNC bound for A aliasing.
 func gemmPacked32R(transA, transB Transpose, alpha, beta float32, a, b, c *mat.Matrix32, acc []float32, ldc, m, n, k int) {
 	mr, nr := gemmMR32, gemmNR32
 	kcMax := min(k, gemmKC)
@@ -212,8 +233,7 @@ func scaleRows32R(beta float32, c *mat.Matrix32) {
 	}
 }
 
-// Float32 scalar helpers on float32 storage — the resident counterparts of
-// Axpy32/Dot32/Scal32, same operation order.
+// Float32 scalar helpers on float32 storage.
 
 func Axpy32R(alpha float32, x, y []float32) {
 	for j := range y {
@@ -236,9 +256,12 @@ func Scal32R(alpha float32, x []float32) {
 }
 
 // Trsm32R solves op(T)·X = alpha·B (Side == Left) or X·op(T) = alpha·B
-// (Side == Right) in place on float32 storage: same recursive halving as
-// Trsm32 — identical split points, coupling GEMMs, and leaf order — so the
-// two siblings stay bit-identical.
+// (Side == Right) in place on float32 storage. The solve recurses on halves
+// of T — solve one half, fold the off-diagonal coupling into the other with
+// a single order-n/2 packed Gemm32R, solve the remainder — dropping to the
+// scalar substitution kernel at order trsmRecLeaf. Halving keeps the
+// couplings as a few large GEMMs instead of many thin triBlock strips, so
+// nearly all flops run through the f32 micro-kernel.
 func Trsm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix32) {
 	n := t.Rows
 	if t.Cols != n {
@@ -259,8 +282,7 @@ func Trsm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t,
 	trsmRec32R(side, uplo, trans, diag, t, b)
 }
 
-// trsmRec32R is the recursive alpha-free body of Trsm32R — the exact mirror
-// of trsmRec32.
+// trsmRec32R is the recursive alpha-free body of Trsm32R.
 func trsmRec32R(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matrix32) {
 	n := t.Rows
 	if n <= trsmRecLeaf {
@@ -404,10 +426,18 @@ func trsmBasic32R(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Ma
 }
 
 // Trmm32R computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
-// (Side == Right) in place on float32 storage: same dense-triangle packed
-// path as Trmm32 — identical gate, materialization, and in-place Gemm32R
-// call (see the aliasing contract on gemmPacked32) — so the two siblings
-// stay bit-identical.
+// (Side == Right) in place on float32 storage.
+//
+// From order trmmPackMin the triangle is materialized densely — zeros off
+// the triangle, exact ones on a Unit diagonal, op() resolved so only the
+// stored triangle of T is ever read — and the whole multiply runs as a
+// single in-place packed Gemm32R (see the aliasing contract on
+// gemmPacked32R). The padding costs ~2× the triangle's flops but they
+// retire at micro-kernel rate, which wins well before nb-sized operands;
+// the ib-strip T-factor multiplies of the QR update kernels are the main
+// beneficiary. A Right-side multiply with n > gemmNC would need columns
+// repacked after they were merged, so that case (and tiny orders) keeps the
+// triBlock-blocked driver.
 func Trmm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix32) {
 	n := t.Rows
 	if t.Cols != n {
@@ -499,9 +529,11 @@ func Trmm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t,
 	}
 }
 
-// materializeTri32R writes op(T) densely into dst — the exact mirror of
-// materializeTri32: triangle entries copied, zeros off the triangle, exact
-// ones on a Unit diagonal, only the stored triangle of t read.
+// materializeTri32R writes op(T) densely into dst: triangle entries copied,
+// zeros off the triangle, exact ones on a Unit diagonal. op() is resolved
+// here so the packed multiply sees a plain NoTrans operand, and only the
+// stored triangle of t is read — values outside it (say, the R factor above
+// a Householder V) never leak into the product.
 func materializeTri32R(dst, t *mat.Matrix32, uplo Uplo, trans Transpose, diag Diag) {
 	n := t.Rows
 	effLower := (uplo == Lower) != (trans == Trans)

@@ -5,7 +5,7 @@ package blas
 // (element (i, p) at a[p*MR+i]), Bp is NR-wide row-major (element (p, j) at
 // b[p*NR+j]), and the kernel accumulates C[0:MR, 0:NR] += Ap·Bp through the
 // row stride ldc. The mixed-precision driver always points C at a padded
-// float32 scratch block (level3_f32.go), so — unlike the f64 path — f32
+// float32 scratch block (level3_f32r.go), so — unlike the f64 path — f32
 // kernels never need a fringe detour: every micro-tile write is full-size.
 //
 // The portable kernel is the 4×4 register block below; amd64 hosts with

@@ -28,16 +28,6 @@ func kernel6x8FMA(kc int, a, b, c *float64, ldc int)
 //go:noescape
 func kernel6x16FMA32(kc int, a, b, c *float32, ldc int)
 
-// cvtRowAVX converts dst[0:n] = float32(src[0:n]).
-//
-//go:noescape
-func cvtRowAVX(dst *float32, src *float64, n int)
-
-// cvtScaleStrideAVX writes dst[i*stride] = alpha·float32(src[i]).
-//
-//go:noescape
-func cvtScaleStrideAVX(dst *float32, stride int, src *float64, alpha float32, n int)
-
 // narrowNFMA and narrowTFMA are kernel6x8FMA's narrow-path companions
 // (narrowNGeneric, narrowTGeneric): the same sums, with the same fused
 // arithmetic per element, read from unpacked operands.
@@ -70,18 +60,6 @@ func init() {
 		}
 		gemmMR32, gemmNR32 = 6, 16
 		gemmKernel32 = kernelAVX6x16f32
-		cvtRow32 = func(dst []float32, src []float64) {
-			if len(src) == 0 {
-				return
-			}
-			cvtRowAVX(&dst[0], &src[0], len(src))
-		}
-		cvtScaleStride32 = func(dst []float32, stride int, src []float64, alpha float32) {
-			if len(src) == 0 {
-				return
-			}
-			cvtScaleStrideAVX(&dst[0], stride, &src[0], alpha, len(src))
-		}
 		axpyKernel = func(alpha float64, x, y []float64) {
 			axpyFMA(alpha, &x[0], &y[0], len(x))
 		}

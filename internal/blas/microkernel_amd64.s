@@ -262,96 +262,6 @@ done32:
 	VZEROUPPER
 	RET
 
-// func cvtRowAVX(dst *float32, src *float64, n int)
-//
-// dst[0:n] = float32(src[0:n]): eight conversions per iteration through two
-// VCVTPD2PS (4 float64 → 4 float32 each), scalar tail.
-TEXT ·cvtRowAVX(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   cvttail
-
-cvtloop8:
-	VMOVUPD    (SI), Y1
-	VMOVUPD    32(SI), Y2
-	VCVTPD2PSY Y1, X1
-	VCVTPD2PSY Y2, X2
-	VMOVUPS    X1, (DI)
-	VMOVUPS    X2, 16(DI)
-	ADDQ       $64, SI
-	ADDQ       $32, DI
-	DECQ       DX
-	JNZ        cvtloop8
-
-cvttail:
-	ANDQ $7, CX
-	JZ   cvtdone
-
-cvtscalar:
-	VCVTSD2SS (SI), X1, X1
-	VMOVSS    X1, (DI)
-	ADDQ      $8, SI
-	ADDQ      $4, DI
-	DECQ      CX
-	JNZ       cvtscalar
-
-cvtdone:
-	VZEROUPPER
-	RET
-
-// func cvtScaleStrideAVX(dst *float32, stride int, src *float64, alpha float32, n int)
-//
-// dst[i*stride] = alpha·float32(src[i]) for i in [0, n): four conversions
-// per VCVTPD2PS with the strided scatter done by VEXTRACTPS stores. This is
-// the packA32 inner loop — src is a contiguous A row, dst a column of an
-// MR-tall micro-panel.
-TEXT ·cvtScaleStrideAVX(SB), NOSPLIT, $0-40
-	MOVQ         dst+0(FP), DI
-	MOVQ         stride+8(FP), R9
-	MOVQ         src+16(FP), SI
-	VBROADCASTSS alpha+24(FP), X0
-	MOVQ         n+32(FP), CX
-	SHLQ         $2, R9            // dst stride in bytes
-	MOVQ         CX, DX
-	SHRQ         $2, DX
-	JZ           csstail
-
-cssloop4:
-	VMOVUPD    (SI), Y1
-	VCVTPD2PSY Y1, X1
-	VMULPS     X0, X1, X1
-	VMOVSS     X1, (DI)
-	ADDQ       R9, DI
-	VEXTRACTPS $1, X1, (DI)
-	ADDQ       R9, DI
-	VEXTRACTPS $2, X1, (DI)
-	ADDQ       R9, DI
-	VEXTRACTPS $3, X1, (DI)
-	ADDQ       R9, DI
-	ADDQ       $32, SI
-	DECQ       DX
-	JNZ        cssloop4
-
-csstail:
-	ANDQ $3, CX
-	JZ   cssdone
-
-cssscalar:
-	VCVTSD2SS (SI), X1, X1
-	VMULSS    X0, X1, X1
-	VMOVSS    X1, (DI)
-	ADDQ      R9, DI
-	ADDQ      $8, SI
-	DECQ      CX
-	JNZ       cssscalar
-
-cssdone:
-	VZEROUPPER
-	RET
-
 // func axpyFMA(alpha float64, x, y *float64, n int)
 //
 // y[0:n] += alpha·x[0:n], 16 elements per iteration (4 YMM FMAs with the x

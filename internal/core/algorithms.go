@@ -50,14 +50,12 @@ func (f *fact) scheduleHybridStep(k int) {
 			// NaN margins (Random criterion) fail the comparison and stay f64.
 			if f.cfg.Precision == PrecisionAuto && st.decision && in.Margin <= f.cfg.F32Margin {
 				st.f32 = true
-				if f.res != nil {
-					// Resident SWPTRSM applies solve against a float32 image
-					// of the factored panel's top block; build it once here
-					// (the trial panel ran at f64, so st.stack is the
-					// authoritative copy) instead of once per apply.
-					st.l11_32 = mat.NewMatrix32(f.nb, f.nb)
-					st.l11_32.RoundFrom(st.stack.View(0, 0, f.nb, f.nb))
-				}
+				// Resident SWPTRSM applies solve against a float32 image of
+				// the factored panel's top block; build it once here (the
+				// trial panel ran at f64, so st.stack is the authoritative
+				// copy) instead of once per apply.
+				st.l11_32 = mat.NewMatrix32(f.nb, f.nb)
+				st.l11_32.RoundFrom(st.stack.View(0, 0, f.nb, f.nb))
 			}
 			if st.decision {
 				f.noteBreakdown(st.luErr)

@@ -131,10 +131,10 @@ type fact struct {
 	a0       *mat.Matrix
 	maxA0    float64
 	f32Bound float64
-	// res is the float32 tile-residency store (nil for f64-effective runs
-	// and under the residencyOff test toggle). When set, float32 kernels
-	// run on resident tile images through the runMixed32R harness and
-	// every float64 task normalizes its tiles with ensure64 first.
+	// res is the float32 tile-residency store, built for every run that is
+	// not f64-effective (nil otherwise). Float32 kernels run on its resident
+	// tile images through the runMixed32R harness, and every float64 task
+	// normalizes its tiles with ensure64 first.
 	res *tile.Residency
 
 	mu        sync.Mutex
@@ -200,59 +200,6 @@ func (f *fact) noteDemotion() {
 	f.mu.Unlock()
 }
 
-// excursion reports whether any of the matrices holds a float32 casualty:
-// a non-finite entry, or growth past f.f32Bound — far beyond what a healthy
-// elimination step produces, yet far below float32 overflow, so it flags a
-// factorization going wrong before the poison spreads.
-func (f *fact) excursion(ms ...*mat.Matrix) bool {
-	for _, m := range ms {
-		for i := 0; i < m.Rows; i++ {
-			for _, v := range m.Row(i) {
-				if math.IsNaN(v) || v > f.f32Bound || v < -f.f32Bound {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// runMixed32 is the demotion harness for an in-place float32 kernel:
-// snapshot the output tiles into a pooled slab, run the float32 closure,
-// and on an excursion restore the snapshots, re-run the float64 closure,
-// and count the demotion. The accepted result is therefore never a bad
-// float32 one — PrecisionAuto/PrecisionF32 trade flops, not safety.
-func (f *fact) runMixed32(run32, run64 func(), outs ...*mat.Matrix) {
-	n := 0
-	for _, m := range outs {
-		n += m.Rows * m.Cols
-	}
-	buf := mat.GetBuf(n)
-	defer mat.PutBuf(buf)
-	snaps := make([]*mat.Matrix, len(outs))
-	off := 0
-	for i, m := range outs {
-		s := &mat.Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: buf.Data[off : off+m.Rows*m.Cols]}
-		s.CopyFrom(m)
-		snaps[i] = s
-		off += m.Rows * m.Cols
-	}
-	run32()
-	if !f.excursion(outs...) {
-		return
-	}
-	for i, m := range outs {
-		m.CopyFrom(snaps[i])
-	}
-	run64()
-	f.noteDemotion()
-}
-
-// residencyOff disables the float32 tile-residency store for tests that
-// want the per-task round/widen path (the PR-8 behavior) for bit-equality
-// comparisons against the resident path.
-var residencyOff = false
-
 // tileRef names a tile in the residency store: matrix tile (i, j), or RHS
 // tile i when j < 0.
 type tileRef struct{ i, j int }
@@ -278,14 +225,6 @@ func vecRefs(rows []int) []tileRef {
 	return refs
 }
 
-// tile64 resolves a ref to its float64 storage.
-func (f *fact) tile64(r tileRef) *mat.Matrix {
-	if r.j < 0 {
-		return f.rhs.Tile(r.i)
-	}
-	return f.A.Tile(r.i, r.j)
-}
-
 // ensure64 normalizes the listed tiles to current float64 storage (no-op
 // without residency). Every task that runs a float64 body must ensure every
 // tile it touches; on non-resident tiles this is a single lock check.
@@ -302,8 +241,10 @@ func (f *fact) ensure64(m *tile.Meter, refs ...tileRef) {
 	}
 }
 
-// excursion32 is the excursion scan over resident float32 images — the same
-// predicate as excursion, evaluated over the widened values.
+// excursion32 reports whether any of the float32 images holds a casualty: a
+// non-finite entry, or growth past f.f32Bound — far beyond what a healthy
+// elimination step produces, yet far below float32 overflow, so it flags a
+// factorization going wrong before the poison spreads.
 func (f *fact) excursion32(ms ...*mat.Matrix32) bool {
 	for _, m := range ms {
 		for i := 0; i < m.Rows; i++ {
@@ -406,38 +347,28 @@ func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Ma
 	f.noteDemotion()
 }
 
-// runTileTask dispatches one tile-kernel body under the run's precision
-// regime: resident float32 (runMixed32R), float64 under residency (ensure64
-// then the plain body), per-task round/widen float32 (runMixed32, the
-// residencyOff path), or plain float64.
+// runTileTask dispatches one tile-kernel body under the step's precision:
+// an f32 step runs the resident float32 body (runMixed32R, which falls back
+// to run64 on an excursion); otherwise run64 runs, after ensure64 when the
+// run has a residency store.
 func (f *fact) runTileTask(tr *runtime.TraceTask, st *stepState, ins, outs []tileRef,
-	run32R func(in, out []*mat.Matrix32), run32, run64 func()) {
-	f.runTileTaskT(tr, st, ins, outs, nil, nil, run32R, run32, run64)
+	run32 func(in, out []*mat.Matrix32), run64 func()) {
+	f.runTileTaskT(tr, st, ins, outs, nil, nil, run32, run64)
 }
 
 // runTileTaskT is runTileTask for QR factor tasks that also produce a T
-// factor (see runMixed32R's t/t32 contract; the non-resident float32 path
-// snapshots t alongside the out tiles).
+// factor (see runMixed32R's t/t32 contract).
 func (f *fact) runTileTaskT(tr *runtime.TraceTask, st *stepState, ins, outs []tileRef, t *mat.Matrix, t32 *mat.Matrix32,
-	run32R func(in, out []*mat.Matrix32), run32, run64 func()) {
+	run32 func(in, out []*mat.Matrix32), run64 func()) {
 	switch {
-	case f.res != nil && st.f32:
-		f.runMixed32R(tr, ins, outs, t, t32, run32R, run64)
+	case st.f32:
+		f.runMixed32R(tr, ins, outs, t, t32, run32, run64)
 	case f.res != nil:
 		m := &tile.Meter{}
 		f.ensure64(m, ins...)
 		f.ensure64(m, outs...)
 		run64()
 		tr.ChargeConv(m.NS)
-	case st.f32:
-		snaps := make([]*mat.Matrix, 0, len(outs)+1)
-		for _, o := range outs {
-			snaps = append(snaps, f.tile64(o))
-		}
-		if t != nil {
-			snaps = append(snaps, t)
-		}
-		f.runMixed32(run32, run64, snaps...)
 	default:
 		run64()
 	}
@@ -596,7 +527,9 @@ func (f *fact) submitBackup(st *stepState) {
 // computes the criterion's diagonal-tile data (pivot magnitudes and the
 // Hager–Higham estimate of ‖(A_kk^(k))⁻¹‖₁). This is the LU On Panel stage
 // of Fig. 1; the paper uses the multithreaded recursive-LU kernel of PLASMA
-// here, our stand-in is the stacked Getrf.
+// here, our stand-in is the stacked Getrf. A float32 step factors a
+// resident float32 stack with Getrf32R instead and demotes the whole step
+// to float64 on a breakdown or an excursion.
 func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 	k := st.k
 	nb := f.nb
@@ -625,21 +558,21 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 		Accesses:  acc,
 		RunTraced: func(tr *runtime.TraceTask) {
 			m := &tile.Meter{}
-			if f.res != nil && st.f32 {
-				// Forced-float32 resident panel: factor a float32 step stack
-				// acquired by reading through each tile's current state, then
-				// commit it — the stack views become the panel tiles' dirty
-				// images — and keep a widened float64 copy in st.stack,
-				// exactly the values the per-task round/widen path would have
-				// produced, so the criterion quantities, applies and the RHS
-				// replay are unchanged.
+			if st.f32 {
+				// Forced-float32 panel: factor a float32 step stack acquired
+				// by reading through each tile's current state, then commit
+				// it — the stack views become the panel tiles' dirty images —
+				// and keep a widened float64 copy in st.stack for the
+				// criterion quantities, the f64 applies and the RHS replay.
 				st.stack32 = f.res.AcquireRowStack32(st.rows, k, m)
 				st.piv, st.luErr = lapack.Getrf32R(st.stack32)
 				if st.luErr != nil || f.excursion32(st.stack32) {
 					// Demote the whole step: the images are untouched until
 					// commit, so abandoning the stack, normalizing the tiles
-					// to float64 and refactoring restarts from clean data —
-					// bit-identical to the non-resident demote.
+					// to float64 and refactoring restarts from clean data.
+					// Clearing st.f32 keeps the step's eliminations and
+					// updates at f64 too — a panel that misbehaves at float32
+					// has no business driving float32 updates.
 					st.stack32, st.l11_32 = nil, nil
 					f.ensure64(m, colRefs(st.rows, k)...)
 					st.stack = f.A.StackRows(st.rows, k)
@@ -654,28 +587,12 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 					f.res.CommitRowStack32(st.stack32, st.rows, k)
 				}
 			} else {
-				// The float64 trial (and the non-resident float32 path)
-				// factors the tiles' float64 content — normalize any images
-				// left behind by the previous step's float32 updates first.
+				// The float64 trial factors the tiles' float64 content —
+				// normalize any images left behind by the previous step's
+				// float32 updates first.
 				f.ensure64(m, colRefs(st.rows, k)...)
 				st.stack = f.A.StackRows(st.rows, k)
-				if st.f32 {
-					st.piv, st.luErr = lapack.Getrf32(st.stack)
-					if st.luErr != nil || f.excursion(st.stack) {
-						// Demote the whole step: the panel tiles are untouched
-						// until UnstackRows, so a fresh stack restarts the
-						// factorization from clean float64 data. Clearing st.f32
-						// keeps the step's eliminations and updates at f64 too —
-						// a panel that misbehaves at float32 has no business
-						// driving float32 updates.
-						st.stack = f.A.StackRows(st.rows, k)
-						st.piv, st.luErr = lapack.Getrf(st.stack)
-						st.f32 = false
-						f.noteDemotion()
-					}
-				} else {
-					st.piv, st.luErr = lapack.Getrf(st.stack)
-				}
+				st.piv, st.luErr = lapack.Getrf(st.stack)
 				f.A.UnstackRows(st.stack, st.rows, k)
 			}
 			if withCriterion {

@@ -43,7 +43,7 @@ func (f *fact) submitLUStep(st *stepState) {
 			RunTraced: func(tr *runtime.TraceTask) {
 				m := &tile.Meter{}
 				defer func() { tr.ChargeConv(m.NS) }()
-				if f.res != nil && st.f32 {
+				if st.f32 {
 					// Resident apply: acquire the column's step stack (one
 					// rounding pass per stateF64 tile), swap and solve in
 					// place, then commit — the stack views become the tiles'
@@ -65,25 +65,9 @@ func (f *fact) submitLUStep(st *stepState) {
 				// element, and the buffer never outlives the task.
 				s, sbuf := mat.GetMatrix(len(st.rows)*nb, nb)
 				defer mat.PutBuf(sbuf)
-				l11 := st.stack.View(0, 0, nb, nb)
-				apply := func(f32 bool) {
-					f.A.StackRowsInto(s, st.rows, j)
-					lapack.Laswp(s, st.piv, false)
-					if f32 {
-						blas.Trsm32(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, s.View(0, 0, nb, nb))
-					} else {
-						blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, s.View(0, 0, nb, nb))
-					}
-				}
-				f32 := st.f32 && f.res == nil
-				apply(f32)
-				if f32 && f.excursion(s) {
-					// Demotion needs no snapshot: the column tiles are
-					// untouched until UnstackRows, so re-stacking restarts
-					// the apply from clean data.
-					f.noteDemotion()
-					apply(false)
-				}
+				f.A.StackRowsInto(s, st.rows, j)
+				lapack.Laswp(s, st.piv, false)
+				blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.stack.View(0, 0, nb, nb), s.View(0, 0, nb, nb))
 				f.A.UnstackRows(s, st.rows, j)
 			},
 		})
@@ -102,7 +86,7 @@ func (f *fact) submitLUStep(st *stepState) {
 			RunTraced: func(tr *runtime.TraceTask) {
 				m := &tile.Meter{}
 				defer func() { tr.ChargeConv(m.NS) }()
-				if f.res != nil && st.f32 {
+				if st.f32 {
 					s32 := f.res.AcquireVecStack32(st.rows, m)
 					lapack.Laswp32R(s32, st.piv, false)
 					blas.Trsm32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.l11_32, s32.View(0, 0, nb, f.rhs.W))
@@ -115,22 +99,9 @@ func (f *fact) submitLUStep(st *stepState) {
 				f.ensure64(m, vecRefs(st.rows)...)
 				s, sbuf := mat.GetMatrix(len(st.rows)*nb, f.rhs.W)
 				defer mat.PutBuf(sbuf)
-				l11 := st.stack.View(0, 0, nb, nb)
-				apply := func(f32 bool) {
-					f.rhs.StackRowsInto(s, st.rows)
-					lapack.Laswp(s, st.piv, false)
-					if f32 {
-						blas.Trsm32(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, s.View(0, 0, nb, f.rhs.W))
-					} else {
-						blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, s.View(0, 0, nb, f.rhs.W))
-					}
-				}
-				f32 := st.f32 && f.res == nil
-				apply(f32)
-				if f32 && f.excursion(s) {
-					f.noteDemotion()
-					apply(false)
-				}
+				f.rhs.StackRowsInto(s, st.rows)
+				lapack.Laswp(s, st.piv, false)
+				blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.stack.View(0, 0, nb, nb), s.View(0, 0, nb, f.rhs.W))
 				f.rhs.UnstackRows(s, st.rows)
 			},
 		})
@@ -153,9 +124,6 @@ func (f *fact) submitLUStep(st *stepState) {
 				f.runTileTask(tr, st, []tileRef{mref(k, k)}, []tileRef{mref(i, k)},
 					func(in, out []*mat.Matrix32) {
 						blas.Trsm32R(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
-					},
-					func() {
-						blas.Trsm32(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), f.A.Tile(i, k))
 					},
 					func() {
 						blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), f.A.Tile(i, k))
@@ -182,9 +150,6 @@ func (f *fact) submitLUStep(st *stepState) {
 							blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
 						},
 						func() {
-							blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.A.Tile(k, j), 1, f.A.Tile(i, j))
-						},
-						func() {
 							blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.A.Tile(k, j), 1, f.A.Tile(i, j))
 						})
 				},
@@ -201,9 +166,6 @@ func (f *fact) submitLUStep(st *stepState) {
 				f.runTileTask(tr, st, []tileRef{mref(i, k), vref(k)}, []tileRef{vref(i)},
 					func(in, out []*mat.Matrix32) {
 						blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
-					},
-					func() {
-						blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.rhs.Tile(k), 1, f.rhs.Tile(i))
 					},
 					func() {
 						blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.rhs.Tile(k), 1, f.rhs.Tile(i))

@@ -55,7 +55,7 @@ func (f *fact) submitGeqrt(st *stepState, i int) {
 	// The float32 T image is allocated at submit time (the map write is
 	// single-threaded here) and kept in sync with t by the factor task.
 	var t32 *mat.Matrix32
-	if st.f32 && f.res != nil {
+	if st.f32 {
 		t32 = mat.NewMatrix32(nb, nb)
 		st.tGeqrt32[i] = t32
 	}
@@ -72,7 +72,6 @@ func (f *fact) submitGeqrt(st *stepState, i int) {
 		RunTraced: func(tr *runtime.TraceTask) {
 			f.runTileTaskT(tr, st, nil, []tileRef{mref(i, k)}, t, t32,
 				func(in, out []*mat.Matrix32) { lapack.Geqrt32RIB(out[0], t32, f.ib) },
-				func() { lapack.Geqrt32IB(f.A.Tile(i, k), t, f.ib) },
 				func() { lapack.GeqrtIB(f.A.Tile(i, k), t, f.ib) })
 		},
 	})
@@ -100,7 +99,6 @@ func (f *fact) submitGeqrtUpdates(st *stepState, i int) {
 			RunTraced: func(tr *runtime.TraceTask) {
 				f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{mref(i, j)},
 					func(in, out []*mat.Matrix32) { lapack.Unmqr32R(blas.Trans, in[0], t32, out[0]) },
-					func() { lapack.Unmqr32(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(i, j)) },
 					func() { lapack.Unmqr(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(i, j)) })
 			},
 		})
@@ -115,7 +113,6 @@ func (f *fact) submitGeqrtUpdates(st *stepState, i int) {
 		RunTraced: func(tr *runtime.TraceTask) {
 			f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{vref(i)},
 				func(in, out []*mat.Matrix32) { lapack.Unmqr32R(blas.Trans, in[0], t32, out[0]) },
-				func() { lapack.Unmqr32(blas.Trans, f.A.Tile(i, k), t, f.rhs.Tile(i)) },
 				func() { lapack.Unmqr(blas.Trans, f.A.Tile(i, k), t, f.rhs.Tile(i)) })
 		},
 	})
@@ -139,7 +136,7 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 	t := mat.New(nb, nb)
 	st.tKill[i] = t
 	var t32 *mat.Matrix32
-	if st.f32 && f.res != nil {
+	if st.f32 {
 		t32 = mat.NewMatrix32(nb, nb)
 		st.tKill32[i] = t32
 	}
@@ -167,13 +164,6 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 						lapack.Tsqrt32RIB(out[0], out[1], t32, f.ib)
 					} else {
 						lapack.Ttqrt32RIB(out[0], out[1], t32, f.ib)
-					}
-				},
-				func() {
-					if ts {
-						lapack.Tsqrt32IB(f.A.Tile(piv, k), f.A.Tile(i, k), t, f.ib)
-					} else {
-						lapack.Ttqrt32IB(f.A.Tile(piv, k), f.A.Tile(i, k), t, f.ib)
 					}
 				},
 				func() {
@@ -208,13 +198,6 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 					},
 					func() {
 						if ts {
-							lapack.Tsmqr32(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(piv, j), f.A.Tile(i, j))
-						} else {
-							lapack.Ttmqr32(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(piv, j), f.A.Tile(i, j))
-						}
-					},
-					func() {
-						if ts {
 							lapack.Tsmqr(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(piv, j), f.A.Tile(i, j))
 						} else {
 							lapack.Ttmqr(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(piv, j), f.A.Tile(i, j))
@@ -240,13 +223,6 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 						lapack.Tsmqr32R(blas.Trans, in[0], t32, out[0], out[1])
 					} else {
 						lapack.Ttmqr32R(blas.Trans, in[0], t32, out[0], out[1])
-					}
-				},
-				func() {
-					if ts {
-						lapack.Tsmqr32(blas.Trans, f.A.Tile(i, k), t, f.rhs.Tile(piv), f.rhs.Tile(i))
-					} else {
-						lapack.Ttmqr32(blas.Trans, f.A.Tile(i, k), t, f.rhs.Tile(piv), f.rhs.Tile(i))
 					}
 				},
 				func() {

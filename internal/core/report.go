@@ -44,7 +44,7 @@ type Report struct {
 	// tile's entry into a run of consecutive float32 steps); Conversions
 	// counts the actual conversion passes executed (roundings at promotion
 	// plus widenings at demotion), and ConvTime their total wall time. All
-	// zero for f64-effective runs and for the per-task conversion path.
+	// zero for f64-effective runs.
 	F32Epochs   int           `json:"f32_epochs,omitempty"`
 	Conversions int           `json:"conversions,omitempty"`
 	ConvTime    time.Duration `json:"conv_time_ns,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"luqr/internal/criteria"
+	"luqr/internal/mat"
 	"luqr/internal/matgen"
 )
 
@@ -32,14 +33,6 @@ func (flipCriterion) Decide(in *criteria.Input) bool {
 	return true
 }
 
-// withResidencyOff runs fn with the residency store disabled (the per-task
-// round/widen conversion path of the pre-resident implementation).
-func withResidencyOff(fn func()) {
-	residencyOff = true
-	defer func() { residencyOff = false }()
-	fn()
-}
-
 // expectTilesBitEqual asserts every factored tile of got equals want
 // bit for bit.
 func expectTilesBitEqual(t *testing.T, label string, got, want *Result) {
@@ -61,14 +54,12 @@ func expectTilesBitEqual(t *testing.T, label string, got, want *Result) {
 
 // TestEpochRoundTripMatchesPerTaskPath is the resident path's exactness
 // contract on its accepted branch: a run with float32 epochs opened and
-// closed mid-factorization (f32 → f64 → f32 flips) must produce factors
-// pointwise equal to the per-task round/widen path — bit-identical, except
-// for entries a float32 kernel passes through untouched (the unit row of a
-// triangular solve, say), which the per-task path leaves at float64 while
-// tile promotion rounds them with the rest of the tile. Those may differ by
-// exactly one float32 rounding and nothing more; any resident kernel that
-// diverges from its converting sibling, or any epoch demotion that loses
-// bits, breaks the relation.
+// closed mid-factorization (f32 → f64 → f32 flips) must stay within the
+// float32 accuracy bound of the pure-f64 run under the same criterion —
+// max|F_resident − F_f64| ≤ n·u32·max|F_f64| with u32 = 2⁻²⁴ — and refine
+// back into the HPL acceptance band. A resident kernel that computes the
+// wrong thing, or an epoch boundary that loses more than a rounding, breaks
+// the bound by orders of magnitude.
 func TestEpochRoundTripMatchesPerTaskPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	n := 96
@@ -76,53 +67,42 @@ func TestEpochRoundTripMatchesPerTaskPath(t *testing.T) {
 	b := matgen.RandomVector(n, rng)
 	cfg := Config{Alg: LUQR, NB: 16, Criterion: flipCriterion{}, Precision: PrecisionAuto}
 
-	var ref *Result
-	withResidencyOff(func() { ref = runOn(t, a, b, cfg) })
+	ref := runOn(t, a, b, Config{Alg: LUQR, NB: 16, Criterion: flipCriterion{}})
 	res := runOn(t, a, b, cfg)
 
 	// The schedule must actually flip: f32 steps interleaved with f64 ones.
 	if res.Report.F32Steps == 0 || res.Report.F32Steps == res.Report.NT {
 		t.Fatalf("no precision flips: %d f32 steps of %d", res.Report.F32Steps, res.Report.NT)
 	}
-	if res.Report.F32Steps != ref.Report.F32Steps {
-		t.Fatalf("paths disagree on f32 steps: resident %d, per-task %d", res.Report.F32Steps, ref.Report.F32Steps)
+	if res.Report.Demotions != 0 {
+		t.Fatalf("unexpected excursion demotions: %d", res.Report.Demotions)
 	}
-	if res.Report.Demotions != 0 || ref.Report.Demotions != 0 {
-		t.Fatalf("unexpected excursion demotions (resident %d, per-task %d)", res.Report.Demotions, ref.Report.Demotions)
-	}
-	// Epoch accounting: tiles entered residency, conversions ran, and the
-	// per-task path reports none of either.
+	// Epoch accounting: tiles entered residency and conversions ran; the
+	// f64 run never built the store.
 	if res.Report.F32Epochs == 0 || res.Report.Conversions == 0 {
-		t.Fatalf("resident run recorded no epochs/conversions: %+d/%+d", res.Report.F32Epochs, res.Report.Conversions)
+		t.Fatalf("resident run recorded no epochs/conversions: %d/%d", res.Report.F32Epochs, res.Report.Conversions)
 	}
 	if ref.Report.F32Epochs != 0 || ref.Report.Conversions != 0 {
-		t.Fatalf("per-task path recorded residency counters: %d/%d", ref.Report.F32Epochs, ref.Report.Conversions)
+		t.Fatalf("f64 run recorded residency counters: %d/%d", ref.Report.F32Epochs, ref.Report.Conversions)
 	}
 
-	exact, rounded := 0, 0
+	maxRef, maxDiff := 0.0, 0.0
 	for i := 0; i < ref.Factored.MT; i++ {
 		for j := 0; j < ref.Factored.NT; j++ {
-			g, w := res.Factored.Tile(i, j), ref.Factored.Tile(i, j)
-			for r := 0; r < w.Rows; r++ {
-				for c := 0; c < w.Cols; c++ {
-					a, b := g.At(r, c), w.At(r, c)
-					switch {
-					case a == b:
-						exact++
-					case a == float64(float32(b)):
-						rounded++
-					default:
-						t.Fatalf("tile (%d,%d) entry (%d,%d): resident %v is neither per-task %v nor its f32 rounding %v",
-							i, j, r, c, a, b, float64(float32(b)))
-					}
-				}
+			d := mat.MaxDiff(res.Factored.Tile(i, j), ref.Factored.Tile(i, j))
+			if math.IsNaN(d) {
+				t.Fatalf("tile (%d,%d): NaN in the factors", i, j)
 			}
+			maxDiff = math.Max(maxDiff, d)
+			maxRef = math.Max(maxRef, ref.Factored.Tile(i, j).NormMax())
 		}
 	}
-	if exact == 0 {
-		t.Fatal("no bit-identical entries at all — resident path is not tracking the per-task path")
+	const u32 = 0x1p-24
+	bound := float64(n) * u32 * maxRef
+	if maxDiff > bound {
+		t.Fatalf("max|F_resident - F_f64| = %g > n·u32·max|F_f64| = %g", maxDiff, bound)
 	}
-	t.Logf("entries: %d bit-identical, %d one-rounding-apart", exact, rounded)
+	t.Logf("max|F_resident - F_f64| = %.2f u32·max|F_f64| (bound %d)", maxDiff/(u32*maxRef), n)
 	if math.IsNaN(res.Report.HPL3) || res.Report.HPL3 > refineHPL3Tol {
 		t.Fatalf("resident flip run HPL3 = %g > %g", res.Report.HPL3, refineHPL3Tol)
 	}

@@ -75,13 +75,11 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		// The refinement residuals need the original matrix; factors
 		// overwrite the tiles, so keep a clone for the run's lifetime.
 		f.a0 = a.Clone()
-		if !residencyOff {
-			// Float32 steps run on resident tile images, converting only at
-			// epoch boundaries instead of once per task. f64-effective runs
-			// never construct the store, so their path is byte-for-byte the
-			// plain one.
-			f.res = tile.NewResidency(ta, rhs)
-		}
+		// Float32 steps run on resident tile images, converting only at
+		// epoch boundaries instead of once per task. f64-effective runs
+		// never construct the store, so their path is byte-for-byte the
+		// plain one.
+		f.res = tile.NewResidency(ta, rhs)
 	}
 	start := time.Now()
 	switch c.Alg {

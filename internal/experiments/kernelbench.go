@@ -83,31 +83,39 @@ func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// measureGemm32 times the float32 packed GEMM at one tile order, reported
-// under the "GEMM.f32" kernel name with the same flop model as GEMM — so the
-// GFLOP/s ratio against the GEMM row at the same nb is the mixed-precision
-// path's kernel speedup (the quantity the acceptance criterion gates).
+// round32 returns float32(m) as a tile image — the operand form of the
+// float32 kernels the mixed-precision path runs.
+func round32(m *mat.Matrix) *mat.Matrix32 {
+	img := mat.NewMatrix32(m.Rows, m.Cols)
+	img.RoundFrom(m)
+	return img
+}
+
+// measureGemm32 times the float32 packed GEMM (Gemm32R on tile images) at
+// one tile order, reported under the "GEMM.f32" kernel name with the same
+// flop model as GEMM — so the GFLOP/s ratio against the GEMM row at the
+// same nb is the mixed-precision path's kernel speedup.
 func measureGemm32(nb, reps int) KernelBenchEntry {
 	rng := rand.New(rand.NewSource(99))
-	randTile := func() *mat.Matrix {
+	randTile := func() *mat.Matrix32 {
 		m := mat.New(nb, nb)
 		for i := range m.Data {
 			m.Data[i] = rng.NormFloat64()
 		}
-		return m
+		return round32(m)
 	}
 	a, b, c := randTile(), randTile(), randTile()
 	// Warm the f32 packing pools and the dispatch path before timing, then
 	// amortize the measurement over enough calls to outlast timer noise — a
 	// single nb=192 call is a few hundred microseconds.
-	blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
+	blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
 	best := 0.0
 	for r := 0; r < reps; r++ {
 		const minWall = 10 * time.Millisecond
 		iters := 0
 		t0 := time.Now()
 		for time.Since(t0) < minWall {
-			blas.Gemm32(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
+			blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
 			iters++
 		}
 		d := time.Since(t0).Seconds() / float64(iters)
@@ -123,12 +131,11 @@ func measureGemm32(nb, reps int) KernelBenchEntry {
 	return KernelBenchEntry{Kernel: "GEMM.f32", NB: nb, NsPerOp: ns, GFlops: gf}
 }
 
-// measureQRUpdates32 times the float32 QR update kernels — UNMQR, TSMQR,
-// TTMQR in their converting f32 forms — at one tile order, reported under
-// ".f32"-suffixed kernel names with the Table I flop models. Against the f64
-// base rows from Table1 these give `-diff-kernels` its f32/f64 ratios for
-// the QR side of the mixed path, the rates the packed Trmm32/Trsm32 routing
-// is meant to lift.
+// measureQRUpdates32 times the float32 QR update kernels — Unmqr32R,
+// Tsmqr32R, Ttmqr32R on tile images rounded from f64-factored tiles — at
+// one tile order, reported under ".f32"-suffixed kernel names with the
+// Table I flop models. Against the f64 base rows from Table1 these give
+// `-diff-kernels` its f32/f64 ratios for the QR side of the mixed path.
 func measureQRUpdates32(nb, reps int) []KernelBenchEntry {
 	rng := rand.New(rand.NewSource(101))
 	randTile := func() *mat.Matrix {
@@ -176,20 +183,22 @@ func measureQRUpdates32(nb, reps int) []KernelBenchEntry {
 		timeOne("UNMQR.f32", flops.Unmqr(nb, nb), func() func() {
 			a, t := randTile(), mat.New(nb, nb)
 			lapack.Geqrt(a, t)
-			c := randTile()
-			return func() { lapack.Unmqr32(blas.Trans, a, t, c) }
+			v32, t32, c := round32(a), round32(t), round32(randTile())
+			return func() { lapack.Unmqr32R(blas.Trans, v32, t32, c) }
 		}),
 		timeOne("TSMQR.f32", flops.Tsmqr(nb, nb), func() func() {
 			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
 			lapack.Tsqrt(r, a, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Tsmqr32(blas.Trans, a, t, c1, c2) }
+			v32, t32 := round32(a), round32(t)
+			c1, c2 := round32(randTile()), round32(randTile())
+			return func() { lapack.Tsmqr32R(blas.Trans, v32, t32, c1, c2) }
 		}),
 		timeOne("TTMQR.f32", flops.Ttmqr(nb, nb), func() func() {
 			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
 			lapack.Ttqrt(r1, r2, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Ttmqr32(blas.Trans, r2, t, c1, c2) }
+			v32, t32 := round32(r2), round32(t)
+			c1, c2 := round32(randTile()), round32(randTile())
+			return func() { lapack.Ttmqr32R(blas.Trans, v32, t32, c1, c2) }
 		}),
 	}
 }

@@ -8,17 +8,18 @@ import (
 	"luqr/internal/mat"
 )
 
-// Resident mixed-precision kernels: float32 arithmetic on float32 storage.
+// Mixed-precision kernels: float32 arithmetic on float32 storage.
 //
-// Each routine here mirrors its f32-on-f64 sibling in f32.go operation for
-// operation — same pivot semantics, same compact-WY contracts, same scratch
-// shapes — with operands held in mat.Matrix32 tile images, so the per-call
-// round-on-read/widen-on-write conversions disappear. Because widening a
-// float32 to float64 is exact and rounding it back returns the same bits,
-// a resident kernel produces bit-identical values to its converting sibling
-// whenever the float64 storage holds widened float32 values, which is the
-// residency layer's invariant. T factors stay in the caller's float32
-// scratch and are widened once per factor task, not per update.
+// Each routine here mirrors its float64 namesake — same pivot semantics,
+// same compact-WY V/T contracts, same in-place storage layout — with every
+// floating-point operation performed at float32 on the mat.Matrix32 tile
+// images of the residency layer (package tile). Widened, the factors are
+// interchangeable with the f64 ones: Unmqr can replay a Geqrt32RIB factor,
+// a Getrf32R panel feeds the same Laswp/Trsm elimination, and the
+// serialized factor format does not change shape. The level-3 flops run
+// through the blas float32 packed path (Gemm32R/Trsm32R/Trmm32R). T factors
+// stay in the caller's float32 scratch and are widened once per factor
+// task, not per update.
 
 // Laswp32R applies Getrf row interchanges to a float32 tile image, forward
 // (inverse == false) or backward (inverse == true), exactly like Laswp.
@@ -45,9 +46,8 @@ func absf32(v float32) float32 {
 	return v
 }
 
-// Getrf32R is Getrf32 on float32 storage: LU with partial pivoting,
-// recursive right-looking, float32 pivot comparison, float32-zero pivot is
-// a breakdown.
+// Getrf32R is Getrf at float32: LU with partial pivoting, recursive
+// right-looking; a zero pivot is a breakdown.
 func Getrf32R(a *mat.Matrix32) (piv []int, err error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -85,8 +85,8 @@ func getrfRecursive32R(a *mat.Matrix32, piv []int) (err error) {
 	return err
 }
 
-// getrfUnblocked32R is getrfUnblocked32 on float32 storage, with the same
-// fused next-pivot search.
+// getrfUnblocked32R is getrfUnblocked at float32, with the same fused
+// next-pivot search.
 func getrfUnblocked32R(a *mat.Matrix32, piv []int) (err error) {
 	m, n := a.Rows, a.Cols
 	d, ld := a.Data, a.Stride
@@ -142,8 +142,7 @@ func getrfUnblocked32R(a *mat.Matrix32, piv []int) (err error) {
 	return err
 }
 
-// Larfg32R is Larfg32 on float32 storage: same norm, sign choice, tau, and
-// scaling, all at float32.
+// Larfg32R is Larfg at float32: same norm, sign choice, tau, and scaling.
 func Larfg32R(alpha float32, x []float32) (beta, tau float32) {
 	sigma := blas.Dot32R(x, x)
 	if sigma == 0 {
@@ -161,7 +160,7 @@ func Larfg32R(alpha float32, x []float32) (beta, tau float32) {
 	return b32, t32
 }
 
-// larftColumn32R is larftColumn32 on float32 storage.
+// larftColumn32R is larftColumn at float32.
 func larftColumn32R(t *mat.Matrix32, j int, tau float32, w []float32) {
 	for r := 0; r < j; r++ {
 		var s float32
@@ -174,7 +173,7 @@ func larftColumn32R(t *mat.Matrix32, j int, tau float32, w []float32) {
 	t.Set(j, j, tau)
 }
 
-// larftMerge32R is larftMerge32 on float32 storage.
+// larftMerge32R is larftMerge at float32. The final negation is exact.
 func larftMerge32R(t *mat.Matrix32, j0, bs int, y *mat.Matrix32) {
 	blas.Trmm32R(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, t.View(0, 0, j0, j0), y)
 	blas.Trmm32R(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, t.View(j0, j0, bs, bs), y)
@@ -207,17 +206,15 @@ func addRows32R(dst, src *mat.Matrix32) {
 	}
 }
 
-// Geqrt32R is Geqrt32 on float32 storage: R and V in a, full T in t.
-func Geqrt32R(a, t *mat.Matrix32) { Geqrt32RIB(a, t, PanelIB()) }
-
-// Geqrt32RIB is Geqrt32R with an explicit inner block size.
+// Geqrt32RIB is GeqrtIB at float32: R and V in a, full T in t, inner block
+// size ib (PanelIB when ib <= 0).
 func Geqrt32RIB(a, t *mat.Matrix32, ib int) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		panic(fmt.Sprintf("lapack: Geqrt32R requires m >= n, got %dx%d", m, n))
+		panic(fmt.Sprintf("lapack: Geqrt32RIB requires m >= n, got %dx%d", m, n))
 	}
 	if t.Rows < n || t.Cols < n {
-		panic(fmt.Sprintf("lapack: Geqrt32R T too small: %dx%d for n=%d", t.Rows, t.Cols, n))
+		panic(fmt.Sprintf("lapack: Geqrt32RIB T too small: %dx%d for n=%d", t.Rows, t.Cols, n))
 	}
 	t.Zero()
 	if ib <= 0 {
@@ -241,9 +238,9 @@ func Geqrt32RIB(a, t *mat.Matrix32, ib int) {
 	}
 }
 
-// mergeGeqrtT32R is mergeGeqrtT32 on float32 storage. The V2
-// materialization copies stored values (and writes exact 0/1), so it
-// introduces no rounding of its own.
+// mergeGeqrtT32R is mergeGeqrtT with the cross-Gram GEMM and the dlarft
+// recurrence at float32. The V2 materialization copies stored values (and
+// writes exact 0/1), so it introduces no rounding of its own.
 func mergeGeqrtT32R(a, t *mat.Matrix32, j0, bs int) {
 	m := a.Rows
 	v2, v2buf := mat.GetMatrix32(m-j0, bs)
@@ -268,7 +265,7 @@ func mergeGeqrtT32R(a, t *mat.Matrix32, j0, bs int) {
 	larftMerge32R(t, j0, bs, y)
 }
 
-// geqrtUnblocked32R is geqrtUnblocked32 on float32 storage.
+// geqrtUnblocked32R is geqrtUnblocked at float32.
 func geqrtUnblocked32R(a, t *mat.Matrix32) {
 	m, n := a.Rows, a.Cols
 	buf := mat.GetBuf32(m + n)
@@ -304,7 +301,8 @@ func geqrtUnblocked32R(a, t *mat.Matrix32) {
 	}
 }
 
-// Unmqr32R is Unmqr32 on float32 storage.
+// Unmqr32R is Unmqr at float32: W = VᵀC through the TRMM/GEMM pair, T
+// applied by TRMM, and the subtraction back into C.
 func Unmqr32R(trans blas.Transpose, v, t, c *mat.Matrix32) {
 	m, n := v.Rows, v.Cols
 	if c.Rows != m {
@@ -341,21 +339,19 @@ func Unmqr32R(trans blas.Transpose, v, t, c *mat.Matrix32) {
 	subRows32R(c1, w)
 }
 
-// Tsqrt32R is Tsqrt32 on float32 storage.
-func Tsqrt32R(r, a, t *mat.Matrix32) { Tsqrt32RIB(r, a, t, PanelIB()) }
-
-// Tsqrt32RIB is Tsqrt32R with an explicit inner block size.
+// Tsqrt32RIB is TsqrtIB at float32; same V = [I; V2] contract, R's strictly
+// lower storage untouched.
 func Tsqrt32RIB(r, a, t *mat.Matrix32, ib int) {
 	n := r.Cols
 	m := a.Rows
 	if r.Rows != n {
-		panic(fmt.Sprintf("lapack: Tsqrt32R needs square R, got %dx%d", r.Rows, r.Cols))
+		panic(fmt.Sprintf("lapack: Tsqrt32RIB needs square R, got %dx%d", r.Rows, r.Cols))
 	}
 	if a.Cols != n {
-		panic(fmt.Sprintf("lapack: Tsqrt32R A cols %d != R order %d", a.Cols, n))
+		panic(fmt.Sprintf("lapack: Tsqrt32RIB A cols %d != R order %d", a.Cols, n))
 	}
 	if t.Rows < n || t.Cols < n {
-		panic(fmt.Sprintf("lapack: Tsqrt32R T too small: %dx%d", t.Rows, t.Cols))
+		panic(fmt.Sprintf("lapack: Tsqrt32RIB T too small: %dx%d", t.Rows, t.Cols))
 	}
 	t.Zero()
 	if ib <= 0 {
@@ -382,7 +378,7 @@ func Tsqrt32RIB(r, a, t *mat.Matrix32, ib int) {
 	}
 }
 
-// tsqrtUnblocked32R is tsqrtUnblocked32 on float32 storage.
+// tsqrtUnblocked32R is tsqrtUnblocked at float32.
 func tsqrtUnblocked32R(r, a, t *mat.Matrix32) {
 	n := r.Cols
 	m := a.Rows
@@ -425,7 +421,7 @@ func tsqrtUnblocked32R(r, a, t *mat.Matrix32) {
 	}
 }
 
-// Tsmqr32R is Tsmqr32 on float32 storage.
+// Tsmqr32R is Tsmqr at float32.
 func Tsmqr32R(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix32) {
 	m, n := v2.Rows, v2.Cols
 	if c1.Rows != n || c2.Rows != m || c1.Cols != c2.Cols {
@@ -447,18 +443,16 @@ func Tsmqr32R(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix32) {
 	blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)
 }
 
-// Ttqrt32R is Ttqrt32 on float32 storage.
-func Ttqrt32R(r1, r2, t *mat.Matrix32) { Ttqrt32RIB(r1, r2, t, PanelIB()) }
-
-// Ttqrt32RIB is Ttqrt32R with an explicit inner block size.
+// Ttqrt32RIB is TtqrtIB at float32; strictly lower parts of both tiles stay
+// untouched exactly as in the f64 kernel.
 func Ttqrt32RIB(r1, r2, t *mat.Matrix32, ib int) {
 	n := r1.Cols
 	if r1.Rows != n || r2.Rows != n || r2.Cols != n {
-		panic(fmt.Sprintf("lapack: Ttqrt32R needs square tiles, got %dx%d and %dx%d",
+		panic(fmt.Sprintf("lapack: Ttqrt32RIB needs square tiles, got %dx%d and %dx%d",
 			r1.Rows, r1.Cols, r2.Rows, r2.Cols))
 	}
 	if t.Rows < n || t.Cols < n {
-		panic(fmt.Sprintf("lapack: Ttqrt32R T too small: %dx%d", t.Rows, t.Cols))
+		panic(fmt.Sprintf("lapack: Ttqrt32RIB T too small: %dx%d", t.Rows, t.Cols))
 	}
 	t.Zero()
 	if ib <= 0 {
@@ -486,7 +480,7 @@ func Ttqrt32RIB(r1, r2, t *mat.Matrix32, ib int) {
 	}
 }
 
-// ttqrtApply32R is ttqrtApply32 on float32 storage.
+// ttqrtApply32R is ttqrtApply at float32.
 func ttqrtApply32R(r1, r2, tb *mat.Matrix32, j0, bs, rest int) {
 	c1 := r1.View(j0, j0+bs, bs, rest)
 	tri := r2.View(j0, j0, bs, bs)
@@ -512,7 +506,7 @@ func ttqrtApply32R(r1, r2, tb *mat.Matrix32, j0, bs, rest int) {
 	subRows32R(c2bot, wt)
 }
 
-// ttqrtUnblocked32R is ttqrtUnblocked32 on float32 storage.
+// ttqrtUnblocked32R is ttqrtUnblocked at float32.
 func ttqrtUnblocked32R(r1, r2, t *mat.Matrix32, off int) {
 	n := r1.Cols
 	buf := mat.GetBuf32(2*n + off)
@@ -561,7 +555,7 @@ func ttqrtUnblocked32R(r1, r2, t *mat.Matrix32, off int) {
 	}
 }
 
-// Ttmqr32R is Ttmqr32 on float32 storage.
+// Ttmqr32R is Ttmqr at float32.
 func Ttmqr32R(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix32) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {

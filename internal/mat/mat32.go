@@ -11,11 +11,10 @@ import (
 // allocation, so mutating a view mutates the parent.
 //
 // Every float32 value widens to float64 exactly, and rounding a widened
-// float32 returns the same bits, so a chain of float32 kernels over a
-// Matrix32 image produces bit-identical values to the same chain run through
-// the round-on-read/widen-on-write kernels on float64 storage. That identity
-// is what lets the residency layer (package tile) convert once per precision
-// epoch instead of once per kernel call without changing any result.
+// float32 returns the same bits, so an image demoted to float64 and promoted
+// again is unchanged. That identity is what lets the residency layer
+// (package tile) convert once per precision epoch instead of once per kernel
+// call.
 type Matrix32 struct {
 	Rows   int
 	Cols   int

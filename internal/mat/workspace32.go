@@ -3,7 +3,7 @@ package mat
 import "sync"
 
 // Float32 side of the workspace arena. The mixed-precision kernel path packs
-// f64 operands into float32 micro-panels and accumulates float32 results in
+// float32 operands into micro-panels and accumulates float32 results in
 // scratch blocks; those buffers churn exactly like the float64 ones, so they
 // get the same size-classed sync.Pool treatment and the same ownership rules
 // (Get → use → Put within one call, contents unspecified on Get).
@@ -37,15 +37,6 @@ func GetBuf32(n int) *Buf32 {
 	}
 	b := ws32Pools[c].Get().(*Buf32)
 	b.Data = b.Data[:cap(b.Data)][:n]
-	return b
-}
-
-// GetBuf32Zero returns a zeroed buffer with len(Data) == n.
-func GetBuf32Zero(n int) *Buf32 {
-	b := GetBuf32(n)
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
 	return b
 }
 

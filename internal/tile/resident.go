@@ -26,10 +26,9 @@ import (
 // entry points in blas/lapack. It is demoted (dirty → f64, one widening
 // pass) only at an epoch boundary: the criterion flips the step back to
 // f64, an excursion forces the step to rerun in f64, or the run ends
-// (Flush). Because float32 widens to float64 exactly, demotion re-creates
-// exactly the float64 values the per-task round/widen kernels of the
-// non-resident path would have produced, so results are unchanged — only
-// the conversion count drops from once per task to once per tile per epoch.
+// (Flush). Because float32 widens to float64 exactly, demotion loses
+// nothing, and the conversion count is once per tile per epoch rather than
+// once per task.
 //
 // Counter taxonomy: Epochs counts tile promotions (f64 → resident);
 // To32/To64 count the rounding and widening passes (dropping a clean image
@@ -60,7 +59,7 @@ const (
 type entry struct {
 	mu    sync.Mutex
 	state int8
-	img   *mat.Matrix32 // retained across epochs; may view a committed step stack
+	img   *mat.Matrix32 // replaced at each promotion; may view a committed step stack
 }
 
 // Meter accumulates conversion nanoseconds on behalf of one task, so the
@@ -88,21 +87,21 @@ func NewResidency(a *Matrix, rhs *Vector) *Residency {
 	return r
 }
 
-// promote ensures e has a valid image for the f64 tile t, rounding the
-// current float64 content unless the caller will overwrite the whole image.
-func (r *Residency) promote(e *entry, t *mat.Matrix, rows, cols int, round bool, m *Meter) {
-	if e.img == nil {
-		e.img = mat.NewMatrix32(rows, cols)
-	}
+// promote installs a fresh image of the f64 tile t, rounded from its current
+// float64 content. It never rounds into the previous image: read-only tasks
+// of an earlier epoch may still hold that one (a sibling update task reads
+// the shared V tile while another's demotion ends the tile's epoch), so the
+// old image stays untouched until its last reader drops it.
+func (r *Residency) promote(e *entry, t *mat.Matrix, m *Meter) {
+	img := mat.NewMatrix32(t.Rows, t.Cols)
+	start := time.Now()
+	img.RoundFrom(t)
+	ns := time.Since(start).Nanoseconds()
+	e.img = img
 	r.epochs.Add(1)
-	if round {
-		start := time.Now()
-		e.img.RoundFrom(t)
-		ns := time.Since(start).Nanoseconds()
-		r.to32.Add(1)
-		r.convNS.Add(ns)
-		m.add(ns)
-	}
+	r.to32.Add(1)
+	r.convNS.Add(ns)
+	m.add(ns)
 }
 
 // demote widens a dirty image back into the f64 tile.
@@ -119,7 +118,7 @@ func (r *Residency) read32(e *entry, t *mat.Matrix, m *Meter) *mat.Matrix32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == stateF64 {
-		r.promote(e, t, t.Rows, t.Cols, true, m)
+		r.promote(e, t, m)
 		e.state = stateClean
 	}
 	return e.img
@@ -130,7 +129,7 @@ func (r *Residency) write32(e *entry, t *mat.Matrix, m *Meter) (*mat.Matrix32, b
 	defer e.mu.Unlock()
 	wasDirty := e.state == stateDirty
 	if e.state == stateF64 {
-		r.promote(e, t, t.Rows, t.Cols, true, m)
+		r.promote(e, t, m)
 	}
 	e.state = stateDirty
 	return e.img, wasDirty
