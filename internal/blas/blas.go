@@ -1,6 +1,8 @@
 // Package blas implements the subset of dense Basic Linear Algebra
 // Subprograms needed by the tiled LU-QR solver, on row-major matrices from
-// the mat package.
+// the mat package. Every routine is written once over the element type
+// (float64, or float32 for the mixed-precision path); what differs between
+// the two types is the kernel table of microkernel.go.
 //
 // It is a pure-Go stand-in for the vendor BLAS (MKL in the paper's setup):
 // the mathematics and the flop counts are identical, only absolute speed
@@ -51,35 +53,29 @@ const (
 	Trans
 )
 
-// axpyKernel and dotKernel are the SIMD level-1 kernels, nil on hosts
-// without AVX2+FMA (selection in microkernel_amd64.go). Vector lengths
-// below simdMin stay on the scalar loops: the call/setup overhead of the
-// assembly outweighs 4-wide FMAs for very short vectors. Axpy's scalar loop
-// still fuses when axpyKernel is active, so an element's rounding never
-// depends on the vector's length (a triangular solve's rows, and so a
-// right-hand side's bits, stay independent of how many columns ride along).
-var (
-	axpyKernel func(alpha float64, x, y []float64)
-	dotKernel  func(x, y []float64) float64
-)
-
+// Vector lengths below simdMin stay on the scalar loops: the call/setup
+// overhead of the assembly outweighs its FMAs for very short vectors.
+// Axpy's scalar loop still fuses when the table's axpy kernel is active, so
+// an element's rounding never depends on the vector's length (a triangular
+// solve's rows, and so a float64 right-hand side's bits, stay independent
+// of how many columns ride along).
 const simdMin = 8
 
 // SimdAccelerated reports whether the SIMD (AVX2+FMA) kernels are active on
 // this host. Part of the autotuner's machine fingerprint: a tuning table
 // probed with vector kernels must not be reused on a host running the
 // generic paths.
-func SimdAccelerated() bool { return axpyKernel != nil }
+func SimdAccelerated() bool { return kernels64.axpy != nil }
 
 // Dot returns xᵀy.
-func Dot(x, y []float64) float64 {
+func Dot[T mat.Float](x, y []T) T {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("blas: Dot length mismatch %d vs %d", len(x), len(y)))
 	}
-	if dotKernel != nil && len(x) >= simdMin {
-		return dotKernel(x, y)
+	if k := table[T](); k.dot != nil && len(x) >= simdMin {
+		return k.dot(x, y)
 	}
-	s := 0.0
+	var s T
 	for i, v := range x {
 		s += v * y[i]
 	}
@@ -87,34 +83,37 @@ func Dot(x, y []float64) float64 {
 }
 
 // Axpy computes y += alpha·x.
-func Axpy(alpha float64, x, y []float64) {
+func Axpy[T mat.Float](alpha T, x, y []T) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("blas: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	if alpha == 0 {
 		return
 	}
-	if axpyKernel != nil && len(x) >= simdMin {
-		axpyKernel(alpha, x, y)
+	k := table[T]()
+	if k.axpy != nil && len(x) >= simdMin {
+		k.axpy(alpha, x, y)
 		return
 	}
-	fused := axpyKernel != nil
+	fused := k.axpy != nil
 	for i, v := range x {
 		y[i] = madd(fused, alpha, v, y[i])
 	}
 }
 
 // madd returns c + a·b, rounded once when fused is set (the FMA kernels'
-// arithmetic) and twice otherwise (the portable loops').
-func madd(fused bool, a, b, c float64) float64 {
+// arithmetic) and twice otherwise (the portable loops'). The fused product
+// is formed in float64, which is the FMA itself for float64 operands and
+// exact up to a rare double rounding for float32 ones.
+func madd[T mat.Float](fused bool, a, b, c T) T {
 	if fused {
-		return math.FMA(a, b, c)
+		return T(math.FMA(float64(a), float64(b), float64(c)))
 	}
 	return c + a*b
 }
 
 // Scal computes x *= alpha.
-func Scal(alpha float64, x []float64) {
+func Scal[T mat.Float](alpha T, x []T) {
 	for i := range x {
 		x[i] *= alpha
 	}
@@ -122,32 +121,15 @@ func Scal(alpha float64, x []float64) {
 
 // Iamax returns the index of the first element of maximum absolute value.
 // It panics on an empty slice.
-func Iamax(x []float64) int {
+func Iamax[T mat.Float](x []T) int {
 	if len(x) == 0 {
 		panic("blas: Iamax of empty vector")
 	}
-	best, bv := 0, math.Abs(x[0])
+	best, bv := 0, math.Abs(float64(x[0]))
 	for i := 1; i < len(x); i++ {
-		if a := math.Abs(x[i]); a > bv {
+		if a := math.Abs(float64(x[i])); a > bv {
 			best, bv = i, a
 		}
 	}
 	return best
-}
-
-// Ger performs the rank-1 update A += alpha·x·yᵀ.
-func Ger(alpha float64, x, y []float64, a *mat.Matrix) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic(fmt.Sprintf("blas: Ger shape mismatch %dx%d vs |x|=%d |y|=%d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := 0; i < a.Rows; i++ {
-		axi := alpha * x[i]
-		if axi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, yj := range y {
-			row[j] += axi * yj
-		}
-	}
 }

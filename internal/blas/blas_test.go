@@ -73,9 +73,55 @@ func naiveGemm(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta f
 	}
 }
 
+// unitRoundoff returns the unit roundoff u of T: 2⁻⁵³ for float64, 2⁻²⁴
+// for float32. Tolerances are written as multiples of it, so one test body
+// gates both precisions at their own resolution.
+func unitRoundoff[T mat.Float]() float64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return 0x1p-24
+	}
+	return 0x1p-53
+}
+
+// roundTo returns m rounded to T (an exact copy for float64).
+func roundTo[T mat.Float](m *mat.Matrix) *mat.Dense[T] {
+	r := &mat.Dense[T]{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: make([]T, m.Rows*m.Cols)}
+	r.RoundFrom(m)
+	return r
+}
+
+// widen returns the float64 values of m.
+func widen[T mat.Float](m *mat.Dense[T]) *mat.Matrix {
+	w := mat.New(m.Rows, m.Cols)
+	m.WidenInto(w)
+	return w
+}
+
+// randT returns a random r×c matrix of T (randMat's values, rounded).
+func randT[T mat.Float](rng *rand.Rand, r, c int) *mat.Dense[T] {
+	return roundTo[T](randMat(rng, r, c))
+}
+
+// viewOfT embeds a fresh random r×c matrix of T inside a larger parent so
+// that Stride != Cols, returning the interior view.
+func viewOfT[T mat.Float](rng *rand.Rand, r, c int) *mat.Dense[T] {
+	return randT[T](rng, r+3, c+5).View(1, 2, r, c)
+}
+
+// forEachType runs the float64 and float32 instantiations of one test body
+// as the subtests "float64" and "float32", each under forEachKernel.
+func forEachType(t *testing.T, check64, check32 func(t *testing.T)) {
+	t.Run("float64", func(t *testing.T) { forEachKernel(t, check64) })
+	t.Run("float32", func(t *testing.T) { forEachKernel(t, check32) })
+}
+
 func TestDotAxpyScalIamax(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, -5, 6}
+	forEachType(t, testDotAxpyScalIamax[float64], testDotAxpyScalIamax[float32])
+}
+
+func testDotAxpyScalIamax[T mat.Float](t *testing.T) {
+	x := []T{1, 2, 3}
+	y := []T{4, -5, 6}
 	if Dot(x, y) != 4-10+18 {
 		t.Fatalf("Dot = %g", Dot(x, y))
 	}
@@ -87,74 +133,43 @@ func TestDotAxpyScalIamax(t *testing.T) {
 	if y[0] != 3 || y[1] != -0.5 || y[2] != 6 {
 		t.Fatalf("Scal got %v", y)
 	}
-	if Iamax([]float64{1, -7, 7, 2}) != 1 {
+	if Iamax([]T{1, -7, 7, 2}) != 1 {
 		t.Fatal("Iamax must return the first index of max abs")
 	}
 }
 
 func TestAxpyZeroAlphaNoop(t *testing.T) {
-	y := []float64{1, 2}
-	Axpy(0, []float64{math.NaN(), math.NaN()}, y)
-	if y[0] != 1 || y[1] != 2 {
-		t.Fatal("Axpy with alpha=0 must not touch y")
-	}
+	forEachType(t, testAxpyZeroAlphaNoop[float64], testAxpyZeroAlphaNoop[float32])
 }
 
-func TestGerMatchesDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, 4, 3)
-	want := a.Clone()
-	x := []float64{1, -2, 0, 3}
-	y := []float64{2, 5, -1}
-	Ger(1.5, x, y, a)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			exp := want.At(i, j) + 1.5*x[i]*y[j]
-			if math.Abs(a.At(i, j)-exp) > 1e-14 {
-				t.Fatalf("Ger (%d,%d) = %g, want %g", i, j, a.At(i, j), exp)
-			}
+// testAxpyZeroAlphaNoop: alpha == 0 must leave y alone even where x holds
+// NaN (0·NaN would poison it), on the scalar loop and the SIMD kernel.
+func testAxpyZeroAlphaNoop[T mat.Float](t *testing.T) {
+	for _, n := range []int{2, 2 * simdMin} {
+		x, y := make([]T, n), make([]T, n)
+		for i := range x {
+			x[i] = T(math.NaN())
+			y[i] = T(i + 1)
 		}
-	}
-}
-
-func TestGemmAgainstNaiveAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dims := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 6}, {64, 64, 64}, {65, 70, 67}, {130, 40, 90}}
-	for _, ta := range []Transpose{NoTrans, Trans} {
-		for _, tb := range []Transpose{NoTrans, Trans} {
-			for _, d := range dims {
-				m, n, k := d[0], d[1], d[2]
-				var a, b *mat.Matrix
-				if ta == NoTrans {
-					a = randMat(rng, m, k)
-				} else {
-					a = randMat(rng, k, m)
-				}
-				if tb == NoTrans {
-					b = randMat(rng, k, n)
-				} else {
-					b = randMat(rng, n, k)
-				}
-				c0 := randMat(rng, m, n)
-				got := c0.Clone()
-				want := c0.Clone()
-				alpha, beta := 1.3, -0.7
-				Gemm(ta, tb, alpha, a, b, beta, got)
-				naiveGemm(ta, tb, alpha, a, b, beta, want)
-				if d := mat.MaxDiff(got, want); d > 1e-10*float64(k) {
-					t.Fatalf("Gemm ta=%v tb=%v %v: maxdiff %g", ta, tb, d, d)
-				}
+		Axpy(0, x, y)
+		for i, v := range y {
+			if v != T(i+1) {
+				t.Fatalf("n=%d: Axpy with alpha=0 touched y[%d] = %g", n, i, v)
 			}
 		}
 	}
 }
 
 func TestGemmBetaZeroIgnoresNaNInC(t *testing.T) {
+	forEachType(t, testGemmBetaZeroIgnoresNaNInC[float64], testGemmBetaZeroIgnoresNaNInC[float32])
+}
+
+func testGemmBetaZeroIgnoresNaNInC[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	a := randMat(rng, 3, 3)
-	b := randMat(rng, 3, 3)
-	c := mat.New(3, 3)
-	c.Fill(math.NaN())
+	a := randT[T](rng, 3, 3)
+	b := randT[T](rng, 3, 3)
+	c := randT[T](rng, 3, 3)
+	c.Fill(T(math.NaN()))
 	Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
 	if !c.IsFinite() {
 		t.Fatal("Gemm with beta=0 must overwrite NaNs in C")
@@ -162,51 +177,101 @@ func TestGemmBetaZeroIgnoresNaNInC(t *testing.T) {
 }
 
 func TestGemmAlphaZeroScalesOnly(t *testing.T) {
+	forEachType(t, testGemmAlphaZeroScalesOnly[float64], testGemmAlphaZeroScalesOnly[float32])
+}
+
+func testGemmAlphaZeroScalesOnly[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := randMat(rng, 3, 3)
-	b := randMat(rng, 3, 3)
-	c := randMat(rng, 3, 3)
+	a := randT[T](rng, 3, 3)
+	b := randT[T](rng, 3, 3)
+	c := randT[T](rng, 3, 3)
 	want := c.Clone()
 	Gemm(NoTrans, NoTrans, 0, a, b, 2, c)
 	for i := range want.Data {
 		want.Data[i] *= 2
 	}
-	if mat.MaxDiff(c, want) > 1e-15 {
+	if !mat.Equal(c, want) {
 		t.Fatal("Gemm alpha=0 should only scale C by beta")
 	}
 }
 
 func TestGemmOnViews(t *testing.T) {
+	forEachType(t, testGemmOnViews[float64], testGemmOnViews[float32])
+}
+
+func testGemmOnViews[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	big := randMat(rng, 10, 10)
+	big := randT[T](rng, 10, 10)
 	a := big.View(0, 0, 4, 4)
 	b := big.View(4, 4, 4, 4)
-	c := mat.New(4, 4)
-	want := mat.New(4, 4)
+	c := big.View(6, 0, 4, 4).Clone()
+	want := widen(c)
 	Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
-	naiveGemm(NoTrans, NoTrans, 1, a, b, 0, want)
-	if mat.MaxDiff(c, want) > 1e-12 {
-		t.Fatal("Gemm on strided views is wrong")
+	naiveGemm(NoTrans, NoTrans, 1, widen(a), widen(b), 0, want)
+	if d := mat.MaxDiff(widen(c), want); d > 256*unitRoundoff[T]() {
+		t.Fatalf("Gemm on strided views is wrong: maxdiff %g", d)
 	}
 }
 
 func TestGemmAssociativityProperty(t *testing.T) {
+	forEachType(t, testGemmAssociativityProperty[float64], testGemmAssociativityProperty[float32])
+}
+
+func testGemmAssociativityProperty[T mat.Float](t *testing.T) {
+	u := unitRoundoff[T]()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
-		a, b, c := randMat(rng, n, n), randMat(rng, n, n), randMat(rng, n, n)
-		ab := mat.New(n, n)
-		Gemm(NoTrans, NoTrans, 1, a, b, 0, ab)
-		abc1 := mat.New(n, n)
-		Gemm(NoTrans, NoTrans, 1, ab, c, 0, abc1)
-		bc := mat.New(n, n)
-		Gemm(NoTrans, NoTrans, 1, b, c, 0, bc)
-		abc2 := mat.New(n, n)
-		Gemm(NoTrans, NoTrans, 1, a, bc, 0, abc2)
-		return mat.MaxDiff(abc1, abc2) < 1e-10*float64(n)
+		a, b, c := randT[T](rng, n, n), randT[T](rng, n, n), randT[T](rng, n, n)
+		prod := func(x, y *mat.Dense[T]) *mat.Dense[T] {
+			z := x.Clone()
+			Gemm(NoTrans, NoTrans, 1, x, y, 0, z)
+			return z
+		}
+		abc1 := prod(prod(a, b), c)
+		abc2 := prod(a, prod(b, c))
+		return mat.MaxDiff(abc1, abc2) < 1024*u*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestGemmAgainstNaiveAllVariants(t *testing.T) {
+	forEachType(t, testGemmAgainstNaiveAllVariants[float64], testGemmAgainstNaiveAllVariants[float32])
+}
+
+// testGemmAgainstNaiveAllVariants: general alpha and beta over all four
+// transpose variants, checked against the naive product of the widened
+// operands.
+func testGemmAgainstNaiveAllVariants[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dims := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 6}, {64, 64, 64}, {65, 70, 67}, {130, 40, 90}}
+	for _, ta := range []Transpose{NoTrans, Trans} {
+		for _, tb := range []Transpose{NoTrans, Trans} {
+			for _, d := range dims {
+				m, n, k := d[0], d[1], d[2]
+				var a, b *mat.Dense[T]
+				if ta == NoTrans {
+					a = randT[T](rng, m, k)
+				} else {
+					a = randT[T](rng, k, m)
+				}
+				if tb == NoTrans {
+					b = randT[T](rng, k, n)
+				} else {
+					b = randT[T](rng, n, k)
+				}
+				got := randT[T](rng, m, n)
+				want := widen(got)
+				var alpha, beta T = 1.3, -0.7
+				Gemm(ta, tb, alpha, a, b, beta, got)
+				naiveGemm(ta, tb, float64(alpha), widen(a), widen(b), float64(beta), want)
+				if d := mat.MaxDiff(widen(got), want); d > 256*unitRoundoff[T]()*float64(k+2) {
+					t.Fatalf("Gemm ta=%v tb=%v %v: maxdiff %g", ta, tb, d, d)
+				}
+			}
+		}
 	}
 }
 
@@ -237,26 +302,46 @@ func applyTri(side Side, uplo Uplo, trans Transpose, diag Diag, tm, b *mat.Matri
 	return out
 }
 
-func TestTrsmAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []Uplo{Upper, Lower} {
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				for _, diag := range []Diag{NonUnit, Unit} {
-					n := 6
-					var b *mat.Matrix
-					if side == Left {
-						b = randMat(rng, n, 9)
-					} else {
-						b = randMat(rng, 9, n)
-					}
-					tm := randTri(rng, n, uplo, diag)
-					x := b.Clone()
-					Trsm(side, uplo, trans, diag, 1, tm, x)
-					// op(T)·X (or X·op(T)) must reproduce B.
-					back := applyTri(side, uplo, trans, diag, tm, x)
-					if d := mat.MaxDiff(back, b); d > 1e-9 {
-						t.Fatalf("Trsm side=%v uplo=%v trans=%v diag=%v residual %g", side, uplo, trans, diag, d)
+// TestTrsmAllVariants and TestTrsm32AllVariants solve with Trsm at each
+// precision and verify op(T)·X ≈ alpha·B for every variant, on orders both
+// below and above the triBlock boundary, under both kernel tables.
+func TestTrsmAllVariants(t *testing.T) { forEachKernel(t, testTrsmAllVariants[float64]) }
+
+func TestTrsm32AllVariants(t *testing.T) { forEachKernel(t, testTrsmAllVariants[float32]) }
+
+func testTrsmAllVariants[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 3, 6, 13, 40} {
+		for _, w := range []int{1, 5, 9} {
+			for _, alpha := range []T{1, -0.5} {
+				for _, side := range []Side{Left, Right} {
+					for _, uplo := range []Uplo{Upper, Lower} {
+						for _, trans := range []Transpose{NoTrans, Trans} {
+							for _, diag := range []Diag{NonUnit, Unit} {
+								tm := roundTo[T](randTri(rng, n, uplo, diag))
+								var b *mat.Dense[T]
+								if side == Left {
+									b = viewOfT[T](rng, n, w)
+								} else {
+									b = viewOfT[T](rng, w, n)
+								}
+								b0 := widen(b)
+								Trsm(side, uplo, trans, diag, alpha, tm, b)
+								x := widen(b)
+								back := applyTri(side, uplo, trans, diag, widen(tm), x)
+								for i := range b0.Data {
+									b0.Data[i] *= float64(alpha)
+								}
+								// Substitution on an order-n triangle: scale
+								// the gate with n and with the solution norm
+								// (unit-triangular solves amplify x).
+								tol := 1024 * unitRoundoff[T]() * float64(n) * max(1, x.NormMax())
+								if d := mat.MaxDiff(back, b0); d > tol {
+									t.Fatalf("Trsm n=%d w=%d alpha=%g side=%v uplo=%v trans=%v diag=%v residual %g > %g",
+										n, w, alpha, side, uplo, trans, diag, d, tol)
+								}
+							}
+						}
 					}
 				}
 			}
@@ -265,10 +350,16 @@ func TestTrsmAllVariants(t *testing.T) {
 }
 
 func TestTrsmAlphaScaling(t *testing.T) {
+	forEachType(t, testTrsmAlphaScaling[float64], testTrsmAlphaScaling[float32])
+}
+
+// testTrsmAlphaScaling: scaling by a power of two commutes with every
+// rounding, so alpha = 2 must give exactly twice the alpha = 1 solution.
+func testTrsmAlphaScaling[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 5
-	tm := randTri(rng, n, Upper, NonUnit)
-	b := randMat(rng, n, 3)
+	tm := roundTo[T](randTri(rng, n, Upper, NonUnit))
+	b := randT[T](rng, n, 3)
 	x1 := b.Clone()
 	Trsm(Left, Upper, NoTrans, NonUnit, 2, tm, x1)
 	x2 := b.Clone()
@@ -276,33 +367,46 @@ func TestTrsmAlphaScaling(t *testing.T) {
 	for i := range x2.Data {
 		x2.Data[i] *= 2
 	}
-	if mat.MaxDiff(x1, x2) > 1e-10 {
-		t.Fatal("Trsm alpha scaling incorrect")
+	if !mat.Equal(x1, x2) {
+		t.Fatalf("Trsm alpha scaling incorrect: maxdiff %g", mat.MaxDiff(x1, x2))
 	}
 }
 
-func TestTrmmAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []Uplo{Upper, Lower} {
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				for _, diag := range []Diag{NonUnit, Unit} {
-					n := 6
-					var b *mat.Matrix
-					if side == Left {
-						b = randMat(rng, n, 7)
-					} else {
-						b = randMat(rng, 7, n)
-					}
-					tm := randTri(rng, n, uplo, diag)
-					got := b.Clone()
-					Trmm(side, uplo, trans, diag, 1.5, tm, got)
-					want := applyTri(side, uplo, trans, diag, tm, b)
-					for i := range want.Data {
-						want.Data[i] *= 1.5
-					}
-					if d := mat.MaxDiff(got, want); d > 1e-10 {
-						t.Fatalf("Trmm side=%v uplo=%v trans=%v diag=%v diff %g", side, uplo, trans, diag, d)
+// TestTrmmAllVariants and TestTrmm32AllVariants cross-check Trmm at each
+// precision against the naive product of the widened operands for every
+// variant.
+func TestTrmmAllVariants(t *testing.T) { forEachKernel(t, testTrmmAllVariants[float64]) }
+
+func TestTrmm32AllVariants(t *testing.T) { forEachKernel(t, testTrmmAllVariants[float32]) }
+
+func testTrmmAllVariants[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, n := range []int{1, 3, 6, 13, 40} {
+		for _, w := range []int{1, 5, 7} {
+			for _, alpha := range []T{1, -0.5, 1.5} {
+				for _, side := range []Side{Left, Right} {
+					for _, uplo := range []Uplo{Upper, Lower} {
+						for _, trans := range []Transpose{NoTrans, Trans} {
+							for _, diag := range []Diag{NonUnit, Unit} {
+								tm := roundTo[T](randTri(rng, n, uplo, diag))
+								var got *mat.Dense[T]
+								if side == Left {
+									got = viewOfT[T](rng, n, w)
+								} else {
+									got = viewOfT[T](rng, w, n)
+								}
+								want := applyTri(side, uplo, trans, diag, widen(tm), widen(got))
+								for i := range want.Data {
+									want.Data[i] *= float64(alpha)
+								}
+								Trmm(side, uplo, trans, diag, alpha, tm, got)
+								tol := 1024 * unitRoundoff[T]() * float64(n)
+								if d := mat.MaxDiff(widen(got), want); d > tol {
+									t.Fatalf("Trmm n=%d w=%d alpha=%g side=%v uplo=%v trans=%v diag=%v maxdiff %g > %g",
+										n, w, alpha, side, uplo, trans, diag, d, tol)
+								}
+							}
+						}
 					}
 				}
 			}
@@ -311,6 +415,11 @@ func TestTrmmAllVariants(t *testing.T) {
 }
 
 func TestTrsmTrmmRoundTripProperty(t *testing.T) {
+	forEachType(t, testTrsmTrmmRoundTripProperty[float64], testTrsmTrmmRoundTripProperty[float32])
+}
+
+func testTrsmTrmmRoundTripProperty[T mat.Float](t *testing.T) {
+	u := unitRoundoff[T]()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(10)
@@ -318,17 +427,18 @@ func TestTrsmTrmmRoundTripProperty(t *testing.T) {
 		diag := Diag(rng.Intn(2))
 		side := Side(rng.Intn(2))
 		trans := Transpose(rng.Intn(2))
-		tm := randTri(rng, n, uplo, diag)
-		var b *mat.Matrix
+		tm := roundTo[T](randTri(rng, n, uplo, diag))
+		var b *mat.Dense[T]
 		if side == Left {
-			b = randMat(rng, n, 1+rng.Intn(6))
+			b = randT[T](rng, n, 1+rng.Intn(6))
 		} else {
-			b = randMat(rng, 1+rng.Intn(6), n)
+			b = randT[T](rng, 1+rng.Intn(6), n)
 		}
 		x := b.Clone()
 		Trsm(side, uplo, trans, diag, 1, tm, x)
+		scale := max(1, x.NormMax()) // the solve's growth bounds the round trip's error
 		Trmm(side, uplo, trans, diag, 1, tm, x)
-		return mat.MaxDiff(x, b) < 1e-8
+		return mat.MaxDiff(x, b) < 1024*u*scale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -14,8 +14,9 @@ import (
 // transposes absorbed by the packing. Workspace comes from the mat arena,
 // so steady-state calls perform no heap allocation. A C at most half a
 // micro-tile wide with an untransposed B — a right-hand side's replay —
-// skips packing (gemmNarrow) but rounds every element the same way.
-func Gemm(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
+// skips packing (gemmNarrow) but rounds every element the same way; it runs
+// only when the type's kernel table has narrow kernels.
+func Gemm[T mat.Float](transA, transB Transpose, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T]) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb || c.Rows != m || c.Cols != n {
@@ -40,25 +41,26 @@ func Gemm(transA, transB Transpose, alpha float64, a, b *mat.Matrix, beta float6
 	}
 	// Past half a micro-tile, reading A once per column costs more than
 	// packing it once (the crossover measured at nb=192 is n = 5 of 8).
-	if 2*n <= gemmNR && transB == NoTrans {
-		gemmNarrow(transA, alpha, a, b, c, m, n, ka)
+	k := table[T]()
+	if 2*n <= k.nr && transB == NoTrans && k.narrowN != nil {
+		gemmNarrow(k, transA, alpha, a, b, c, m, n, ka)
 		return
 	}
-	gemmPacked(transA, transB, alpha, a, b, c, m, n, ka)
+	gemmPacked(k, transA, transB, alpha, a, b, c, m, n, ka)
 }
 
 // gemmNarrow computes C += alpha·op(A)·B for a narrow C without packing.
 // The packed path would copy all of op(A) and run the micro-kernel over an
 // NR-wide panel with n live columns; this one reads A where it lies. Every
-// element of C gets the micro-kernel's arithmetic exactly (gemmNarrowN and
-// gemmNarrowT are selected with gemmKernel): alpha is folded into A first,
+// element of C gets the micro-kernel's arithmetic exactly (the table's
+// narrowN and narrowT round like its gemm): alpha is folded into A first,
 // each KC block accumulates from zero in one multiply-add chain, and the
 // block's sum is added to C. So column j of a narrow product is
 // bit-identical to column j of any wider one.
-func gemmNarrow(transA Transpose, alpha float64, a, b, c *mat.Matrix, m, n, k int) {
-	var acc []float64
+func gemmNarrow[T mat.Float](kt *kernels[T], transA Transpose, alpha T, a, b, c *mat.Dense[T], m, n, k int) {
+	var acc []T
 	if transA == Trans {
-		buf := mat.GetBuf(m)
+		buf := mat.GetBuf[T](m)
 		defer mat.PutBuf(buf)
 		acc = buf.Data[:m]
 	}
@@ -67,13 +69,13 @@ func gemmNarrow(transA Transpose, alpha float64, a, b, c *mat.Matrix, m, n, k in
 			kc := min(gemmKC, k-pc)
 			bcol := b.Data[pc*b.Stride+j:]
 			if transA == NoTrans {
-				gemmNarrowN(m, kc, alpha, a.Data[pc:], a.Stride, bcol, b.Stride, c.Data[j:], c.Stride)
+				kt.narrowN(m, kc, alpha, a.Data[pc:], a.Stride, bcol, b.Stride, c.Data[j:], c.Stride)
 				continue
 			}
 			for i := range acc {
 				acc[i] = 0
 			}
-			gemmNarrowT(kc, alpha, a.Data[pc*a.Stride:], a.Stride, bcol, b.Stride, acc)
+			kt.narrowT(kc, alpha, a.Data[pc*a.Stride:], a.Stride, bcol, b.Stride, acc)
 			for i, v := range acc {
 				c.Data[i*c.Stride+j] += v
 			}
@@ -83,17 +85,17 @@ func gemmNarrow(transA Transpose, alpha float64, a, b, c *mat.Matrix, m, n, k in
 
 // gemmPacked is the five-loop blocked driver around the micro-kernel. See
 // pack.go for the blocking scheme.
-func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *mat.Matrix, m, n, k int) {
-	mr, nr := gemmMR, gemmNR
+func gemmPacked[T mat.Float](kt *kernels[T], transA, transB Transpose, alpha T, a, b, c *mat.Dense[T], m, n, k int) {
+	mr, nr := kt.mr, kt.nr
 	kcMax := min(k, gemmKC)
 	mcMax := min(roundUp(m, mr), gemmMC)
 	ncMax := min(roundUp(n, nr), gemmNC)
 
-	bufB := mat.GetBuf(kcMax * ncMax)
+	bufB := mat.GetBuf[T](kcMax * ncMax)
 	defer mat.PutBuf(bufB)
 	// One buffer carries the packed A block plus the MR×NR scratch tile the
 	// fringe path accumulates into.
-	bufA := mat.GetBuf(mcMax*kcMax + mr*nr)
+	bufA := mat.GetBuf[T](mcMax*kcMax + mr*nr)
 	defer mat.PutBuf(bufA)
 	apack := bufA.Data[:mcMax*kcMax]
 	tmp := bufA.Data[mcMax*kcMax:]
@@ -114,7 +116,7 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *mat.Matrix, m,
 						ap := apack[ir*kc:]
 						if mi == mr && nj == nr {
 							off := (ic+ir)*c.Stride + jc + jr
-							gemmKernel(kc, ap, bp, c.Data[off:], c.Stride)
+							kt.gemm(kc, ap, bp, c.Data[off:], c.Stride)
 							continue
 						}
 						// Fringe tile of C: compute the full padded MR×NR
@@ -122,7 +124,7 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *mat.Matrix, m,
 						for z := range tmp {
 							tmp[z] = 0
 						}
-						gemmKernel(kc, ap, bp, tmp, nr)
+						kt.gemm(kc, ap, bp, tmp, nr)
 						for i := 0; i < mi; i++ {
 							crow := c.Data[(ic+ir+i)*c.Stride+jc+jr:][:nj]
 							trow := tmp[i*nr:]
@@ -137,7 +139,7 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *mat.Matrix, m,
 	}
 }
 
-func opShape(m *mat.Matrix, t Transpose) (rows, cols int) {
+func opShape[T mat.Float](m *mat.Dense[T], t Transpose) (rows, cols int) {
 	if t == Trans {
 		return m.Cols, m.Rows
 	}
@@ -159,7 +161,7 @@ const triBlock = 32
 // diagonal blocks solved by forward/back substitution, and the coupling
 // between blocks is applied as GEMM updates, so most flops run through the
 // packed micro-kernel path.
-func Trsm(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
+func Trsm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
 		panic(fmt.Sprintf("blas: Trsm with non-square T %dx%d", t.Rows, t.Cols))
@@ -251,7 +253,7 @@ func Trsm(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b 
 
 // trsmBasic is the unblocked substitution kernel behind Trsm: it solves one
 // diagonal block (alpha already applied by the caller).
-func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matrix) {
+func trsmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
 	n := t.Rows
 	// Reduce the transposed cases to the non-transposed triangle on the
 	// opposite side of the diagonal; element access goes through get().
@@ -263,7 +265,7 @@ func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matri
 		trsmColumn(lower, trans, diag, t, b)
 		return
 	}
-	get := func(i, j int) float64 {
+	get := func(i, j int) T {
 		if trans == Trans {
 			return t.At(j, i)
 		}
@@ -358,14 +360,14 @@ func trsmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Matri
 // zero as Axpy skips it, and the diagonal is applied as a multiplication by
 // 1/t_ii as Scal applies it. So the column's bits match column j of a wider
 // solve.
-func trsmColumn(lower bool, trans Transpose, diag Diag, t, b *mat.Matrix) {
+func trsmColumn[T mat.Float](lower bool, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
 	n := t.Rows
 	// op(T)[i, p] is t.Data[i*rs+p*cs].
 	rs, cs := t.Stride, 1
 	if trans == Trans {
 		rs, cs = 1, t.Stride
 	}
-	fused := axpyKernel != nil
+	fused := table[T]().axpy != nil
 	x, xs := b.Data, b.Stride
 	for step := 0; step < n; step++ {
 		// Forward substitution for a lower op(T), backward for an upper one;
@@ -392,7 +394,7 @@ func trsmColumn(lower bool, trans Transpose, diag Diag, t, b *mat.Matrix) {
 //
 // Like Trsm, the multiply is blocked: diagonal blocks of order triBlock go
 // through the unblocked kernel and the off-diagonal coupling is GEMM.
-func Trmm(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
+func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
 		panic(fmt.Sprintf("blas: Trmm with non-square T %dx%d", t.Rows, t.Cols))
@@ -478,13 +480,13 @@ func Trmm(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b 
 }
 
 // trmmBasic is the unblocked triangular-multiply kernel behind Trmm.
-func trmmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix) {
+func trmmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	lower := uplo == Lower
 	if trans == Trans {
 		lower = !lower
 	}
-	get := func(i, j int) float64 {
+	get := func(i, j int) T {
 		if trans == Trans {
 			return t.At(j, i)
 		}
@@ -551,7 +553,7 @@ func trmmBasic(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, 
 	}
 	// Untransposed: accumulate x·T into a scratch row with Axpy over t's
 	// contiguous rows, then write back.
-	buf := mat.GetBuf(n)
+	buf := mat.GetBuf[T](n)
 	defer mat.PutBuf(buf)
 	tmp := buf.Data[:n]
 	for r := 0; r < b.Rows; r++ {
@@ -595,4 +597,16 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// Gemm32R is Gemm on float32 matrices with float64 scalars, as the
+// benchmark module's isolated probes call it.
+func Gemm32R(transA, transB Transpose, alpha float64, a, b *mat.Matrix32, beta float64, c *mat.Matrix32) {
+	Gemm(transA, transB, float32(alpha), a, b, float32(beta), c)
+}
+
+// Trsm32R is Trsm on float32 matrices with a float64 scalar, as the
+// benchmark module's isolated probes call it.
+func Trsm32R(side Side, uplo Uplo, trans Transpose, diag Diag, alpha float64, t, b *mat.Matrix32) {
+	Trsm(side, uplo, trans, diag, float32(alpha), t, b)
 }

@@ -1,5 +1,11 @@
 package blas
 
+import (
+	"unsafe"
+
+	"luqr/internal/mat"
+)
+
 // The GEMM micro-kernel computes one MR×NR register tile of C:
 //
 //	C[0:MR, 0:NR] += Ap · Bp
@@ -14,29 +20,58 @@ package blas
 //
 // The portable kernel below keeps a 4×4 accumulator block in locals so the
 // compiler can hold it in registers; amd64 hosts with AVX2+FMA replace it at
-// init time with a 6×8 assembly kernel (microkernel_amd64.go) that holds the
-// full accumulator block in twelve YMM registers.
+// init time with assembly kernels (microkernel_amd64.go) that hold a 6×8
+// float64 or 6×16 float32 accumulator block in twelve YMM registers.
 
-// Micro-tile geometry and kernel, selected at init. gemmMR×gemmNR is 4×4
-// for the portable kernel and 6×8 for the AVX2 kernel. The narrow-path
-// kernels (gemmNarrow) are selected with it, because they must round every
-// element exactly as it does.
+// kernels is the kernel table of one element type: the only per-type code
+// in this package. Every blas routine, and through them every lapack
+// kernel, is one generic body that reads what it needs from table[T]().
+type kernels[T mat.Float] struct {
+	// mr×nr is the micro-tile geometry of gemm, the GEMM micro-kernel.
+	mr, nr int
+	gemm   func(kc int, a, b, c []T, ldc int)
+	// narrowN and narrowT are gemm's narrow-path companions (gemmNarrow),
+	// nil when the type has none that round exactly as gemm does; the
+	// narrow path then stays off.
+	narrowN func(m, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
+	narrowT func(k int, alpha T, a []T, lda int, b []T, ldb int, acc []T)
+	// axpy and dot are the SIMD level-1 kernels, nil on hosts without them.
+	axpy func(alpha T, x, y []T)
+	dot  func(x, y []T) T
+}
+
+// The tables start portable; init-time CPU detection may replace entries.
 var (
-	gemmMR      = 4
-	gemmNR      = 4
-	gemmKernel  = kernelGeneric4x4
-	gemmNarrowN = narrowNGeneric
-	gemmNarrowT = narrowTGeneric
+	kernels64 = portableKernels[float64]()
+	kernels32 = portableKernels[float32]()
 )
+
+// portableKernels is the pure-Go table: the 4×4 micro-kernel with its
+// narrow companions, and the scalar level-1 loops.
+func portableKernels[T mat.Float]() kernels[T] {
+	return kernels[T]{mr: 4, nr: 4, gemm: kernelGeneric4x4[T], narrowN: narrowNGeneric[T], narrowT: narrowTGeneric[T]}
+}
+
+// table returns the kernel table of element type T. Axpy and Dot look it up
+// on every call, so it selects by element size, a constant of each compiled
+// instantiation: the selection folds to a plain global load, where a type
+// assertion would cost a dictionary lookup per call.
+func table[T mat.Float]() *kernels[T] {
+	var z T
+	if unsafe.Sizeof(z) == unsafe.Sizeof(float32(0)) {
+		return (*kernels[T])(unsafe.Pointer(&kernels32))
+	}
+	return (*kernels[T])(unsafe.Pointer(&kernels64))
+}
 
 // kernelGeneric4x4 is the portable micro-kernel: C[0:4, 0:4] += Ap·Bp with
 // a fully unrolled register accumulator block.
-func kernelGeneric4x4(kc int, a, b, c []float64, ldc int) {
+func kernelGeneric4x4[T mat.Float](kc int, a, b, c []T, ldc int) {
 	var (
-		c00, c01, c02, c03 float64
-		c10, c11, c12, c13 float64
-		c20, c21, c22, c23 float64
-		c30, c31, c32, c33 float64
+		c00, c01, c02, c03 T
+		c10, c11, c12, c13 T
+		c20, c21, c22, c23 T
+		c30, c31, c32, c33 T
 	)
 	for p := 0; p < kc; p++ {
 		ap := a[4*p : 4*p+4 : 4*p+4]
@@ -86,9 +121,9 @@ func kernelGeneric4x4(kc int, a, b, c []float64, ldc int) {
 // for each row i < m, c[i*ldc] += Σ_p (alpha·a[i*lda+p])·b[p*ldb] over
 // p < k, the sum accumulated from zero in p order as the 4×4 kernel
 // accumulates one element of C.
-func narrowNGeneric(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func narrowNGeneric[T mat.Float](m, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	for i := 0; i < m; i++ {
-		var s float64
+		var s T
 		for p, v := range a[i*lda:][:k] {
 			s += alpha * v * b[p*ldb]
 		}
@@ -99,7 +134,7 @@ func narrowNGeneric(m, k int, alpha float64, a []float64, lda int, b []float64, 
 // narrowTGeneric is kernelGeneric4x4's narrow-path companion for
 // op(A) = Aᵀ: for p < k in order, acc[i] += (alpha·a[p*lda+i])·b[p*ldb]
 // for every i < len(acc).
-func narrowTGeneric(k int, alpha float64, a []float64, lda int, b []float64, ldb int, acc []float64) {
+func narrowTGeneric[T mat.Float](k int, alpha T, a []T, lda int, b []T, ldb int, acc []T) {
 	for p := 0; p < k; p++ {
 		bv := b[p*ldb]
 		for i, v := range a[p*lda:][:len(acc)] {

@@ -1,13 +1,14 @@
 package blas
 
-// AVX2+FMA micro-kernel selection. Go's default amd64 codegen targets the
+// AVX2+FMA kernel selection. Go's default amd64 codegen targets the
 // GOAMD64=v1 baseline (scalar SSE2), whose ~2 FP ops/cycle ceiling caps a
-// pure-Go GEMM near 3 GFLOP/s on the paper-class hosts. The 6×8 assembly
-// kernel (microkernel_amd64.s) issues two 4-wide FMAs per packed A element
-// and keeps the whole 6×8 accumulator block in YMM registers, so hosts with
+// pure-Go GEMM near 3 GFLOP/s on the paper-class hosts. The 6×8 float64
+// assembly kernel (microkernel_amd64.s) issues two 4-wide FMAs per packed A
+// element and keeps the whole 6×8 accumulator block in YMM registers; the
+// 6×16 float32 kernel does the same with 8-wide FMAs. So hosts with
 // AVX2+FMA run the same packed path several times faster. Feature detection
-// happens once at init via CPUID/XGETBV; unsupported hosts keep the portable
-// 4×4 kernel.
+// happens once at init via CPUID/XGETBV; unsupported hosts keep the
+// portable tables.
 
 // cpuidLeaf executes CPUID with the given EAX/ECX inputs.
 func cpuidLeaf(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -22,7 +23,7 @@ func xgetbv0() (eax, edx uint32)
 func kernel6x8FMA(kc int, a, b, c *float64, ldc int)
 
 // kernel6x16FMA32 computes C[0:6, 0:16] += Ap·Bp on packed float32
-// micro-panels (layout as described in microkernel32.go), with C rows ldc
+// micro-panels (layout as described in microkernel.go), with C rows ldc
 // float32s apart.
 //
 //go:noescape
@@ -48,24 +49,39 @@ func axpyFMA(alpha float64, x, y *float64, n int)
 //go:noescape
 func dotFMA(x, y *float64, n int) float64
 
+// axpyFMA32 and dotFMA32 are axpyFMA and dotFMA on float32 vectors, eight
+// lanes per YMM FMA.
+//
+//go:noescape
+func axpyFMA32(alpha float32, x, y *float32, n int)
+
+//go:noescape
+func dotFMA32(x, y *float32, n int) float32
+
+// init fills both kernel tables on AVX2+FMA hosts. The float32 table has no
+// narrow kernels: float32 results carry no width-independence contract, so
+// its narrow GEMMs take the packed path.
 func init() {
-	if hasAVX2FMA() {
-		gemmMR, gemmNR = 6, 8
-		gemmKernel = kernelAVX6x8
-		gemmNarrowN = func(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if !hasAVX2FMA() {
+		return
+	}
+	kernels64 = kernels[float64]{
+		mr: 6, nr: 8,
+		gemm: kernelAVX6x8,
+		narrowN: func(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 			narrowNFMA(m, k, alpha, &a[0], lda, &b[0], ldb, &c[0], ldc)
-		}
-		gemmNarrowT = func(k int, alpha float64, a []float64, lda int, b []float64, ldb int, acc []float64) {
+		},
+		narrowT: func(k int, alpha float64, a []float64, lda int, b []float64, ldb int, acc []float64) {
 			narrowTFMA(len(acc), k, alpha, &a[0], lda, &b[0], ldb, &acc[0])
-		}
-		gemmMR32, gemmNR32 = 6, 16
-		gemmKernel32 = kernelAVX6x16f32
-		axpyKernel = func(alpha float64, x, y []float64) {
-			axpyFMA(alpha, &x[0], &y[0], len(x))
-		}
-		dotKernel = func(x, y []float64) float64 {
-			return dotFMA(&x[0], &y[0], len(x))
-		}
+		},
+		axpy: func(alpha float64, x, y []float64) { axpyFMA(alpha, &x[0], &y[0], len(x)) },
+		dot:  func(x, y []float64) float64 { return dotFMA(&x[0], &y[0], len(x)) },
+	}
+	kernels32 = kernels[float32]{
+		mr: 6, nr: 16,
+		gemm: kernelAVX6x16f32,
+		axpy: func(alpha float32, x, y []float32) { axpyFMA32(alpha, &x[0], &y[0], len(x)) },
+		dot:  func(x, y []float32) float32 { return dotFMA32(&x[0], &y[0], len(x)) },
 	}
 }
 

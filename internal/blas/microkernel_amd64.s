@@ -523,3 +523,136 @@ ntnext:
 ntdone:
 	VZEROUPPER
 	RET
+
+// func axpyFMA32(alpha float32, x, y *float32, n int)
+//
+// Float32 companion of axpyFMA: y[0:n] += alpha·x[0:n], 32 elements per
+// iteration (4 YMM FMAs of 8 lanes), then 8 per iteration, then a scalar
+// tail of at most 7.
+TEXT ·axpyFMA32(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   axpy32by8
+
+axpy32loop:
+	VMOVUPS (DI), Y1
+	VMOVUPS 32(DI), Y2
+	VMOVUPS 64(DI), Y3
+	VMOVUPS 96(DI), Y4
+	VFMADD231PS (SI), Y0, Y1
+	VFMADD231PS 32(SI), Y0, Y2
+	VFMADD231PS 64(SI), Y0, Y3
+	VFMADD231PS 96(SI), Y0, Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ DX
+	JNZ  axpy32loop
+
+axpy32by8:
+	MOVQ CX, DX
+	ANDQ $31, DX
+	SHRQ $3, DX
+	JZ   axpy32tail
+
+axpy32loop8:
+	VMOVUPS (DI), Y1
+	VFMADD231PS (SI), Y0, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  axpy32loop8
+
+axpy32tail:
+	ANDQ $7, CX
+	JZ   axpy32done
+
+axpy32scalar:
+	VMOVSS (DI), X1
+	VFMADD231SS (SI), X0, X1
+	VMOVSS X1, (DI)
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  axpy32scalar
+
+axpy32done:
+	VZEROUPPER
+	RET
+
+// func dotFMA32(x, y *float32, n int) float32
+//
+// Float32 companion of dotFMA: 4 independent YMM accumulators of 8 lanes
+// (32 elements per iteration), then 8 per iteration into the first, a
+// horizontal reduction, and a scalar tail of at most 7.
+TEXT ·dotFMA32(SB), NOSPLIT, $0-28
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   dot32by8
+
+dot32loop:
+	VMOVUPS (SI), Y5
+	VMOVUPS 32(SI), Y6
+	VMOVUPS 64(SI), Y7
+	VMOVUPS 96(SI), Y8
+	VFMADD231PS (DI), Y5, Y1
+	VFMADD231PS 32(DI), Y6, Y2
+	VFMADD231PS 64(DI), Y7, Y3
+	VFMADD231PS 96(DI), Y8, Y4
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ DX
+	JNZ  dot32loop
+
+dot32by8:
+	MOVQ CX, DX
+	ANDQ $31, DX
+	SHRQ $3, DX
+	JZ   dot32reduce
+
+dot32loop8:
+	VMOVUPS (SI), Y5
+	VFMADD231PS (DI), Y5, Y1
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  dot32loop8
+
+dot32reduce:
+	VADDPS Y2, Y1, Y1
+	VADDPS Y4, Y3, Y3
+	VADDPS Y3, Y1, Y1
+	VEXTRACTF128 $1, Y1, X2
+	VADDPS X2, X1, X1
+	VHADDPS X1, X1, X1
+	VHADDPS X1, X1, X1
+	ANDQ $7, CX
+	JZ   dot32done
+
+dot32scalar:
+	VMOVSS (SI), X5
+	VFMADD231SS (DI), X5, X1
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  dot32scalar
+
+dot32done:
+	VMOVSS X1, ret+24(FP)
+	VZEROUPPER
+	RET

@@ -23,11 +23,11 @@ const (
 	// gemmKC: packed A micro-panels are MR×KC and must stay L1-resident
 	// while a B micro-panel streams against them.
 	gemmKC = 256
-	// gemmMC: the packed A block is MC×KC ≈ 270 KiB, sized for L2. A
-	// multiple of both micro-tile heights (lcm(4, 6) = 12).
+	// gemmMC: the packed A block is MC×KC ≈ 270 KiB of float64, sized for
+	// L2. A multiple of every micro-tile height (lcm(4, 6) = 12).
 	gemmMC = 132
-	// gemmNC: the packed B panel is KC×NC ≤ 1 MiB. A multiple of both
-	// micro-tile widths (lcm(4, 8) = 8).
+	// gemmNC: the packed B panel is KC×NC ≤ 1 MiB. A multiple of every
+	// micro-tile width (4, 8 and 16).
 	gemmNC = 512
 )
 
@@ -37,7 +37,7 @@ func roundUp(n, q int) int { return (n + q - 1) / q * q }
 // column-major micro-panels: element (ir+i, p) of the block lands at
 // buf[ir*kc + p*mr + i]. Rows past mc are zero-filled so every micro-panel
 // is a full MR tall.
-func packA(buf []float64, a *mat.Matrix, transA Transpose, alpha float64, i0, p0, mc, kc, mr int) {
+func packA[T mat.Float](buf []T, a *mat.Dense[T], transA Transpose, alpha T, i0, p0, mc, kc, mr int) {
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
 		dst := buf[ir*kc:]
@@ -76,7 +76,7 @@ func packA(buf []float64, a *mat.Matrix, transA Transpose, alpha float64, i0, p0
 // packB packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide row-major micro-panels:
 // element (p, jr+j) of the block lands at buf[jr*kc + p*nr + j]. Columns
 // past nc are zero-filled so every micro-panel is a full NR wide.
-func packB(buf []float64, b *mat.Matrix, transB Transpose, j0, p0, kc, nc, nr int) {
+func packB[T mat.Float](buf []T, b *mat.Dense[T], transB Transpose, j0, p0, kc, nc, nr int) {
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		dst := buf[jr*kc:]

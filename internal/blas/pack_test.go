@@ -8,28 +8,32 @@ import (
 	"luqr/internal/mat"
 )
 
-// withPortableKernels runs f on the portable float64 kernels — the 4×4
-// micro-kernel and the scalar level-1 loops — restoring the init-time
-// selection afterwards. It lets the suite exercise the portable arithmetic
-// on hosts where init picked the assembly kernels (the reverse needs no
-// hook: the portable kernels are always available).
+// withPortableKernels runs f on the portable kernel tables of both element
+// types — the 4×4 micro-kernel with its narrow companions and the scalar
+// level-1 loops — restoring the init-time selection afterwards. It lets the
+// suite exercise the portable arithmetic on hosts where init picked the
+// assembly kernels (the reverse needs no hook: the portable kernels are
+// always available).
 func withPortableKernels(f func()) {
-	mr0, nr0, k0, n0, t0 := gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT
-	axpy0, dot0 := axpyKernel, dotKernel
-	gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT = 4, 4, kernelGeneric4x4, narrowNGeneric, narrowTGeneric
-	axpyKernel, dotKernel = nil, nil
-	defer func() {
-		gemmMR, gemmNR, gemmKernel, gemmNarrowN, gemmNarrowT = mr0, nr0, k0, n0, t0
-		axpyKernel, dotKernel = axpy0, dot0
-	}()
+	k64, k32 := kernels64, kernels32
+	kernels64, kernels32 = portableKernels[float64](), portableKernels[float32]()
+	defer func() { kernels64, kernels32 = k64, k32 }()
 	f()
 }
+
+// gemmNR is the float64 table's micro-tile width, the width the narrow-path
+// pins sweep past. forEachKernel keeps it in step with the table under test.
+var gemmNR int
 
 // forEachKernel runs check as the subtests "hostKernel" (the init-time
 // selection) and "portableKernel".
 func forEachKernel(t *testing.T, check func(t *testing.T)) {
-	t.Run("hostKernel", check)
-	t.Run("portableKernel", func(t *testing.T) { withPortableKernels(func() { check(t) }) })
+	run := func(t *testing.T) {
+		gemmNR = kernels64.nr
+		check(t)
+	}
+	t.Run("hostKernel", run)
+	t.Run("portableKernel", func(t *testing.T) { withPortableKernels(func() { run(t) }) })
 }
 
 // viewOf embeds a fresh random r×c matrix inside a larger parent so that
@@ -39,27 +43,33 @@ func viewOf(rng *rand.Rand, r, c int) *mat.Matrix {
 	return parent.View(1, 2, r, c)
 }
 
-// TestGemmPackedTable cross-checks the packed Gemm against the naive
-// reference over all four transpose variants, odd and rectangular shapes
-// (including micro-tile fringes and cache-block boundaries), the
-// alpha/beta special cases, and strided submatrix views, under both the
-// host-selected kernel and the forced portable kernel.
-func TestGemmPackedTable(t *testing.T) {
+// TestGemmPackedTable and TestGemm32Table cross-check the packed Gemm at
+// each precision against the naive product of the widened operands over all
+// four transpose variants, odd and rectangular shapes (including micro-tile
+// fringes and cache-block boundaries), the alpha/beta special cases, and
+// strided submatrix views, under both the host-selected kernel and the
+// forced portable kernel.
+func TestGemmPackedTable(t *testing.T) { forEachKernel(t, testGemmTable[float64]) }
+
+func TestGemm32Table(t *testing.T) { forEachKernel(t, testGemmTable[float32]) }
+
+func testGemmTable[T mat.Float](t *testing.T) {
 	shapes := [][3]int{ // {m, n, k}
 		{1, 1, 1},
 		{3, 5, 7},
 		{7, 3, 5},
 		{5, 7, 3},
 		{4, 4, 4},
-		{6, 8, 6},    // exact micro-tiles for both kernel geometries
+		{6, 8, 6},    // exact micro-tiles for both float64 geometries
+		{6, 16, 6},   // exact micro-tile for the AVX2 float32 geometry
 		{39, 41, 40}, // nb±1 around the default tile order
 		{41, 39, 41},
 		{13, 9, 259}, // k crosses the KC=256 blocking boundary
 		{133, 9, 17}, // m crosses the MC=132 blocking boundary
 		{9, 513, 5},  // n crosses the NC=512 blocking boundary
 	}
-	alphas := []float64{0, 1, -0.5}
-	betas := []float64{0, 1, 2}
+	alphas := []T{0, 1, -0.5}
+	betas := []T{0, 1, 2}
 
 	check := func(t *testing.T, useViews bool) {
 		rng := rand.New(rand.NewSource(11))
@@ -77,19 +87,19 @@ func TestGemmPackedTable(t *testing.T) {
 							if tb == Trans {
 								br, bc = n, k
 							}
-							var a, b, c0 *mat.Matrix
+							var a, b, got *mat.Dense[T]
 							if useViews {
-								a, b, c0 = viewOf(rng, ar, ac), viewOf(rng, br, bc), viewOf(rng, m, n)
+								a, b, got = viewOfT[T](rng, ar, ac), viewOfT[T](rng, br, bc), viewOfT[T](rng, m, n)
 							} else {
-								a, b, c0 = randMat(rng, ar, ac), randMat(rng, br, bc), randMat(rng, m, n)
+								a, b, got = randT[T](rng, ar, ac), randT[T](rng, br, bc), randT[T](rng, m, n)
 							}
-							got := c0.Clone()
-							want := c0.Clone()
+							want := widen(got)
+							naiveGemm(ta, tb, float64(alpha), widen(a), widen(b), float64(beta), want)
 							Gemm(ta, tb, alpha, a, b, beta, got)
-							naiveGemm(ta, tb, alpha, a, b, beta, want)
-							if diff := mat.MaxDiff(got, want); diff > 1e-10*float64(k+1) {
-								t.Fatalf("Gemm m=%d n=%d k=%d ta=%v tb=%v alpha=%g beta=%g views=%v: maxdiff %g",
-									m, n, k, ta, tb, alpha, beta, useViews, diff)
+							tol := 256 * unitRoundoff[T]() * float64(k+2)
+							if diff := mat.MaxDiff(widen(got), want); diff > tol {
+								t.Fatalf("Gemm m=%d n=%d k=%d ta=%v tb=%v alpha=%g beta=%g views=%v: maxdiff %g > %g",
+									m, n, k, ta, tb, alpha, beta, useViews, diff, tol)
 							}
 						}
 					}
@@ -97,39 +107,42 @@ func TestGemmPackedTable(t *testing.T) {
 			}
 		}
 	}
-
-	forEachKernel(t, func(t *testing.T) {
-		check(t, false)
-		check(t, true)
-	})
+	check(t, false)
+	check(t, true)
 }
 
 // TestTrsmOddShapesAndViews covers Trsm on odd orders, rectangular B, alpha
 // scaling, and strided views for every side/uplo/trans/diag combination.
 func TestTrsmOddShapesAndViews(t *testing.T) {
+	forEachType(t, testTrsmOddShapesAndViews[float64], testTrsmOddShapesAndViews[float32])
+}
+
+func testTrsmOddShapesAndViews[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 3, 7, 13} {
 		for _, w := range []int{1, 5} {
-			for _, alpha := range []float64{1, -0.5, 2} {
+			for _, alpha := range []T{1, -0.5, 2} {
 				for _, side := range []Side{Left, Right} {
 					for _, uplo := range []Uplo{Upper, Lower} {
 						for _, trans := range []Transpose{NoTrans, Trans} {
 							for _, diag := range []Diag{NonUnit, Unit} {
-								tm := randTri(rng, n, uplo, diag)
-								var b *mat.Matrix
+								tm := roundTo[T](randTri(rng, n, uplo, diag))
+								var b *mat.Dense[T]
 								if side == Left {
-									b = viewOf(rng, n, w)
+									b = viewOfT[T](rng, n, w)
 								} else {
-									b = viewOf(rng, w, n)
+									b = viewOfT[T](rng, w, n)
 								}
-								b0 := b.Clone()
+								b0 := widen(b)
 								Trsm(side, uplo, trans, diag, alpha, tm, b)
 								// op(T)·X (resp. X·op(T)) must equal alpha·B.
-								back := applyTri(side, uplo, trans, diag, tm, b)
+								x := widen(b)
+								back := applyTri(side, uplo, trans, diag, widen(tm), x)
 								for i := range b0.Data {
-									b0.Data[i] *= alpha
+									b0.Data[i] *= float64(alpha)
 								}
-								if d := mat.MaxDiff(back, b0); d > 1e-8 {
+								tol := 1024 * unitRoundoff[T]() * float64(n) * max(1, x.NormMax())
+								if d := mat.MaxDiff(back, b0); d > tol {
 									t.Fatalf("Trsm n=%d w=%d alpha=%g side=%v uplo=%v trans=%v diag=%v residual %g",
 										n, w, alpha, side, uplo, trans, diag, d)
 								}
@@ -142,16 +155,21 @@ func TestTrsmOddShapesAndViews(t *testing.T) {
 	}
 }
 
-// TestGemmZeroAlloc asserts the steady-state zero-allocation contract of
-// the packed path: after warm-up, repeated Gemm calls must not touch the
-// heap (pack buffers come from the mat workspace arena).
-func TestGemmZeroAlloc(t *testing.T) {
+// TestGemmZeroAlloc and TestGemm32ZeroAlloc assert the steady-state
+// zero-allocation contract of the packed path at each precision: after
+// warm-up, repeated Gemm calls must not touch the heap (pack buffers come
+// from the mat workspace arena).
+func TestGemmZeroAlloc(t *testing.T) { forEachKernel(t, testGemmZeroAlloc[float64]) }
+
+func TestGemm32ZeroAlloc(t *testing.T) { forEachKernel(t, testGemmZeroAlloc[float32]) }
+
+func testGemmZeroAlloc[T mat.Float](t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
 	}
 	rng := rand.New(rand.NewSource(13))
-	for _, nb := range []int{40, 128} {
-		a, b, c := randMat(rng, nb, nb), randMat(rng, nb, nb), randMat(rng, nb, nb)
+	for _, nb := range []int{40, 96, 128} {
+		a, b, c := randT[T](rng, nb, nb), randT[T](rng, nb, nb), randT[T](rng, nb, nb)
 		Gemm(NoTrans, NoTrans, -1, a, b, 1, c) // warm the pools
 		allocs := testing.AllocsPerRun(10, func() {
 			Gemm(NoTrans, NoTrans, -1, a, b, 1, c)

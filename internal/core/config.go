@@ -145,10 +145,12 @@ func ParseVariant(s string) (LUVariant, error) {
 	return 0, fmt.Errorf("core: unknown LU-step variant %q", s)
 }
 
-// Precision selects where the factorization's flops run. Storage is always
-// float64 — the mixed-precision kernels round operands to float32 internally
-// and widen results back — so the factor layout, the serialization shape,
-// and the replay path are identical at every setting.
+// Precision selects where the factorization's flops run. The float64 tiles
+// stay the master storage: float32 steps run the float32 instantiations of
+// the kernels on resident tile images that are rounded from the tiles once
+// per precision epoch and widened back before any float64 consumer reads
+// them (DESIGN.md §11), so the factor layout, the serialization shape, and
+// the replay path are identical at every setting.
 type Precision int
 
 const (

@@ -51,9 +51,9 @@ type stepState struct {
 	k    int
 	rows []int // pivot rows: the diagonal domain (or tile, or whole panel)
 
-	backup    []*mat.Matrix // pre-factorization copies of the pivot-row tiles
-	backupBuf *mat.Buf      // pooled storage backing the backup views
-	localMax  []float64     // per-column max |a| over the pivot rows (backup)
+	backup    []*mat.Matrix     // pre-factorization copies of the pivot-row tiles
+	backupBuf *mat.Buf[float64] // pooled storage backing the backup views
+	localMax  []float64         // per-column max |a| over the pivot rows (backup)
 
 	stack *mat.Matrix // the factored stacked panel (L\U), kept for applies
 	// stack32 is the resident forced-f32 factored panel (same values as
@@ -283,7 +283,7 @@ func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Ma
 		img     *mat.Matrix32
 		dirty   bool
 		snap    *mat.Matrix32
-		snapBuf *mat.Buf32
+		snapBuf *mat.Buf[float32]
 	}
 	os := make([]outState, len(outs))
 	outImgs := make([]*mat.Matrix32, len(outs))
@@ -297,7 +297,7 @@ func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Ma
 		}
 		os[idx] = outState{img: img, dirty: dirty}
 		if dirty {
-			s, b := mat.GetMatrix32(img.Rows, img.Cols)
+			s, b := mat.GetMatrix[float32](img.Rows, img.Cols)
 			s.CopyFrom(img)
 			os[idx].snap, os[idx].snapBuf = s, b
 		}
@@ -320,7 +320,7 @@ func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Ma
 	}
 	if !f.excursion32(scan...) {
 		for idx := range os {
-			mat.PutBuf32(os[idx].snapBuf)
+			mat.PutBuf(os[idx].snapBuf)
 		}
 		if t != nil {
 			t32.WidenInto(t)
@@ -336,7 +336,7 @@ func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Ma
 		} else {
 			f.res.Discard32(o.i, o.j)
 		}
-		mat.PutBuf32(os[idx].snapBuf)
+		mat.PutBuf(os[idx].snapBuf)
 	}
 	f.ensure64(m, outs...)
 	f.ensure64(m, ins...)
@@ -497,7 +497,7 @@ func (f *fact) submitBackup(st *stepState) {
 			// ("destroyed on exit of Propagate", §IV). CopyFrom overwrites
 			// every element, so the unzeroed pool buffer is safe.
 			nb := f.nb
-			st.backupBuf = mat.GetBuf(len(st.rows) * nb * nb)
+			st.backupBuf = mat.GetBuf[float64](len(st.rows) * nb * nb)
 			st.backup = make([]*mat.Matrix, len(st.rows))
 			for r, i := range st.rows {
 				d := st.backupBuf.Data[r*nb*nb : (r+1)*nb*nb]
@@ -527,9 +527,9 @@ func (f *fact) submitBackup(st *stepState) {
 // computes the criterion's diagonal-tile data (pivot magnitudes and the
 // Hager–Higham estimate of ‖(A_kk^(k))⁻¹‖₁). This is the LU On Panel stage
 // of Fig. 1; the paper uses the multithreaded recursive-LU kernel of PLASMA
-// here, our stand-in is the stacked Getrf. A float32 step factors a
-// resident float32 stack with Getrf32R instead and demotes the whole step
-// to float64 on a breakdown or an excursion.
+// here, our stand-in is the stacked Getrf. A float32 step runs the same
+// Getrf on a resident float32 stack instead and demotes the whole step to
+// float64 on a breakdown or an excursion.
 func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 	k := st.k
 	nb := f.nb
@@ -565,7 +565,7 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 				// and keep a widened float64 copy in st.stack for the
 				// criterion quantities, the f64 applies and the RHS replay.
 				st.stack32 = f.res.AcquireRowStack32(st.rows, k, m)
-				st.piv, st.luErr = lapack.Getrf32R(st.stack32)
+				st.piv, st.luErr = lapack.Getrf(st.stack32)
 				if st.luErr != nil || f.excursion32(st.stack32) {
 					// Demote the whole step: the images are untouched until
 					// commit, so abandoning the stack, normalizing the tiles

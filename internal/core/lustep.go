@@ -52,8 +52,8 @@ func (f *fact) submitLUStep(st *stepState) {
 					// commit, so a demotion just abandons the stack and falls
 					// through to the float64 apply below.
 					s32 := f.res.AcquireRowStack32(st.rows, j, m)
-					lapack.Laswp32R(s32, st.piv, false)
-					blas.Trsm32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.l11_32, s32.View(0, 0, nb, nb))
+					lapack.Laswp(s32, st.piv, false)
+					blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.l11_32, s32.View(0, 0, nb, nb))
 					if !f.excursion32(s32) {
 						f.res.CommitRowStack32(s32, st.rows, j)
 						return
@@ -63,7 +63,7 @@ func (f *fact) submitLUStep(st *stepState) {
 				f.ensure64(m, colRefs(st.rows, j)...)
 				// Pooled stacking scratch: StackRowsInto overwrites every
 				// element, and the buffer never outlives the task.
-				s, sbuf := mat.GetMatrix(len(st.rows)*nb, nb)
+				s, sbuf := mat.GetMatrix[float64](len(st.rows)*nb, nb)
 				defer mat.PutBuf(sbuf)
 				f.A.StackRowsInto(s, st.rows, j)
 				lapack.Laswp(s, st.piv, false)
@@ -88,8 +88,8 @@ func (f *fact) submitLUStep(st *stepState) {
 				defer func() { tr.ChargeConv(m.NS) }()
 				if st.f32 {
 					s32 := f.res.AcquireVecStack32(st.rows, m)
-					lapack.Laswp32R(s32, st.piv, false)
-					blas.Trsm32R(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.l11_32, s32.View(0, 0, nb, f.rhs.W))
+					lapack.Laswp(s32, st.piv, false)
+					blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, st.l11_32, s32.View(0, 0, nb, f.rhs.W))
 					if !f.excursion32(s32) {
 						f.res.CommitVecStack32(s32, st.rows)
 						return
@@ -97,7 +97,7 @@ func (f *fact) submitLUStep(st *stepState) {
 					f.noteDemotion()
 				}
 				f.ensure64(m, vecRefs(st.rows)...)
-				s, sbuf := mat.GetMatrix(len(st.rows)*nb, f.rhs.W)
+				s, sbuf := mat.GetMatrix[float64](len(st.rows)*nb, f.rhs.W)
 				defer mat.PutBuf(sbuf)
 				f.rhs.StackRowsInto(s, st.rows)
 				lapack.Laswp(s, st.piv, false)
@@ -123,7 +123,7 @@ func (f *fact) submitLUStep(st *stepState) {
 			RunTraced: func(tr *runtime.TraceTask) {
 				f.runTileTask(tr, st, []tileRef{mref(k, k)}, []tileRef{mref(i, k)},
 					func(in, out []*mat.Matrix32) {
-						blas.Trsm32R(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
+						blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
 					},
 					func() {
 						blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), f.A.Tile(i, k))
@@ -147,7 +147,7 @@ func (f *fact) submitLUStep(st *stepState) {
 				RunTraced: func(tr *runtime.TraceTask) {
 					f.runTileTask(tr, st, []tileRef{mref(i, k), mref(k, j)}, []tileRef{mref(i, j)},
 						func(in, out []*mat.Matrix32) {
-							blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
+							blas.Gemm(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
 						},
 						func() {
 							blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.A.Tile(k, j), 1, f.A.Tile(i, j))
@@ -165,7 +165,7 @@ func (f *fact) submitLUStep(st *stepState) {
 			RunTraced: func(tr *runtime.TraceTask) {
 				f.runTileTask(tr, st, []tileRef{mref(i, k), vref(k)}, []tileRef{vref(i)},
 					func(in, out []*mat.Matrix32) {
-						blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
+						blas.Gemm(blas.NoTrans, blas.NoTrans, -1, in[0], in[1], 1, out[0])
 					},
 					func() {
 						blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.rhs.Tile(k), 1, f.rhs.Tile(i))

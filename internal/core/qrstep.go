@@ -71,7 +71,7 @@ func (f *fact) submitGeqrt(st *stepState, i int) {
 		Accesses: []runtime.Access{runtime.W(f.h[i][k]), runtime.W(hT)},
 		RunTraced: func(tr *runtime.TraceTask) {
 			f.runTileTaskT(tr, st, nil, []tileRef{mref(i, k)}, t, t32,
-				func(in, out []*mat.Matrix32) { lapack.Geqrt32RIB(out[0], t32, f.ib) },
+				func(in, out []*mat.Matrix32) { lapack.GeqrtIB(out[0], t32, f.ib) },
 				func() { lapack.GeqrtIB(f.A.Tile(i, k), t, f.ib) })
 		},
 	})
@@ -98,7 +98,7 @@ func (f *fact) submitGeqrtUpdates(st *stepState, i int) {
 			Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.R(hT), runtime.W(f.h[i][j])},
 			RunTraced: func(tr *runtime.TraceTask) {
 				f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{mref(i, j)},
-					func(in, out []*mat.Matrix32) { lapack.Unmqr32R(blas.Trans, in[0], t32, out[0]) },
+					func(in, out []*mat.Matrix32) { lapack.Unmqr(blas.Trans, in[0], t32, out[0]) },
 					func() { lapack.Unmqr(blas.Trans, f.A.Tile(i, k), t, f.A.Tile(i, j)) })
 			},
 		})
@@ -112,7 +112,7 @@ func (f *fact) submitGeqrtUpdates(st *stepState, i int) {
 		Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.R(hT), runtime.W(f.hb[i])},
 		RunTraced: func(tr *runtime.TraceTask) {
 			f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{vref(i)},
-				func(in, out []*mat.Matrix32) { lapack.Unmqr32R(blas.Trans, in[0], t32, out[0]) },
+				func(in, out []*mat.Matrix32) { lapack.Unmqr(blas.Trans, in[0], t32, out[0]) },
 				func() { lapack.Unmqr(blas.Trans, f.A.Tile(i, k), t, f.rhs.Tile(i)) })
 		},
 	})
@@ -161,9 +161,9 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 			f.runTileTaskT(tr, st, nil, []tileRef{mref(piv, k), mref(i, k)}, t, t32,
 				func(in, out []*mat.Matrix32) {
 					if ts {
-						lapack.Tsqrt32RIB(out[0], out[1], t32, f.ib)
+						lapack.TsqrtIB(out[0], out[1], t32, f.ib)
 					} else {
-						lapack.Ttqrt32RIB(out[0], out[1], t32, f.ib)
+						lapack.TtqrtIB(out[0], out[1], t32, f.ib)
 					}
 				},
 				func() {
@@ -191,9 +191,9 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 				f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{mref(piv, j), mref(i, j)},
 					func(in, out []*mat.Matrix32) {
 						if ts {
-							lapack.Tsmqr32R(blas.Trans, in[0], t32, out[0], out[1])
+							lapack.Tsmqr(blas.Trans, in[0], t32, out[0], out[1])
 						} else {
-							lapack.Ttmqr32R(blas.Trans, in[0], t32, out[0], out[1])
+							lapack.Ttmqr(blas.Trans, in[0], t32, out[0], out[1])
 						}
 					},
 					func() {
@@ -220,9 +220,9 @@ func (f *fact) submitKill(st *stepState, i, piv int, ts bool) {
 			f.runTileTask(tr, st, []tileRef{mref(i, k)}, []tileRef{vref(piv), vref(i)},
 				func(in, out []*mat.Matrix32) {
 					if ts {
-						lapack.Tsmqr32R(blas.Trans, in[0], t32, out[0], out[1])
+						lapack.Tsmqr(blas.Trans, in[0], t32, out[0], out[1])
 					} else {
-						lapack.Ttmqr32R(blas.Trans, in[0], t32, out[0], out[1])
+						lapack.Ttmqr(blas.Trans, in[0], t32, out[0], out[1])
 					}
 				},
 				func() {

@@ -209,7 +209,7 @@ func (f *fact) replayLUStep(st *stepState, rhs *tile.Vector) error {
 	switch st.variant {
 	case VarA1:
 		// Apply: swaps + unit-lower solve on the stacked pivot rows.
-		s, sbuf := mat.GetMatrix(len(st.rows)*nb, rhs.W)
+		s, sbuf := mat.GetMatrix[float64](len(st.rows)*nb, rhs.W)
 		defer mat.PutBuf(sbuf)
 		rhs.StackRowsInto(s, st.rows)
 		lapack.Laswp(s, st.piv, false)

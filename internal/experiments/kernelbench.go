@@ -52,9 +52,10 @@ var seedKernelBaseline = []KernelBenchEntry{
 // and the solver sweep's production default (192).
 var KernelBenchNBs = []int{40, 128, 192, 256}
 
-// WriteKernelBench measures every Table I kernel at each tile order in nbs
-// and writes the JSON report (seed baseline + current) to out. GFLOP/s uses
-// the Table I model flop counts, so rates are comparable across kernels.
+// WriteKernelBench measures every Table I kernel at each tile order in nbs,
+// at float64 and (under ".f32"-suffixed names) at float32, and writes the
+// JSON report (seed baseline + current) to out. GFLOP/s uses the Table I
+// model flop counts, so rates are comparable across kernels and precisions.
 func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 	rep := KernelBenchReport{
 		Schema: 1,
@@ -63,142 +64,156 @@ func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 		Reps:   reps,
 		Seed:   seedKernelBaseline,
 	}
-	for _, nb := range nbs {
-		unit := float64(nb) * float64(nb) * float64(nb)
-		for _, c := range Table1(nb, reps, nil) {
-			ns := c.MeasuredMs * 1e6
+	add := func(suffix string, nb int, ks []kernelTiming) {
+		for _, k := range ks {
+			ns := k.sec * 1e9
 			gf := 0.0
 			if ns > 0 {
-				gf = c.ModelUnits * unit / ns // flops / ns == GFLOP/s
+				gf = k.flops / ns // flops / ns == GFLOP/s
 			}
 			rep.Current = append(rep.Current, KernelBenchEntry{
-				Kernel: c.Kernel, NB: nb, NsPerOp: ns, GFlops: gf,
+				Kernel: k.kernel + suffix, NB: nb, NsPerOp: ns, GFlops: gf,
 			})
 		}
-		rep.Current = append(rep.Current, measureGemm32(nb, reps))
-		rep.Current = append(rep.Current, measureQRUpdates32(nb, reps)...)
+	}
+	for _, nb := range nbs {
+		add("", nb, timeTableI[float64](nb, reps))
+		add(".f32", nb, timeTableI[float32](nb, reps))
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
 
-// round32 returns float32(m) as a tile image — the operand form of the
-// float32 kernels the mixed-precision path runs.
-func round32(m *mat.Matrix) *mat.Matrix32 {
-	img := mat.NewMatrix32(m.Rows, m.Cols)
-	img.RoundFrom(m)
-	return img
+// kernelTiming is one measured Table I kernel: its model flops and its
+// seconds per call.
+type kernelTiming struct {
+	kernel string
+	flops  float64
+	sec    float64
 }
 
-// measureGemm32 times the float32 packed GEMM (Gemm32R on tile images) at
-// one tile order, reported under the "GEMM.f32" kernel name with the same
-// flop model as GEMM — so the GFLOP/s ratio against the GEMM row at the
-// same nb is the mixed-precision path's kernel speedup.
-func measureGemm32(nb, reps int) KernelBenchEntry {
+// kernelBenchWall is how long one timing window runs a kernel: a single
+// nb=40 call is a few microseconds, so one call alone would time the clock.
+const kernelBenchWall = 10 * time.Millisecond
+
+// timeTableI times the nine Table I kernels at tile order nb on element
+// type T, one method for both types: after a warm-up call, each of reps
+// windows runs the kernel for kernelBenchWall and yields the mean time of
+// its calls; the best window wins. A kernel that rescales its operand in
+// place (TRSM and the factorizations) restores it from a copy before each
+// call, outside the timed region — repeated in place, the operand would
+// drift into denormals and time those instead.
+func timeTableI[T mat.Float](nb, reps int) []kernelTiming {
 	rng := rand.New(rand.NewSource(99))
-	randTile := func() *mat.Matrix32 {
-		m := mat.New(nb, nb)
+	tile := func() *mat.Dense[T] {
+		return &mat.Dense[T]{Rows: nb, Cols: nb, Stride: nb, Data: make([]T, nb*nb)}
+	}
+	randTile := func() *mat.Dense[T] {
+		m := tile()
 		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return round32(m)
-	}
-	a, b, c := randTile(), randTile(), randTile()
-	// Warm the f32 packing pools and the dispatch path before timing, then
-	// amortize the measurement over enough calls to outlast timer noise — a
-	// single nb=192 call is a few hundred microseconds.
-	blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		const minWall = 10 * time.Millisecond
-		iters := 0
-		t0 := time.Now()
-		for time.Since(t0) < minWall {
-			blas.Gemm32R(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c)
-			iters++
-		}
-		d := time.Since(t0).Seconds() / float64(iters)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	ns := best * 1e9
-	gf := 0.0
-	if ns > 0 {
-		gf = flops.Gemm(nb, nb, nb) / ns
-	}
-	return KernelBenchEntry{Kernel: "GEMM.f32", NB: nb, NsPerOp: ns, GFlops: gf}
-}
-
-// measureQRUpdates32 times the float32 QR update kernels — Unmqr32R,
-// Tsmqr32R, Ttmqr32R on tile images rounded from f64-factored tiles — at
-// one tile order, reported under ".f32"-suffixed kernel names with the
-// Table I flop models. Against the f64 base rows from Table1 these give
-// `-diff-kernels` its f32/f64 ratios for the QR side of the mixed path.
-func measureQRUpdates32(nb, reps int) []KernelBenchEntry {
-	rng := rand.New(rand.NewSource(101))
-	randTile := func() *mat.Matrix {
-		m := mat.New(nb, nb)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
+			m.Data[i] = T(rng.NormFloat64())
 		}
 		return m
 	}
-	upperTile := func() *mat.Matrix {
+	upperTile := func() *mat.Dense[T] {
 		m := randTile()
 		for i := 0; i < nb; i++ {
 			for j := 0; j < i; j++ {
 				m.Set(i, j, 0)
 			}
-			m.Set(i, i, m.At(i, i)+float64(nb)) // keep solves well posed
+			m.Set(i, i, m.At(i, i)+T(nb)) // keep solves well posed
 		}
 		return m
 	}
-	timeOne := func(kernel string, model float64, setup func() func()) KernelBenchEntry {
-		op := setup()
-		op() // warm pools and dispatch before timing
+	// restorer returns a copy of m's current content and the call that puts
+	// it back.
+	restorer := func(ms ...*mat.Dense[T]) func() {
+		saved := make([]*mat.Dense[T], len(ms))
+		for i, m := range ms {
+			saved[i] = m.Clone()
+		}
+		return func() {
+			for i, m := range ms {
+				m.CopyFrom(saved[i])
+			}
+		}
+	}
+	type kernelCase struct {
+		kernel string
+		flops  float64
+		// setup returns the call to time and, for an in-place kernel, the
+		// restore to run before each call (nil otherwise).
+		setup func() (call, restore func())
+	}
+	cases := []kernelCase{
+		{"GETRF", flops.Getrf(nb, nb), func() (func(), func()) {
+			a := randTile()
+			// Timing only: a Gaussian tile is nonsingular with probability 1.
+			return func() { _, _ = lapack.Getrf(a) }, restorer(a)
+		}},
+		{"TRSM", flops.Trsm(nb, nb), func() (func(), func()) {
+			u, b := upperTile(), randTile()
+			return func() { blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, u, b) }, restorer(b)
+		}},
+		{"GEMM", flops.Gemm(nb, nb, nb), func() (func(), func()) {
+			a, b, c := randTile(), randTile(), randTile()
+			return func() { blas.Gemm(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c) }, nil
+		}},
+		{"GEQRT", flops.Geqrt(nb, nb), func() (func(), func()) {
+			a, t := randTile(), tile()
+			return func() { lapack.Geqrt(a, t) }, restorer(a)
+		}},
+		{"TSQRT", flops.Tsqrt(nb), func() (func(), func()) {
+			r, a, t := upperTile(), randTile(), tile()
+			return func() { lapack.Tsqrt(r, a, t) }, restorer(r, a)
+		}},
+		{"TSMQR", flops.Tsmqr(nb, nb), func() (func(), func()) {
+			r, a, t := upperTile(), randTile(), tile()
+			lapack.Tsqrt(r, a, t)
+			c1, c2 := randTile(), randTile()
+			return func() { lapack.Tsmqr(blas.Trans, a, t, c1, c2) }, nil
+		}},
+		{"UNMQR", flops.Unmqr(nb, nb), func() (func(), func()) {
+			a, t := randTile(), tile()
+			lapack.Geqrt(a, t)
+			c := randTile()
+			return func() { lapack.Unmqr(blas.Trans, a, t, c) }, nil
+		}},
+		{"TTQRT", flops.Ttqrt(nb), func() (func(), func()) {
+			r1, r2, t := upperTile(), upperTile(), tile()
+			return func() { lapack.Ttqrt(r1, r2, t) }, restorer(r1, r2)
+		}},
+		{"TTMQR", flops.Ttmqr(nb, nb), func() (func(), func()) {
+			r1, r2, t := upperTile(), upperTile(), tile()
+			lapack.Ttqrt(r1, r2, t)
+			c1, c2 := randTile(), randTile()
+			return func() { lapack.Ttmqr(blas.Trans, r2, t, c1, c2) }, nil
+		}},
+	}
+	out := make([]kernelTiming, len(cases))
+	for i, c := range cases {
+		call, restore := c.setup()
+		if restore == nil {
+			restore = func() {}
+		}
+		restore()
+		call() // warm pools and dispatch before timing
 		best := 0.0
 		for r := 0; r < reps; r++ {
-			const minWall = 10 * time.Millisecond
-			iters := 0
-			t0 := time.Now()
-			for time.Since(t0) < minWall {
-				op()
-				iters++
+			var busy time.Duration
+			calls := 0
+			for t0 := time.Now(); time.Since(t0) < kernelBenchWall; calls++ {
+				restore()
+				c0 := time.Now()
+				call()
+				busy += time.Since(c0)
 			}
-			d := time.Since(t0).Seconds() / float64(iters)
-			if best == 0 || d < best {
+			if d := busy.Seconds() / float64(calls); best == 0 || d < best {
 				best = d
 			}
 		}
-		ns := best * 1e9
-		gf := 0.0
-		if ns > 0 {
-			gf = model / ns
-		}
-		return KernelBenchEntry{Kernel: kernel, NB: nb, NsPerOp: ns, GFlops: gf}
+		out[i] = kernelTiming{kernel: c.kernel, flops: c.flops, sec: best}
 	}
-	return []KernelBenchEntry{
-		timeOne("UNMQR.f32", flops.Unmqr(nb, nb), func() func() {
-			a, t := randTile(), mat.New(nb, nb)
-			lapack.Geqrt(a, t)
-			v32, t32, c := round32(a), round32(t), round32(randTile())
-			return func() { lapack.Unmqr32R(blas.Trans, v32, t32, c) }
-		}),
-		timeOne("TSMQR.f32", flops.Tsmqr(nb, nb), func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
-			lapack.Tsqrt(r, a, t)
-			v32, t32 := round32(a), round32(t)
-			c1, c2 := round32(randTile()), round32(randTile())
-			return func() { lapack.Tsmqr32R(blas.Trans, v32, t32, c1, c2) }
-		}),
-		timeOne("TTMQR.f32", flops.Ttmqr(nb, nb), func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
-			lapack.Ttqrt(r1, r2, t)
-			v32, t32 := round32(r2), round32(t)
-			c1, c2 := round32(randTile()), round32(randTile())
-			return func() { lapack.Ttmqr32R(blas.Trans, v32, t32, c1, c2) }
-		}),
-	}
+	return out
 }

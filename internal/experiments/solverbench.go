@@ -70,7 +70,7 @@ type MixedBenchEntry struct {
 	// QRSteps counts elimination steps taken as QR. On the QR-heavy random
 	// operator it is most of the steps, so the forced-f32 row's wall delta
 	// against f64 is dominated by the f32 QR update kernels — the quantity
-	// the packed Trmm32R/Trsm32R routing and step-resident stacks target.
+	// the float32 TRMM/GEMM couplings and step-resident stacks target.
 	QRSteps   int `json:"qr_steps,omitempty"`
 	Demotions int `json:"demotions"`
 	// F32Epochs counts tile promotions into float32 residency and Conversions

@@ -3,14 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
-	"time"
-
-	"luqr/internal/blas"
-	"luqr/internal/flops"
-	"luqr/internal/lapack"
-	"luqr/internal/mat"
 )
 
 // KernelCost is one row of Table I: a kernel, its model cost in units of
@@ -27,7 +20,8 @@ type KernelCost struct {
 }
 
 // Table1 reproduces Table I: the per-kernel operation counts (in units of
-// nb³) together with measured kernel timings at the given tile size.
+// nb³) together with measured float64 kernel timings at the given tile size
+// (timeTableI's method, which the kernel bench shares).
 func Table1(nb int, reps int, out io.Writer) []KernelCost {
 	if nb <= 0 {
 		nb = 120
@@ -35,83 +29,10 @@ func Table1(nb int, reps int, out io.Writer) []KernelCost {
 	if reps <= 0 {
 		reps = 5
 	}
-	rng := rand.New(rand.NewSource(99))
-	randTile := func() *mat.Matrix {
-		m := mat.New(nb, nb)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	upperTile := func() *mat.Matrix {
-		m := randTile()
-		for i := 0; i < nb; i++ {
-			for j := 0; j < i; j++ {
-				m.Set(i, j, 0)
-			}
-			m.Set(i, i, m.At(i, i)+float64(nb)) // keep solves well posed
-		}
-		return m
-	}
-
 	unit := float64(nb) * float64(nb) * float64(nb)
-	measure := func(setup func() func()) float64 {
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			f := setup()
-			t0 := time.Now()
-			f()
-			d := time.Since(t0).Seconds()
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	costs := []KernelCost{
-		{Kernel: "GETRF", ModelUnits: flops.Getrf(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a := randTile()
-			return func() { _, _ = lapack.Getrf(a) }
-		})},
-		{Kernel: "TRSM", ModelUnits: flops.Trsm(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			tt, b := upperTile(), randTile()
-			return func() { blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tt, b) }
-		})},
-		{Kernel: "GEMM", ModelUnits: flops.Gemm(nb, nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, b, c := randTile(), randTile(), randTile()
-			return func() { blas.Gemm(blas.NoTrans, blas.NoTrans, -1, a, b, 1, c) }
-		})},
-		{Kernel: "GEQRT", ModelUnits: flops.Geqrt(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, t := randTile(), mat.New(nb, nb)
-			return func() { lapack.Geqrt(a, t) }
-		})},
-		{Kernel: "TSQRT", ModelUnits: flops.Tsqrt(nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
-			return func() { lapack.Tsqrt(r, a, t) }
-		})},
-		{Kernel: "TSMQR", ModelUnits: flops.Tsmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r, a, t := upperTile(), randTile(), mat.New(nb, nb)
-			lapack.Tsqrt(r, a, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Tsmqr(blas.Trans, a, t, c1, c2) }
-		})},
-		{Kernel: "UNMQR", ModelUnits: flops.Unmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			a, t := randTile(), mat.New(nb, nb)
-			lapack.Geqrt(a, t)
-			c := randTile()
-			return func() { lapack.Unmqr(blas.Trans, a, t, c) }
-		})},
-		{Kernel: "TTQRT", ModelUnits: flops.Ttqrt(nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
-			return func() { lapack.Ttqrt(r1, r2, t) }
-		})},
-		{Kernel: "TTMQR", ModelUnits: flops.Ttmqr(nb, nb) / unit, MeasuredMs: 1e3 * measure(func() func() {
-			r1, r2, t := upperTile(), upperTile(), mat.New(nb, nb)
-			lapack.Ttqrt(r1, r2, t)
-			c1, c2 := randTile(), randTile()
-			return func() { lapack.Ttmqr(blas.Trans, r2, t, c1, c2) }
-		})},
+	var costs []KernelCost
+	for _, k := range timeTableI[float64](nb, reps) {
+		costs = append(costs, KernelCost{Kernel: k.kernel, ModelUnits: k.flops / unit, MeasuredMs: 1e3 * k.sec})
 	}
 
 	// Normalize measured times so GEMM ≡ its model 2 units.

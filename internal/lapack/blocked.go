@@ -46,7 +46,7 @@ func SetPanelIB(ib int) {
 //
 // which is the dlarft recurrence, so the assembled T equals the one the
 // unblocked column-by-column construction would produce.
-func larftMerge(t *mat.Matrix, j0, bs int, y *mat.Matrix) {
+func larftMerge[T mat.Float](t *mat.Dense[T], j0, bs int, y *mat.Dense[T]) {
 	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, t.View(0, 0, j0, j0), y)
 	blas.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, t.View(j0, j0, bs, bs), y)
 	for i := 0; i < j0; i++ {
@@ -59,7 +59,7 @@ func larftMerge(t *mat.Matrix, j0, bs int, y *mat.Matrix) {
 }
 
 // subRows computes dst −= src row-wise for equally shaped matrices.
-func subRows(dst, src *mat.Matrix) {
+func subRows[T mat.Float](dst, src *mat.Dense[T]) {
 	for i := 0; i < dst.Rows; i++ {
 		d, s := dst.Row(i), src.Row(i)
 		for c := range d {
@@ -69,7 +69,7 @@ func subRows(dst, src *mat.Matrix) {
 }
 
 // addRows computes dst += src row-wise for equally shaped matrices.
-func addRows(dst, src *mat.Matrix) {
+func addRows[T mat.Float](dst, src *mat.Dense[T]) {
 	for i := 0; i < dst.Rows; i++ {
 		d, s := dst.Row(i), src.Row(i)
 		for c := range d {

@@ -20,12 +20,12 @@ import (
 // into the full n×n T by the dlarft recurrence — so the output contract
 // (full T, usable by Unmqr and the serialized-factor replay) is unchanged
 // from the unblocked kernel.
-func Geqrt(a, t *mat.Matrix) { GeqrtIB(a, t, PanelIB()) }
+func Geqrt[T mat.Float](a, t *mat.Dense[T]) { GeqrtIB(a, t, PanelIB()) }
 
 // GeqrtIB is Geqrt with an explicit inner block size, so concurrent
 // factorizations with different tuned operating points never share (or
 // race on) the process-global knob; ib <= 0 falls back to PanelIB().
-func GeqrtIB(a, t *mat.Matrix, ib int) {
+func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("lapack: Geqrt requires m >= n, got %dx%d", m, n))
@@ -62,11 +62,11 @@ func GeqrtIB(a, t *mat.Matrix, ib int) {
 // it forms the cross-Gram Y = V1ᵀ·V2 of the previous reflectors against the
 // strip's (V2 materialized with its implicit unit diagonal) and hands it to
 // the dlarft recurrence.
-func mergeGeqrtT(a, t *mat.Matrix, j0, bs int) {
+func mergeGeqrtT[T mat.Float](a, t *mat.Dense[T], j0, bs int) {
 	m := a.Rows
 	// V2 lives in a[j0:m, j0:j0+bs): unit lower trapezoidal, stored mixed
 	// with R's rows. Materialize it so one GEMM forms the Gram block.
-	v2, v2buf := mat.GetMatrix(m-j0, bs)
+	v2, v2buf := mat.GetMatrix[T](m-j0, bs)
 	defer mat.PutBuf(v2buf)
 	for i := 0; i < m-j0; i++ {
 		dst := v2.Row(i)
@@ -84,7 +84,7 @@ func mergeGeqrtT(a, t *mat.Matrix, j0, bs int) {
 	}
 	// V1's columns are zero above row j0, so the Gram needs only its dense
 	// lower part.
-	y, ybuf := mat.GetMatrix(j0, bs)
+	y, ybuf := mat.GetMatrix[T](j0, bs)
 	defer mat.PutBuf(ybuf)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, a.View(j0, 0, m-j0, j0), v2, 0, y)
 	larftMerge(t, j0, bs, y)
@@ -93,9 +93,9 @@ func mergeGeqrtT(a, t *mat.Matrix, j0, bs int) {
 // geqrtUnblocked is the classical column-by-column Householder QR leaf:
 // per-column Larfg, row-wise rank-1 trailing updates, and the incremental
 // T construction. a is m×bs, t at least bs×bs (leading block written).
-func geqrtUnblocked(a, t *mat.Matrix) {
+func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T]) {
 	m, n := a.Rows, a.Cols
-	buf := mat.GetBuf(m + n)
+	buf := mat.GetBuf[T](m + n)
 	defer mat.PutBuf(buf)
 	x := buf.Data[:m]
 	w := buf.Data[m:]
@@ -146,7 +146,7 @@ func geqrtUnblocked(a, t *mat.Matrix) {
 // T is applied by TRMM, and C −= V·W is the mirror TRMM + GEMM pair. The
 // unit-diagonal TRMMs never read V's diagonal or upper triangle, so the R
 // values sharing the tile are ignored exactly as in the scalar kernel.
-func Unmqr(trans blas.Transpose, v, t, c *mat.Matrix) {
+func Unmqr[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 	m, n := v.Rows, v.Cols
 	if c.Rows != m {
 		panic(fmt.Sprintf("lapack: Unmqr shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
@@ -156,7 +156,7 @@ func Unmqr(trans blas.Transpose, v, t, c *mat.Matrix) {
 	c1 := c.View(0, 0, n, k)
 	// W = V1ᵀ·C1 + V2ᵀ·C2. CopyFrom overwrites every row, so a pooled
 	// (unzeroed) buffer is safe.
-	w, wbuf := mat.GetMatrix(n, k)
+	w, wbuf := mat.GetMatrix[T](n, k)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c1)
 	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
@@ -171,12 +171,17 @@ func Unmqr(trans blas.Transpose, v, t, c *mat.Matrix) {
 		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
 	}
 	// C1 −= V1·W (via a TRMM on a copy);  C2 −= V2·W.
-	w2, w2buf := mat.GetMatrix(n, k)
-	defer mat.PutBuf(w2buf)
-	w2.CopyFrom(w)
-	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
-	subRows(c1, w2)
 	if m > n {
+		w2, w2buf := mat.GetMatrix[T](n, k)
+		defer mat.PutBuf(w2buf)
+		w2.CopyFrom(w)
+		blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
+		subRows(c1, w2)
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
+		return
 	}
+	// m == n: the trailing GEMM is gone and W is dead after the
+	// subtraction, so V1·W runs in place without the scratch copy.
+	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
+	subRows(c1, w)
 }

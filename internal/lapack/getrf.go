@@ -4,8 +4,9 @@
 // (GEQRT, UNMQR, TSQRT, TSMQR, TTQRT, TTMQR), triangular solves, and the
 // Hager–Higham 1-norm inverse estimator used by the robustness criteria.
 //
-// All kernels operate on row-major mat.Matrix values and are pure Go; they
-// mirror the reference LAPACK/PLASMA semantics (including in-place factor
+// All kernels operate on row-major mat.Dense values and are pure Go, each
+// written once over the element type (float64, or float32 for the
+// mixed-precision path's resident tile images); they mirror the reference LAPACK/PLASMA semantics (including in-place factor
 // storage) so that the algorithm layer reads like the paper's pseudo-code.
 package lapack
 
@@ -41,7 +42,7 @@ const getrfLeaf = 8
 // in turn. All but O(n·m·leaf) of the work runs through the packed GEMM
 // path, at every level of the recursion — unlike a fixed-width panel
 // scheme, whose rank-leaf updates cap the panel itself at scalar speed.
-func Getrf(a *mat.Matrix) (piv []int, err error) {
+func Getrf[T mat.Float](a *mat.Dense[T]) (piv []int, err error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("lapack: Getrf requires m >= n, got %dx%d", m, n))
@@ -54,7 +55,7 @@ func Getrf(a *mat.Matrix) (piv []int, err error) {
 // indices into piv. The pivot sequence is identical to the classical
 // right-looking elimination's: the same column maxima are compared at the
 // same steps, only the order of the floating-point updates differs.
-func getrfRecursive(a *mat.Matrix, piv []int) (err error) {
+func getrfRecursive[T mat.Float](a *mat.Dense[T], piv []int) (err error) {
 	m, n := a.Rows, a.Cols
 	if n <= getrfLeaf {
 		return getrfUnblocked(a, piv)
@@ -92,16 +93,16 @@ func getrfRecursive(a *mat.Matrix, piv []int) (err error) {
 // the recursion leaf, called once per narrow column strip but walking every
 // row — so it indexes the backing array directly instead of going through
 // the accessor methods.
-func getrfUnblocked(a *mat.Matrix, piv []int) (err error) {
+func getrfUnblocked[T mat.Float](a *mat.Dense[T], piv []int) (err error) {
 	m, n := a.Rows, a.Cols
 	d, ld := a.Data, a.Stride
 	// The pivot of column k+1 is found during column k's update loop (which
 	// visits exactly the rows the search needs, with the final values), so
 	// each column pays one pass over its rows instead of two. Only column 0
 	// needs a dedicated strided search.
-	p, pv := 0, math.Abs(d[0])
+	p, pv := 0, math.Abs(float64(d[0]))
 	for i := 1; i < m; i++ {
-		if v := math.Abs(d[i*ld]); v > pv {
+		if v := math.Abs(float64(d[i*ld])); v > pv {
 			p, pv = i, v
 		}
 	}
@@ -120,9 +121,9 @@ func getrfUnblocked(a *mat.Matrix, piv []int) (err error) {
 			err = ErrSingular
 			if !last {
 				// No update ran; search column k+1 the slow way.
-				p, pv = k+1, math.Abs(d[(k+1)*ld+k+1])
+				p, pv = k+1, math.Abs(float64(d[(k+1)*ld+k+1]))
 				for i := k + 2; i < m; i++ {
-					if v := math.Abs(d[i*ld+k+1]); v > pv {
+					if v := math.Abs(float64(d[i*ld+k+1])); v > pv {
 						p, pv = i, v
 					}
 				}
@@ -145,7 +146,7 @@ func getrfUnblocked(a *mat.Matrix, piv []int) (err error) {
 				}
 			}
 			if !last {
-				if v := math.Abs(rowi[0]); v > pv {
+				if v := math.Abs(float64(rowi[0])); v > pv {
 					p, pv = i, v
 				}
 			}
@@ -158,7 +159,7 @@ func getrfUnblocked(a *mat.Matrix, piv []int) (err error) {
 // elimination). It breaks down (ErrSingular) on a zero diagonal element;
 // the factorization continues past the breakdown exactly as Getrf does.
 // Like Getrf it is recursive, so the bulk of the flops are TRSM/GEMM.
-func GetrfNoPiv(a *mat.Matrix) error {
+func GetrfNoPiv[T mat.Float](a *mat.Dense[T]) error {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("lapack: GetrfNoPiv requires m >= n, got %dx%d", m, n))
@@ -182,7 +183,7 @@ func GetrfNoPiv(a *mat.Matrix) error {
 
 // getrfNoPivUnblocked is the classical no-pivoting elimination leaf,
 // indexing the backing array directly like getrfUnblocked.
-func getrfNoPivUnblocked(a *mat.Matrix) error {
+func getrfNoPivUnblocked[T mat.Float](a *mat.Dense[T]) error {
 	m, n := a.Rows, a.Cols
 	d, ld := a.Data, a.Stride
 	var err error
@@ -213,7 +214,7 @@ func getrfNoPivUnblocked(a *mat.Matrix) error {
 // Laswp applies the row interchanges recorded by Getrf to a, forward
 // (inverse == false: b := P·b, the order Getrf performed them) or backward
 // (inverse == true: b := Pᵀ·b).
-func Laswp(a *mat.Matrix, piv []int, inverse bool) {
+func Laswp[T mat.Float](a *mat.Dense[T], piv []int, inverse bool) {
 	if !inverse {
 		for k := 0; k < len(piv); k++ {
 			if piv[k] != k {
@@ -233,7 +234,7 @@ func Laswp(a *mat.Matrix, piv []int, inverse bool) {
 // of a: forward computes a := a·Pᵀ and inverse computes a := a·P, where P is
 // the permutation with P·x = Laswp-forward(x). Used by the block-LU variant
 // (B1), whose Eliminate step is A_ik ← A_ik·A_kk⁻¹ = A_ik·U⁻¹·L⁻¹·P.
-func LaswpCols(a *mat.Matrix, piv []int, inverse bool) {
+func LaswpCols[T mat.Float](a *mat.Dense[T], piv []int, inverse bool) {
 	swapCols := func(c1, c2 int) {
 		if c1 == c2 {
 			return
@@ -257,28 +258,10 @@ func LaswpCols(a *mat.Matrix, piv []int, inverse bool) {
 	}
 }
 
-// LaswpVec applies the interchanges to a vector.
-func LaswpVec(x []float64, piv []int, inverse bool) {
-	swap := func(i, j int) { x[i], x[j] = x[j], x[i] }
-	if !inverse {
-		for k := 0; k < len(piv); k++ {
-			if piv[k] != k {
-				swap(k, piv[k])
-			}
-		}
-		return
-	}
-	for k := len(piv) - 1; k >= 0; k-- {
-		if piv[k] != k {
-			swap(k, piv[k])
-		}
-	}
-}
-
 // Getrs solves op(A)·X = B for a square A previously factored by Getrf,
 // overwriting b with the solution. For trans == NoTrans it performs
 // B ← U⁻¹·L⁻¹·P·B; for Trans, B ← Pᵀ·L⁻ᵀ·U⁻ᵀ·B.
-func Getrs(trans blas.Transpose, lu *mat.Matrix, piv []int, b *mat.Matrix) {
+func Getrs[T mat.Float](trans blas.Transpose, lu *mat.Dense[T], piv []int, b *mat.Dense[T]) {
 	if lu.Rows != lu.Cols {
 		panic(fmt.Sprintf("lapack: Getrs needs square LU, got %dx%d", lu.Rows, lu.Cols))
 	}

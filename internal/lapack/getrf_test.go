@@ -45,34 +45,69 @@ func reconstructLU(lu *mat.Matrix, piv []int) *mat.Matrix {
 	return prod
 }
 
-func TestGetrfReconstructsSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 3, 8, 17, 40} {
-		a := randMat(rng, n, n)
-		lu := a.Clone()
-		piv, err := Getrf(lu)
-		if err != nil {
-			t.Fatalf("n=%d: unexpected error %v", n, err)
-		}
-		back := reconstructLU(lu, piv)
-		if d := mat.MaxDiff(back, a); d > 1e-12*float64(n)*a.NormMax() {
-			t.Fatalf("n=%d: P⁻¹LU differs from A by %g", n, d)
-		}
+// unitRoundoff returns the unit roundoff u of T: 2⁻⁵³ for float64, 2⁻²⁴
+// for float32. Tolerances are written as multiples of it, so one test body
+// gates both precisions at their own resolution.
+func unitRoundoff[T mat.Float]() float64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return 0x1p-24
 	}
+	return 0x1p-53
+}
+
+// roundTo returns m rounded to T (an exact copy for float64).
+func roundTo[T mat.Float](m *mat.Matrix) *mat.Dense[T] {
+	r := &mat.Dense[T]{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: make([]T, m.Rows*m.Cols)}
+	r.RoundFrom(m)
+	return r
+}
+
+// widen returns the float64 values of m.
+func widen[T mat.Float](m *mat.Dense[T]) *mat.Matrix {
+	w := mat.New(m.Rows, m.Cols)
+	m.WidenInto(w)
+	return w
+}
+
+// randT returns a random r×c matrix of T (randMat's values, rounded).
+func randT[T mat.Float](rng *rand.Rand, r, c int) *mat.Dense[T] {
+	return roundTo[T](randMat(rng, r, c))
+}
+
+func TestGetrfReconstructsSquare(t *testing.T) {
+	testGetrfReconstructs[float64](t, 1, [][2]int{{1, 1}, {2, 2}, {3, 3}, {8, 8}, {17, 17}, {40, 40}})
 }
 
 func TestGetrfReconstructsTall(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][2]int{{5, 3}, {12, 4}, {40, 10}, {7, 7}} {
-		a := randMat(rng, dims[0], dims[1])
-		lu := a.Clone()
-		piv, err := Getrf(lu)
+	testGetrfReconstructs[float64](t, 2, [][2]int{{5, 3}, {12, 4}, {40, 10}, {7, 7}})
+}
+
+func TestGetrf32Reconstructs(t *testing.T) {
+	testGetrfReconstructs[float32](t, 41, [][2]int{{1, 1}, {5, 3}, {8, 8}, {13, 7}, {40, 40}, {64, 48}})
+}
+
+// testGetrfReconstructs factors random m×n tiles at T and checks P⁻¹·L·U of
+// the widened factor recovers A at T's resolution, with every pivot in
+// range.
+func testGetrfReconstructs[T mat.Float](t *testing.T, seed int64, dims [][2]int) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, d := range dims {
+		m, n := d[0], d[1]
+		a := randT[T](rng, m, n)
+		a0 := widen(a)
+		piv, err := Getrf(a)
 		if err != nil {
-			t.Fatalf("%v: unexpected error %v", dims, err)
+			t.Fatalf("%dx%d: unexpected error %v", m, n, err)
 		}
-		back := reconstructLU(lu, piv)
-		if d := mat.MaxDiff(back, a); d > 1e-12*float64(dims[0]) {
-			t.Fatalf("%v: reconstruction error %g", dims, d)
+		back := reconstructLU(widen(a), piv)
+		tol := 1024 * unitRoundoff[T]() * float64(n+1)
+		if diff := mat.MaxDiff(back, a0); diff > tol {
+			t.Fatalf("%dx%d: P⁻¹LU differs from A by %g > %g", m, n, diff, tol)
+		}
+		for k, p := range piv {
+			if p < k || p >= m {
+				t.Fatalf("%dx%d: pivot %d at step %d out of range", m, n, p, k)
+			}
 		}
 	}
 }
@@ -148,24 +183,6 @@ func TestLaswpRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLaswpVecMatchesMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 9
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	m := &mat.Matrix{Rows: n, Cols: 1, Stride: 1, Data: append([]float64(nil), x...)}
-	piv := []int{3, 1, 5, 3, 8, 5, 6, 7, 8}
-	LaswpVec(x, piv, false)
-	Laswp(m, piv, false)
-	for i := range x {
-		if x[i] != m.Data[i] {
-			t.Fatal("LaswpVec disagrees with Laswp")
-		}
 	}
 }
 

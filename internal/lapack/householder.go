@@ -15,14 +15,14 @@ import (
 //
 // x is overwritten with v and (beta, tau) are returned. H is orthogonal and
 // symmetric. When x is zero and alpha needs no change, tau = 0 and H = I.
-func Larfg(alpha float64, x []float64) (beta, tau float64) {
+func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) {
 	sigma := blas.Dot(x, x)
 	if sigma == 0 {
 		// H = I. (We do not flip the sign of a negative alpha; LAPACK keeps
 		// tau = 0 here as well.)
 		return alpha, 0
 	}
-	mu := math.Sqrt(alpha*alpha + sigma)
+	mu := T(math.Sqrt(float64(alpha*alpha + sigma)))
 	if alpha <= 0 {
 		beta = mu
 	} else {
@@ -38,10 +38,10 @@ func Larfg(alpha float64, x []float64) (beta, tau float64) {
 // holds V[:,0:j]ᵀ·v_j, it writes column j of T:
 //
 //	T(0:j, j) = −tau · T(0:j, 0:j) · w,   T(j, j) = tau.
-func larftColumn(t *mat.Matrix, j int, tau float64, w []float64) {
+func larftColumn[T mat.Float](t *mat.Dense[T], j int, tau T, w []T) {
 	// y = T(0:j,0:j) · w (T upper triangular).
 	for r := 0; r < j; r++ {
-		s := 0.0
+		var s T
 		row := t.Row(r)
 		for c := r; c < j; c++ {
 			s += row[c] * w[c]

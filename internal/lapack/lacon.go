@@ -20,7 +20,7 @@ func OneNormEst(n int, apply, applyT func(x []float64)) float64 {
 	if n == 0 {
 		return 0
 	}
-	buf := mat.GetBuf(4 * n)
+	buf := mat.GetBuf[float64](4 * n)
 	defer mat.PutBuf(buf)
 	x := buf.Data[0*n : 1*n]
 	y := buf.Data[1*n : 2*n]

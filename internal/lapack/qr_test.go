@@ -10,38 +10,49 @@ import (
 	"luqr/internal/mat"
 )
 
-func TestLarfgAnnihilates(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+func TestLarfgAnnihilates(t *testing.T) { testLarfgAnnihilates[float64](t, 1) }
+
+func TestLarfg32Annihilates(t *testing.T) { testLarfgAnnihilates[float32](t, 47) }
+
+// testLarfgAnnihilates applies the reflector Larfg generates at T, in
+// float64, to the original vector: it must give (beta, 0) at T's
+// resolution, with |beta| the vector's norm.
+func testLarfgAnnihilates[T mat.Float](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	tol := 16 * unitRoundoff[T]()
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(10)
-		alpha := rng.NormFloat64()
-		x := make([]float64, n)
+		alpha := T(rng.NormFloat64())
+		x := make([]T, n)
+		orig := []float64{float64(alpha)}
 		for i := range x {
-			x[i] = rng.NormFloat64()
+			x[i] = T(rng.NormFloat64())
+			orig = append(orig, float64(x[i]))
 		}
-		orig := append([]float64{alpha}, x...)
 		beta, tau := Larfg(alpha, x)
-		// Apply H = I − tau·v·vᵀ to the original vector: must give (beta, 0).
-		v := append([]float64{1}, x...)
+		v := []float64{1}
+		for _, xi := range x {
+			v = append(v, float64(xi))
+		}
 		s := 0.0
 		for i := range v {
 			s += v[i] * orig[i]
 		}
 		got := make([]float64, len(orig))
 		for i := range orig {
-			got[i] = orig[i] - tau*s*v[i]
+			got[i] = orig[i] - float64(tau)*s*v[i]
 		}
-		if math.Abs(got[0]-beta) > 1e-12*(1+math.Abs(beta)) {
+		scale := 1 + math.Abs(float64(beta))
+		if math.Abs(got[0]-float64(beta)) > tol*scale {
 			t.Fatalf("H·x head = %g, want beta = %g", got[0], beta)
 		}
 		for i := 1; i < len(got); i++ {
-			if math.Abs(got[i]) > 1e-12*(1+math.Abs(beta)) {
+			if math.Abs(got[i]) > tol*scale {
 				t.Fatalf("H·x tail not annihilated: %g at %d", got[i], i)
 			}
 		}
-		// Norm preservation: |beta| = ‖(alpha, x)‖₂.
 		if tau != 0 {
-			if d := math.Abs(math.Abs(beta) - mat.VecNorm2(orig)); d > 1e-12*(1+math.Abs(beta)) {
+			if d := math.Abs(math.Abs(float64(beta)) - mat.VecNorm2(orig)); d > tol*scale {
 				t.Fatalf("beta magnitude off by %g", d)
 			}
 		}
@@ -70,29 +81,58 @@ func orthoError(q *mat.Matrix) float64 {
 	return mat.MaxDiff(qtq, mat.Identity(n))
 }
 
-func TestGeqrtFactorization(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][2]int{{1, 1}, {3, 3}, {8, 8}, {16, 16}, {20, 12}, {40, 40}} {
-		m, n := dims[0], dims[1]
-		a0 := randMat(rng, m, n)
-		a := a0.Clone()
-		tt := mat.New(n, n)
-		Geqrt(a, tt)
-		// R upper triangular is in the upper triangle of a.
-		r := mat.New(m, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				r.Set(i, j, a.At(i, j))
+// upperOf returns a dense copy of the upper triangle of the leading
+// min(r,c) rows of m, zeros elsewhere — the R factor a QR kernel leaves in
+// a tile that also stores V below the diagonal.
+func upperOf(m *mat.Matrix) *mat.Matrix {
+	u := mat.New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for j := i; j < m.Cols; j++ {
+			u.Set(i, j, m.At(i, j))
+		}
+	}
+	return u
+}
+
+// strictLowerOf snapshots the strictly lower triangle (the storage QR tile
+// kernels must never touch).
+func strictLowerOf(m *mat.Matrix) *mat.Matrix {
+	l := mat.New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < i && j < m.Cols; j++ {
+			l.Set(i, j, m.At(i, j))
+		}
+	}
+	return l
+}
+
+func TestGeqrtFactorization(t *testing.T) { testGeqrtFactorization[float64](t, 2) }
+
+func TestGeqrt32Reconstructs(t *testing.T) { testGeqrtFactorization[float32](t, 43) }
+
+// testGeqrtFactorization factors tiles at T (unblocked and blocked inner
+// paths) and replays the widened factor through the float64 Unmqr: Q must
+// be orthogonal and Q·R must recover A at T's resolution — the V/T
+// contract the serialized-factor replay relies on at either precision.
+func testGeqrtFactorization[T mat.Float](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	u := unitRoundoff[T]()
+	for _, d := range [][2]int{{1, 1}, {3, 3}, {4, 4}, {8, 8}, {13, 7}, {16, 16}, {20, 12}, {40, 40}, {48, 33}} {
+		m, n := d[0], d[1]
+		for _, ib := range []int{0, 4} {
+			a := randT[T](rng, m, n)
+			a0 := widen(a)
+			tf := roundTo[T](mat.New(n, n))
+			GeqrtIB(a, tf, ib)
+			v, tw := widen(a), widen(tf)
+			if e := orthoError(explicitQ(v, tw)); e > 256*u*float64(m) {
+				t.Fatalf("%dx%d ib=%d: Q not orthogonal: %g", m, n, ib, e)
 			}
-		}
-		q := explicitQ(a, tt)
-		if e := orthoError(q); e > 1e-12*float64(m) {
-			t.Fatalf("%v: Q not orthogonal: %g", dims, e)
-		}
-		qr := mat.New(m, n)
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q, r, 0, qr)
-		if d := mat.MaxDiff(qr, a0); d > 1e-11*float64(m) {
-			t.Fatalf("%v: Q·R differs from A by %g", dims, d)
+			c := upperOf(v)
+			Unmqr(blas.NoTrans, v, tw, c)
+			if diff := mat.MaxDiff(c, a0); diff > 1024*u*float64(m) {
+				t.Fatalf("%dx%d ib=%d: Q·R differs from A by %g", m, n, ib, diff)
+			}
 		}
 	}
 }
@@ -138,53 +178,39 @@ func TestUnmqrTransTriangularizesA(t *testing.T) {
 	}
 }
 
-func TestTsqrtFactorization(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, nb := range []int{1, 2, 5, 8, 16} {
-		m := nb // square lower tile, as in the tiled algorithm
-		// Top tile: R from a previous Geqrt — only upper triangle valid;
-		// fill the strictly lower part with junk that must be preserved.
-		rTile := mat.New(nb, nb)
-		for i := 0; i < nb; i++ {
-			for j := 0; j < nb; j++ {
-				if j >= i {
-					rTile.Set(i, j, rng.NormFloat64())
-				} else {
-					rTile.Set(i, j, 777) // sentinel junk
-				}
+func TestTsqrtFactorization(t *testing.T) { testTsqrtFactorization[float64](t, 4) }
+
+func TestTsqrt32Reconstructs(t *testing.T) { testTsqrtFactorization[float32](t, 44) }
+
+// testTsqrtFactorization factors a triangle-on-square stack at T (unblocked
+// and blocked inner paths), checks R's strictly lower storage (V data from
+// an earlier factorization) is untouched, and replays the widened factor
+// through the float64 Tsmqr: Q·[R1; 0] must recover [R0; A0].
+func testTsqrtFactorization[T mat.Float](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, d := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {8, 8}, {13, 13}, {16, 16}, {33, 20}, {40, 40}} {
+		n, m := d[0], d[1]
+		for _, ib := range []int{0, 4} {
+			r := randT[T](rng, n, n)
+			a := randT[T](rng, m, n)
+			r0 := widen(r)
+			a0 := widen(a)
+			tf := roundTo[T](mat.New(n, n))
+			TsqrtIB(r, a, tf, ib)
+			r1 := widen(r)
+			if !mat.Equal(strictLowerOf(r1), strictLowerOf(r0)) {
+				t.Fatalf("n=%d m=%d ib=%d: touched R's strictly lower storage", n, m, ib)
 			}
-		}
-		aTile := randMat(rng, m, nb)
-		r0 := rTile.Clone()
-		a0 := aTile.Clone()
-		tt := mat.New(nb, nb)
-		Tsqrt(rTile, aTile, tt)
-		// Junk below R's diagonal must be untouched.
-		for i := 0; i < nb; i++ {
-			for j := 0; j < i; j++ {
-				if rTile.At(i, j) != 777 {
-					t.Fatalf("nb=%d: Tsqrt touched lower part of R at (%d,%d)", nb, i, j)
-				}
+			c1 := upperOf(r1)
+			c2 := mat.New(m, n)
+			Tsmqr(blas.NoTrans, widen(a), widen(tf), c1, c2)
+			tol := 1024 * unitRoundoff[T]() * float64(n+m)
+			if diff := mat.MaxDiff(c1, upperOf(r0)); diff > tol {
+				t.Fatalf("n=%d m=%d ib=%d: R block off by %g > %g", n, m, ib, diff, tol)
 			}
-		}
-		// Qᵀ·[R0; A0] must equal [R1; 0]. Apply via Tsmqr column block.
-		c1 := mat.New(nb, nb)
-		for i := 0; i < nb; i++ {
-			for j := i; j < nb; j++ {
-				c1.Set(i, j, r0.At(i, j))
+			if diff := mat.MaxDiff(c2, a0); diff > tol {
+				t.Fatalf("n=%d m=%d ib=%d: A block off by %g > %g", n, m, ib, diff, tol)
 			}
-		}
-		c2 := a0.Clone()
-		Tsmqr(blas.Trans, aTile, tt, c1, c2)
-		for i := 0; i < nb; i++ {
-			for j := i; j < nb; j++ {
-				if math.Abs(c1.At(i, j)-rTile.At(i, j)) > 1e-11*float64(nb) {
-					t.Fatalf("nb=%d: R1 mismatch at (%d,%d)", nb, i, j)
-				}
-			}
-		}
-		if c2.NormMax() > 1e-11*float64(nb)*(1+a0.NormMax()) {
-			t.Fatalf("nb=%d: lower tile not annihilated: %g", nb, c2.NormMax())
 		}
 	}
 }
@@ -222,51 +248,39 @@ func TestTsmqrOrthogonality(t *testing.T) {
 	}
 }
 
-func TestTtqrtFactorization(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, nb := range []int{1, 2, 4, 9, 16} {
-		mkTri := func() *mat.Matrix {
-			m := mat.New(nb, nb)
-			for i := 0; i < nb; i++ {
-				for j := 0; j < nb; j++ {
-					if j >= i {
-						m.Set(i, j, rng.NormFloat64())
-					} else {
-						m.Set(i, j, 555) // junk that must survive
-					}
-				}
+func TestTtqrtFactorization(t *testing.T) { testTtqrtFactorization[float64](t, 5) }
+
+func TestTtqrt32Reconstructs(t *testing.T) { testTtqrtFactorization[float32](t, 45) }
+
+// testTtqrtFactorization factors a triangle-on-triangle stack at T
+// (unblocked and blocked inner paths), checks both tiles' strictly lower
+// storage is untouched, and replays the widened factor through the float64
+// Ttmqr: Q·[R1; 0] must recover the two original upper triangles.
+func testTtqrtFactorization[T mat.Float](t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range []int{1, 2, 4, 5, 9, 13, 16, 40} {
+		for _, ib := range []int{0, 4} {
+			r1 := randT[T](rng, n, n)
+			r2 := randT[T](rng, n, n)
+			r1w, r2w := widen(r1), widen(r2)
+			r1u0, r2u0 := upperOf(r1w), upperOf(r2w)
+			r1low, r2low := strictLowerOf(r1w), strictLowerOf(r2w)
+			tf := roundTo[T](mat.New(n, n))
+			TtqrtIB(r1, r2, tf, ib)
+			r1w, r2w = widen(r1), widen(r2)
+			if !mat.Equal(strictLowerOf(r1w), r1low) || !mat.Equal(strictLowerOf(r2w), r2low) {
+				t.Fatalf("n=%d ib=%d: touched strictly lower storage", n, ib)
 			}
-			return m
-		}
-		r1, r2 := mkTri(), mkTri()
-		r1o, r2o := r1.Clone(), r2.Clone()
-		tt := mat.New(nb, nb)
-		Ttqrt(r1, r2, tt)
-		for i := 0; i < nb; i++ {
-			for j := 0; j < i; j++ {
-				if r1.At(i, j) != 555 || r2.At(i, j) != 555 {
-					t.Fatalf("nb=%d: Ttqrt touched a lower triangle", nb)
-				}
+			c1 := upperOf(r1w)
+			c2 := mat.New(n, n)
+			Ttmqr(blas.NoTrans, r2w, widen(tf), c1, c2)
+			tol := 1024 * unitRoundoff[T]() * float64(2*n)
+			if diff := mat.MaxDiff(c1, r1u0); diff > tol {
+				t.Fatalf("n=%d ib=%d: R1 off by %g > %g", n, ib, diff, tol)
 			}
-		}
-		// Qᵀ·[R1o; R2o] = [R1new; 0] (upper triangles only).
-		c1, c2 := mat.New(nb, nb), mat.New(nb, nb)
-		for i := 0; i < nb; i++ {
-			for j := i; j < nb; j++ {
-				c1.Set(i, j, r1o.At(i, j))
-				c2.Set(i, j, r2o.At(i, j))
+			if diff := mat.MaxDiff(c2, r2u0); diff > tol {
+				t.Fatalf("n=%d ib=%d: R2 off by %g > %g", n, ib, diff, tol)
 			}
-		}
-		Ttmqr(blas.Trans, r2, tt, c1, c2)
-		for i := 0; i < nb; i++ {
-			for j := i; j < nb; j++ {
-				if math.Abs(c1.At(i, j)-r1.At(i, j)) > 1e-11*float64(nb) {
-					t.Fatalf("nb=%d: merged R mismatch at (%d,%d)", nb, i, j)
-				}
-			}
-		}
-		if c2.NormMax() > 1e-11*float64(nb)*(1+r2o.NormMax()) {
-			t.Fatalf("nb=%d: second triangle not annihilated: %g", nb, c2.NormMax())
 		}
 	}
 }

@@ -23,12 +23,12 @@ import (
 // merged into the full factor by the dlarft recurrence. The identity blocks
 // of successive strips occupy disjoint rows, so the cross-Gram V1ᵀ·V2
 // reduces to a single GEMM over A's columns.
-func Tsqrt(r, a, t *mat.Matrix) { TsqrtIB(r, a, t, PanelIB()) }
+func Tsqrt[T mat.Float](r, a, t *mat.Dense[T]) { TsqrtIB(r, a, t, PanelIB()) }
 
 // TsqrtIB is Tsqrt with an explicit inner block size, so concurrent
 // factorizations with different tuned operating points never share (or
 // race on) the process-global knob; ib <= 0 falls back to PanelIB().
-func TsqrtIB(r, a, t *mat.Matrix, ib int) {
+func TsqrtIB[T mat.Float](r, a, t *mat.Dense[T], ib int) {
 	n := r.Cols
 	m := a.Rows
 	if r.Rows != n {
@@ -62,7 +62,7 @@ func TsqrtIB(r, a, t *mat.Matrix, ib int) {
 		if j0 > 0 {
 			// V1ᵀ·V2: the stacked identity parts live in disjoint row
 			// ranges of the R block, so only A's columns overlap.
-			y, ybuf := mat.GetMatrix(j0, bs)
+			y, ybuf := mat.GetMatrix[T](j0, bs)
 			blas.Gemm(blas.Trans, blas.NoTrans, 1, a.View(0, 0, m, j0), v2, 0, y)
 			larftMerge(t, j0, bs, y)
 			mat.PutBuf(ybuf)
@@ -72,10 +72,10 @@ func TsqrtIB(r, a, t *mat.Matrix, ib int) {
 
 // tsqrtUnblocked is the classical column-by-column TS leaf on an
 // (bs + m)-row stacked panel: r is bs×bs upper triangular, a is m×bs.
-func tsqrtUnblocked(r, a, t *mat.Matrix) {
+func tsqrtUnblocked[T mat.Float](r, a, t *mat.Dense[T]) {
 	n := r.Cols
 	m := a.Rows
-	buf := mat.GetBuf(m + n)
+	buf := mat.GetBuf[T](m + n)
 	defer mat.PutBuf(buf)
 	x := buf.Data[:m]
 	w := buf.Data[m:]
@@ -128,7 +128,7 @@ func tsqrtUnblocked(r, a, t *mat.Matrix) {
 //
 // computing [C1; C2] ← op(Q)·[C1; C2] with Q = I − V·T·Vᵀ, V = [I; V2].
 // v2 is the A output of Tsqrt, t its T factor.
-func Tsmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
+func Tsmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	m, n := v2.Rows, v2.Cols
 	if c1.Rows != n || c2.Rows != m || c1.Cols != c2.Cols {
 		panic(fmt.Sprintf("lapack: Tsmqr shape mismatch V2=%dx%d C1=%dx%d C2=%dx%d",
@@ -137,7 +137,7 @@ func Tsmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 	k := c1.Cols
 	// W = C1 + V2ᵀ·C2. CopyFrom overwrites every row, so the pooled buffer
 	// needs no zeroing.
-	w, wbuf := mat.GetMatrix(n, k)
+	w, wbuf := mat.GetMatrix[T](n, k)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c1)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)

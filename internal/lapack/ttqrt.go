@@ -23,12 +23,12 @@ import (
 // on the diagonal block) is factored by the unblocked leaf, the trailing
 // columns receive the strip's block reflector through TRMM/GEMM, and the
 // strip's T is merged by the dlarft recurrence.
-func Ttqrt(r1, r2, t *mat.Matrix) { TtqrtIB(r1, r2, t, PanelIB()) }
+func Ttqrt[T mat.Float](r1, r2, t *mat.Dense[T]) { TtqrtIB(r1, r2, t, PanelIB()) }
 
 // TtqrtIB is Ttqrt with an explicit inner block size, so concurrent
 // factorizations with different tuned operating points never share (or
 // race on) the process-global knob; ib <= 0 falls back to PanelIB().
-func TtqrtIB(r1, r2, t *mat.Matrix, ib int) {
+func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 	n := r1.Cols
 	if r1.Rows != n || r2.Rows != n || r2.Cols != n {
 		panic(fmt.Sprintf("lapack: Ttqrt needs square tiles, got %dx%d and %dx%d",
@@ -59,7 +59,7 @@ func TtqrtIB(r1, r2, t *mat.Matrix, ib int) {
 			// Cross-Gram V1ᵀ·V2: V1 (the previous columns of V2-space) is
 			// zero below row j0, so only D overlaps — and V1's nonzero part
 			// is the upper triangle r2[0:j0, 0:j0).
-			y, ybuf := mat.GetMatrix(j0, bs)
+			y, ybuf := mat.GetMatrix[T](j0, bs)
 			y.CopyFrom(r2.View(0, j0, j0, bs))
 			blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, r2.View(0, 0, j0, j0), y)
 			larftMerge(t, j0, bs, y)
@@ -73,18 +73,18 @@ func TtqrtIB(r1, r2, t *mat.Matrix, ib int) {
 // rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2. The V2 trapezoid splits
 // into its dense top D (GEMM) and triangular diagonal block (TRMM on a
 // copy), keeping R2's strictly-lower storage untouched.
-func ttqrtApply(r1, r2, tb *mat.Matrix, j0, bs, rest int) {
+func ttqrtApply[T mat.Float](r1, r2, tb *mat.Dense[T], j0, bs, rest int) {
 	c1 := r1.View(j0, j0+bs, bs, rest)
 	tri := r2.View(j0, j0, bs, bs)
 	c2bot := r2.View(j0, j0+bs, bs, rest)
 	// W = C1 + Dᵀ·C2top + Triᵀ·C2bot.
-	w, wbuf := mat.GetMatrix(bs, rest)
+	w, wbuf := mat.GetMatrix[T](bs, rest)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c1)
 	if j0 > 0 {
 		blas.Gemm(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
 	}
-	wt, wtbuf := mat.GetMatrix(bs, rest)
+	wt, wtbuf := mat.GetMatrix[T](bs, rest)
 	defer mat.PutBuf(wtbuf)
 	wt.CopyFrom(c2bot)
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, wt)
@@ -106,9 +106,9 @@ func ttqrtApply(r1, r2, tb *mat.Matrix, j0, bs, rest int) {
 // local column j's vector part occupies rows 0..off+j (dense above row
 // off, triangular within the diagonal block). off == 0 recovers the
 // classical square case.
-func ttqrtUnblocked(r1, r2, t *mat.Matrix, off int) {
+func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
 	n := r1.Cols
-	buf := mat.GetBuf(2*n + off)
+	buf := mat.GetBuf[T](2*n + off)
 	defer mat.PutBuf(buf)
 	x := buf.Data[: n+off : n+off]
 	w := buf.Data[n+off:]
@@ -169,7 +169,7 @@ func ttqrtUnblocked(r1, r2, t *mat.Matrix, off int) {
 // v2 holds V2 in its upper triangle (lower part ignored), t the T factor.
 // The three multiplications by the triangular V2 and T run through the
 // blocked TRMM path (on copies, since TRMM works in place).
-func Ttmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
+func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {
 		panic(fmt.Sprintf("lapack: Ttmqr shape mismatch V2=%dx%d C1=%dx%d C2=%dx%d",
@@ -177,7 +177,7 @@ func Ttmqr(trans blas.Transpose, v2, t, c1, c2 *mat.Matrix) {
 	}
 	k := c1.Cols
 	// W = C1 + V2ᵀ·C2, reading only V2's upper triangle.
-	w, wbuf := mat.GetMatrix(n, k)
+	w, wbuf := mat.GetMatrix[T](n, k)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c2)
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)

@@ -14,7 +14,7 @@ import (
 //
 // with Q = I − V·T·Vᵀ. c must have v.Rows columns. Used by the block-LU
 // variant (B2), whose Eliminate step is A_ik ← A_ik·A_kk⁻¹ = (A_ik·R⁻¹)·Qᵀ.
-func UnmqrRight(trans blas.Transpose, v, t, c *mat.Matrix) {
+func UnmqrRight[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 	m, n := v.Rows, v.Cols
 	if c.Cols != m {
 		panic(fmt.Sprintf("lapack: UnmqrRight shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
@@ -23,7 +23,7 @@ func UnmqrRight(trans blas.Transpose, v, t, c *mat.Matrix) {
 	// W = C·V (k×n), exploiting V's unit lower trapezoidal structure:
 	// W[:, j] = C[:, j] + Σ_{r>j} C[:, r]·v(r, j). Every row is fully
 	// written (copy then accumulate), so the pooled buffer is safe unzeroed.
-	w, wbuf := mat.GetMatrix(k, n)
+	w, wbuf := mat.GetMatrix[T](k, n)
 	defer mat.PutBuf(wbuf)
 	for r := 0; r < k; r++ {
 		crow := c.Row(r)
@@ -63,7 +63,7 @@ func UnmqrRight(trans blas.Transpose, v, t, c *mat.Matrix) {
 			if hi > n {
 				hi = n
 			}
-			s := 0.0
+			var s T
 			for j := 0; j < hi; j++ {
 				s += wrow[j] * vrow[j]
 			}

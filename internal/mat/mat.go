@@ -1,6 +1,6 @@
 // Package mat provides the dense matrix core used by every other package in
-// the solver: a row-major float64 matrix type with views, copies, norms and
-// residual helpers.
+// the solver: a row-major matrix type, generic over the two precisions the
+// solver computes in, with views, copies, norms and residual helpers.
 //
 // The representation is deliberately minimal — a (rows, cols, stride, data)
 // quadruple — so that tiles, panels and stacked panels can all alias the same
@@ -15,23 +15,35 @@ import (
 	"strings"
 )
 
-// Matrix is a dense row-major matrix view. Element (i, j) lives at
-// Data[i*Stride+j]. A Matrix may be a view into a larger allocation, so
+// Float is the element-type constraint of Dense: the solver computes in
+// float64, and the mixed-precision path in float32.
+type Float interface {
+	float32 | float64
+}
+
+// Dense is a dense row-major matrix view. Element (i, j) lives at
+// Data[i*Stride+j]. A Dense may be a view into a larger allocation, so
 // len(Data) can exceed Rows*Stride; mutating a view mutates the parent.
-type Matrix struct {
+type Dense[T Float] struct {
 	Rows   int
 	Cols   int
 	Stride int
-	Data   []float64
+	Data   []T
 }
 
-// New allocates a zeroed rows×cols matrix with a tight stride.
-func New(rows, cols int) *Matrix {
+// Matrix is the float64 matrix every layer of the solver stores.
+type Matrix = Dense[float64]
+
+// newDense allocates a zeroed rows×cols matrix with a tight stride.
+func newDense[T Float](rows, cols int) *Dense[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float64, rows*cols)}
+	return &Dense[T]{Rows: rows, Cols: cols, Stride: cols, Data: make([]T, rows*cols)}
 }
+
+// New allocates a zeroed rows×cols float64 matrix with a tight stride.
+func New(rows, cols int) *Matrix { return newDense[float64](rows, cols) }
 
 // FromSlice builds a rows×cols matrix backed by a copy of data, which must
 // hold exactly rows*cols elements in row-major order.
@@ -55,7 +67,7 @@ func Identity(n int) *Matrix {
 
 // At returns element (i, j). Bounds are checked by the slice access in the
 // common case; explicit checks are reserved for Set/At in debug helpers.
-func (m *Matrix) At(i, j int) float64 {
+func (m *Dense[T]) At(i, j int) T {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("mat: At(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
 	}
@@ -63,7 +75,7 @@ func (m *Matrix) At(i, j int) float64 {
 }
 
 // Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) {
+func (m *Dense[T]) Set(i, j int, v T) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("mat: Set(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
 	}
@@ -72,11 +84,11 @@ func (m *Matrix) Set(i, j int, v float64) {
 
 // View returns a sub-matrix view of size rows×cols starting at (i, j). The
 // view shares storage with m.
-func (m *Matrix) View(i, j, rows, cols int) *Matrix {
+func (m *Dense[T]) View(i, j, rows, cols int) *Dense[T] {
 	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
 		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of range %dx%d", i, j, rows, cols, m.Rows, m.Cols))
 	}
-	return &Matrix{
+	return &Dense[T]{
 		Rows:   rows,
 		Cols:   cols,
 		Stride: m.Stride,
@@ -85,7 +97,7 @@ func (m *Matrix) View(i, j, rows, cols int) *Matrix {
 }
 
 // Row returns row i as a length-Cols slice aliasing m's storage.
-func (m *Matrix) Row(i int) []float64 {
+func (m *Dense[T]) Row(i int) []T {
 	if i < 0 || i >= m.Rows {
 		panic(fmt.Sprintf("mat: Row(%d) out of range %d", i, m.Rows))
 	}
@@ -93,8 +105,8 @@ func (m *Matrix) Row(i int) []float64 {
 }
 
 // Clone returns a deep copy of m with a tight stride.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	c := newDense[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		copy(c.Row(i), m.Row(i))
 	}
@@ -102,7 +114,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // CopyFrom overwrites m with src. Shapes must match exactly.
-func (m *Matrix) CopyFrom(src *Matrix) {
+func (m *Dense[T]) CopyFrom(src *Dense[T]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
@@ -112,7 +124,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero clears every element of m (only the viewed region).
-func (m *Matrix) Zero() {
+func (m *Dense[T]) Zero() {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -122,7 +134,7 @@ func (m *Matrix) Zero() {
 }
 
 // Fill sets every element of m to v.
-func (m *Matrix) Fill(v float64) {
+func (m *Dense[T]) Fill(v T) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -132,8 +144,8 @@ func (m *Matrix) Fill(v float64) {
 }
 
 // T returns a newly allocated transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
+func (m *Dense[T]) T() *Dense[T] {
+	t := newDense[T](m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -144,14 +156,14 @@ func (m *Matrix) T() *Matrix {
 }
 
 // Equal reports whether a and b have the same shape and identical elements.
-func Equal(a, b *Matrix) bool {
+func Equal[T Float](a, b *Dense[T]) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := 0; i < a.Rows; i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for j := range ra {
-			if ra[j] != rb[j] && !(math.IsNaN(ra[j]) && math.IsNaN(rb[j])) {
+			if ra[j] != rb[j] && !(ra[j] != ra[j] && rb[j] != rb[j]) { // NaN equals NaN
 				return false
 			}
 		}
@@ -159,8 +171,9 @@ func Equal(a, b *Matrix) bool {
 	return true
 }
 
-// MaxDiff returns max_{i,j} |a(i,j) − b(i,j)|. Shapes must match.
-func MaxDiff(a, b *Matrix) float64 {
+// MaxDiff returns max_{i,j} |a(i,j) − b(i,j)| over the widened values.
+// Shapes must match.
+func MaxDiff[T Float](a, b *Dense[T]) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MaxDiff shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -168,7 +181,7 @@ func MaxDiff(a, b *Matrix) float64 {
 	for i := 0; i < a.Rows; i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for j := range ra {
-			if v := math.Abs(ra[j] - rb[j]); v > d {
+			if v := math.Abs(float64(ra[j]) - float64(rb[j])); v > d {
 				d = v
 			}
 		}
@@ -176,16 +189,17 @@ func MaxDiff(a, b *Matrix) float64 {
 	return d
 }
 
-// Norm1 returns the induced 1-norm (maximum absolute column sum). A NaN
-// entry yields NaN: the column sums propagate it, and the final max must not
+// Norm1 returns the induced 1-norm (maximum absolute column sum), summed
+// over the widened values so a float32 image and its float64 tile report
+// the same norm. A NaN entry yields NaN: the column sums propagate it, and the final max must not
 // drop it through a `>` comparison — the robustness criteria rely on NaN
 // surviving into the tile norms to force a QR step on a poisoned panel.
-func (m *Matrix) Norm1() float64 {
+func (m *Dense[T]) Norm1() float64 {
 	sums := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
-			sums[j] += math.Abs(v)
+			sums[j] += math.Abs(float64(v))
 		}
 	}
 	max := 0.0
@@ -201,12 +215,12 @@ func (m *Matrix) Norm1() float64 {
 }
 
 // NormInf returns the induced ∞-norm (maximum absolute row sum).
-func (m *Matrix) NormInf() float64 {
+func (m *Dense[T]) NormInf() float64 {
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		for _, v := range m.Row(i) {
-			s += math.Abs(v)
+			s += math.Abs(float64(v))
 		}
 		if s > max {
 			max = s
@@ -216,24 +230,24 @@ func (m *Matrix) NormInf() float64 {
 }
 
 // NormFro returns the Frobenius norm.
-func (m *Matrix) NormFro() float64 {
+func (m *Dense[T]) NormFro() float64 {
 	// Two-pass scaling is unnecessary at the magnitudes used here; keep the
 	// straightforward accumulation.
 	s := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			s += v * v
+			s += float64(v) * float64(v)
 		}
 	}
 	return math.Sqrt(s)
 }
 
 // NormMax returns max |a_ij| (not an induced norm).
-func (m *Matrix) NormMax() float64 {
+func (m *Dense[T]) NormMax() float64 {
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > max {
+			if a := math.Abs(float64(v)); a > max {
 				max = a
 			}
 		}
@@ -244,13 +258,13 @@ func (m *Matrix) NormMax() float64 {
 // ColAbsMax returns max_i |a(i,j)| for column j, propagating NaN (see
 // Norm1): the per-column maxima feed the MUMPS criterion, which must see a
 // poisoned column rather than the max of its finite entries.
-func (m *Matrix) ColAbsMax(j int) float64 {
+func (m *Dense[T]) ColAbsMax(j int) float64 {
 	if j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("mat: ColAbsMax(%d) out of range %d", j, m.Cols))
 	}
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
-		a := math.Abs(m.Data[i*m.Stride+j])
+		a := math.Abs(float64(m.Data[i*m.Stride+j]))
 		if math.IsNaN(a) {
 			return a
 		}
@@ -262,7 +276,7 @@ func (m *Matrix) ColAbsMax(j int) float64 {
 }
 
 // SwapRows exchanges rows i and j in place.
-func (m *Matrix) SwapRows(i, j int) {
+func (m *Dense[T]) SwapRows(i, j int) {
 	if i == j {
 		return
 	}
@@ -273,10 +287,10 @@ func (m *Matrix) SwapRows(i, j int) {
 }
 
 // IsFinite reports whether every element is finite (no NaN or ±Inf).
-func (m *Matrix) IsFinite() bool {
+func (m *Dense[T]) IsFinite() bool {
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 				return false
 			}
 		}
@@ -285,7 +299,7 @@ func (m *Matrix) IsFinite() bool {
 }
 
 // String renders the matrix for debugging; large matrices are elided.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	const maxShow = 8
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix %dx%d", m.Rows, m.Cols)

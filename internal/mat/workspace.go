@@ -2,11 +2,11 @@ package mat
 
 import "sync"
 
-// Workspace management: a size-classed sync.Pool arena for the float64
-// scratch buffers every kernel call needs (GEMM pack panels, Householder
-// work vectors, stacked-panel copies). The factorization engine executes
-// O(nt³) kernel tasks; without pooling, each task performs several
-// make([]float64, …) calls and the allocator + GC become a measurable part
+// Workspace management: a size-classed sync.Pool arena for the scratch
+// buffers every kernel call needs (GEMM pack panels, Householder work
+// vectors, stacked-panel copies), at either element type. The factorization
+// engine executes O(nt³) kernel tasks; without pooling, each task performs
+// several make([]T, …) calls and the allocator + GC become a measurable part
 // of the critical path. With the arena, steady-state kernel calls perform
 // zero heap allocations.
 //
@@ -20,32 +20,37 @@ import "sync"
 //   - PutBuf(nil) is a no-op so error paths stay simple.
 
 // wsClasses are power-of-two size classes from 1<<wsMinBits to
-// 1<<(wsMinBits+wsClasses-1) float64s (64 … 4M floats, i.e. 512 B … 32 MiB).
-// Requests above the largest class fall back to plain allocation.
+// 1<<(wsMinBits+wsClasses-1) elements (64 … 4M, i.e. up to 32 MiB of
+// float64). Requests above the largest class fall back to plain allocation.
 const (
 	wsMinBits = 6
 	wsClasses = 17
 )
 
-// Buf is a pooled float64 scratch buffer. Data has exactly the requested
-// length; its backing array is the size-class capacity.
-type Buf struct {
-	Data  []float64
-	class int // pool index, or -1 for an unpooled (oversized) buffer
+// Buf is a pooled scratch buffer. Data has exactly the requested length;
+// its backing array is the size-class capacity.
+type Buf[T Float] struct {
+	Data []T
+	pool *sync.Pool // the size class's pool, nil for an unpooled (oversized) buffer
 }
 
-var wsPools [wsClasses]sync.Pool
+// arena is the size-classed pool of one element type.
+type arena[T Float] [wsClasses]sync.Pool
 
-func init() {
-	for c := range wsPools {
-		c := c
-		wsPools[c].New = func() any {
-			return &Buf{Data: make([]float64, 1<<(wsMinBits+c)), class: c}
-		}
+var (
+	arena64 arena[float64]
+	arena32 arena[float32]
+)
+
+// arenaFor returns the pool of element type T.
+func arenaFor[T Float]() *arena[T] {
+	if a, ok := any(&arena64).(*arena[T]); ok {
+		return a
 	}
+	return any(&arena32).(*arena[T])
 }
 
-// classFor returns the smallest size class holding n float64s, or -1 when n
+// classFor returns the smallest size class holding n elements, or -1 when n
 // exceeds every class.
 func classFor(n int) int {
 	for c := 0; c < wsClasses; c++ {
@@ -57,50 +62,45 @@ func classFor(n int) int {
 }
 
 // GetBuf returns a buffer with len(Data) == n. Contents are unspecified.
-func GetBuf(n int) *Buf {
+func GetBuf[T Float](n int) *Buf[T] {
 	if n < 0 {
 		panic("mat: GetBuf with negative size")
 	}
 	c := classFor(n)
 	if c < 0 {
-		return &Buf{Data: make([]float64, n), class: -1}
+		return &Buf[T]{Data: make([]T, n)}
 	}
-	b := wsPools[c].Get().(*Buf)
+	pool := &arenaFor[T]()[c]
+	b, ok := pool.Get().(*Buf[T])
+	if !ok {
+		b = &Buf[T]{Data: make([]T, 1<<(wsMinBits+c)), pool: pool}
+	}
 	b.Data = b.Data[:cap(b.Data)][:n]
 	return b
 }
 
-// GetBufZero returns a zeroed buffer with len(Data) == n.
-func GetBufZero(n int) *Buf {
-	b := GetBuf(n)
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
-	return b
-}
-
 // PutBuf returns a buffer to its pool. The caller must not use b (or any
-// Matrix view created from it) afterwards. PutBuf(nil) is a no-op.
-func PutBuf(b *Buf) {
-	if b == nil || b.class < 0 {
+// Dense view created from it) afterwards. PutBuf(nil) is a no-op.
+func PutBuf[T Float](b *Buf[T]) {
+	if b == nil || b.pool == nil {
 		return
 	}
-	wsPools[b.class].Put(b)
+	b.pool.Put(b)
 }
 
 // Matrix views the first rows·cols elements of the buffer as a rows×cols
 // row-major matrix with tight stride. The view aliases b.Data; it dies with
 // the buffer at PutBuf. Contents are unspecified (call Zero if needed).
-func (b *Buf) Matrix(rows, cols int) *Matrix {
+func (b *Buf[T]) Matrix(rows, cols int) *Dense[T] {
 	if rows < 0 || cols < 0 || rows*cols > len(b.Data) {
 		panic("mat: Buf.Matrix view larger than buffer")
 	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: b.Data[:rows*cols]}
+	return &Dense[T]{Rows: rows, Cols: cols, Stride: cols, Data: b.Data[:rows*cols]}
 }
 
 // GetMatrix returns a rows×cols matrix backed by a pooled buffer, plus the
 // buffer to PutBuf when done. Contents are unspecified.
-func GetMatrix(rows, cols int) (*Matrix, *Buf) {
-	b := GetBuf(rows * cols)
+func GetMatrix[T Float](rows, cols int) (*Dense[T], *Buf[T]) {
+	b := GetBuf[T](rows * cols)
 	return b.Matrix(rows, cols), b
 }

@@ -214,6 +214,10 @@ func TestStoreByteCapEvicts(t *testing.T) {
 	if _, _, _, _, err := m.Solve(context.Background(), p1, rhs); err != nil {
 		t.Fatal(err)
 	}
+	// Spills are asynchronous and the store ranks a spill by when its write
+	// lands (as a restart does, from file mtimes): let p1's land first so
+	// it is the colder of the two.
+	m.cache.waitSpills()
 	if _, _, _, _, err := m.Solve(context.Background(), p2, rhs); err != nil {
 		t.Fatal(err)
 	}
