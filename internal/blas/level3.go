@@ -113,28 +113,30 @@ func gemmPacked[T mat.Float](kt *kernels[T], transA, transB Transpose, alpha T, 
 					bp := bufB.Data[jr*kc:]
 					for ir := 0; ir < mc; ir += mr {
 						mi := min(mr, mc-ir)
-						ap := apack[ir*kc:]
-						if mi == mr && nj == nr {
-							off := (ic+ir)*c.Stride + jc + jr
-							kt.gemm(kc, ap, bp, c.Data[off:], c.Stride)
-							continue
-						}
-						// Fringe tile of C: compute the full padded MR×NR
-						// micro-tile into scratch, add back the live part.
-						for z := range tmp {
-							tmp[z] = 0
-						}
-						kt.gemm(kc, ap, bp, tmp, nr)
-						for i := 0; i < mi; i++ {
-							crow := c.Data[(ic+ir+i)*c.Stride+jc+jr:][:nj]
-							trow := tmp[i*nr:]
-							for j := range crow {
-								crow[j] += trow[j]
-							}
-						}
+						microTile(kt, kc, apack[ir*kc:], bp, c.Data[(ic+ir)*c.Stride+jc+jr:], c.Stride, mi, nj, tmp)
 					}
 				}
 			}
+		}
+	}
+}
+
+// microTile adds the product of the packed micro-panels ap and bp over kc
+// to the mi×nj tile of C at c (rows ldc apart). A full MR×NR tile goes
+// straight through the micro-kernel; a fringe tile computes the padded
+// micro-tile into the MR×NR scratch tmp and adds back its live part.
+func microTile[T mat.Float](kt *kernels[T], kc int, ap, bp, c []T, ldc, mi, nj int, tmp []T) {
+	if mi == kt.mr && nj == kt.nr {
+		kt.gemm(kc, ap, bp, c, ldc)
+		return
+	}
+	clear(tmp)
+	kt.gemm(kc, ap, bp, tmp, kt.nr)
+	for i := 0; i < mi; i++ {
+		crow := c[i*ldc:][:nj]
+		trow := tmp[i*kt.nr:]
+		for j := range crow {
+			crow[j] += trow[j]
 		}
 	}
 }
@@ -147,10 +149,10 @@ func opShape[T mat.Float](m *mat.Dense[T], t Transpose) (rows, cols int) {
 }
 
 // triBlock is the diagonal-block order of the blocked triangular drivers
-// (Trsm/Trmm). Only a triBlock-wide band of the work runs through the
-// unblocked substitution loops; everything off the diagonal is a rank-
-// triBlock GEMM update through the packed micro-kernel path, so a large
-// triangular solve runs at a large fraction of GEMM speed.
+// (Trsm, and Trmm's Right side). Only a triBlock-wide band of the work runs
+// through the unblocked substitution loops; everything off the diagonal is
+// a rank-triBlock GEMM update through the packed micro-kernel path, so a
+// large triangular solve runs at a large fraction of GEMM speed.
 const triBlock = 32
 
 // Trsm solves op(T)·X = alpha·B (Side == Left) or X·op(T) = alpha·B
@@ -392,8 +394,12 @@ func trsmColumn[T mat.Float](lower bool, trans Transpose, diag Diag, t, b *mat.D
 // Trmm computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
 // (Side == Right) in place, with T triangular.
 //
-// Like Trsm, the multiply is blocked: diagonal blocks of order triBlock go
-// through the unblocked kernel and the off-diagonal coupling is GEMM.
+// The Left side is a packed triangular multiply on the GEMM micro-kernel
+// (trmmPacked); one right-hand side — at most trmmNarrowCols columns, where
+// the type's kernel table has narrow kernels — takes trmmNarrow, which
+// rounds every element the same way. The Right side is blocked like
+// Trsm: diagonal blocks of order triBlock go through the unblocked kernel
+// and the off-diagonal coupling is GEMM.
 func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
@@ -405,44 +411,21 @@ func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T
 	if side == Right && b.Cols != n {
 		panic(fmt.Sprintf("blas: Trmm Right shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
 	}
-	if n <= triBlock {
-		trmmBasic(side, uplo, trans, diag, alpha, t, b)
-		return
-	}
 	effLower := (uplo == Lower) != (trans == Trans)
 	if side == Left {
-		// Row block i of the result couples with the original rows on op(T)'s
-		// nonzero side. Processing order keeps those rows unmodified when the
-		// GEMM reads them: top-down for an upper op(T), bottom-up for lower.
-		k := b.Cols
-		if !effLower {
-			for i0 := 0; i0 < n; i0 += triBlock {
-				bs := min(triBlock, n-i0)
-				bi := b.View(i0, 0, bs, k)
-				rest := n - i0 - bs
-				trmmBasic(Left, uplo, trans, diag, alpha, t.View(i0, i0, bs, bs), bi)
-				if rest > 0 {
-					if trans == NoTrans {
-						Gemm(NoTrans, NoTrans, alpha, t.View(i0, i0+bs, bs, rest), b.View(i0+bs, 0, rest, k), 1, bi)
-					} else {
-						Gemm(Trans, NoTrans, alpha, t.View(i0+bs, i0, rest, bs), b.View(i0+bs, 0, rest, k), 1, bi)
-					}
-				}
-			}
+		if n == 0 || b.Cols == 0 {
 			return
 		}
-		for i0 := ((n - 1) / triBlock) * triBlock; i0 >= 0; i0 -= triBlock {
-			bs := min(triBlock, n-i0)
-			bi := b.View(i0, 0, bs, k)
-			trmmBasic(Left, uplo, trans, diag, alpha, t.View(i0, i0, bs, bs), bi)
-			if i0 > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, alpha, t.View(i0, 0, bs, i0), b.View(0, 0, i0, k), 1, bi)
-				} else {
-					Gemm(Trans, NoTrans, alpha, t.View(0, i0, i0, bs), b.View(0, 0, i0, k), 1, bi)
-				}
-			}
+		k := table[T]()
+		if b.Cols <= trmmNarrowCols && k.narrowN != nil {
+			trmmNarrow(k, !effLower, trans, diag, alpha, t, b)
+			return
 		}
+		trmmPacked(k, !effLower, trans, diag, alpha, t, b)
+		return
+	}
+	if n <= triBlock {
+		trmmBasic(side, uplo, trans, diag, alpha, t, b)
 		return
 	}
 	// Right side: column block j of B·op(T) couples with the original
@@ -479,7 +462,220 @@ func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T
 	}
 }
 
-// trmmBasic is the unblocked triangular-multiply kernel behind Trmm.
+// The Left multiply B = alpha·op(T)·B runs GEMM's loop nest with the
+// product written over its own operand. Its k dimension is cut into KC
+// blocks, consumed in the order trmmBlock gives: block [pc, pc+kc) is the
+// last to read B's rows [pc, pc+kc), so it packs them, zeroes them, and from
+// then on they accumulate the product. The rows [r0, r1) a block reaches
+// are cut into MR-tall micro-panels from r0 (gemmMC is a multiple of every
+// MR, so the MC blocking moves no panel boundary). Each micro-panel runs
+// the micro-kernel only over trmmPanelCols, the columns of the block where
+// its rows have stored entries. trmmPacked and trmmNarrow share the
+// functions below, which is what makes their roundings agree.
+
+// trmmBlock returns the q-th KC block [pc, pc+kc) of the Left multiply and
+// the product rows [r0, r1) it reaches: top-down reaching the rows above
+// for an upper op(T), bottom-up reaching the rows below for a lower one.
+func trmmBlock(upper bool, n, q int) (pc, kc, r0, r1 int) {
+	if upper {
+		pc = q * gemmKC
+		kc = min(gemmKC, n-pc)
+		return pc, kc, 0, pc + kc
+	}
+	pc = ((n-1)/gemmKC - q) * gemmKC
+	return pc, min(gemmKC, n-pc), pc, n
+}
+
+// trmmPanelCols returns the columns [c0, c1) of block [pc, pc+kc) over
+// which the micro-panel of op(T) rows [i0, i0+rows) runs: from its first
+// row's diagonal on for an upper op(T), up to its last row's for a lower
+// one. Inside [i0, i0+rows) the panel crosses the diagonal; every other
+// column of the range is stored in all of its rows.
+func trmmPanelCols(upper bool, i0, rows, pc, kc int) (c0, c1 int) {
+	if upper {
+		return max(pc, i0), pc + kc
+	}
+	return pc, min(pc+kc, i0+rows)
+}
+
+// trmmDiagCols returns the part [d0, d1) of the panel's columns [c0, c1)
+// where it crosses the diagonal.
+func trmmDiagCols(i0, rows, c0, c1 int) (d0, d1 int) {
+	return min(max(i0, c0), c1), min(max(i0+rows, c0), c1)
+}
+
+// trmmEntry returns the value a micro-panel holds, before scaling by
+// alpha, for op(T)[i, p] (t[i*rs+p*cs]) at a column where the panel crosses
+// the diagonal: the entry inside the stored triangle, 1 on a unit diagonal,
+// and zero outside the triangle, which is never read.
+func trmmEntry[T mat.Float](t []T, rs, cs int, upper bool, diag Diag, i, p int) T {
+	switch {
+	case p == i && diag == Unit:
+		return 1
+	case p == i || (p > i) == upper:
+		return t[i*rs+p*cs]
+	}
+	return 0
+}
+
+// trmmPacked is the Left multiply through the packed micro-kernel. B is
+// packed one KC×NC block at a time into one pooled buffer, before the block
+// overwrites those rows; op(T) is packed, scaled by alpha, one micro-panel
+// column range at a time.
+func trmmPacked[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
+	n, w := t.Rows, b.Cols
+	mr, nr := kt.mr, kt.nr
+	rs, cs := t.Stride, 1
+	if trans == Trans {
+		rs, cs = 1, t.Stride
+	}
+	kcMax := min(n, gemmKC)
+	mcMax := min(roundUp(n, mr), gemmMC)
+	ncMax := min(roundUp(w, nr), gemmNC)
+	bufB := mat.GetBuf[T](kcMax * ncMax)
+	defer mat.PutBuf(bufB)
+	bufA := mat.GetBuf[T](mcMax*kcMax + mr*nr)
+	defer mat.PutBuf(bufA)
+	apack := bufA.Data[:mcMax*kcMax]
+	tmp := bufA.Data[mcMax*kcMax:]
+
+	for jc := 0; jc < w; jc += gemmNC {
+		nc := min(gemmNC, w-jc)
+		for q := 0; q*gemmKC < n; q++ {
+			pc, kc, r0, r1 := trmmBlock(upper, n, q)
+			packB(bufB.Data, b, NoTrans, jc, pc, kc, nc, nr)
+			for i := pc; i < pc+kc; i++ {
+				clear(b.Data[i*b.Stride+jc:][:nc])
+			}
+			for ic := r0; ic < r1; ic += gemmMC {
+				mc := min(gemmMC, r1-ic)
+				for ir := 0; ir < mc; ir += mr {
+					i0, rows := ic+ir, min(mr, mc-ir)
+					c0, c1 := trmmPanelCols(upper, i0, rows, pc, kc)
+					d0, d1 := trmmDiagCols(i0, rows, c0, c1)
+					// Column p of the panel lands at panel[(p-pc)*mr:].
+					panel := apack[ir*kc:]
+					if d0 > c0 {
+						packA(panel[(c0-pc)*mr:], t, trans, alpha, i0, c0, rows, d0-c0, mr)
+					}
+					for p := d0; p < d1; p++ {
+						d := panel[(p-pc)*mr:][:mr]
+						for i := range d {
+							d[i] = 0
+							if i < rows {
+								d[i] = alpha * trmmEntry(t.Data, rs, cs, upper, diag, i0+i, p)
+							}
+						}
+					}
+					if c1 > d1 {
+						packA(panel[(d1-pc)*mr:], t, trans, alpha, i0, d1, rows, c1-d1, mr)
+					}
+				}
+				for jr := 0; jr < nc; jr += nr {
+					nj := min(nr, nc-jr)
+					for ir := 0; ir < mc; ir += mr {
+						i0, mi := ic+ir, min(mr, mc-ir)
+						c0, c1 := trmmPanelCols(upper, i0, mi, pc, kc)
+						ap := apack[ir*kc+(c0-pc)*mr:]
+						bp := bufB.Data[jr*kc+(c0-pc)*nr:]
+						microTile(kt, c1-c0, ap, bp, b.Data[i0*b.Stride+jc+jr:], b.Stride, mi, nj, tmp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// trmmNarrowCols is the widest B that takes trmmNarrow. The packed path
+// costs about the same for any B up to NR wide, since it pads B to a full
+// micro-panel; the narrow one costs a pass over T per column. At nb=192
+// narrow is 1.7–2.8× as fast at one column and 1.15–1.7× at two, within
+// 25% either way at three and slower at four, on the 6×8 AVX2 table and
+// the portable 4×4 alike.
+const trmmNarrowCols = 2
+
+// trmmNarrow is the Left multiply for a B at most trmmNarrowCols wide,
+// without packing B. It walks trmmPacked's blocks and micro-panels and
+// gives every element of the product the micro-kernel's arithmetic over the
+// same column range, through the table's narrow kernels, which fold alpha
+// in as the packing does: one chain from zero per row and KC block, added
+// to the element. Where the panel crosses the diagonal the kernels read a
+// copy holding the panel's zeros and unit diagonal. So column j of a narrow
+// product is bit-identical to column j of any wider one.
+func trmmNarrow[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
+	n, w, mr := t.Rows, b.Cols, kt.mr
+	rs, cs := t.Stride, 1
+	if trans == Trans {
+		rs, cs = 1, t.Stride
+	}
+	buf := mat.GetBuf[T](n*w + mr + mr*min(n, gemmKC))
+	defer mat.PutBuf(buf)
+	// x holds B's columns as they were on entry, column j at x[j*n:].
+	x, accBuf, scratch := buf.Data[:n*w], buf.Data[n*w:n*w+mr], buf.Data[n*w+mr:]
+	for i := 0; i < n; i++ {
+		for j, v := range b.Data[i*b.Stride:][:w] {
+			x[j*n+i] = v
+		}
+	}
+	for q := 0; q*gemmKC < n; q++ {
+		pc, kc, r0, r1 := trmmBlock(upper, n, q)
+		for i := pc; i < pc+kc; i++ {
+			clear(b.Data[i*b.Stride:][:w])
+		}
+		for i0 := r0; i0 < r1; i0 += mr {
+			rows := min(mr, r1-i0)
+			c0, c1 := trmmPanelCols(upper, i0, rows, pc, kc)
+			d0, d1 := trmmDiagCols(i0, rows, c0, c1)
+			if trans == NoTrans {
+				// The panel's rows are rows of T: copy them, and run
+				// narrowN's chain along each.
+				k := c1 - c0
+				a := scratch[:rows*k]
+				for r := 0; r < rows; r++ {
+					i, ar := i0+r, a[r*k:][:k]
+					copy(ar[:d0-c0], t.Data[i*rs+c0:])
+					for p := d0; p < d1; p++ {
+						ar[p-c0] = trmmEntry(t.Data, rs, cs, upper, diag, i, p)
+					}
+					copy(ar[d1-c0:], t.Data[i*rs+d1:])
+				}
+				for j := 0; j < w; j++ {
+					kt.narrowN(rows, k, alpha, a, k, x[j*n+c0:], 1, b.Data[i0*b.Stride+j:], b.Stride)
+				}
+				continue
+			}
+			// The panel's columns are rows of T: narrowT continues the
+			// rows' chains in acc, reading T where it lies except across
+			// the diagonal.
+			sq := scratch[:(d1-d0)*rows]
+			for p := d0; p < d1; p++ {
+				for r := 0; r < rows; r++ {
+					sq[(p-d0)*rows+r] = trmmEntry(t.Data, rs, cs, upper, diag, i0+r, p)
+				}
+			}
+			acc := accBuf[:rows]
+			for j := 0; j < w; j++ {
+				xj := x[j*n:]
+				clear(acc)
+				if d0 > c0 {
+					kt.narrowT(d0-c0, alpha, t.Data[c0*cs+i0:], cs, xj[c0:], 1, acc)
+				}
+				if d1 > d0 {
+					kt.narrowT(d1-d0, alpha, sq, rows, xj[d0:], 1, acc)
+				}
+				if c1 > d1 {
+					kt.narrowT(c1-d1, alpha, t.Data[d1*cs+i0:], cs, xj[d1:], 1, acc)
+				}
+				for r, v := range acc {
+					b.Data[(i0+r)*b.Stride+j] += v
+				}
+			}
+		}
+	}
+}
+
+// trmmBasic is the unblocked triangular-multiply kernel behind Trmm's
+// Right side. Its Left path is the tests' reference for the packed one.
 func trmmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	lower := uplo == Lower

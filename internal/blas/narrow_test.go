@@ -115,6 +115,26 @@ func TestGemmNarrowZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrmmZeroAlloc: the Left triangular multiply allocates nothing in
+// steady state on either path (packing and copies come from the workspace
+// arena).
+func TestTrmmZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
+	}
+	rng := rand.New(rand.NewSource(27))
+	tm := randTri(rng, 64, Upper, NonUnit)
+	for _, w := range []int{1, 64} {
+		b := randMat(rng, 64, w)
+		for _, trans := range []Transpose{NoTrans, Trans} {
+			Trmm(Left, Upper, trans, NonUnit, 1, tm, b)
+			if allocs := testing.AllocsPerRun(10, func() { Trmm(Left, Upper, trans, NonUnit, 1, tm, b) }); allocs != 0 {
+				t.Errorf("Trmm Left w=%d trans=%v: %v allocs/op, want 0", w, trans, allocs)
+			}
+		}
+	}
+}
+
 // TestTrsmColumnMatchesWide is the triangular solve's version of the
 // narrow contract: a Left solve of one column equals column j of the same
 // solve over w columns bit for bit, for every uplo/trans/diag, orders on
@@ -168,6 +188,53 @@ func TestTrsmColumnMatchesWide(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTrmmColumnMatchesWide is the Left triangular multiply's version of
+// the narrow contract: op(T) times one column equals column j of the same
+// product over w columns bit for bit, for every uplo/trans/diag, alpha
+// scaling, T as a strided view, and orders that straddle the micro-panel
+// height, triBlock and KC. An Inf in B's last column reaches the other rows
+// of its micro-panel as 0·Inf on the packed path, so the narrow path must
+// produce the same NaNs.
+func TestTrmmColumnMatchesWide(t *testing.T) {
+	forEachType(t, testTrmmColumnMatchesWide[float64], testTrmmColumnMatchesWide[float32])
+}
+
+func testTrmmColumnMatchesWide[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	maxW := 2*table[T]().nr + 1
+	for _, n := range []int{1, 5, 7, 13, triBlock + 1, 2*triBlock + 5, gemmKC + 3} {
+		for _, uplo := range []Uplo{Upper, Lower} {
+			for _, trans := range []Transpose{NoTrans, Trans} {
+				for _, diag := range []Diag{NonUnit, Unit} {
+					for _, alpha := range []T{1, -0.5} {
+						tm := viewOfT[T](rng, n, n)
+						b := randT[T](rng, n, maxW)
+						b.Set(n/2, maxW-1, T(math.Inf(1)))
+						cols := make([]*mat.Dense[T], maxW)
+						for j := range cols {
+							cols[j] = b.View(0, j, n, 1).Clone()
+							Trmm(Left, uplo, trans, diag, alpha, tm, cols[j])
+						}
+						for w := 1; w <= maxW; w++ {
+							wide := b.View(0, 0, n, w).Clone()
+							Trmm(Left, uplo, trans, diag, alpha, tm, wide)
+							for j := 0; j < w; j++ {
+								for i := 0; i < n; i++ {
+									g, v := cols[j].At(i, 0), wide.At(i, j)
+									if math.Float64bits(float64(g)) != math.Float64bits(float64(v)) {
+										t.Fatalf("n=%d uplo=%v trans=%v diag=%v alpha=%g w=%d col %d: row %d %v, wide %v",
+											n, uplo, trans, diag, alpha, w, j, i, g, v)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestTrsmColumnSolves checks a single-column Left solve's residual for

@@ -98,7 +98,8 @@ func TestSolvePaddedSystem(t *testing.T) {
 // column, exactly what the one-at-a-time replay produces — the block kernels
 // never mix columns — for every algorithm family, including the block-LU
 // variants whose diagonal solvers run on the full NB×W tile. Also covers a
-// padded (non-tile-multiple) system.
+// padded (non-tile-multiple) system, and tiles past triBlock, where the QR
+// replay's triangular multiplies take the packed and narrow paths.
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	cfgs := []Config{
@@ -119,7 +120,8 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 	// micro-tile width: a column's bits must not depend on how many others
 	// share its batch.
 	widths := []int{1, 5, 7, 8, 9, 16}
-	for _, n := range []int{96, 37} {
+	for _, nnb := range [][2]int{{96, 16}, {37, 16}, {200, 40}} {
+		n, nb := nnb[0], nnb[1]
 		a := matgen.Random(n, rng)
 		b := matgen.RandomVector(n, rng)
 		bs := make([][]float64, widths[len(widths)-1])
@@ -127,7 +129,7 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 			bs[j] = matgen.RandomVector(n, rng)
 		}
 		for _, cfg := range cfgs {
-			cfg.NB = 16
+			cfg.NB = nb
 			if n%cfg.NB == 0 {
 				cfg.Grid = tile.NewGrid(2, 2)
 			}

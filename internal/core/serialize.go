@@ -187,7 +187,7 @@ func unpackMatrix(f facMatrix) (*mat.Matrix, error) {
 	if f.Rows == 0 && f.Cols == 0 {
 		return nil, nil
 	}
-	if f.Rows < 0 || f.Cols < 0 || len(f.Data) != f.Rows*f.Cols {
+	if n, ok := mulInts(f.Rows, f.Cols); !ok || len(f.Data) != n {
 		return nil, fmt.Errorf("core: matrix payload %dx%d with %d elements", f.Rows, f.Cols, len(f.Data))
 	}
 	return &mat.Matrix{Rows: f.Rows, Cols: f.Cols, Stride: f.Cols, Data: f.Data}, nil
@@ -368,31 +368,10 @@ func DecodeFactorization(data []byte) (*Result, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("core: decoding factorization: %w", err)
 	}
-	if p.NB <= 0 || p.MT < 0 || p.NT < 0 {
-		return nil, fmt.Errorf("core: factorization payload with invalid shape mt=%d nt=%d nb=%d", p.MT, p.NT, p.NB)
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	tb := p.NB * p.NB
-	if len(p.Tiles) != p.MT*p.NT*tb {
-		return nil, fmt.Errorf("core: factorization payload holds %d tile elements, want %d", len(p.Tiles), p.MT*p.NT*tb)
-	}
-	if len(p.Decisions) != p.NT || len(p.Steps) != p.NT {
-		return nil, fmt.Errorf("core: factorization payload has %d decisions / %d steps for nt=%d", len(p.Decisions), len(p.Steps), p.NT)
-	}
-	if p.N < 0 || p.N > p.NT*p.NB {
-		return nil, fmt.Errorf("core: factorization payload order n=%d exceeds tiled order %d", p.N, p.NT*p.NB)
-	}
-	// Mixed-precision fields: v1 streams leave them empty (all-f64); v2
-	// streams must carry consistent per-step slices, and a factorization
-	// that accepted f32 steps must bring the matrix its refinement needs.
-	if len(p.StepF32) != 0 && len(p.StepF32) != p.NT {
-		return nil, fmt.Errorf("core: factorization payload has %d f32 flags for nt=%d", len(p.StepF32), p.NT)
-	}
-	if len(p.Margins) != 0 && len(p.Margins) != p.NT {
-		return nil, fmt.Errorf("core: factorization payload has %d margins for nt=%d", len(p.Margins), p.NT)
-	}
-	if p.F32Steps > 0 && (p.A0.Rows != p.NT*p.NB || p.A0.Cols != p.NT*p.NB) {
-		return nil, fmt.Errorf("core: f32 factorization payload without a %d×%d original matrix", p.NT*p.NB, p.NT*p.NB)
-	}
 
 	ta := tile.New(p.MT, p.NT, p.NB)
 	for i := 0; i < p.MT; i++ {
@@ -468,7 +447,191 @@ func DecodeFactorization(data []byte) (*Result, error) {
 	return &Result{X: p.X, Factored: ta, Report: f.report, f: f}, nil
 }
 
-// unpackStep inverts the facStep packing.
+// mulInts returns the product of its non-negative arguments, and false
+// when one is negative or the product overflows an int.
+func mulInts(xs ...int) (int, bool) {
+	p := 1
+	for _, x := range xs {
+		if x < 0 || (x > 0 && p > math.MaxInt/x) {
+			return 0, false
+		}
+		p *= x
+	}
+	return p, true
+}
+
+// validate rejects a payload that replay could not use: every field that
+// Solve indexes — tile shapes, per-step slices, the grid and trees that
+// rebuild a QR step's reduction, and each step's factors and pivots — must
+// be in range, so that a decoded Result either solves or was never
+// returned. Shape arithmetic is overflow-checked.
+func (p *facPayload) validate() error {
+	tiles, ok := mulInts(p.MT, p.NT, p.NB, p.NB)
+	if p.NB <= 0 || p.MT != p.NT || !ok {
+		return fmt.Errorf("core: factorization payload with invalid shape mt=%d nt=%d nb=%d", p.MT, p.NT, p.NB)
+	}
+	if len(p.Tiles) != tiles {
+		return fmt.Errorf("core: factorization payload holds %d tile elements, want %d", len(p.Tiles), tiles)
+	}
+	if len(p.Decisions) != p.NT || len(p.Steps) != p.NT {
+		return fmt.Errorf("core: factorization payload has %d decisions / %d steps for nt=%d", len(p.Decisions), len(p.Steps), p.NT)
+	}
+	order := p.NT * p.NB // no overflow: nt·nb ≤ nt²·nb² when nt ≥ 1
+	if p.N < 0 || p.N > order {
+		return fmt.Errorf("core: factorization payload order n=%d exceeds tiled order %d", p.N, order)
+	}
+	// Mixed-precision fields: v1 streams leave them empty (all-f64); v2
+	// streams must carry consistent per-step slices, and a factorization
+	// that accepted f32 steps must bring the matrix its refinement needs.
+	if len(p.StepF32) != 0 && len(p.StepF32) != p.NT {
+		return fmt.Errorf("core: factorization payload has %d f32 flags for nt=%d", len(p.StepF32), p.NT)
+	}
+	if len(p.Margins) != 0 && len(p.Margins) != p.NT {
+		return fmt.Errorf("core: factorization payload has %d margins for nt=%d", len(p.Margins), p.NT)
+	}
+	if p.F32Steps > 0 && (p.A0.Rows != order || p.A0.Cols != order) {
+		return fmt.Errorf("core: f32 factorization payload without a %d×%d original matrix", order, order)
+	}
+	if p.Alg < int(LUQR) || p.Alg > int(HLU) {
+		return fmt.Errorf("core: factorization payload with unknown algorithm %d", p.Alg)
+	}
+	if p.GridP < 1 || p.GridQ < 1 {
+		return fmt.Errorf("core: factorization payload with invalid grid %dx%d", p.GridP, p.GridQ)
+	}
+	for _, tr := range []int{p.IntraTree, p.InterTree} {
+		if tr < int(tree.FlatTS) || tr > int(tree.Fibonacci) {
+			return fmt.Errorf("core: factorization payload with unknown reduction tree %d", tr)
+		}
+	}
+	for k := range p.Steps {
+		if err := p.Steps[k].validate(k, p.NT, p.NB, p.Decisions[k]); err != nil {
+			return fmt.Errorf("core: step %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// validate checks step k's replay state against the path replay takes
+// through it (replayStep, installDiagSolver): an LU step replays its
+// incremental-pivoting or HLU factors if it has them, else its variant's;
+// a QR step replays the reflector factors the reduction tree names, and a
+// missing one is an error replay reports itself.
+func (fs *facStep) validate(k, nt, nb int, lu bool) error {
+	if fs.K != k {
+		return fmt.Errorf("step index %d", fs.K)
+	}
+	if fs.Variant < int(VarA1) || fs.Variant > int(VarB2) {
+		return fmt.Errorf("unknown LU variant %d", fs.Variant)
+	}
+	for _, set := range [][]facKeyed{fs.TGeqrt, fs.TKill} {
+		for _, kv := range set {
+			if err := checkFactor("reflector", kv, nt, nb, nb, 0); err != nil {
+				return err
+			}
+		}
+	}
+	if fs.HasInc {
+		if err := checkFactor("incpiv diagonal", facKeyed{I: k, M: fs.Inc.L0, Piv: fs.Inc.PivK}, nt, nb, nb, nb); err != nil {
+			return err
+		}
+		// ssssm replays every row below the diagonal.
+		seen := make([]bool, nt)
+		for _, kv := range fs.Inc.Rows {
+			if kv.I <= k {
+				return fmt.Errorf("incpiv row %d above the diagonal", kv.I)
+			}
+			if err := checkFactor("incpiv", kv, nt, 2*nb, nb, 2*nb); err != nil {
+				return err
+			}
+			seen[kv.I] = true
+		}
+		for i := k + 1; i < nt; i++ {
+			if !seen[i] {
+				return fmt.Errorf("incpiv row %d missing", i)
+			}
+		}
+	}
+	if fs.HasHLU {
+		for _, op := range fs.HLU.Ops {
+			bad := op.I < 0 || op.I >= nt
+			switch tree.Kind(op.Kind) {
+			case tree.OpGeqrt:
+			case tree.OpTS, tree.OpTT:
+				bad = bad || op.Piv < 0 || op.Piv >= nt
+			default:
+				bad = true
+			}
+			if bad {
+				return fmt.Errorf("hlu operation %+v out of range", op)
+			}
+		}
+		for _, kv := range fs.HLU.Heads {
+			if err := checkFactor("hlu head", kv, nt, nb, nb, nb); err != nil {
+				return err
+			}
+		}
+		for _, kv := range fs.HLU.Pairs {
+			if err := checkFactor("hlu pair", kv, nt, 2*nb, nb, 2*nb); err != nil {
+				return err
+			}
+		}
+	}
+	if !lu || fs.HasInc || fs.HasHLU {
+		return nil
+	}
+	switch LUVariant(fs.Variant) {
+	case VarA1:
+		for _, i := range fs.Rows {
+			if i < 0 || i >= nt {
+				return fmt.Errorf("pivot row %d out of range", i)
+			}
+		}
+		if len(fs.Rows) == 0 || len(fs.Rows) > nt {
+			return fmt.Errorf("%d pivot rows for nt=%d", len(fs.Rows), nt)
+		}
+		h := len(fs.Rows) * nb
+		return checkFactor("stacked panel", facKeyed{I: k, M: fs.Stack, Piv: fs.Piv}, nt, h, nb, h)
+	case VarB1:
+		return checkPivots(fs.Piv, nb)
+	default: // VarA2, VarB2: the diagonal tile's QR factor
+		for _, kv := range fs.TGeqrt {
+			if kv.I == k {
+				return nil
+			}
+		}
+		return fmt.Errorf("missing diagonal QR factor")
+	}
+}
+
+// checkFactor checks one stored factor: its row key is a tile row, its
+// matrix is rows×cols, and its pivots index a pivRows-row block.
+func checkFactor(what string, kv facKeyed, nt, rows, cols, pivRows int) error {
+	if kv.I < 0 || kv.I >= nt {
+		return fmt.Errorf("%s row %d out of range", what, kv.I)
+	}
+	if kv.M.Rows != rows || kv.M.Cols != cols {
+		return fmt.Errorf("%s factor for row %d is %dx%d, want %dx%d", what, kv.I, kv.M.Rows, kv.M.Cols, rows, cols)
+	}
+	if err := checkPivots(kv.Piv, pivRows); err != nil {
+		return fmt.Errorf("%s row %d: %w", what, kv.I, err)
+	}
+	return nil
+}
+
+// checkPivots checks that Laswp can apply piv to a block of rows rows.
+func checkPivots(piv []int, rows int) error {
+	if len(piv) > rows {
+		return fmt.Errorf("%d pivots for %d rows", len(piv), rows)
+	}
+	for _, p := range piv {
+		if p < 0 || p >= rows {
+			return fmt.Errorf("pivot %d out of range [0, %d)", p, rows)
+		}
+	}
+	return nil
+}
+
+// unpackStep inverts the facStep packing. The step has been validated.
 func unpackStep(fs *facStep, nt int) (*stepState, error) {
 	st := &stepState{
 		k:       fs.K,
@@ -499,14 +662,8 @@ func unpackStep(fs *facStep, nt int) (*stepState, error) {
 		if is.l0, err = unpackMatrix(fs.Inc.L0); err != nil {
 			return nil, err
 		}
-		if fs.K < 0 || fs.K >= nt {
-			return nil, fmt.Errorf("step index %d out of range", fs.K)
-		}
 		is.piv[fs.K] = fs.Inc.PivK
 		for _, kv := range fs.Inc.Rows {
-			if kv.I < 0 || kv.I >= nt {
-				return nil, fmt.Errorf("incpiv row %d out of range", kv.I)
-			}
 			if is.l[kv.I], err = unpackMatrix(kv.M); err != nil {
 				return nil, err
 			}
@@ -524,18 +681,12 @@ func unpackStep(fs *facStep, nt int) (*stepState, error) {
 			hs.ops = append(hs.ops, tree.Op{Kind: tree.Kind(op.Kind), I: op.I, Piv: op.Piv})
 		}
 		for _, kv := range fs.HLU.Heads {
-			if kv.I < 0 || kv.I >= nt {
-				return nil, fmt.Errorf("hlu head row %d out of range", kv.I)
-			}
 			if hs.headL[kv.I], err = unpackMatrix(kv.M); err != nil {
 				return nil, err
 			}
 			hs.headPiv[kv.I] = kv.Piv
 		}
 		for _, kv := range fs.HLU.Pairs {
-			if kv.I < 0 || kv.I >= nt {
-				return nil, fmt.Errorf("hlu pair row %d out of range", kv.I)
-			}
 			s, err := unpackMatrix(kv.M)
 			if err != nil {
 				return nil, err

@@ -145,6 +145,34 @@ func TestSerializeRoundTripPadded(t *testing.T) {
 	assertReplaysIdentically(t, res, got, n, 401)
 }
 
+// streamDamage is every class of on-disk damage: truncation, bad magic,
+// version skew, and payload or checksum corruption.
+var streamDamage = []struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantSub string
+}{
+	{"empty", func(d []byte) []byte { return nil }, "truncated"},
+	{"header-only", func(d []byte) []byte { return d[:20] }, "truncated"},
+	{"truncated-payload", func(d []byte) []byte { return d[:len(d)-7] }, "truncated"},
+	{"bad-magic", func(d []byte) []byte {
+		d[0] = 'X'
+		return d
+	}, "bad magic"},
+	{"version-skew", func(d []byte) []byte {
+		binary.LittleEndian.PutUint32(d[8:12], factEncodingVersion+1)
+		return d
+	}, "version skew"},
+	{"flipped-payload-byte", func(d []byte) []byte {
+		d[len(d)-1] ^= 0x40
+		return d
+	}, "checksum"},
+	{"flipped-checksum-byte", func(d []byte) []byte {
+		d[24] ^= 0x01
+		return d
+	}, "checksum"},
+}
+
 // TestSerializeRejectsDamage: every class of on-disk damage — truncation,
 // bad magic, version skew, and payload corruption — must fail decoding with
 // a descriptive error, never a wrong Result.
@@ -159,32 +187,7 @@ func TestSerializeRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	damage := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantSub string
-	}{
-		{"empty", func(d []byte) []byte { return nil }, "truncated"},
-		{"header-only", func(d []byte) []byte { return d[:20] }, "truncated"},
-		{"truncated-payload", func(d []byte) []byte { return d[:len(d)-7] }, "truncated"},
-		{"bad-magic", func(d []byte) []byte {
-			d[0] = 'X'
-			return d
-		}, "bad magic"},
-		{"version-skew", func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[8:12], factEncodingVersion+1)
-			return d
-		}, "version skew"},
-		{"flipped-payload-byte", func(d []byte) []byte {
-			d[len(d)-1] ^= 0x40
-			return d
-		}, "checksum"},
-		{"flipped-checksum-byte", func(d []byte) []byte {
-			d[24] ^= 0x01
-			return d
-		}, "checksum"},
-	}
-	for _, tc := range damage {
+	for _, tc := range streamDamage {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.mutate(append([]byte(nil), data...))
 			if _, err := DecodeFactorization(d); err == nil {
@@ -446,4 +449,123 @@ func TestSerializeRejectsF32WithoutA0(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "original matrix") {
 		t.Fatalf("error %q does not mention the missing original matrix", err)
 	}
+}
+
+// TestSerializeRejectsUnreplayable: a payload with a valid checksum that
+// replay could not use must fail decoding instead of yielding a Result
+// whose Solve panics: a T factor of the wrong shape, and a tile order whose
+// square overflows the element count check. A grid taller than the matrix
+// is valid, and replay must not size anything by it.
+func TestSerializeRejectsUnreplayable(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	n := 64
+	a := matgen.Random(n, rng)
+	b := matgen.RandomVector(n, rng)
+	data, err := runOn(t, a, b, Config{Alg: HQR, NB: 16}).EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mutated re-encodes data's payload after mutate, behind a valid header.
+	mutated := func(t *testing.T, mutate func(p *facPayload)) []byte {
+		var p facPayload
+		if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&p)
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+			t.Fatal(err)
+		}
+		return rebuildStream(factEncodingVersion, payload.Bytes())
+	}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(p *facPayload)
+		wantSub string
+	}{
+		{"t-factor-1x1", func(p *facPayload) {
+			p.Steps[0].TGeqrt[0].M = facMatrix{Rows: 1, Cols: 1, Data: []float64{1}}
+		}, "reflector factor for row 0 is 1x1"},
+		{"nb-square-overflow", func(p *facPayload) {
+			p.NB, p.MT, p.NT, p.Tiles = 1<<32, 1, 1, nil
+			p.Decisions, p.Steps, p.StepF32, p.Margins = p.Decisions[:1], p.Steps[:1], p.StepF32[:1], p.Margins[:1]
+		}, "invalid shape"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeFactorization(mutated(t, tc.mutate)); err == nil {
+				t.Fatal("decode accepted a payload replay cannot use")
+			} else if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+	t.Run("grid-p-huge", func(t *testing.T) {
+		res, err := DecodeFactorization(mutated(t, func(p *facPayload) { p.GridP = 1 << 44 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The replayed reduction tree need not match the stored factors
+		// any more; Solve may report that, but it must return.
+		res.Solve(b)
+	})
+}
+
+// reseal rewrites a stream's header length and checksum to match the
+// payload behind it, keeping its magic and version, so that a mutated
+// stream reaches the payload decoder. Inputs shorter than the header are
+// returned as they are.
+func reseal(data []byte) []byte {
+	if len(data) < factHeaderLen {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	payload := out[factHeaderLen:]
+	binary.LittleEndian.PutUint64(out[12:20], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(out[20:], sum[:])
+	return out
+}
+
+// FuzzDecodeFactorization: whatever the payload, decoding either fails or
+// yields a Result whose Solve returns (an error is allowed, a panic is
+// not). Inputs are re-sealed, so the checksum does not stop mutations
+// before the gob decoder and the validation. Seeds are valid encodings of
+// several algorithms and every class of stream damage.
+func FuzzDecodeFactorization(f *testing.F) {
+	rng := rand.New(rand.NewSource(87))
+	n := 12
+	a := matgen.Random(n, rng)
+	b := matgen.RandomVector(n, rng)
+	var data []byte
+	for _, cfg := range []Config{
+		{Alg: LUNoPiv, NB: 4},
+		{Alg: LUIncPiv, NB: 4},
+		{Alg: HQR, NB: 4, Grid: tile.NewGrid(2, 1)},
+		{Alg: HLU, NB: 4, Grid: tile.NewGrid(2, 1)},
+		{Alg: LUQR, NB: 4, Variant: VarB2, Criterion: criteria.Max{Alpha: 2}},
+		{Alg: LUQR, NB: 4, Precision: PrecisionF32, Criterion: criteria.Max{Alpha: 100}},
+	} {
+		res, err := Run(a, b, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if data, err = res.EncodeFactorization(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, d := range streamDamage {
+		f.Add(d.mutate(append([]byte(nil), data...)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeFactorization(reseal(data))
+		if err != nil {
+			return
+		}
+		rhs := make([]float64, res.Report.N)
+		for i := range rhs {
+			rhs[i] = 1
+		}
+		res.Solve(rhs)
+	})
 }

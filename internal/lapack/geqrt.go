@@ -48,7 +48,7 @@ func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 		geqrtUnblocked(v, tb)
 		// Trailing update: the strip's reflectors were generated first-to-
 		// last, so the trailing columns receive Qᵀ = I − V·Tᵀ·Vᵀ — exactly
-		// Unmqr with trans, through the blocked TRMM/GEMM path.
+		// Unmqr with trans, through the packed TRMM/GEMM path.
 		if j0+bs < n {
 			Unmqr(blas.Trans, v, tb, a.View(j0, j0+bs, m-j0, n-j0-bs))
 		}

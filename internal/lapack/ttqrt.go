@@ -168,7 +168,7 @@ func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
 //
 // v2 holds V2 in its upper triangle (lower part ignored), t the T factor.
 // The three multiplications by the triangular V2 and T run through the
-// blocked TRMM path (on copies, since TRMM works in place).
+// packed TRMM path (on copies, since TRMM works in place).
 func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {

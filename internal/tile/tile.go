@@ -54,9 +54,10 @@ func (g Grid) DiagonalDomain(k, mt int) []int {
 // PanelDomains groups the rows i in [k, mt) of panel k by owning grid row,
 // in order of first appearance (the diagonal domain first). Each group is
 // one "domain" in the paper's sense: the set of panel tiles local to one
-// node row.
+// node row. There are at most min(P, mt−k) of them, so a grid taller than
+// the matrix costs nothing.
 func (g Grid) PanelDomains(k, mt int) [][]int {
-	order := make([]int, 0, g.P)
+	order := make([]int, 0, max(0, min(g.P, mt-k)))
 	byRow := make(map[int][]int)
 	for i := k; i < mt; i++ {
 		r := i % g.P
