@@ -1,0 +1,118 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"luqr/internal/criteria"
+	"luqr/internal/mat"
+	"luqr/internal/matgen"
+)
+
+// adversarialOperators builds order-n operators a solver must survive: NaN
+// and ±Inf entries, a subnormal tile beside an all-zero one, an all-zero
+// row, entries spanning 1e±300, and a nearly repeated row.
+func adversarialOperators(n int) map[string]*mat.Matrix {
+	rng := rand.New(rand.NewSource(int64(n)))
+	ops := map[string]*mat.Matrix{}
+
+	a := matgen.Random(n, rng)
+	a.Set(3, 5, math.NaN())
+	a.Set(n-1, 0, math.NaN())
+	ops["nan"] = a
+
+	a = matgen.Random(n, rng)
+	a.Set(2, 2, math.Inf(1))
+	a.Set(n-2, 1, math.Inf(-1))
+	ops["inf"] = a
+
+	a = matgen.DiagDominant(n, rng)
+	a.View(16, 0, 16, 16).Fill(0)
+	for i := 16; i < 32; i++ {
+		for j := 16; j < 32; j++ {
+			a.Set(i, j, 1e-310*a.At(i, j))
+		}
+	}
+	ops["subnormal-zero-tiles"] = a
+
+	a = matgen.DiagDominant(n, rng)
+	a.View(5, 0, 1, n).Fill(0)
+	ops["zero-row"] = a
+
+	a = matgen.Random(n, rng)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, a.At(i, j)*math.Pow(10, 300*float64(i+j-(n-1))/float64(n-1)))
+		}
+	}
+	ops["range-1e300"] = a
+
+	a = matgen.Random(n, rng)
+	for j := 0; j < n; j++ {
+		a.Set(n-1, j, a.At(0, j)*(1+1e-14*rng.NormFloat64()))
+	}
+	ops["near-singular"] = a
+	return ops
+}
+
+// sameBits is bit equality that lets any NaN equal any NaN.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestAdversarialOperatorContracts: on every adversarial operator, at every
+// precision, padded or not, the report's HPL3 is mat.HPL3 of the returned
+// solution, its Growth is the factored tiles' max over the (padded)
+// operator's, and X does not depend on the worker count.
+func TestAdversarialOperatorContracts(t *testing.T) {
+	for _, n := range []int{48, 45} {
+		const nb = 16
+		for name, a := range adversarialOperators(n) {
+			b := matgen.RandomVector(n, rand.New(rand.NewSource(7)))
+			padded := mat.Identity((n + nb - 1) / nb * nb)
+			padded.View(0, 0, n, n).CopyFrom(a)
+			maxA := padded.NormMax()
+			for _, alg := range []Algorithm{LUQR, HQR} {
+				for _, prec := range []Precision{PrecisionF64, PrecisionAuto, PrecisionF32} {
+					var x1 []float64
+					for _, workers := range []int{1, 2} {
+						cfg := Config{Alg: alg, NB: nb, Precision: prec, Workers: workers, Criterion: criteria.Max{Alpha: 100}}
+						res, err := Run(a, b, cfg)
+						if err != nil {
+							t.Fatalf("%s n=%d %v %v: %v", name, n, alg, prec, err)
+						}
+						where := func() string {
+							return name + " " + alg.String() + " " + prec.String()
+						}
+						if h := mat.HPL3(a, res.X, b); !sameBits(res.Report.HPL3, h) {
+							t.Errorf("%s n=%d w=%d: Report.HPL3 %g, mat.HPL3 %g", where(), n, workers, res.Report.HPL3, h)
+						}
+						maxF := 0.0
+						for _, row := range res.Factored.Tiles {
+							for _, tl := range row {
+								maxF = math.Max(maxF, tl.NormMax())
+							}
+						}
+						growth := 0.0
+						if maxA > 0 {
+							growth = maxF / maxA
+						}
+						if !sameBits(res.Report.Growth, growth) {
+							t.Errorf("%s n=%d w=%d: Growth %g, want %g", where(), n, workers, res.Report.Growth, growth)
+						}
+						if x1 == nil {
+							x1 = res.X
+							continue
+						}
+						for i := range x1 {
+							if !sameBits(x1[i], res.X[i]) {
+								t.Fatalf("%s n=%d: X[%d] = %g at 1 worker, %g at 2", where(), n, i, x1[i], res.X[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -236,7 +236,8 @@ type Config struct {
 	// resolved once per run — the kernels receive the value explicitly, so
 	// concurrent runs with different tuned ib never race on the global knob.
 	IB int
-	// Workers is the size of the runtime worker pool (default: GOMAXPROCS).
+	// Workers is the size of the runtime worker pool (default: GOMAXPROCS,
+	// at most MaxWorkers).
 	Workers int
 	// Trace records the task graph for simulation / DOT output.
 	Trace bool
@@ -279,6 +280,12 @@ func (c Config) EffectivePrecision() Precision {
 	}
 	return c.Precision
 }
+
+// MaxWorkers caps Config.Workers. The engine starts one goroutine and one
+// deque per worker before its first task, so a count taken from a request or
+// a tuning table must be bounded before it reaches the engine: an unbounded
+// one dies in an out-of-memory fatal error, which no recover can contain.
+const MaxWorkers = 256
 
 // NBAuto as Config.NB asks withDefaults to resolve the tile size through the
 // registered autotuner (SetAutoTuner) instead of the static default. Without
@@ -336,7 +343,10 @@ func (c *Config) withDefaults(n int) (Config, error) {
 		cfg.Grid = tile.NewGrid(1, 1)
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Workers = min(runtime.GOMAXPROCS(0), MaxWorkers)
+	}
+	if cfg.Workers > MaxWorkers {
+		return cfg, fmt.Errorf("core: Workers=%d exceeds MaxWorkers=%d", cfg.Workers, MaxWorkers)
 	}
 	if cfg.IntraTree == 0 && cfg.InterTree == 0 {
 		cfg.IntraTree, cfg.InterTree = tree.Greedy, tree.Fibonacci

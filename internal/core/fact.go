@@ -125,11 +125,11 @@ type fact struct {
 	diagSolvers []func(b *mat.Matrix)
 
 	// Mixed-precision state (Config.Precision != PrecisionF64): a0 retains a
-	// clone of the input for the refinement residuals, f32Bound is the
-	// excursion ceiling 1e8·max(1, max|A|) beyond which a float32 result is
-	// rejected and its task re-run at float64.
+	// copy of the (padded) input for the refinement residuals and normA0 its
+	// ‖·‖∞, f32Bound is the excursion ceiling 1e8·max(1, max|A|) beyond
+	// which a float32 result is rejected and its task re-run at float64.
 	a0       *mat.Matrix
-	maxA0    float64
+	normA0   float64
 	f32Bound float64
 	// res is the float32 tile-residency store, built for every run that is
 	// not f64-effective (nil otherwise). Float32 kernels run on its resident

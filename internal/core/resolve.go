@@ -82,7 +82,7 @@ func (r *Result) SolveBatchRefined(bs [][]float64) ([][]float64, int, error) {
 	}
 	iters := 0
 	if r.Report.F32Steps > 0 {
-		iters = f.refineVecs(full, xs)
+		iters, _ = f.refineVecs(full, xs)
 	}
 	out := make([][]float64, len(xs))
 	for j, x := range xs {
@@ -134,17 +134,22 @@ const (
 // original matrix), dx from a raw replay solve, and the update x += dx is
 // accepted per column only when its HPL3 improves — so refinement can stall
 // but never degrade a solution. Columns at or below refineHPL3Tol are left
-// alone. Returns the number of rounds performed. Vectors are full
-// tiled-order (padded) length; for a padded system the pad rows of b are
-// zero and the identity block keeps their residual exact.
-func (f *fact) refineVecs(bs, xs [][]float64) int {
+// alone. Each iterate's residual is formed once: it gives the iterate's
+// HPL3 (with the stored ‖a0‖∞) and, once accepted, the next correction's
+// right-hand side. Returns the number of rounds performed and the final
+// HPL3 of every column. Vectors are full tiled-order (padded) length; for a
+// padded system the pad rows of b are zero and the identity block keeps
+// their residual exact.
+func (f *fact) refineVecs(bs, xs [][]float64) (int, []float64) {
 	a := f.a0
 	if a == nil {
-		return 0
+		return 0, nil
 	}
+	rs := make([][]float64, len(xs))
 	best := make([]float64, len(xs))
 	for j := range xs {
-		best[j] = mat.HPL3(a, xs[j], bs[j])
+		rs[j] = f.residual(a, xs[j], bs[j])
+		best[j] = mat.HPL3Residual(rs[j], xs[j], f.normA0)
 	}
 	iters := 0
 	for it := 0; it < refineMaxIters; it++ {
@@ -157,11 +162,11 @@ func (f *fact) refineVecs(bs, xs [][]float64) int {
 		if len(idx) == 0 {
 			break
 		}
-		rs := make([][]float64, len(idx))
+		cur := make([][]float64, len(idx))
 		for m, j := range idx {
-			rs[m] = mat.Residual(a, xs[j], bs[j])
+			cur[m] = rs[j]
 		}
-		dxs, err := f.solveVecsRaw(rs)
+		dxs, err := f.solveVecsRaw(cur)
 		if err != nil {
 			break
 		}
@@ -172,8 +177,10 @@ func (f *fact) refineVecs(bs, xs [][]float64) int {
 			for i := range cand {
 				cand[i] = xs[j][i] + dxs[m][i]
 			}
-			if h := mat.HPL3(a, cand, bs[j]); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
+			r := f.residual(a, cand, bs[j])
+			if h := mat.HPL3Residual(r, cand, f.normA0); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
 				copy(xs[j], cand)
+				rs[j] = r
 				best[j] = h
 				improved = true
 			}
@@ -182,7 +189,31 @@ func (f *fact) refineVecs(bs, xs [][]float64) int {
 			break
 		}
 	}
-	return iters
+	return iters, best
+}
+
+// residual returns b − a·x, split by tile rows across the run's engine
+// while it is open and serial after it has closed (a cached or decoded
+// factorization). Every row keeps mat.Residual's summation, so the split
+// never changes a bit.
+func (f *fact) residual(a *mat.Matrix, x, b []float64) []float64 {
+	r := make([]float64, a.Rows)
+	f.parallel((a.Rows+f.nb-1)/f.nb, func(bi int) {
+		mat.ResidualRows(a, x, b, r, bi*f.nb, min((bi+1)*f.nb, a.Rows))
+	})
+	return r
+}
+
+// parallel calls body(0..n−1) on the run's engine while it is open, and in
+// order on the caller's goroutine once it has closed.
+func (f *fact) parallel(n int, body func(i int)) {
+	if f.e == nil {
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		return
+	}
+	f.e.Parallel(n, body)
 }
 
 // replayStep applies step k's transformation to a fresh RHS vector.

@@ -31,50 +31,60 @@ type Result struct {
 // pads the system to the next tile boundary with an identity block —
 // diag(A, I)·[x; 0] = [b; 0] — which leaves the solution, the backward
 // error, and the algorithm's numerical path on the original rows unchanged.
+//
+// Only the factorization runs as the task graph. The O(N²) work around it
+// (tiling A, the growth scan, the refinement residuals) is split by tile
+// rows across the same engine's workers; every row keeps its serial
+// summation order, so no result depends on the split or the worker count.
 func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("core: rhs length %d for N=%d", len(b), a.Rows)
+	n := a.Rows
+	if len(b) != n {
+		return nil, fmt.Errorf("core: rhs length %d for N=%d", len(b), n)
 	}
 	if cfg.NB <= 0 {
 		cfg.NB = 40
-		if a.Rows < cfg.NB {
-			cfg.NB = a.Rows
+		if n < cfg.NB {
+			cfg.NB = n
 		}
 	}
-	if nb := cfg.NB; a.Rows%nb != 0 {
-		padded := (a.Rows/nb + 1) * nb
-		ap := mat.Identity(padded)
-		ap.View(0, 0, a.Rows, a.Cols).CopyFrom(a)
-		bp := make([]float64, padded)
-		copy(bp, b)
-		res, err := Run(ap, bp, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.X = res.X[:a.Rows]
-		res.Report.N = a.Rows
-		res.Report.HPL3 = mat.HPL3(a, res.X, b)
-		return res, nil
-	}
-	c, err := cfg.withDefaults(a.Rows)
+	np := (n + cfg.NB - 1) / cfg.NB * cfg.NB // the padded order
+	c, err := cfg.withDefaults(np)
 	if err != nil {
 		return nil, err
 	}
 
-	ta := tile.FromDense(a, c.NB)
-	rhs := tile.VectorFromSlice(b, c.NB)
-	maxA0 := a.NormMax()
-
+	bp := b
+	if np > n {
+		bp = make([]float64, np)
+		copy(bp, b)
+	}
+	mt := np / c.NB
+	ta := tile.New(mt, mt, c.NB)
+	rhs := tile.VectorFromSlice(bp, c.NB)
 	f := newFact(c, ta, rhs)
-	f.maxA0 = maxA0
-	f.f32Bound = 1e8 * math.Max(1, maxA0)
+
+	// One read of A tiles it, keeps the refinement's copy and takes the norms.
+	var a0 *mat.Matrix
 	if c.Precision != PrecisionF64 {
-		// The refinement residuals need the original matrix; factors
-		// overwrite the tiles, so keep a clone for the run's lifetime.
-		f.a0 = a.Clone()
+		// Factors overwrite the tiles, and refinement needs the original.
+		a0 = mat.New(np, np)
+	}
+	norms, maxes := make([]float64, mt), make([]float64, mt)
+	f.e.Parallel(mt, func(bi int) {
+		norms[bi], maxes[bi] = ta.LoadDense(bi, a, a0)
+	})
+	normA, maxA0 := foldMax(norms), foldMax(maxes)
+	f.normA0 = normA
+	if np > n {
+		// The identity block adds entries and row sums of 1.
+		maxA0, f.normA0 = math.Max(maxA0, 1), math.Max(normA, 1)
+	}
+	f.f32Bound = 1e8 * math.Max(1, maxA0)
+	if a0 != nil {
+		f.a0 = a0
 		// Float32 steps run on resident tile images, converting only at
 		// epoch boundaries instead of once per task. f64-effective runs
 		// never construct the store, so their path is byte-for-byte the
@@ -117,12 +127,13 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		f.report.Conversions = int(to32 + to64)
 		f.report.ConvTime = time.Duration(f.res.ConvNS())
 	}
+	// The wall time, trace and scheduler counters are the DAG's: take them
+	// before the work below runs on the same workers.
 	f.report.WallTime = time.Since(start)
 	if c.Trace {
 		f.report.Trace = f.e.Trace()
 	}
 	f.report.Sched = f.e.SchedCounters()
-	f.e.Close()
 
 	for _, d := range f.report.Decisions {
 		if d {
@@ -152,30 +163,58 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Growth factor: max|final tiles| / max|A|.
-	maxF := 0.0
-	for i := 0; i < ta.MT; i++ {
-		for j := 0; j < ta.NT; j++ {
-			if v := ta.Tile(i, j).NormMax(); v > maxF {
-				maxF = v
+	// Back substitution (serial, the longest piece, so first) beside the
+	// growth scan over the final tiles' tile rows.
+	var x []float64
+	rowMax := make([]float64, mt)
+	f.e.Parallel(mt+1, func(i int) {
+		if i == 0 {
+			x = backSubstitute(ta, rhs, f.diagSolvers)
+			return
+		}
+		for j := 0; j < mt; j++ {
+			if v := ta.Tile(i-1, j).NormMax(); v > rowMax[i-1] {
+				rowMax[i-1] = v
 			}
 		}
-	}
+	})
+	// Growth factor: max|final tiles| / max|A|.
 	if maxA0 > 0 {
-		f.report.Growth = maxF / maxA0
+		f.report.Growth = foldMax(rowMax) / maxA0
 		if f.peakAbs > 0 {
 			f.report.PeakGrowth = f.peakAbs / maxA0
 		}
 	}
 
-	x := backSubstitute(ta, rhs, f.diagSolvers)
 	// A mixed-precision factorization delivers a float32-accurate solution;
 	// iterative refinement through the stored factors (float64 residuals,
 	// O(N²) per round) brings it back to float64 backward error before the
-	// run's HPL3 is judged.
+	// run's HPL3 is judged. Its last accepted iterate's HPL3 is the run's
+	// unless the system was padded: the report judges the original rows.
+	var hpl3 []float64
 	if f.report.F32Steps > 0 && !f.breakdown {
-		f.report.RefineIters = f.refineVecs([][]float64{b}, [][]float64{x})
+		f.report.RefineIters, hpl3 = f.refineVecs([][]float64{bp}, [][]float64{x})
 	}
-	f.report.HPL3 = mat.HPL3(a, x, b)
+	x = x[:n]
+	if hpl3 != nil && np == n {
+		f.report.HPL3 = hpl3[0]
+	} else {
+		f.report.HPL3 = mat.HPL3Residual(f.residual(a, x, b), x, normA)
+	}
+	f.e.Close()
+	f.e = nil // later solves run on the caller's goroutine
+	f.report.N = n
 	return &Result{X: x, Factored: ta, Report: f.report, f: f}, nil
+}
+
+// foldMax returns the largest of xs (0 when empty), folded with `>` like
+// the norms it combines.
+func foldMax(xs []float64) float64 {
+	m := 0.0
+	for _, v := range xs {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }

@@ -429,6 +429,9 @@ func DecodeFactorization(data []byte) (*Result, error) {
 		return nil, fmt.Errorf("core: original-matrix payload: %w", err)
 	}
 	f.a0 = a0
+	if a0 != nil {
+		f.normA0 = a0.NormInf()
+	}
 
 	for k := range p.Steps {
 		st, err := unpackStep(&p.Steps[k], p.NT)

@@ -255,6 +255,59 @@ func (m *Dense[T]) NormMax() float64 {
 	return max
 }
 
+// RowAbsStats returns the largest absolute row sum and the largest |a_ij|
+// over the rows lo ≤ i < hi of a, with NormInf's and NormMax's arithmetic:
+// each row sums in column order and both maxima fold with `>`, so a NaN
+// entry or a NaN row drops out as it does there, and folding the results of
+// any split of the rows with `>` gives the whole matrix's NormInf and
+// NormMax. Four rows run side by side, as independent sums.
+func RowAbsStats(a *Matrix, lo, hi int) (normInf, maxAbs float64) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		var s0, s1, s2, s3 float64
+		for j := range a0 {
+			v0, v1, v2, v3 := math.Abs(a0[j]), math.Abs(a1[j]), math.Abs(a2[j]), math.Abs(a3[j])
+			s0 += v0
+			s1 += v1
+			s2 += v2
+			s3 += v3
+			if v0 > maxAbs {
+				maxAbs = v0
+			}
+			if v1 > maxAbs {
+				maxAbs = v1
+			}
+			if v2 > maxAbs {
+				maxAbs = v2
+			}
+			if v3 > maxAbs {
+				maxAbs = v3
+			}
+		}
+		for _, s := range [4]float64{s0, s1, s2, s3} {
+			if s > normInf {
+				normInf = s
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		s := 0.0
+		for _, v := range a.Row(i) {
+			v = math.Abs(v)
+			s += v
+			if v > maxAbs {
+				maxAbs = v
+			}
+		}
+		if s > normInf {
+			normInf = s
+		}
+	}
+	return normInf, maxAbs
+}
+
 // ColAbsMax returns max_i |a(i,j)| for column j, propagating NaN (see
 // Norm1): the per-column maxima feed the MUMPS criterion, which must see a
 // poisoned column rather than the max of its finite entries.

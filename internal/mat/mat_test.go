@@ -293,6 +293,66 @@ func TestHPL3ScalesWithResidual(t *testing.T) {
 	}
 }
 
+// TestHPL3NaNResidualIsFailure: a NaN residual entry, whether A, x or b
+// put it there, scores +Inf rather than dropping out of the max-norm and
+// scoring the solve as exact.
+func TestHPL3NaNResidualIsFailure(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]struct {
+		a    []float64
+		x, b []float64
+	}{
+		"nan-in-a": {[]float64{nan, 0, 0, 1}, []float64{1, 1}, []float64{5, 1}},
+		"inf-in-a": {[]float64{inf, 0, 0, 1}, []float64{0, 1}, []float64{0, 1}},
+		"nan-in-b": {[]float64{2, 0, 0, 1}, []float64{1, 1}, []float64{nan, 1}},
+	} {
+		if got := HPL3(FromSlice(2, 2, c.a), c.x, c.b); !math.IsInf(got, 1) {
+			t.Errorf("%s: HPL3 = %g, want +Inf", name, got)
+		}
+	}
+}
+
+// TestResidualSplitsMatchWhole: ResidualRows over any split of the rows,
+// and HPL3Residual over its result, give Residual's and HPL3's bits, NaN
+// and Inf entries included; RowAbsStats folds to NormInf and NormMax.
+func TestResidualSplitsMatchWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 3, 4, 7, 13} {
+		a := randomMatrix(rng, n, n)
+		x, b := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		if n > 3 {
+			a.Set(1, 2, math.NaN())
+			a.Set(3, 0, math.Inf(-1))
+		}
+		want := Residual(a, x, b)
+		for split := 0; split <= n; split++ {
+			r := make([]float64, n)
+			ResidualRows(a, x, b, r, split, n)
+			ResidualRows(a, x, b, r, 0, split)
+			for i := range r {
+				if math.Float64bits(r[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d split=%d row %d: %g vs %g", n, split, i, r[i], want[i])
+				}
+			}
+			s0, m0 := RowAbsStats(a, 0, split)
+			s1, m1 := RowAbsStats(a, split, n)
+			if s := math.Max(s0, s1); s != a.NormInf() {
+				t.Fatalf("n=%d split=%d: row sums %g vs NormInf %g", n, split, s, a.NormInf())
+			}
+			if m := math.Max(m0, m1); m != a.NormMax() {
+				t.Fatalf("n=%d split=%d: max %g vs NormMax %g", n, split, m, a.NormMax())
+			}
+		}
+		h, hr := HPL3(a, x, b), HPL3Residual(want, x, a.NormInf())
+		if math.Float64bits(h) != math.Float64bits(hr) {
+			t.Fatalf("n=%d: HPL3 %g vs HPL3Residual %g", n, h, hr)
+		}
+	}
+}
+
 func TestVecNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if VecNorm1(x) != 7 || VecNormInf(x) != 4 || math.Abs(VecNorm2(x)-5) > 1e-15 {

@@ -247,6 +247,9 @@ type task struct {
 	execWorker int32
 
 	trace *TraceTask
+	// loop marks a Parallel runner: it is no part of the graph, so it adds
+	// nothing to the dispatch counters (and it never has a trace record).
+	loop bool
 }
 
 // worker is the per-worker scheduler state. The counters are written only by
@@ -762,13 +765,15 @@ func (e *Engine) queuedLen() int {
 func (e *Engine) execute(t *task, id int, src DispatchKind) {
 	w := e.ws[id]
 	t.execWorker = int32(id)
-	switch src {
-	case DispatchLane:
-		w.laneHits.Add(1)
-	case DispatchLocal:
-		w.localHits.Add(1)
-	case DispatchSteal:
-		w.steals.Add(1)
+	if !t.loop {
+		switch src {
+		case DispatchLane:
+			w.laneHits.Add(1)
+		case DispatchLocal:
+			w.localHits.Add(1)
+		case DispatchSteal:
+			w.steals.Add(1)
+		}
 	}
 	if t.trace != nil {
 		// All measurement writes go into the TraceTask preallocated at
@@ -810,6 +815,38 @@ func (e *Engine) execute(t *task, id int, src DispatchKind) {
 		e.waitCond.Broadcast()
 		e.waitMu.Unlock()
 	}
+}
+
+// Parallel calls body(0), …, body(n−1) on the engine's workers and returns
+// once every call has finished. The calls are loop iterations, not graph
+// tasks: they declare no accesses, leave no trace record and add nothing to
+// SchedCounters' dispatch counts, so a caller can run the data-parallel work
+// around its graph (filling the operands in before it, reducing the results
+// after it) on the same workers without that work showing up as part of the
+// graph. At most Workers runners take the iterations in index order, one at
+// a time, so the caller bounds the cores it uses by the worker count and
+// puts its longest iteration first. Parallel must not be called from a task
+// body, which would wait on the workers it occupies.
+func (e *Engine) Parallel(n int, body func(i int)) {
+	if e.closed.Load() {
+		panic("runtime: Parallel after Close")
+	}
+	var next atomic.Int64
+	var done sync.WaitGroup
+	run := func() {
+		defer done.Done()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			body(i)
+		}
+	}
+	runners := min(n, len(e.ws))
+	done.Add(runners)
+	for r := 0; r < runners; r++ {
+		e.pending.Add(1)
+		e.lane.push(&task{spec: TaskSpec{Run: run}, loop: true})
+		e.wake(-1)
+	}
+	done.Wait()
 }
 
 // Wait blocks until every submitted task (including tasks submitted from

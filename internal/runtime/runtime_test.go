@@ -322,3 +322,48 @@ func TestDOTOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelOutsideTheGraph: Parallel runs every index exactly once, on at
+// most Workers calls at a time, and leaves no trace record and no dispatch
+// count behind; after Close it panics like Submit.
+func TestParallelOutsideTheGraph(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		e := NewEngine(Config{Workers: workers, Trace: true})
+		e.Submit(TaskSpec{Name: "t", Kernel: "K", Accesses: []Access{W(e.NewHandle("x", 8, 0))}})
+		e.Wait()
+		before := e.SchedCounters().Dispatches()
+		var hits [100]atomic.Int32
+		var inFlight, peak atomic.Int32
+		e.Parallel(len(hits), func(i int) {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			hits[i].Add(1)
+			inFlight.Add(-1)
+		})
+		e.Parallel(0, func(int) { t.Error("body called for n = 0") })
+		for i := range hits {
+			if hits[i].Load() != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, hits[i].Load())
+			}
+		}
+		if p := int(peak.Load()); p > workers {
+			t.Fatalf("workers=%d: %d calls ran at once", workers, p)
+		}
+		if n := len(e.Trace()); n != 1 {
+			t.Fatalf("workers=%d: %d trace records, want the graph's 1", workers, n)
+		}
+		if d := e.SchedCounters().Dispatches(); d != before {
+			t.Fatalf("workers=%d: dispatches %d → %d", workers, before, d)
+		}
+		e.Close()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("workers=%d: Parallel after Close did not panic", workers)
+				}
+			}()
+			e.Parallel(1, func(int) {})
+		}()
+	}
+}

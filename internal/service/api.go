@@ -230,6 +230,9 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 	if cfg.Workers == 0 && tuned != nil && tuned.Workers > 0 {
 		cfg.Workers = tuned.Workers
 	}
+	if cfg.Workers > core.MaxWorkers {
+		return nil, fmt.Errorf("config.workers=%d exceeds the limit %d", cfg.Workers, core.MaxWorkers)
+	}
 	cfg.Seed = cs.Seed
 
 	b := rhs

@@ -508,6 +508,19 @@ func TestCacheLRUEvictsOnlyCompleted(t *testing.T) {
 	}
 }
 
+// invalidBodies are request bodies parse must reject: each breaks one
+// validation rule against a MaxN=512 service.
+var invalidBodies = map[string]map[string]any{
+	"no-operator":  {"matrix": map[string]any{"n": 160}},
+	"n-not-tile":   {"matrix": map[string]any{"n": 161, "gen": "random"}},
+	"over-max-n":   {"matrix": map[string]any{"n": 1024, "gen": "random"}},
+	"bad-alg":      {"matrix": map[string]any{"n": 160, "gen": "random"}, "config": map[string]any{"alg": "cholesky"}},
+	"bad-gen":      {"matrix": map[string]any{"n": 160, "gen": "nosuch"}},
+	"gen-domain":   {"matrix": map[string]any{"n": 3, "gen": "condex"}, "config": map[string]any{"nb": 1}},
+	"rhs-mismatch": {"matrix": map[string]any{"n": 160, "gen": "random"}, "rhs": []float64{1, 2}},
+	"workers-huge": {"matrix": map[string]any{"n": 40, "gen": "random"}, "config": map[string]any{"workers": int64(1) << 36}},
+}
+
 func TestHTTPValidation(t *testing.T) {
 	m := mustManager(t, Options{QueueSize: 4, Concurrency: 1, MaxN: 512})
 	defer m.Drain(context.Background())
@@ -531,15 +544,7 @@ func TestHTTPValidation(t *testing.T) {
 	}
 
 	// 400 for semantic errors.
-	for name, body := range map[string]map[string]any{
-		"no-operator":  {"matrix": map[string]any{"n": 160}},
-		"n-not-tile":   {"matrix": map[string]any{"n": 161, "gen": "random"}},
-		"over-max-n":   {"matrix": map[string]any{"n": 1024, "gen": "random"}},
-		"bad-alg":      {"matrix": map[string]any{"n": 160, "gen": "random"}, "config": map[string]any{"alg": "cholesky"}},
-		"bad-gen":      {"matrix": map[string]any{"n": 160, "gen": "nosuch"}},
-		"gen-domain":   {"matrix": map[string]any{"n": 3, "gen": "condex"}, "config": map[string]any{"nb": 1}},
-		"rhs-mismatch": {"matrix": map[string]any{"n": 160, "gen": "random"}, "rhs": []float64{1, 2}},
-	} {
+	for name, body := range invalidBodies {
 		if st, out := postJSON(t, client, ts.URL+"/v1/jobs", body); st != http.StatusBadRequest {
 			t.Fatalf("%s: got %d, want 400: %s", name, st, out)
 		}
@@ -554,4 +559,39 @@ func TestHTTPValidation(t *testing.T) {
 	if st, _ := postJSON(t, client, ts.URL+"/v1/solve", big); st != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: got %d, want 413", st)
 	}
+}
+
+// FuzzParse: whatever the body, the request parser with no tuner either
+// rejects it or yields a request inside the service limits (N ≤ MaxN, nb
+// dividing N, workers within core.MaxWorkers) whose digest a second parse
+// reproduces. Seeds are a valid body and TestHTTPValidation's invalid ones.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(`{"matrix":{"n":160,"gen":"random","seed":3},"config":{"alg":"luqr","nb":40,"p":2,"q":2,"alpha":0,"workers":2,"precision":"auto"},"rhs":null}`))
+	f.Add([]byte(`{"matrix":{"n":2,"data":[4,1,1,3]},"config":{"nb":1,"criterion":"sum","variant":"b2"},"rhs":[1,2]}`))
+	for _, body := range invalidBodies {
+		data, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	opts := Options{MaxN: 512}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SubmitRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		p, err := parse(req.Matrix, req.Config, req.RHS, opts)
+		if err != nil {
+			return
+		}
+		n, nb, w := p.spec.N, p.cfg.NB, p.cfg.Workers
+		if n > opts.MaxN || nb <= 0 || n%nb != 0 || w < 0 || w > core.MaxWorkers {
+			t.Fatalf("accepted n=%d nb=%d workers=%d", n, nb, w)
+		}
+		again, err := parse(req.Matrix, req.Config, req.RHS, opts)
+		if err != nil || again.key != p.key {
+			t.Fatalf("second parse: key %s vs %s, err %v", again.key, p.key, err)
+		}
+	})
 }

@@ -103,12 +103,56 @@ func FromDense(a *mat.Matrix, nb int) *Matrix {
 		panic(fmt.Sprintf("tile: %dx%d not tileable by nb=%d", a.Rows, a.Cols, nb))
 	}
 	t := New(a.Rows/nb, a.Cols/nb, nb)
-	for i := 0; i < t.MT; i++ {
-		for j := 0; j < t.NT; j++ {
-			t.Tiles[i][j].CopyFrom(a.View(i*nb, j*nb, nb, nb))
-		}
+	for bi := 0; bi < t.MT; bi++ {
+		t.LoadDense(bi, a, nil)
 	}
 	return t
+}
+
+// LoadDense fills tile row bi of the freshly allocated (zero) t from the
+// n×n dense matrix a, n ≤ t.N(). Rows and columns past n take the
+// identity: the padding diag(A, I) that lets N be any order (§II-D.2). A
+// non-nil a0, a zero t.N()×t.N() matrix, receives the same padded rows, so
+// one read of a both tiles it and keeps a dense copy. It returns the
+// largest absolute row sum and the largest |a_ij| over a's rows in the band,
+// pad rows excluded (mat.RowAbsStats). Distinct tile rows write distinct
+// memory, so the rows of t may be loaded concurrently.
+func (t *Matrix) LoadDense(bi int, a, a0 *mat.Matrix) (normInf, maxAbs float64) {
+	nb, n := t.NB, a.Rows
+	if a.Cols != n || n > t.N() || t.MT != t.NT {
+		panic(fmt.Sprintf("tile: LoadDense of %dx%d into %dx%d tiles of order %d", a.Rows, a.Cols, t.MT, t.NT, nb))
+	}
+	// Copy four rows, then take their norms while the rows are in cache.
+	const group = 4
+	for g := bi * nb; g < (bi+1)*nb; g += group {
+		for i := g; i < g+group && i < (bi+1)*nb; i++ {
+			r := i - bi*nb
+			if i >= n {
+				t.Tiles[bi][bi].Set(r, r, 1)
+				if a0 != nil {
+					a0.Set(i, i, 1)
+				}
+				continue
+			}
+			row := a.Row(i)
+			for j := 0; j*nb < n; j++ {
+				copy(t.Tiles[bi][j].Row(r), row[j*nb:min((j+1)*nb, n)])
+			}
+			if a0 != nil {
+				copy(a0.Row(i), row)
+			}
+		}
+		if g < n {
+			s, m := mat.RowAbsStats(a, g, min(g+group, (bi+1)*nb, n))
+			if s > normInf {
+				normInf = s
+			}
+			if m > maxAbs {
+				maxAbs = m
+			}
+		}
+	}
+	return normInf, maxAbs
 }
 
 // ToDense reassembles the dense matrix.

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -137,6 +138,32 @@ func TestFromDenseRejectsNonMultiple(t *testing.T) {
 		}
 	}()
 	FromDense(mat.New(10, 10), 4)
+}
+
+// TestLoadDensePadsWithIdentity: loading the tile rows in any order tiles A
+// into diag(A, I) at the padded order, copies the same padded matrix into
+// a0, and returns a's row-sum and entry maxima, pad rows excluded.
+func TestLoadDensePadsWithIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{4, 5, 8, 11} {
+		nb := 4
+		mt := (n + nb - 1) / nb
+		a := randDense(rng, n)
+		want := mat.Identity(mt * nb)
+		want.View(0, 0, n, n).CopyFrom(a)
+		tm, a0 := New(mt, mt, nb), mat.New(mt*nb, mt*nb)
+		normInf, maxAbs := 0.0, 0.0
+		for bi := mt - 1; bi >= 0; bi-- {
+			s, m := tm.LoadDense(bi, a, a0)
+			normInf, maxAbs = math.Max(normInf, s), math.Max(maxAbs, m)
+		}
+		if !mat.Equal(tm.ToDense(), want) || !mat.Equal(a0, want) {
+			t.Fatalf("n=%d: tiles or copy differ from diag(A, I)", n)
+		}
+		if normInf != a.NormInf() || maxAbs != a.NormMax() {
+			t.Fatalf("n=%d: norms %g, %g want %g, %g", n, normInf, maxAbs, a.NormInf(), a.NormMax())
+		}
+	}
 }
 
 func TestTileAliasesMatrix(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"luqr/internal/core"
 )
 
 // TableVersion is the on-disk format version. Versions 1..TableVersion load
@@ -81,10 +83,35 @@ func loadTable(path string) (tab *table, quarantined bool, err error) {
 		quarantine(path)
 		return newTable(), true, fmt.Errorf("tune: malformed table body (quarantined): %w", jerr)
 	}
+	if err := t.validate(); err != nil {
+		quarantine(path)
+		return newTable(), true, fmt.Errorf("tune: %w (quarantined)", err)
+	}
 	if t.Machines == nil {
 		t.Machines = make(map[string]map[string]Entry)
 	}
 	return &t, false, nil
+}
+
+// validate rejects entries the tuner never writes and a reader must not
+// apply: a negative tile or block size, a worker count outside
+// [0, core.MaxWorkers] (the engine would die allocating it), or an α state
+// that is missing or negative. NB == 0 is the α-only entry Observe writes
+// before a class is probed.
+func (t *table) validate() error {
+	for m, classes := range t.Machines {
+		for c, e := range classes {
+			if e.NB < 0 || e.IB < 0 || e.Workers < 0 || e.Workers > core.MaxWorkers {
+				return fmt.Errorf("entry %s %s out of range: %v", m, c, e.Point)
+			}
+			for crit, st := range e.Alphas {
+				if st == nil || st.Alpha < 0 || st.Samples < 0 || st.Backoffs < 0 {
+					return fmt.Errorf("entry %s %s: invalid α state %q", m, c, crit)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // quarantine moves a damaged table aside (so it can be inspected) rather

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"luqr/internal/core"
 )
 
 // fakeBench returns a deterministic rate per point so probe outcomes are
@@ -157,41 +159,84 @@ func TestMachineMismatchReprobes(t *testing.T) {
 	}
 }
 
-func TestCorruptTableQuarantinedAndReprobed(t *testing.T) {
-	for name, damage := range map[string]func(path string) error{
-		"truncated": func(path string) error {
-			data, _ := os.ReadFile(path)
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
-		},
-		"bitflip": func(path string) error {
-			data, _ := os.ReadFile(path)
-			// Flip a byte inside the table payload, invalidating the checksum
-			// while keeping the JSON well-formed where possible.
-			for i := range data {
-				if data[i] == '1' {
-					data[i] = '7'
-					break
+// tableDamage corrupts a saved tuning table, one way per class of damage a
+// loader must quarantine.
+var tableDamage = map[string]func(path string) error{
+	"truncated": func(path string) error {
+		data, _ := os.ReadFile(path)
+		return os.WriteFile(path, data[:len(data)/2], 0o644)
+	},
+	"bitflip": func(path string) error {
+		data, _ := os.ReadFile(path)
+		// Flip a byte inside the table payload, invalidating the checksum
+		// while keeping the JSON well-formed where possible.
+		for i := range data {
+			if data[i] == '1' {
+				data[i] = '7'
+				break
+			}
+		}
+		return os.WriteFile(path, data, 0o644)
+	},
+	"version-skew": func(path string) error {
+		data, _ := os.ReadFile(path)
+		var w fileWrapper
+		if err := json.Unmarshal(data, &w); err != nil {
+			return err
+		}
+		w.Version = TableVersion + 99
+		out, err := json.Marshal(w)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, out, 0o644)
+	},
+	"garbage": func(path string) error {
+		return os.WriteFile(path, []byte("not json at all"), 0o644)
+	},
+	"workers-huge": func(path string) error {
+		// Well-formed and correctly sealed, but a worker count the engine
+		// could not allocate.
+		return editTable(path, func(tab *table) {
+			for _, classes := range tab.Machines {
+				for c, e := range classes {
+					e.Workers = 1 << 36
+					classes[c] = e
 				}
 			}
-			return os.WriteFile(path, data, 0o644)
-		},
-		"version-skew": func(path string) error {
-			data, _ := os.ReadFile(path)
-			var w fileWrapper
-			if err := json.Unmarshal(data, &w); err != nil {
-				return err
-			}
-			w.Version = TableVersion + 99
-			out, err := json.Marshal(w)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, out, 0o644)
-		},
-		"garbage": func(path string) error {
-			return os.WriteFile(path, []byte("not json at all"), 0o644)
-		},
-	} {
+		})
+	},
+}
+
+// editTable rewrites the table at path through edit and re-seals it with a
+// matching checksum, so only the loader's own validation can reject it.
+func editTable(path string, edit func(*table)) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var w fileWrapper
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	var tab table
+	if err := json.Unmarshal(w.Table, &tab); err != nil {
+		return err
+	}
+	edit(&tab)
+	if w.Table, err = json.Marshal(&tab); err != nil {
+		return err
+	}
+	w.Checksum = checksum(w.Table)
+	out, err := json.Marshal(w)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, out, 0o644)
+}
+
+func TestCorruptTableQuarantinedAndReprobed(t *testing.T) {
+	for name, damage := range tableDamage {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "tuning.json")
 			if _, _, err := testTuner(path, nil).Tune(768, "luqr"); err != nil {
@@ -222,6 +267,99 @@ func TestCorruptTableQuarantinedAndReprobed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadTable: whatever the file holds, loadTable either quarantines it
+// with an error, or returns a table whose entries are in range (nb and ib
+// non-negative, nb = 0 being the α-only entry, workers within
+// core.MaxWorkers) and that saveTable and loadTable round-trip unchanged.
+// Each input is loaded as it is and again re-sealed with a matching
+// checksum, so mutations reach the body's parser and validation. Seeds are
+// a probed table with learned α states and every class of tableDamage.
+func FuzzLoadTable(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "tuning.json")
+	tun := testTuner(path, nil)
+	if _, _, err := tun.Tune(768, "luqr"); err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{512, 768} {
+		tun.Observe(n, "luqr", Observation{Criterion: "max", Alpha: 100, FracLU: 0.5, Growth: 2, HPL3: 0.001})
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, damage := range tableDamage {
+		if err := os.WriteFile(path, valid, 0o644); err != nil {
+			f.Fatal(err)
+		}
+		if err := damage(path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tuning.json")
+		for _, in := range [][]byte{data, resealTable(data)} {
+			if in == nil {
+				continue
+			}
+			if err := os.WriteFile(path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tab, quarantined, err := loadTable(path)
+			if err != nil {
+				if !quarantined {
+					t.Fatalf("error without quarantine: %v", err)
+				}
+				if _, serr := os.Stat(path + ".corrupt"); serr != nil {
+					t.Fatalf("damaged table not moved aside: %v", serr)
+				}
+				continue
+			}
+			for m, classes := range tab.Machines {
+				for c, e := range classes {
+					if e.NB < 0 || e.IB < 0 || e.Workers < 0 || e.Workers > core.MaxWorkers {
+						t.Fatalf("loaded %s %s: %v", m, c, e.Point)
+					}
+				}
+			}
+			if err := saveTable(path, tab); err != nil {
+				t.Fatal(err)
+			}
+			back, q, err := loadTable(path)
+			if err != nil || q {
+				t.Fatalf("saved table does not load: q=%v err=%v", q, err)
+			}
+			// The table's identity is its JSON form: an empty α map saves as
+			// absent, which is the same table.
+			want, _ := json.Marshal(tab)
+			got, _ := json.Marshal(back)
+			if string(got) != string(want) {
+				t.Fatalf("round trip changed the table:\n%s\n%s", want, got)
+			}
+		}
+	})
+}
+
+// resealTable re-computes the checksum of a table file that parses as an
+// envelope, or returns nil.
+func resealTable(data []byte) []byte {
+	var w fileWrapper
+	if json.Unmarshal(data, &w) != nil {
+		return nil
+	}
+	w.Checksum = checksum(w.Table)
+	out, err := json.Marshal(w)
+	if err != nil {
+		return nil
+	}
+	return out
 }
 
 func TestBenchFailuresFallThrough(t *testing.T) {
