@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"luqr/internal/criteria"
 	"luqr/internal/tile"
@@ -157,7 +156,7 @@ const (
 	// PrecisionF64 (the zero value) runs every kernel in float64.
 	PrecisionF64 Precision = iota
 	// PrecisionAuto makes precision a per-step decision: an LU step whose
-	// criterion margin is at most Config.F32Margin — the decision quantity
+	// criterion margin is at most DefaultF32Margin — the decision quantity
 	// sits that far below the α threshold — runs its Eliminate and Update
 	// kernels in float32; panels (the free float64 trial factors) and QR
 	// steps stay float64. Any f32 excursion demotes the task back to f64 by
@@ -214,7 +213,8 @@ const (
 // Config configures a factorization run.
 type Config struct {
 	Alg Algorithm
-	// NB is the tile order. N must be a multiple of NB.
+	// NB is the tile order (default min(40, N)). Run pads N to the next
+	// multiple of NB.
 	NB int
 	// Grid is the virtual process grid for the 2-D block-cyclic
 	// distribution; it determines domains and communication accounting.
@@ -232,9 +232,9 @@ type Config struct {
 	// (defaults: GREEDY inside nodes, FIBONACCI between nodes — §IV).
 	IntraTree, InterTree tree.Tree
 	// IB is the inner block size of the blocked panel kernels (GEQRT,
-	// TSQRT, TTQRT). Zero means "use the process default" (lapack.PanelIB),
-	// resolved once per run — the kernels receive the value explicitly, so
-	// concurrent runs with different tuned ib never race on the global knob.
+	// TSQRT, TTQRT). Zero means the default, lapack.PanelIB() (32); the
+	// kernels receive the value explicitly, so concurrent runs may use
+	// different ib.
 	IB int
 	// Workers is the size of the runtime worker pool (default: GOMAXPROCS,
 	// at most MaxWorkers).
@@ -247,10 +247,6 @@ type Config struct {
 	// a non-f64 setting; withDefaults silently resets the knob to f64 for
 	// the other algorithms and variants.
 	Precision Precision
-	// F32Margin is the criterion-margin ceiling for PrecisionAuto (default
-	// DefaultF32Margin). Smaller is more conservative; 0 keeps auto mode
-	// effectively at f64.
-	F32Margin float64
 	// TrackGrowth samples the trailing submatrix after every elimination
 	// step and records the peak intermediate element growth in
 	// Report.PeakGrowth — the quantity the §III growth bounds govern.
@@ -287,58 +283,10 @@ func (c Config) EffectivePrecision() Precision {
 // one dies in an out-of-memory fatal error, which no recover can contain.
 const MaxWorkers = 256
 
-// NBAuto as Config.NB asks withDefaults to resolve the tile size through the
-// registered autotuner (SetAutoTuner) instead of the static default. Without
-// a tuner — or when the tuner declines — the largest production-size divisor
-// of N is used, falling back to the historical default of 40.
-const NBAuto = -1
-
-// AutoTuner resolves tuned parameters for an n×n factorization: the tile
-// order nb (which must divide n), the kernels' inner block size ib, and the
-// worker-pool size. ok == false declines, leaving the defaults in force.
-// internal/tune provides the implementation; the indirection keeps core free
-// of the tuner's persistence machinery.
-type AutoTuner func(n int, alg string) (nb, ib, workers int, ok bool)
-
-var autoTuner atomic.Value // AutoTuner
-
-// SetAutoTuner installs the process-wide autotuner consulted for runs with
-// NB == NBAuto. Passing nil removes it.
-func SetAutoTuner(f AutoTuner) { autoTuner.Store(f) }
-
-// autoNB picks the static fallback tile size for NBAuto without a tuner:
-// the largest production candidate dividing n, else the historical 40 (whose
-// divisibility error path reports the mismatch).
-func autoNB(n int) int {
-	for _, nb := range []int{256, 192, 128, 64, 40, 32, 16, 8, 4, 2, 1} {
-		if nb <= n && n%nb == 0 {
-			return nb
-		}
-	}
-	return 40
-}
-
-func (c *Config) withDefaults(n int) (Config, error) {
+// withDefaults fills in the unset fields. Run has already resolved NB and
+// padded N to a multiple of it.
+func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
-	if cfg.NB == NBAuto {
-		if f, _ := autoTuner.Load().(AutoTuner); f != nil {
-			if nb, ib, workers, ok := f(n, cfg.Alg.String()); ok && nb > 0 && n%nb == 0 {
-				cfg.NB = nb
-				if cfg.IB == 0 && ib > 0 {
-					cfg.IB = ib
-				}
-				if cfg.Workers <= 0 && workers > 0 {
-					cfg.Workers = workers
-				}
-			}
-		}
-		if cfg.NB == NBAuto {
-			cfg.NB = autoNB(n)
-		}
-	}
-	if cfg.NB <= 0 {
-		cfg.NB = 40
-	}
 	if cfg.Grid.P == 0 && cfg.Grid.Q == 0 {
 		cfg.Grid = tile.NewGrid(1, 1)
 	}
@@ -354,12 +302,6 @@ func (c *Config) withDefaults(n int) (Config, error) {
 	if cfg.Alg == LUQR && cfg.Criterion == nil {
 		cfg.Criterion = criteria.Max{Alpha: 100}
 	}
-	if cfg.F32Margin == 0 {
-		cfg.F32Margin = DefaultF32Margin
-	}
 	cfg.Precision = cfg.EffectivePrecision()
-	if n%cfg.NB != 0 {
-		return cfg, fmt.Errorf("core: N=%d is not a multiple of NB=%d", n, cfg.NB)
-	}
 	return cfg, nil
 }

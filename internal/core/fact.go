@@ -24,7 +24,7 @@ import (
 // ride the shared priority lane every worker polls first, while the general
 // trailing updates stay below it and ride the per-worker deques with their
 // locality-aware work stealing. The lookahead band matters because the
-// deques are LIFO and priority-blind: the updates of column k+1 (and the
+// deques are FIFO and priority-blind: the updates of column k+1 (and the
 // RHS) gate step k+1's panel, and on the old priority heap they ran first
 // among updates — dropped into a deque they would queue behind arbitrary
 // trailing work and stall the pipeline. The k<<8 / k<<10 terms order
@@ -90,17 +90,12 @@ type stepState struct {
 	hStack  *runtime.Handle
 	hNorms  []*runtime.Handle
 
-	// QR-step reflector storage, keyed by tile row. The 32 maps hold the
-	// float32 T images used by the resident path: populated at submit time
-	// (single-threaded, so the map writes never race with worker reads),
-	// kept in sync with the f64 T by the factor task (widened on an
-	// accepted f32 factor, re-rounded after a demotion).
-	tGeqrt   map[int]*mat.Matrix
-	tKill    map[int]*mat.Matrix
-	tGeqrt32 map[int]*mat.Matrix32
-	tKill32  map[int]*mat.Matrix32
-	hTGeqrt  map[int]*runtime.Handle
-	hTKill   map[int]*runtime.Handle
+	// QR-step reflector storage, keyed by tile row: the T factors of the
+	// step's GEQRT and kill (TSQRT/TTQRT) tasks, each with its float32
+	// image and runtime handle. The maps are written at submit time
+	// (single-threaded, so they never race with worker reads).
+	tGeqrt map[int]*tFactor
+	tKill  map[int]*tFactor
 }
 
 // fact carries one factorization through the runtime.
@@ -114,8 +109,8 @@ type fact struct {
 	hb []*runtime.Handle   // rhs tile handles
 
 	// ib is the panel kernels' inner block size, resolved once from
-	// Config.IB (process default when unset) and passed explicitly to the
-	// blocked kernels so concurrent runs never share the global knob.
+	// Config.IB (lapack.PanelIB() when unset) and passed explicitly to the
+	// blocked kernels.
 	nt, nb, ib int
 	steps      []*stepState
 
@@ -133,7 +128,7 @@ type fact struct {
 	f32Bound float64
 	// res is the float32 tile-residency store, built for every run that is
 	// not f64-effective (nil otherwise). Float32 kernels run on its resident
-	// tile images through the runMixed32R harness, and every float64 task
+	// tile images through the run32 harness, and every float64 task
 	// normalizes its tiles with ensure64 first.
 	res *tile.Residency
 
@@ -200,27 +195,20 @@ func (f *fact) noteDemotion() {
 	f.mu.Unlock()
 }
 
-// tileRef names a tile in the residency store: matrix tile (i, j), or RHS
-// tile i when j < 0.
-type tileRef struct{ i, j int }
-
-func mref(i, j int) tileRef { return tileRef{i, j} }
-func vref(i int) tileRef    { return tileRef{i, -1} }
-
-// colRefs builds refs for column j's tiles at the given rows.
-func colRefs(rows []int, j int) []tileRef {
-	refs := make([]tileRef, len(rows))
+// colRefs names column j's tiles at the given rows.
+func colRefs(rows []int, j int) []tile.Ref {
+	refs := make([]tile.Ref, len(rows))
 	for r, i := range rows {
-		refs[r] = tileRef{i, j}
+		refs[r] = tile.At(i, j)
 	}
 	return refs
 }
 
-// vecRefs builds refs for the RHS tiles at the given rows.
-func vecRefs(rows []int) []tileRef {
-	refs := make([]tileRef, len(rows))
+// rhsRefs names the RHS tiles at the given rows.
+func rhsRefs(rows []int) []tile.Ref {
+	refs := make([]tile.Ref, len(rows))
 	for r, i := range rows {
-		refs[r] = vref(i)
+		refs[r] = tile.RHS(i)
 	}
 	return refs
 }
@@ -228,16 +216,12 @@ func vecRefs(rows []int) []tileRef {
 // ensure64 normalizes the listed tiles to current float64 storage (no-op
 // without residency). Every task that runs a float64 body must ensure every
 // tile it touches; on non-resident tiles this is a single lock check.
-func (f *fact) ensure64(m *tile.Meter, refs ...tileRef) {
+func (f *fact) ensure64(m *tile.Meter, refs ...tile.Ref) {
 	if f.res == nil {
 		return
 	}
-	for _, r := range refs {
-		if r.j < 0 {
-			f.res.EnsureVecF64(r.i, m)
-		} else {
-			f.res.EnsureF64(r.i, r.j, m)
-		}
+	for _, t := range refs {
+		f.res.EnsureF64(t, m)
 	}
 }
 
@@ -257,121 +241,6 @@ func (f *fact) excursion32(ms ...*mat.Matrix32) bool {
 		}
 	}
 	return false
-}
-
-// runMixed32R is the demotion harness of the resident float32 path. It
-// acquires the out tiles' images (snapshotting only those that were already
-// dirty — for the rest the float64 array is the epoch's master copy and a
-// restore is free), acquires the in images, runs the resident float32
-// closure, and scans the out images. On an excursion it rolls the outs back
-// (restore-from-snapshot for dirty-before, plain image discard otherwise),
-// normalizes every accessed tile to float64, re-runs the float64 closure
-// and counts the demotion — so a rejected float32 result never leaks, and a
-// fully-demoted run is bit-identical to a pure float64 one.
-//
-// t/t32 (optional, both nil or both set) carry a QR factor task's T: t32 is
-// written by run32 and included in the excursion scan; an accepted float32
-// factor widens it into t (keeping the f64 T valid for replay and
-// serialization), a demotion re-rounds t from the float64 result (keeping
-// t32 valid for the step's remaining resident update tasks).
-func (f *fact) runMixed32R(tr *runtime.TraceTask, ins, outs []tileRef, t *mat.Matrix, t32 *mat.Matrix32,
-	run32 func(in, out []*mat.Matrix32), run64 func()) {
-	m := &tile.Meter{}
-	defer func() { tr.ChargeConv(m.NS) }()
-
-	type outState struct {
-		img     *mat.Matrix32
-		dirty   bool
-		snap    *mat.Matrix32
-		snapBuf *mat.Buf[float32]
-	}
-	os := make([]outState, len(outs))
-	outImgs := make([]*mat.Matrix32, len(outs))
-	for idx, o := range outs {
-		var img *mat.Matrix32
-		var dirty bool
-		if o.j < 0 {
-			img, dirty = f.res.WriteVec32(o.i, m)
-		} else {
-			img, dirty = f.res.Write32(o.i, o.j, m)
-		}
-		os[idx] = outState{img: img, dirty: dirty}
-		if dirty {
-			s, b := mat.GetMatrix[float32](img.Rows, img.Cols)
-			s.CopyFrom(img)
-			os[idx].snap, os[idx].snapBuf = s, b
-		}
-		outImgs[idx] = img
-	}
-	inImgs := make([]*mat.Matrix32, len(ins))
-	for idx, r := range ins {
-		if r.j < 0 {
-			inImgs[idx] = f.res.ReadVec32(r.i, m)
-		} else {
-			inImgs[idx] = f.res.Read32(r.i, r.j, m)
-		}
-	}
-
-	run32(inImgs, outImgs)
-
-	scan := outImgs
-	if t32 != nil {
-		scan = append(append([]*mat.Matrix32{}, outImgs...), t32)
-	}
-	if !f.excursion32(scan...) {
-		for idx := range os {
-			mat.PutBuf(os[idx].snapBuf)
-		}
-		if t != nil {
-			t32.WidenInto(t)
-		}
-		return
-	}
-
-	for idx, o := range outs {
-		if os[idx].dirty {
-			os[idx].img.CopyFrom(os[idx].snap)
-		} else if o.j < 0 {
-			f.res.DiscardVec32(o.i)
-		} else {
-			f.res.Discard32(o.i, o.j)
-		}
-		mat.PutBuf(os[idx].snapBuf)
-	}
-	f.ensure64(m, outs...)
-	f.ensure64(m, ins...)
-	run64()
-	if t != nil {
-		t32.RoundFrom(t)
-	}
-	f.noteDemotion()
-}
-
-// runTileTask dispatches one tile-kernel body under the step's precision:
-// an f32 step runs the resident float32 body (runMixed32R, which falls back
-// to run64 on an excursion); otherwise run64 runs, after ensure64 when the
-// run has a residency store.
-func (f *fact) runTileTask(tr *runtime.TraceTask, st *stepState, ins, outs []tileRef,
-	run32 func(in, out []*mat.Matrix32), run64 func()) {
-	f.runTileTaskT(tr, st, ins, outs, nil, nil, run32, run64)
-}
-
-// runTileTaskT is runTileTask for QR factor tasks that also produce a T
-// factor (see runMixed32R's t/t32 contract).
-func (f *fact) runTileTaskT(tr *runtime.TraceTask, st *stepState, ins, outs []tileRef, t *mat.Matrix, t32 *mat.Matrix32,
-	run32 func(in, out []*mat.Matrix32), run64 func()) {
-	switch {
-	case st.f32:
-		f.runMixed32R(tr, ins, outs, t, t32, run32, run64)
-	case f.res != nil:
-		m := &tile.Meter{}
-		f.ensure64(m, ins...)
-		f.ensure64(m, outs...)
-		run64()
-		tr.ChargeConv(m.NS)
-	default:
-		run64()
-	}
 }
 
 // trailingCols returns the column indices j > k.
@@ -410,15 +279,6 @@ func (f *fact) accRows(rows []int, j int) []runtime.Access {
 	acc := make([]runtime.Access, 0, len(rows))
 	for _, i := range rows {
 		acc = append(acc, runtime.W(f.h[i][j]))
-	}
-	return acc
-}
-
-// accRHSRows builds write accesses for the RHS tiles of the given rows.
-func (f *fact) accRHSRows(rows []int) []runtime.Access {
-	acc := make([]runtime.Access, 0, len(rows))
-	for _, i := range rows {
-		acc = append(acc, runtime.W(f.hb[i]))
 	}
 	return acc
 }
@@ -564,7 +424,7 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 				// it — the stack views become the panel tiles' dirty images —
 				// and keep a widened float64 copy in st.stack for the
 				// criterion quantities, the f64 applies and the RHS replay.
-				st.stack32 = f.res.AcquireRowStack32(st.rows, k, m)
+				st.stack32 = f.res.AcquireStack32(colRefs(st.rows, k), m)
 				st.piv, st.luErr = lapack.Getrf(st.stack32)
 				if st.luErr != nil || f.excursion32(st.stack32) {
 					// Demote the whole step: the images are untouched until
@@ -584,7 +444,7 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 					st.stack = mat.New(len(st.rows)*nb, nb)
 					st.stack32.WidenInto(st.stack)
 					st.l11_32 = st.stack32.View(0, 0, nb, nb)
-					f.res.CommitRowStack32(st.stack32, st.rows, k)
+					f.res.CommitStack32(st.stack32, colRefs(st.rows, k))
 				}
 			} else {
 				// The float64 trial factors the tiles' float64 content —

@@ -243,12 +243,10 @@ func (f *fact) replayLUStep(st *stepState, rhs *tile.Vector) error {
 		s, sbuf := mat.GetMatrix[float64](len(st.rows)*nb, rhs.W)
 		defer mat.PutBuf(sbuf)
 		rhs.StackRowsInto(s, st.rows)
-		lapack.Laswp(s, st.piv, false)
-		l11 := st.stack.View(0, 0, nb, nb)
-		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, s.View(0, 0, nb, rhs.W))
+		swptrsm(s, st.piv, st.stack.View(0, 0, nb, nb))
 		rhs.UnstackRows(s, st.rows)
 	case VarA2:
-		lapack.Unmqr(blas.Trans, f.A.Tile(k, k), st.tGeqrt[k], rhs.Tile(k))
+		lapack.Unmqr(blas.Trans, f.A.Tile(k, k), st.tGeqrt[k].t, rhs.Tile(k))
 	case VarB1, VarB2:
 		// Block LU: row k's RHS is untouched at step k.
 	}
@@ -266,23 +264,23 @@ func (f *fact) replayQRStep(st *stepState, rhs *tile.Vector) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case tree.OpGeqrt:
-			t := st.tGeqrt[op.I]
-			if t == nil {
+			tf := st.tGeqrt[op.I]
+			if tf == nil {
 				return fmt.Errorf("core: step %d missing GEQRT factor for row %d", k, op.I)
 			}
-			lapack.Unmqr(blas.Trans, f.A.Tile(op.I, k), t, rhs.Tile(op.I))
+			lapack.Unmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.I))
 		case tree.OpTS:
-			t := st.tKill[op.I]
-			if t == nil {
+			tf := st.tKill[op.I]
+			if tf == nil {
 				return fmt.Errorf("core: step %d missing TSQRT factor for row %d", k, op.I)
 			}
-			lapack.Tsmqr(blas.Trans, f.A.Tile(op.I, k), t, rhs.Tile(op.Piv), rhs.Tile(op.I))
+			lapack.Tsmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.Piv), rhs.Tile(op.I))
 		case tree.OpTT:
-			t := st.tKill[op.I]
-			if t == nil {
+			tf := st.tKill[op.I]
+			if tf == nil {
 				return fmt.Errorf("core: step %d missing TTQRT factor for row %d", k, op.I)
 			}
-			lapack.Ttmqr(blas.Trans, f.A.Tile(op.I, k), t, rhs.Tile(op.Piv), rhs.Tile(op.I))
+			lapack.Ttmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.Piv), rhs.Tile(op.I))
 		}
 	}
 	return nil

@@ -51,7 +51,7 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		}
 	}
 	np := (n + cfg.NB - 1) / cfg.NB * cfg.NB // the padded order
-	c, err := cfg.withDefaults(np)
+	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}

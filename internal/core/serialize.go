@@ -193,9 +193,16 @@ func unpackMatrix(f facMatrix) (*mat.Matrix, error) {
 	return &mat.Matrix{Rows: f.Rows, Cols: f.Cols, Stride: f.Cols, Data: f.Data}, nil
 }
 
+// unpackTFactor rebuilds a stored T factor; replay reads only its float64
+// matrix.
+func unpackTFactor(f facMatrix) (*tFactor, error) {
+	t, err := unpackMatrix(f)
+	return &tFactor{t: t}, err
+}
+
 // packKeyedMap flattens a reflector map in ascending key order (gob encodes
 // maps in random order; a sorted slice keeps the payload deterministic).
-func packKeyedMap(m map[int]*mat.Matrix) []facKeyed {
+func packKeyedMap(m map[int]*tFactor) []facKeyed {
 	if len(m) == 0 {
 		return nil
 	}
@@ -206,7 +213,7 @@ func packKeyedMap(m map[int]*mat.Matrix) []facKeyed {
 	sort.Ints(keys)
 	out := make([]facKeyed, 0, len(keys))
 	for _, i := range keys {
-		out = append(out, facKeyed{I: i, M: packMatrix(m[i])})
+		out = append(out, facKeyed{I: i, M: packMatrix(m[i].t)})
 	}
 	return out
 }
@@ -647,15 +654,15 @@ func unpackStep(fs *facStep, nt int) (*stepState, error) {
 		return nil, err
 	}
 	if len(fs.TGeqrt) > 0 || len(fs.TKill) > 0 {
-		st.tGeqrt = make(map[int]*mat.Matrix, len(fs.TGeqrt))
-		st.tKill = make(map[int]*mat.Matrix, len(fs.TKill))
+		st.tGeqrt = make(map[int]*tFactor, len(fs.TGeqrt))
+		st.tKill = make(map[int]*tFactor, len(fs.TKill))
 		for _, kv := range fs.TGeqrt {
-			if st.tGeqrt[kv.I], err = unpackMatrix(kv.M); err != nil {
+			if st.tGeqrt[kv.I], err = unpackTFactor(kv.M); err != nil {
 				return nil, err
 			}
 		}
 		for _, kv := range fs.TKill {
-			if st.tKill[kv.I], err = unpackMatrix(kv.M); err != nil {
+			if st.tKill[kv.I], err = unpackTFactor(kv.M); err != nil {
 				return nil, err
 			}
 		}
@@ -712,7 +719,7 @@ func (f *fact) installDiagSolver(st *stepState) {
 			lapack.Getrs(blas.NoTrans, f.A.Tile(k, k), st.piv, b)
 		}
 	case VarB2:
-		t := st.tGeqrt[k]
+		t := st.tGeqrt[k].t
 		f.diagSolvers[k] = func(b *mat.Matrix) {
 			lapack.Unmqr(blas.Trans, f.A.Tile(k, k), t, b)
 			blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), b)

@@ -45,43 +45,64 @@ func TestForcedF32ConversionsPerTileBounded(t *testing.T) {
 	}
 }
 
-// TestKillUpdateRHSFlopsLabel pins the satellite fix in submitKill: the RHS
-// update of a TT kill must be labelled with TTMQR flops (2·nb²·w), not the
-// TSMQR count (4·nb²·w) — the mislabel skewed per-kernel GFLOP/s
-// attribution in traces and the breakdown experiment.
+// TestKillUpdateRHSFlopsLabel pins the trace label of every tile-kernel
+// task — matrix and RHS tiles, TS and TT trees — of a mixed LU/QR hybrid
+// run and of HQR runs: each task's Flops must equal its kernel's flops
+// formula at the task's width (nb, or the RHS width 1). A mislabel skews
+// per-kernel GFLOP/s in traces and the breakdown experiment; the RHS update
+// of a TT kill once carried TSMQR's count.
 func TestKillUpdateRHSFlopsLabel(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	n, nb := 96, 16
 	a := matgen.Random(n, rng)
 	b := matgen.RandomVector(n, rng)
-	// All-QR hybrid on a 2-row grid with a flat-TS intra tree: TS kills
-	// inside each domain, TT kills merging the domain roots — both kinds
-	// must appear.
-	res := runOn(t, a, b, Config{
-		Alg: LUQR, NB: nb, Grid: tile.NewGrid(2, 2),
-		IntraTree: tree.FlatTS, InterTree: tree.Fibonacci,
-		Criterion: criteria.Never{}, Trace: true,
-	})
-	w := 1 // single right-hand side
-	var ts, tt int
-	for _, tr := range res.Report.Trace {
-		if !strings.Contains(tr.Name, "rhs") {
-			continue
+	want := map[string]func(w int) float64{
+		"SWPTRSM": func(w int) float64 { return flops.Trsm(nb, w) },
+		"TRSM":    func(int) float64 { return flops.Trsm(nb, nb) },
+		"GEMM":    func(w int) float64 { return flops.Gemm(nb, w, nb) },
+		"GEQRT":   func(int) float64 { return flops.Geqrt(nb, nb) },
+		"UNMQR":   func(w int) float64 { return flops.Unmqr(nb, w) },
+		"TSQRT":   func(int) float64 { return flops.Tsqrt(nb) },
+		"TTQRT":   func(int) float64 { return flops.Ttqrt(nb) },
+		"TSMQR":   func(w int) float64 { return flops.Tsmqr(nb, w) },
+		"TTMQR":   func(w int) float64 { return flops.Ttmqr(nb, w) },
+	}
+	seen := map[string]bool{} // kernel, or kernel+" rhs"
+	// A 2-row grid with a flat-TS intra tree: TS kills inside each domain,
+	// TT kills merging the domain roots; Greedy's kills are all TT.
+	for _, cfg := range []Config{
+		{Alg: LUQR, Criterion: criteria.Random{Alpha: 50}, IntraTree: tree.FlatTS, InterTree: tree.Fibonacci},
+		{Alg: HQR, IntraTree: tree.FlatTS, InterTree: tree.Fibonacci},
+		{Alg: HQR, IntraTree: tree.Greedy, InterTree: tree.Fibonacci},
+	} {
+		cfg.NB, cfg.Grid, cfg.Trace, cfg.Seed = nb, tile.NewGrid(2, 2), true, 3
+		res := runOn(t, a, b, cfg)
+		if cfg.Alg == LUQR && (res.Report.LUSteps == 0 || res.Report.QRSteps == 0) {
+			t.Fatalf("hybrid run took %d LU and %d QR steps; need both", res.Report.LUSteps, res.Report.QRSteps)
 		}
-		switch tr.Kernel {
-		case "TSMQR":
-			ts++
-			if tr.Flops != flops.Tsmqr(nb, w) {
-				t.Fatalf("%s flops = %g, want Tsmqr = %g", tr.Name, tr.Flops, flops.Tsmqr(nb, w))
+		for _, tr := range res.Report.Trace {
+			formula, ok := want[tr.Kernel]
+			if !ok {
+				continue
 			}
-		case "TTMQR":
-			tt++
-			if tr.Flops != flops.Ttmqr(nb, w) {
-				t.Fatalf("%s flops = %g, want Ttmqr = %g", tr.Name, tr.Flops, flops.Ttmqr(nb, w))
+			w, key := nb, tr.Kernel
+			if strings.Contains(tr.Name, "rhs") {
+				w, key = 1, tr.Kernel+" rhs" // a single right-hand side
+			}
+			seen[key] = true
+			if tr.Flops != formula(w) {
+				t.Fatalf("%v %s: %s flops = %g, want %g", cfg.Alg, tr.Name, tr.Kernel, tr.Flops, formula(w))
 			}
 		}
 	}
-	if ts == 0 || tt == 0 {
-		t.Fatalf("trace carried %d TSMQR-rhs and %d TTMQR-rhs kills; need both to pin the labels", ts, tt)
+	for k := range want {
+		if !seen[k] {
+			t.Errorf("no %s task in the traces", k)
+		}
+	}
+	for _, k := range []string{"SWPTRSM", "GEMM", "UNMQR", "TSMQR", "TTMQR"} {
+		if !seen[k+" rhs"] {
+			t.Errorf("no %s task on the RHS in the traces", k)
+		}
 	}
 }

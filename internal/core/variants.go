@@ -9,6 +9,7 @@ import (
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
 	"luqr/internal/runtime"
+	"luqr/internal/tile"
 )
 
 // scheduleVariantStep builds step k of the hybrid algorithm for the §II-C
@@ -87,24 +88,20 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 	nb := f.nb
 	st.hStack = f.e.NewHandle(fmt.Sprintf("panelTrial(%d)", k), nb*nb*8, f.owner(k, k))
 	if st.tGeqrt == nil {
-		st.tGeqrt = map[int]*mat.Matrix{}
-		st.tKill = map[int]*mat.Matrix{}
-		st.hTGeqrt = map[int]*runtime.Handle{}
-		st.hTKill = map[int]*runtime.Handle{}
+		st.tGeqrt = map[int]*tFactor{}
+		st.tKill = map[int]*tFactor{}
 	}
 
 	qrBased := variant == VarA2 || variant == VarB2
 	var t *mat.Matrix
-	var hT *runtime.Handle
 	kernel, flop := "GETRF", flops.Getrf(nb, nb)
 	accesses := []runtime.Access{runtime.W(st.hStack), runtime.W(f.h[k][k])}
 	if qrBased {
 		kernel, flop = "GEQRT", flops.Geqrt(nb, nb)
-		t = mat.New(nb, nb)
-		st.tGeqrt[k] = t
-		hT = f.e.NewHandle(fmt.Sprintf("Tg(%d,%d)", k, k), nb*nb*8, f.owner(k, k))
-		st.hTGeqrt[k] = hT
-		accesses = append(accesses, runtime.W(hT))
+		tf := f.newTFactor(st, "Tg", k)
+		st.tGeqrt[k] = tf
+		t = tf.t
+		accesses = append(accesses, runtime.W(tf.h))
 	}
 
 	f.e.Submit(runtime.TaskSpec{
@@ -115,40 +112,40 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 		Priority: prioPanel(k),
 		Accesses: accesses,
 		Run: func() {
-			tile := f.A.Tile(k, k)
+			akk := f.A.Tile(k, k)
 			// Pre-factorization column maxima for the MUMPS criterion.
 			st.localMax = make([]float64, nb)
 			for j := 0; j < nb; j++ {
-				st.localMax[j] = tile.ColAbsMax(j)
+				st.localMax[j] = akk.ColAbsMax(j)
 			}
 			if qrBased {
-				lapack.GeqrtIB(tile, t, f.ib)
+				lapack.GeqrtIB(akk, t, f.ib)
 				// |R_jj| plays the pivot role in the MUMPS input; the
 				// estimate of ‖A_kk⁻¹‖₁ uses the exact operator
 				// R⁻¹·Qᵀ / Q·R⁻ᵀ through the stored reflectors.
-				st.pivots = lapack.LUPivotGrowth(tile)
+				st.pivots = lapack.LUPivotGrowth(akk)
 				st.invNorm = lapack.OneNormEst(nb,
 					func(x []float64) {
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
-						lapack.Unmqr(blas.Trans, tile, t, c)
-						blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tile, c)
+						lapack.Unmqr(blas.Trans, akk, t, c)
+						blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, akk, c)
 					},
 					func(x []float64) {
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
-						blas.Trsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tile, c)
-						lapack.Unmqr(blas.NoTrans, tile, t, c)
+						blas.Trsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, akk, c)
+						lapack.Unmqr(blas.NoTrans, akk, t, c)
 					},
 				)
 				return
 			}
-			piv, err := lapack.Getrf(tile)
+			piv, err := lapack.Getrf(akk)
 			st.piv = piv
 			st.luErr = err
-			st.pivots = lapack.LUPivotGrowth(tile)
+			st.pivots = lapack.LUPivotGrowth(akk)
 			if err != nil {
 				st.invNorm = math.Inf(1)
 			} else {
-				st.invNorm = lapack.InvNorm1EstLU(tile, piv)
+				st.invNorm = lapack.InvNorm1EstLU(akk, piv)
 			}
 		},
 	})
@@ -159,7 +156,6 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 	k := st.k
 	nb := f.nb
-	cols := f.trailingCols(k)
 
 	// Apply (row k and the RHS tile) — (A2) only; the B variants leave row
 	// k untouched, which is what makes their result block triangular.
@@ -169,17 +165,17 @@ func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 
 	// Eliminate every sub-diagonal panel tile against the diagonal factors.
 	for i := k + 1; i < f.nt; i++ {
-		i := i
+		name := fmt.Sprintf("Elim%s(%d,%d)", variant, i, k)
+		if variant == VarA2 {
+			f.submitTile(st, kTrsm, name, f.owner(i, k), prioElim(k),
+				[]tile.Ref{tile.At(k, k)}, []tile.Ref{tile.At(i, k)}, nil)
+			continue
+		}
 		var elim func()
 		var kernel string
 		var flop float64
 		accesses := []runtime.Access{runtime.R(f.h[k][k]), runtime.W(f.h[i][k])}
 		switch variant {
-		case VarA2:
-			kernel, flop = "TRSM", flops.Trsm(nb, nb)
-			elim = func() {
-				blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), f.A.Tile(i, k))
-			}
 		case VarB1:
 			kernel, flop = "TRSM2", 2*flops.Trsm(nb, nb)
 			elim = func() {
@@ -191,19 +187,19 @@ func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 			}
 		case VarB2:
 			kernel, flop = "TRSMQR", flops.Trsm(nb, nb)+flops.Unmqr(nb, nb)
-			t := st.tGeqrt[k]
+			tf := st.tGeqrt[k]
 			elim = func() {
 				akk := f.A.Tile(k, k)
 				x := f.A.Tile(i, k)
 				blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, akk, x)
-				lapack.UnmqrRight(blas.Trans, akk, t, x)
+				lapack.UnmqrRight(blas.Trans, akk, tf.t, x)
 			}
-			accesses = append(accesses, runtime.R(st.hTGeqrt[k]))
+			accesses = append(accesses, runtime.R(tf.h))
 		default:
 			panic("core: submitVariantLUStep with variant A1")
 		}
 		f.e.Submit(runtime.TaskSpec{
-			Name:     fmt.Sprintf("Elim%s(%d,%d)", variant, i, k),
+			Name:     name,
 			Kernel:   kernel,
 			Node:     f.owner(i, k),
 			Flops:    flop,
@@ -213,37 +209,9 @@ func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 		})
 	}
 
-	// Update: A_ij −= A_ik·A_kj and b_i −= A_ik·b_k. For (A2) row k has
-	// been Qᵀ-applied; for (B1)/(B2) it carries its step-k values, as block
-	// LU requires.
-	for i := k + 1; i < f.nt; i++ {
-		i := i
-		for _, j := range cols {
-			j := j
-			f.e.Submit(runtime.TaskSpec{
-				Name:     fmt.Sprintf("GEMM(%d,%d,%d)", k, i, j),
-				Kernel:   "GEMM",
-				Node:     f.owner(i, j),
-				Flops:    flops.Gemm(nb, nb, nb),
-				Priority: prioUpdate(k, j),
-				Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.R(f.h[k][j]), runtime.W(f.h[i][j])},
-				Run: func() {
-					blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.A.Tile(k, j), 1, f.A.Tile(i, j))
-				},
-			})
-		}
-		f.e.Submit(runtime.TaskSpec{
-			Name:     fmt.Sprintf("GEMM(%d,%d,rhs)", k, i),
-			Kernel:   "GEMM",
-			Node:     f.owner(i, k),
-			Flops:    flops.Gemm(nb, f.rhs.W, nb),
-			Priority: prioUpdate(k, k+1),
-			Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.R(f.hb[k]), runtime.W(f.hb[i])},
-			Run: func() {
-				blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), f.rhs.Tile(k), 1, f.rhs.Tile(i))
-			},
-		})
-	}
+	// Update: for (A2) row k has been Qᵀ-applied; for (B1)/(B2) it carries
+	// its step-k values, as block LU requires.
+	f.submitGemmUpdates(st)
 
 	// The B variants leave a block-triangular factor: install the diagonal
 	// solver for the back-substitution.
@@ -254,7 +222,7 @@ func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 			lapack.Getrs(blas.NoTrans, f.A.Tile(k, k), *piv, b)
 		}
 	case VarB2:
-		t := st.tGeqrt[k]
+		t := st.tGeqrt[k].t
 		f.diagSolvers[k] = func(b *mat.Matrix) {
 			lapack.Unmqr(blas.Trans, f.A.Tile(k, k), t, b)
 			blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), b)

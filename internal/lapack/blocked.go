@@ -1,40 +1,19 @@
 package lapack
 
 import (
-	"sync/atomic"
-
 	"luqr/internal/blas"
 	"luqr/internal/mat"
 )
 
-// panelIBv is the inner block size of the blocked panel kernels (GEQRT,
-// TSQRT, TTQRT): reflectors are generated ib columns at a time by the
-// unblocked leaf, and everything to the right of the ib-wide strip is
-// updated through the block-reflector (GEMM/TRMM) path. Atomic so the
-// autotuner can adjust it while worker goroutines are running kernels.
-var panelIBv atomic.Int32
-
+// defaultPanelIB is the inner block size of the blocked panel kernels
+// (GEQRT, TSQRT, TTQRT): reflectors are generated ib columns at a time by
+// the unblocked leaf, and everything to the right of the ib-wide strip is
+// updated through the block-reflector (GEMM/TRMM) path.
 const defaultPanelIB = 32
 
-// PanelIB returns the current inner block size used by the blocked panel
-// kernels.
-func PanelIB() int {
-	if v := panelIBv.Load(); v > 0 {
-		return int(v)
-	}
-	return defaultPanelIB
-}
-
-// SetPanelIB sets the inner block size of the blocked panel kernels.
-// Values < 1 reset to the default. Safe to call concurrently with running
-// kernels; each kernel invocation reads the knob once at entry.
-func SetPanelIB(ib int) {
-	if ib < 1 {
-		panelIBv.Store(0)
-		return
-	}
-	panelIBv.Store(int32(ib))
-}
+// PanelIB returns the default inner block size of the blocked panel
+// kernels, the one the kernels without an ib argument use.
+func PanelIB() int { return defaultPanelIB }
 
 // larftMerge extends the compact-WY T factor across an inner-block
 // boundary. Given that t's leading j0×j0 block T1 covers reflectors

@@ -42,15 +42,6 @@ func refGetrf(a *mat.Matrix) ([]int, error) {
 	return piv, err
 }
 
-// withPanelIB runs f with the inner block size pinned to ib, restoring the
-// previous value afterwards.
-func withPanelIB(ib int, f func()) {
-	old := PanelIB()
-	SetPanelIB(ib)
-	defer SetPanelIB(old)
-	f()
-}
-
 var blockedShapes = []struct {
 	name string
 	m, n int
@@ -100,22 +91,14 @@ func TestGeqrtBlockedMatchesUnblocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, s := range blockedShapes {
 		a0 := randMat(rng, s.m, s.n)
-		var aRef, tRef *mat.Matrix
-		withPanelIB(s.n+1, func() {
-			aRef = a0.Clone()
-			tRef = mat.New(s.n, s.n)
-			Geqrt(aRef, tRef)
-		})
+		aRef, tRef := a0.Clone(), mat.New(s.n, s.n)
+		GeqrtIB(aRef, tRef, s.n+1)
 		for _, ib := range []int{7, 32} {
 			if ib >= s.n {
 				continue
 			}
-			var aB, tB *mat.Matrix
-			withPanelIB(ib, func() {
-				aB = a0.Clone()
-				tB = mat.New(s.n, s.n)
-				Geqrt(aB, tB)
-			})
+			aB, tB := a0.Clone(), mat.New(s.n, s.n)
+			GeqrtIB(aB, tB, ib)
 			tol := 1e-8 * float64(s.m) * (1 + aRef.NormMax())
 			if d := mat.MaxDiff(aB, aRef); d > tol {
 				t.Fatalf("%s ib=%d: V/R differ from unblocked by %g (tol %g)", s.name, ib, d, tol)
@@ -144,20 +127,14 @@ func TestTsqrtBlockedMatchesUnblocked(t *testing.T) {
 			}
 		}
 		a0 := randMat(rng, nb, nb)
-		var rRef, aRef, tRef *mat.Matrix
-		withPanelIB(nb+1, func() {
-			rRef, aRef, tRef = r0.Clone(), a0.Clone(), mat.New(nb, nb)
-			Tsqrt(rRef, aRef, tRef)
-		})
+		rRef, aRef, tRef := r0.Clone(), a0.Clone(), mat.New(nb, nb)
+		TsqrtIB(rRef, aRef, tRef, nb+1)
 		for _, ib := range []int{7, 32} {
 			if ib >= nb {
 				continue
 			}
-			var rB, aB, tB *mat.Matrix
-			withPanelIB(ib, func() {
-				rB, aB, tB = r0.Clone(), a0.Clone(), mat.New(nb, nb)
-				Tsqrt(rB, aB, tB)
-			})
+			rB, aB, tB := r0.Clone(), a0.Clone(), mat.New(nb, nb)
+			TsqrtIB(rB, aB, tB, ib)
 			for i := 1; i < nb; i++ {
 				for j := 0; j < i; j++ {
 					if rB.At(i, j) != 777 {
@@ -198,20 +175,14 @@ func TestTtqrtBlockedMatchesUnblocked(t *testing.T) {
 			return m
 		}
 		r1o, r2o := mkTri(), mkTri()
-		var r1Ref, r2Ref, tRef *mat.Matrix
-		withPanelIB(nb+1, func() {
-			r1Ref, r2Ref, tRef = r1o.Clone(), r2o.Clone(), mat.New(nb, nb)
-			Ttqrt(r1Ref, r2Ref, tRef)
-		})
+		r1Ref, r2Ref, tRef := r1o.Clone(), r2o.Clone(), mat.New(nb, nb)
+		TtqrtIB(r1Ref, r2Ref, tRef, nb+1)
 		for _, ib := range []int{7, 32} {
 			if ib >= nb {
 				continue
 			}
-			var r1B, r2B, tB *mat.Matrix
-			withPanelIB(ib, func() {
-				r1B, r2B, tB = r1o.Clone(), r2o.Clone(), mat.New(nb, nb)
-				Ttqrt(r1B, r2B, tB)
-			})
+			r1B, r2B, tB := r1o.Clone(), r2o.Clone(), mat.New(nb, nb)
+			TtqrtIB(r1B, r2B, tB, ib)
 			for i := 1; i < nb; i++ {
 				for j := 0; j < i; j++ {
 					if r1B.At(i, j) != 555 || r2B.At(i, j) != 555 {
@@ -245,18 +216,4 @@ func maxDiffUpper(a, b *mat.Matrix) float64 {
 		}
 	}
 	return d
-}
-
-// TestSetPanelIBClamps: out-of-range values reset to the default.
-func TestSetPanelIB(t *testing.T) {
-	old := PanelIB()
-	defer SetPanelIB(old)
-	SetPanelIB(48)
-	if got := PanelIB(); got != 48 {
-		t.Fatalf("PanelIB = %d after SetPanelIB(48)", got)
-	}
-	SetPanelIB(0)
-	if got := PanelIB(); got != defaultPanelIB {
-		t.Fatalf("PanelIB = %d after SetPanelIB(0), want default %d", got, defaultPanelIB)
-	}
 }

@@ -22,9 +22,8 @@ import (
 // from the unblocked kernel.
 func Geqrt[T mat.Float](a, t *mat.Dense[T]) { GeqrtIB(a, t, PanelIB()) }
 
-// GeqrtIB is Geqrt with an explicit inner block size, so concurrent
-// factorizations with different tuned operating points never share (or
-// race on) the process-global knob; ib <= 0 falls back to PanelIB().
+// GeqrtIB is Geqrt with an explicit inner block size; ib <= 0 falls back to
+// PanelIB().
 func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 	m, n := a.Rows, a.Cols
 	if m < n {

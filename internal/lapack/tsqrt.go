@@ -25,9 +25,8 @@ import (
 // reduces to a single GEMM over A's columns.
 func Tsqrt[T mat.Float](r, a, t *mat.Dense[T]) { TsqrtIB(r, a, t, PanelIB()) }
 
-// TsqrtIB is Tsqrt with an explicit inner block size, so concurrent
-// factorizations with different tuned operating points never share (or
-// race on) the process-global knob; ib <= 0 falls back to PanelIB().
+// TsqrtIB is Tsqrt with an explicit inner block size; ib <= 0 falls back to
+// PanelIB().
 func TsqrtIB[T mat.Float](r, a, t *mat.Dense[T], ib int) {
 	n := r.Cols
 	m := a.Rows

@@ -25,9 +25,8 @@ import (
 // strip's T is merged by the dlarft recurrence.
 func Ttqrt[T mat.Float](r1, r2, t *mat.Dense[T]) { TtqrtIB(r1, r2, t, PanelIB()) }
 
-// TtqrtIB is Ttqrt with an explicit inner block size, so concurrent
-// factorizations with different tuned operating points never share (or
-// race on) the process-global knob; ib <= 0 falls back to PanelIB().
+// TtqrtIB is Ttqrt with an explicit inner block size; ib <= 0 falls back to
+// PanelIB().
 func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 	n := r1.Cols
 	if r1.Rows != n || r2.Rows != n || r2.Cols != n {

@@ -6,16 +6,15 @@ import (
 )
 
 // deque is one worker's ready-task queue: a growable power-of-two ring with
-// pushes at the tail and pops at either end.
+// pushes at the tail and pops at the head.
 //
-// Thieves always take from the head — the oldest entry, the one whose cache
-// affinity has decayed most, leaving the recently affinity-placed chain
-// tasks at the tail for the owner. The owner's end is a policy choice
-// (Config.OwnerLIFO, see the engine docs): the classic Chase–Lev discipline
-// pops the tail (the successor just made ready, tiles still hot), but the
-// default here is the head, because on the factorization DAG oldest-first
-// drains the update wavefront in pipeline order instead of stranding
-// early-step updates under newer pushes.
+// Thieves take from the head — the oldest entry, the one whose cache
+// affinity has decayed most. The owner pops the head too, unlike the
+// classic Chase–Lev discipline that pops the tail (the successor just made
+// ready, tiles still hot): on the factorization DAG oldest-first drains the
+// update wavefront in pipeline order, where newest-first strands early-step
+// updates under newer pushes and stalls the next panel on a buried column
+// update (measured slower end to end; EXPERIMENTS.md, worker scaling).
 //
 // Each deque carries its own mutex rather than a lock-free Chase–Lev
 // protocol: the owner's push/pop fast path is uncontended (thieves only
@@ -54,7 +53,7 @@ func (d *deque) grow() {
 	d.buf = buf
 }
 
-// push appends t at the owner end (the LIFO top). The owner pushes its own
+// push appends t at the tail. The owner pushes its own
 // newly ready successors here; other workers push here too when t's cache
 // affinity points at this deque's owner (locality-aware release).
 func (d *deque) push(t *task) {
@@ -68,28 +67,8 @@ func (d *deque) push(t *task) {
 	d.mu.Unlock()
 }
 
-// popTail removes and returns the youngest task — the owner's LIFO pop — or
-// nil when the deque is empty.
-func (d *deque) popTail() *task {
-	if d.n.Load() == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	if d.tail == d.head {
-		d.mu.Unlock()
-		return nil
-	}
-	d.tail--
-	i := d.tail & int64(len(d.buf)-1)
-	t := d.buf[i]
-	d.buf[i] = nil
-	d.n.Add(-1)
-	d.mu.Unlock()
-	return t
-}
-
-// popHead removes and returns the oldest task — the thief's FIFO steal — or
-// nil when the deque is empty.
+// popHead removes and returns the oldest task — the owner's pop and the
+// thief's steal — or nil when the deque is empty.
 func (d *deque) popHead() *task {
 	if d.n.Load() == 0 {
 		return nil

@@ -7,8 +7,9 @@
 // runtime does, and executes ready tasks on a pool of workers.
 //
 // Scheduling is work-stealing and locality-aware. Each worker owns a deque
-// of ready tasks (LIFO for the owner, FIFO for thieves); a shared priority
-// lane, polled before the deques, carries the panel-path tasks whose
+// of ready tasks, which its owner and thieves both drain oldest first; a
+// shared priority lane, polled before the deques, carries the panel-path
+// tasks whose
 // progress bounds the whole factorization (the lookahead pipeline of §IV);
 // and a newly ready task is pushed to the deque of the worker that produced
 // the previous version of the tile it will write, so a tile's update chain
@@ -51,7 +52,7 @@ import (
 // the deque work sits in. The solver maps its panel path (backup, trial
 // factorization, decision, restore, eliminations) above this threshold and
 // its trailing updates below it. Tasks below the threshold obey deque
-// order (local LIFO, steal FIFO), not priority order.
+// order (oldest first), not priority order.
 const LanePriority = 1 << 26
 
 // Handle identifies one datum (typically a tile) tracked by the engine.
@@ -389,12 +390,11 @@ type Engine struct {
 	// mu serializes Submit and NewHandle: handle dependency state, task and
 	// handle ids, and the trace log. Dispatch, execution, completion and
 	// successor release never take it.
-	mu        sync.Mutex
-	nextID    int // task ids, in submission order
-	nextHdl   int // handle ids
-	trace     []*TraceTask
-	tracing   bool
-	ownerLIFO bool
+	mu      sync.Mutex
+	nextID  int // task ids, in submission order
+	nextHdl int // handle ids
+	trace   []*TraceTask
+	tracing bool
 	// depScratch is the per-Submit predecessor dedup set, reused across
 	// submissions (guarded by mu) so edge dedup costs no allocation.
 	depScratch []*task
@@ -416,15 +416,6 @@ type Engine struct {
 type Config struct {
 	Workers int  // number of worker goroutines (≥ 1)
 	Trace   bool // record a TraceTask per task
-
-	// OwnerLIFO makes each worker pop its own deque newest-first (the
-	// classic Chase–Lev owner end) instead of the default oldest-first.
-	// LIFO maximizes producer→consumer cache reuse on short chains, but on
-	// the factorization DAG it strands early-step updates under newer
-	// pushes, and the panel of step k+1 then stalls on a buried column
-	// update; oldest-first drains the wavefront in pipeline order and
-	// measures faster end-to-end (see EXPERIMENTS.md, worker scaling).
-	OwnerLIFO bool
 }
 
 // NewEngine starts an engine with the given number of workers. Callers must
@@ -433,7 +424,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Workers < 1 {
 		panic(fmt.Sprintf("runtime: need at least one worker, got %d", cfg.Workers))
 	}
-	e := &Engine{tracing: cfg.Trace, ownerLIFO: cfg.OwnerLIFO, start: time.Now()}
+	e := &Engine{tracing: cfg.Trace, start: time.Now()}
 	e.waitCond = sync.NewCond(&e.waitMu)
 	e.lane.q = make(laneHeap, 0, dequeInitCap)
 	e.idle.ids = make([]int, 0, cfg.Workers)
@@ -672,19 +663,13 @@ func (e *Engine) release(s *task, byWorker int) {
 
 // poll finds the next task for worker id: the shared priority lane first
 // (the panel path must outrun everything), then the worker's own deque
-// (oldest-first by default — wavefront order; newest-first under
-// Config.OwnerLIFO), then a FIFO steal sweep over the other deques in ring
-// order. Thieves always take the oldest end, leaving the recent
-// affinity-placed chain tasks at the tail for the owner.
+// (oldest first — wavefront order), then a steal sweep over the other
+// deques in ring order, which also takes the oldest task.
 func (e *Engine) poll(id int) (*task, DispatchKind) {
 	if t := e.lane.tryPop(); t != nil {
 		return t, DispatchLane
 	}
-	if e.ownerLIFO {
-		if t := e.ws[id].dq.popTail(); t != nil {
-			return t, DispatchLocal
-		}
-	} else if t := e.ws[id].dq.popHead(); t != nil {
+	if t := e.ws[id].dq.popHead(); t != nil {
 		return t, DispatchLocal
 	}
 	nw := len(e.ws)

@@ -146,8 +146,8 @@ func TestAffinityReleaseCrossesWorkers(t *testing.T) {
 // that deques, steals, parking and the lane all engage (run under -race by
 // the tier1 gate).
 func TestDeterminismManyWorkersRace(t *testing.T) {
-	run := func(workers int, lifo bool) []int {
-		e := NewEngine(Config{Workers: workers, OwnerLIFO: lifo})
+	run := func(workers int) []int {
+		e := NewEngine(Config{Workers: workers})
 		defer e.Close()
 		const n = 16
 		hs := make([]*Handle, n)
@@ -174,16 +174,12 @@ func TestDeterminismManyWorkersRace(t *testing.T) {
 		e.Wait()
 		return vals
 	}
-	want := run(1, false)
+	want := run(1)
 	for _, w := range []int{2, 8, 16} {
-		// Both owner-pop policies must leave the results untouched: the
-		// policy changes dispatch order, never the dataflow.
-		for _, lifo := range []bool{false, true} {
-			got := run(w, lifo)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d lifo=%v: vals[%d]=%d, want %d", w, lifo, i, got[i], want[i])
-				}
+		got := run(w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: vals[%d]=%d, want %d", w, i, got[i], want[i])
 			}
 		}
 	}

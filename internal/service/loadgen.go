@@ -76,7 +76,9 @@ func Percentile(ds []time.Duration, p float64) time.Duration {
 // RunLoad drives a running luqr-serve with a mixed workload — roughly 60%
 // synchronous solves (repeating operators so the factorization cache gets
 // exercised), 20% async job submissions, 20% status/metrics polls — and
-// reports per-operation latency percentiles to out.
+// reports per-operation latency percentiles to out. It returns an error
+// (with the result) when any request failed: a transport error or a status
+// other than the expected one and 429, which is backpressure, not failure.
 func RunLoad(opts LoadOptions, out io.Writer) (*LoadResult, error) {
 	opts = opts.withDefaults()
 	client := &http.Client{Timeout: 5 * time.Minute}
@@ -196,6 +198,9 @@ func RunLoad(opts LoadOptions, out io.Writer) (*LoadResult, error) {
 				Percentile(ds, 99).Round(time.Microsecond),
 				ds[len(ds)-1].Round(time.Microsecond))
 		}
+	}
+	if res.Errors > 0 {
+		return res, fmt.Errorf("load: %d of %d requests failed", res.Errors, res.Requests)
 	}
 	return res, nil
 }

@@ -33,8 +33,8 @@ import (
 // Counter taxonomy: Epochs counts tile promotions (f64 → resident);
 // To32/To64 count the rounding and widening passes (dropping a clean image
 // is free and uncounted). The step-resident stack path splits the two
-// moments: AcquireRowStack32 counts the rounding pass when it rounds a
-// stateF64 tile into the stack, CommitRowStack32 counts the epoch when the
+// moments: AcquireStack32 counts the rounding pass when it rounds a
+// stateF64 tile into the stack, CommitStack32 counts the epoch when the
 // stack view becomes the tile's image — so an abandoned stack leaves a
 // counted rounding pass but no epoch.
 type Residency struct {
@@ -150,35 +150,48 @@ func (r *Residency) discard32(e *entry) {
 	e.mu.Unlock()
 }
 
-// Read32 returns tile (i, j)'s f32 image for read-only kernel access,
-// promoting the tile if this is its first resident touch of the epoch.
-func (r *Residency) Read32(i, j int, m *Meter) *mat.Matrix32 {
-	return r.read32(&r.am[i][j], r.a.Tile(i, j), m)
+// slot returns the residency entry of the tile t names and its float64
+// array.
+func (r *Residency) slot(t Ref) (*entry, *mat.Matrix) {
+	if t.IsRHS() {
+		return &r.vm[t.I], r.rhs.Tile(t.I)
+	}
+	return &r.am[t.I][t.J], r.a.Tile(t.I, t.J)
 }
 
-// Write32 returns tile (i, j)'s f32 image for read-write kernel access and
+// Read32 returns tile t's f32 image for read-only kernel access, promoting
+// the tile if this is its first resident touch of the epoch.
+func (r *Residency) Read32(t Ref, m *Meter) *mat.Matrix32 {
+	e, f64 := r.slot(t)
+	return r.read32(e, f64, m)
+}
+
+// Write32 returns tile t's f32 image for read-write kernel access and
 // reports whether the image was already dirty before this acquisition — the
 // excursion harness uses that to pick between snapshot-restore (dirty
 // before: the f64 array predates the epoch) and plain discard (clean or f64
 // before: the f64 array is the master copy).
-func (r *Residency) Write32(i, j int, m *Meter) (*mat.Matrix32, bool) {
-	return r.write32(&r.am[i][j], r.a.Tile(i, j), m)
+func (r *Residency) Write32(t Ref, m *Meter) (*mat.Matrix32, bool) {
+	e, f64 := r.slot(t)
+	return r.write32(e, f64, m)
 }
 
-// EnsureF64 makes tile (i, j)'s float64 array current and drops the image
-// from service: a dirty image is widened back (one counted demotion), a
-// clean image is dropped for free. Every f64 task must call this for every
-// tile it touches before running; on tiles already in the f64 state it is a
+// EnsureF64 makes tile t's float64 array current and drops the image from
+// service: a dirty image is widened back (one counted demotion), a clean
+// image is dropped for free. Every f64 task must call this for every tile
+// it touches before running; on tiles already in the f64 state it is a
 // single mutex-protected state check.
-func (r *Residency) EnsureF64(i, j int, m *Meter) {
-	r.ensureF64(&r.am[i][j], r.a.Tile(i, j), m)
+func (r *Residency) EnsureF64(t Ref, m *Meter) {
+	e, f64 := r.slot(t)
+	r.ensureF64(e, f64, m)
 }
 
-// Discard32 invalidates tile (i, j)'s image without conversion, returning
-// the tile to the f64 state. Only valid when the f64 array is known current
+// Discard32 invalidates tile t's image without conversion, returning the
+// tile to the f64 state. Only valid when the f64 array is known current
 // (the excursion harness's clean/f64-before restore rule).
-func (r *Residency) Discard32(i, j int) {
-	r.discard32(&r.am[i][j])
+func (r *Residency) Discard32(t Ref) {
+	e, _ := r.slot(t)
+	r.discard32(e)
 }
 
 // StoreF64 overwrites tile (i, j)'s float64 array with src and invalidates
@@ -190,24 +203,6 @@ func (r *Residency) StoreF64(i, j int, src *mat.Matrix) {
 	e.state = stateF64
 	r.a.Tile(i, j).CopyFrom(src)
 	e.mu.Unlock()
-}
-
-// ReadVec32, WriteVec32, EnsureVecF64, DiscardVec32 are the right-hand-side
-// analogues of the matrix-tile methods.
-func (r *Residency) ReadVec32(i int, m *Meter) *mat.Matrix32 {
-	return r.read32(&r.vm[i], r.rhs.Tile(i), m)
-}
-
-func (r *Residency) WriteVec32(i int, m *Meter) (*mat.Matrix32, bool) {
-	return r.write32(&r.vm[i], r.rhs.Tile(i), m)
-}
-
-func (r *Residency) EnsureVecF64(i int, m *Meter) {
-	r.ensureF64(&r.vm[i], r.rhs.Tile(i), m)
-}
-
-func (r *Residency) DiscardVec32(i int) {
-	r.discard32(&r.vm[i])
 }
 
 // Read-through queries: criterion and growth-probe tasks need norms of
@@ -263,77 +258,38 @@ func (r *Residency) CopyTileInto(dst *mat.Matrix, i, j int) {
 }
 
 // Step-resident stacks. A SWPTRSM or panel-factor task works on a stacked
-// row panel — column j's tiles at rows, laid out contiguously. Acquire
-// builds the stack reading through each tile's state; Commit rebinds the
-// tiles' images to views of the stack, so the stack IS the resident storage
-// from then on: no scatter-back copy, and a stateF64 tile pays exactly one
-// rounding pass per (tile, step) — at acquire — no matter how many stack
-// views later kernels touch.
+// row panel — one column's tiles (a matrix column or the right-hand side)
+// at the step's pivot rows, laid out contiguously. Acquire builds the stack
+// reading through each tile's state; Commit rebinds the tiles' images to
+// views of the stack, so the stack IS the resident storage from then on: no
+// scatter-back copy, and a stateF64 tile pays exactly one rounding pass per
+// (tile, step) — at acquire — no matter how many stack views later kernels
+// touch.
 
-// AcquireRowStack32 returns the stacked float32 panel of column j's tiles
-// at rows: a live image is copied, a stateF64 tile is rounded directly into
-// its stack slot. Only the rounding branches are timed and charged to the
-// conversion meter — copies of already-resident images are plain data
-// movement, not conversion. No tile state changes until CommitRowStack32,
-// so a caller that abandons the stack (excursion demotion, singular factor)
-// leaves every tile exactly as it found it; the rounding work it did is
-// still counted, honestly, as conversion that ran.
+// AcquireStack32 returns the stacked float32 panel of the tiles refs, which
+// share one width: a live image is copied, a stateF64 tile is rounded
+// directly into its stack slot. Only the rounding branches are timed and
+// charged to the conversion meter — copies of already-resident images are
+// plain data movement, not conversion. No tile state changes until
+// CommitStack32, so a caller that abandons the stack (excursion demotion,
+// singular factor) leaves every tile exactly as it found it; the rounding
+// work it did is still counted, honestly, as conversion that ran.
 //
 // The stack is allocated fresh, never pooled: after Commit the tiles'
 // images alias its views, and the residency entries own its lifetime from
 // then on.
-func (r *Residency) AcquireRowStack32(rows []int, j int, m *Meter) *mat.Matrix32 {
+func (r *Residency) AcquireStack32(refs []Ref, m *Meter) *mat.Matrix32 {
 	nb := r.a.NB
-	s := mat.NewMatrix32(len(rows)*nb, nb)
-	for ri, i := range rows {
-		e := &r.am[i][j]
-		dst := s.View(ri*nb, 0, nb, nb)
-		e.mu.Lock()
-		if e.state == stateF64 {
-			start := time.Now()
-			dst.RoundFrom(r.a.Tile(i, j))
-			ns := time.Since(start).Nanoseconds()
-			r.to32.Add(1)
-			r.convNS.Add(ns)
-			m.add(ns)
-		} else {
-			dst.CopyFrom(e.img)
-		}
-		e.mu.Unlock()
-	}
-	return s
-}
-
-// CommitRowStack32 installs an acquired (and now factored or updated) stack
-// as column j's resident images: each tile's image is rebound to its stack
-// view and marked dirty. A tile entering residency here counts an epoch;
-// its rounding pass was already counted at acquire time, and a tile that
-// was already resident continues its epoch with no conversion at all.
-func (r *Residency) CommitRowStack32(s *mat.Matrix32, rows []int, j int) {
-	nb := r.a.NB
-	for ri, i := range rows {
-		e := &r.am[i][j]
-		e.mu.Lock()
-		if e.state == stateF64 {
-			r.epochs.Add(1)
-		}
-		e.img = s.View(ri*nb, 0, nb, nb)
-		e.state = stateDirty
-		e.mu.Unlock()
-	}
-}
-
-// AcquireVecStack32 is the right-hand-side analogue of AcquireRowStack32.
-func (r *Residency) AcquireVecStack32(rows []int, m *Meter) *mat.Matrix32 {
-	nb, w := r.rhs.NB, r.rhs.W
-	s := mat.NewMatrix32(len(rows)*nb, w)
-	for ri, i := range rows {
-		e := &r.vm[i]
+	_, t0 := r.slot(refs[0])
+	w := t0.Cols
+	s := mat.NewMatrix32(len(refs)*nb, w)
+	for ri, t := range refs {
+		e, f64 := r.slot(t)
 		dst := s.View(ri*nb, 0, nb, w)
 		e.mu.Lock()
 		if e.state == stateF64 {
 			start := time.Now()
-			dst.RoundFrom(r.rhs.Tile(i))
+			dst.RoundFrom(f64)
 			ns := time.Since(start).Nanoseconds()
 			r.to32.Add(1)
 			r.convNS.Add(ns)
@@ -346,16 +302,20 @@ func (r *Residency) AcquireVecStack32(rows []int, m *Meter) *mat.Matrix32 {
 	return s
 }
 
-// CommitVecStack32 is the right-hand-side analogue of CommitRowStack32.
-func (r *Residency) CommitVecStack32(s *mat.Matrix32, rows []int) {
-	nb, w := r.rhs.NB, r.rhs.W
-	for ri, i := range rows {
-		e := &r.vm[i]
+// CommitStack32 installs an acquired (and now factored or updated) stack as
+// the resident images of refs: each tile's image is rebound to its stack
+// view and marked dirty. A tile entering residency here counts an epoch;
+// its rounding pass was already counted at acquire time, and a tile that
+// was already resident continues its epoch with no conversion at all.
+func (r *Residency) CommitStack32(s *mat.Matrix32, refs []Ref) {
+	nb := r.a.NB
+	for ri, t := range refs {
+		e, _ := r.slot(t)
 		e.mu.Lock()
 		if e.state == stateF64 {
 			r.epochs.Add(1)
 		}
-		e.img = s.View(ri*nb, 0, nb, w)
+		e.img = s.View(ri*nb, 0, nb, s.Cols)
 		e.state = stateDirty
 		e.mu.Unlock()
 	}

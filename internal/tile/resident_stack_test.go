@@ -29,9 +29,10 @@ func TestAcquireCommitRowStackAccounting(t *testing.T) {
 	res := NewResidency(a, nil)
 	rows := []int{1, 2, 3}
 	j := 2
+	refs := []Ref{At(1, j), At(2, j), At(3, j)}
 	m := &Meter{}
 
-	s := res.AcquireRowStack32(rows, j, m)
+	s := res.AcquireStack32(refs, m)
 	epochs, to32, to64 := res.Counters()
 	if epochs != 0 || to32 != int64(len(rows)) || to64 != 0 {
 		t.Fatalf("after acquire: epochs=%d to32=%d to64=%d, want 0/%d/0", epochs, to32, to64, len(rows))
@@ -52,12 +53,12 @@ func TestAcquireCommitRowStackAccounting(t *testing.T) {
 
 	// Abandoning an acquired stack must leave the tiles untouched: a fresh
 	// acquire still sees stateF64 tiles and rounds again.
-	_ = res.AcquireRowStack32(rows, j, nil)
+	_ = res.AcquireStack32(refs, nil)
 	if _, to32b, _ := res.Counters(); to32b != 2*int64(len(rows)) {
 		t.Fatalf("abandoned stack changed tile state: to32=%d want %d", to32b, 2*len(rows))
 	}
 
-	res.CommitRowStack32(s, rows, j)
+	res.CommitStack32(s, refs)
 	epochs, to32, to64 = res.Counters()
 	if epochs != int64(len(rows)) || to32 != 2*int64(len(rows)) || to64 != 0 {
 		t.Fatalf("after commit: epochs=%d to32=%d to64=%d", epochs, to32, to64)
@@ -65,25 +66,25 @@ func TestAcquireCommitRowStackAccounting(t *testing.T) {
 
 	// Mutate through the stack; reads must see it (the views are the images).
 	s.Set(0, 0, 7.5)
-	if got := res.Read32(rows[0], j, nil); got.At(0, 0) != 7.5 {
+	if got := res.Read32(refs[0], nil); got.At(0, 0) != 7.5 {
 		t.Fatalf("committed stack view is not the tile image: Read32 saw %v", got.At(0, 0))
 	}
 
 	// Re-acquire + commit over the resident column: pure copies, no new
 	// rounding passes, no new epochs.
-	s2 := res.AcquireRowStack32(rows, j, nil)
-	res.CommitRowStack32(s2, rows, j)
+	s2 := res.AcquireStack32(refs, nil)
+	res.CommitStack32(s2, refs)
 	epochs, to32, to64 = res.Counters()
 	if epochs != int64(len(rows)) || to32 != 2*int64(len(rows)) || to64 != 0 {
 		t.Fatalf("resident re-acquire converted: epochs=%d to32=%d to64=%d", epochs, to32, to64)
 	}
-	if got := res.Read32(rows[0], j, nil); got.At(0, 0) != 7.5 {
+	if got := res.Read32(refs[0], nil); got.At(0, 0) != 7.5 {
 		t.Fatalf("re-committed stack lost the image value: %v", got.At(0, 0))
 	}
 
 	// Demotion widens the stack views back into the f64 tiles.
-	for _, i := range rows {
-		res.EnsureF64(i, j, nil)
+	for _, t := range refs {
+		res.EnsureF64(t, nil)
 	}
 	if a.Tile(rows[0], j).At(0, 0) != 7.5 {
 		t.Fatalf("EnsureF64 did not widen the committed stack view")
@@ -111,21 +112,22 @@ func TestAcquireCommitVecStackAccounting(t *testing.T) {
 	}
 	res := NewResidency(a, rhs)
 	rows := []int{0, 2}
+	refs := []Ref{RHS(0), RHS(2)}
 
-	s := res.AcquireVecStack32(rows, nil)
+	s := res.AcquireStack32(refs, nil)
 	if epochs, to32, _ := res.Counters(); epochs != 0 || to32 != int64(len(rows)) {
 		t.Fatalf("after acquire: epochs=%d to32=%d", epochs, to32)
 	}
-	res.CommitVecStack32(s, rows)
+	res.CommitStack32(s, refs)
 	if epochs, to32, _ := res.Counters(); epochs != int64(len(rows)) || to32 != int64(len(rows)) {
 		t.Fatalf("after commit: epochs=%d to32=%d", epochs, to32)
 	}
 	s.Set(nb, 1, -2.25) // tile rows[1], row 0
-	if got := res.ReadVec32(rows[1], nil); got.At(0, 1) != -2.25 {
+	if got := res.Read32(refs[1], nil); got.At(0, 1) != -2.25 {
 		t.Fatalf("committed vec stack view is not the tile image")
 	}
-	s2 := res.AcquireVecStack32(rows, nil)
-	res.CommitVecStack32(s2, rows)
+	s2 := res.AcquireStack32(refs, nil)
+	res.CommitStack32(s2, refs)
 	if epochs, to32, _ := res.Counters(); epochs != int64(len(rows)) || to32 != int64(len(rows)) {
 		t.Fatalf("resident vec re-acquire converted: epochs=%d to32=%d", epochs, to32)
 	}

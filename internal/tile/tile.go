@@ -206,19 +206,6 @@ func (t *Matrix) StackRows(rows []int, j int) *mat.Matrix {
 	return s
 }
 
-// StackRowsInto copies the tiles (rows[0], j), (rows[1], j), … into the
-// caller-provided (len(rows)·NB)×NB matrix s — the allocation-free variant of
-// StackRows for pooled workspaces. Every element of s is overwritten, so an
-// unzeroed pooled buffer is safe.
-func (t *Matrix) StackRowsInto(s *mat.Matrix, rows []int, j int) {
-	if s.Rows != len(rows)*t.NB || s.Cols != t.NB {
-		panic(fmt.Sprintf("tile: StackRowsInto shape %dx%d for %d rows nb=%d", s.Rows, s.Cols, len(rows), t.NB))
-	}
-	for r, i := range rows {
-		s.View(r*t.NB, 0, t.NB, t.NB).CopyFrom(t.Tile(i, j))
-	}
-}
-
 // UnstackRows scatters a stacked matrix produced by StackRows back into the
 // tiles (rows[r], j).
 func (t *Matrix) UnstackRows(s *mat.Matrix, rows []int, j int) {
@@ -318,4 +305,29 @@ func (v *Vector) UnstackRows(s *mat.Matrix, rows []int) {
 	for r, i := range rows {
 		v.Tile(i).CopyFrom(s.View(r*v.NB, 0, v.NB, v.W))
 	}
+}
+
+// Ref names one tile of a factorization's operands: matrix tile (I, J), or
+// right-hand-side tile I. Build it with At or RHS; one Ref type addresses
+// both kinds, so the residency store and the task layer take it alike.
+type Ref struct{ I, J int }
+
+// rhsCol is the J of a right-hand-side tile's Ref.
+const rhsCol = -1
+
+// At names matrix tile (i, j).
+func At(i, j int) Ref { return Ref{i, j} }
+
+// RHS names right-hand-side tile i.
+func RHS(i int) Ref { return Ref{i, rhsCol} }
+
+// IsRHS reports whether t names a right-hand-side tile.
+func (t Ref) IsRHS() bool { return t.J == rhsCol }
+
+// Of returns the float64 tile t names: a tile of a, or of rhs.
+func (t Ref) Of(a *Matrix, rhs *Vector) *mat.Matrix {
+	if t.IsRHS() {
+		return rhs.Tile(t.I)
+	}
+	return a.Tile(t.I, t.J)
 }

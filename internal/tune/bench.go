@@ -35,9 +35,8 @@ func CoreBench(p Point, n int, alg string) (float64, error) {
 	for i := range b {
 		b[i] = 1
 	}
-	// The candidate's inner block size rides inside the run's own config —
-	// never through the process-global knob, which a concurrent job with a
-	// different tuned point would race on.
+	// The candidate's inner block size rides inside the run's own config,
+	// so a concurrent job with a different tuned point keeps its own.
 	cfg := core.Config{NB: p.NB, IB: p.IB, Workers: p.Workers}
 	if alg != "" {
 		parsed, err := core.ParseAlgorithm(alg)
