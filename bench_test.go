@@ -81,12 +81,17 @@ func BenchmarkTable1KernelGETRF(b *testing.B) {
 	}
 }
 
+// BenchmarkTable1KernelTRSM restores c before every solve: solving in place
+// divides it by about nb per call, so within a few hundred calls it would
+// decay through subnormals to zero and the benchmark would time zeros.
 func BenchmarkTable1KernelTRSM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	t := benchUpper(rng, kernelNB)
-	c := benchTile(rng, kernelNB)
+	c0 := benchTile(rng, kernelNB)
+	c := c0.Clone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		c.CopyFrom(c0)
 		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, t, c)
 	}
 }

@@ -303,8 +303,8 @@ func applyTri(side Side, uplo Uplo, trans Transpose, diag Diag, tm, b *mat.Matri
 }
 
 // TestTrsmAllVariants and TestTrsm32AllVariants solve with Trsm at each
-// precision and verify op(T)·X ≈ alpha·B for every variant, on orders both
-// below and above the triBlock boundary, under both kernel tables.
+// precision and verify op(T)·X ≈ alpha·B for every variant, on orders from
+// one element to several micro-panel blocks, under both kernel tables.
 func TestTrsmAllVariants(t *testing.T) { forEachKernel(t, testTrsmAllVariants[float64]) }
 
 func TestTrsm32AllVariants(t *testing.T) { forEachKernel(t, testTrsmAllVariants[float32]) }

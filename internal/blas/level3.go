@@ -107,7 +107,7 @@ func gemmPacked[T mat.Float](kt *kernels[T], transA, transB Transpose, alpha T, 
 			packB(bufB.Data, b, transB, jc, pc, kc, nc, nr)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
-				packA(apack, a, transA, alpha, ic, pc, mc, kc, mr)
+				packA(kt, apack, a, transA, alpha, ic, pc, mc, kc)
 				for jr := 0; jr < nc; jr += nr {
 					nj := min(nr, nc-jr)
 					bp := bufB.Data[jr*kc:]
@@ -148,21 +148,21 @@ func opShape[T mat.Float](m *mat.Dense[T], t Transpose) (rows, cols int) {
 	return m.Rows, m.Cols
 }
 
-// triBlock is the diagonal-block order of the blocked triangular drivers
-// (Trsm, and Trmm's Right side). Only a triBlock-wide band of the work runs
-// through the unblocked substitution loops; everything off the diagonal is
-// a rank-triBlock GEMM update through the packed micro-kernel path, so a
-// large triangular solve runs at a large fraction of GEMM speed.
+// triBlock is the diagonal-block order of Trmm's blocked Right side: only
+// a triBlock-wide band of the work runs through the unblocked loops, and
+// everything off the diagonal is a rank-triBlock GEMM update through the
+// packed micro-kernel path.
 const triBlock = 32
 
 // Trsm solves op(T)·X = alpha·B (Side == Left) or X·op(T) = alpha·B
 // (Side == Right) in place: B is overwritten with X. T is triangular as
 // described by uplo/diag.
 //
-// The solve is blocked: the triangle is partitioned into triBlock-order
-// diagonal blocks solved by forward/back substitution, and the coupling
-// between blocks is applied as GEMM updates, so most flops run through the
-// packed micro-kernel path.
+// Both sides are one packed solve on the GEMM micro-kernel (trsmPacked):
+// the Right side is the Left solve op(T)ᵀ·Xᵀ = alpha·Bᵀ, and packing
+// absorbs the transposes. One right-hand side — a single column on the
+// Left, a single row on the Right — takes trsmColumn where the type's
+// kernel table has narrow kernels; it rounds every element the same way.
 func Trsm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
@@ -179,215 +179,214 @@ func Trsm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T
 			Scal(alpha, b.Row(i))
 		}
 	}
-	if n <= triBlock {
-		trsmBasic(side, uplo, trans, diag, t, b)
-		return
-	}
 	// Effective orientation of op(T): a transposed triangle lives on the
 	// opposite side of the diagonal.
-	effLower := (uplo == Lower) != (trans == Trans)
-	if side == Left {
-		// Block rows of X in dependency order: forward when op(T) is lower,
-		// backward when upper. Each block first subtracts the coupling with
-		// the already-solved blocks (one GEMM), then solves its diagonal
-		// block by substitution.
-		k := b.Cols
-		if effLower {
-			for i0 := 0; i0 < n; i0 += triBlock {
-				bs := min(triBlock, n-i0)
-				bi := b.View(i0, 0, bs, k)
-				if i0 > 0 {
-					if trans == NoTrans {
-						Gemm(NoTrans, NoTrans, -1, t.View(i0, 0, bs, i0), b.View(0, 0, i0, k), 1, bi)
-					} else {
-						Gemm(Trans, NoTrans, -1, t.View(0, i0, i0, bs), b.View(0, 0, i0, k), 1, bi)
-					}
-				}
-				trsmBasic(Left, uplo, trans, diag, t.View(i0, i0, bs, bs), bi)
-			}
-			return
-		}
-		for i0 := ((n - 1) / triBlock) * triBlock; i0 >= 0; i0 -= triBlock {
-			bs := min(triBlock, n-i0)
-			bi := b.View(i0, 0, bs, k)
-			if rest := n - i0 - bs; rest > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, -1, t.View(i0, i0+bs, bs, rest), b.View(i0+bs, 0, rest, k), 1, bi)
-				} else {
-					Gemm(Trans, NoTrans, -1, t.View(i0+bs, i0, rest, bs), b.View(i0+bs, 0, rest, k), 1, bi)
-				}
-			}
-			trsmBasic(Left, uplo, trans, diag, t.View(i0, i0, bs, bs), bi)
-		}
-		return
-	}
-	// Right side: column blocks of X in dependency order — forward when
-	// op(T) is upper, backward when lower.
-	m := b.Rows
-	if !effLower {
-		for j0 := 0; j0 < n; j0 += triBlock {
-			bs := min(triBlock, n-j0)
-			bj := b.View(0, j0, m, bs)
-			if j0 > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, -1, b.View(0, 0, m, j0), t.View(0, j0, j0, bs), 1, bj)
-				} else {
-					Gemm(NoTrans, Trans, -1, b.View(0, 0, m, j0), t.View(j0, 0, bs, j0), 1, bj)
-				}
-			}
-			trsmBasic(Right, uplo, trans, diag, t.View(j0, j0, bs, bs), bj)
-		}
-		return
-	}
-	for j0 := ((n - 1) / triBlock) * triBlock; j0 >= 0; j0 -= triBlock {
-		bs := min(triBlock, n-j0)
-		bj := b.View(0, j0, m, bs)
-		if rest := n - j0 - bs; rest > 0 {
-			if trans == NoTrans {
-				Gemm(NoTrans, NoTrans, -1, b.View(0, j0+bs, m, rest), t.View(j0+bs, j0, rest, bs), 1, bj)
-			} else {
-				Gemm(NoTrans, Trans, -1, b.View(0, j0+bs, m, rest), t.View(j0, j0+bs, bs, rest), 1, bj)
-			}
-		}
-		trsmBasic(Right, uplo, trans, diag, t.View(j0, j0, bs, bs), bj)
-	}
-}
-
-// trsmBasic is the unblocked substitution kernel behind Trsm: it solves one
-// diagonal block (alpha already applied by the caller).
-func trsmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
-	n := t.Rows
-	// Reduce the transposed cases to the non-transposed triangle on the
-	// opposite side of the diagonal; element access goes through get().
-	lower := uplo == Lower
-	if trans == Trans {
+	lower := (uplo == Lower) != (trans == Trans)
+	w, xs := b.Cols, b.Stride
+	if side == Right {
+		// op(T)ᵀ is op(T) with the transpose flipped, so it lies on the
+		// other side of the diagonal; Bᵀ has B's rows as its columns.
 		lower = !lower
-	}
-	if side == Left && b.Cols == 1 {
-		trsmColumn(lower, trans, diag, t, b)
-		return
-	}
-	get := func(i, j int) T {
 		if trans == Trans {
-			return t.At(j, i)
-		}
-		return t.At(i, j)
-	}
-
-	if side == Left {
-		// Row-oriented forward/back substitution over the rows of B: each
-		// step updates a whole row with unit stride.
-		if lower {
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				for p := 0; p < i; p++ {
-					Axpy(-get(i, p), b.Row(p), bi)
-				}
-				if diag == NonUnit {
-					Scal(1/get(i, i), bi)
-				}
-			}
+			trans = NoTrans
 		} else {
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				for p := i + 1; p < n; p++ {
-					Axpy(-get(i, p), b.Row(p), bi)
-				}
-				if diag == NonUnit {
-					Scal(1/get(i, i), bi)
-				}
-			}
+			trans = Trans
 		}
+		w, xs = b.Rows, 1
+	}
+	if n == 0 || w == 0 {
 		return
 	}
-
-	// Right side: X·op(T) = B, solved one row of B at a time. For the
-	// untransposed cases the substitution is expressed with T's rows so the
-	// inner loops run over contiguous memory (this is the hot "Eliminate"
-	// path of the LU step: A_ik ← A_ik·U⁻¹).
-	if trans == NoTrans {
-		for r := 0; r < b.Rows; r++ {
-			row := b.Row(r)
-			if lower {
-				for p := n - 1; p >= 0; p-- {
-					if diag == NonUnit {
-						row[p] /= t.At(p, p)
-					}
-					if v := row[p]; v != 0 {
-						Axpy(-v, t.Row(p)[:p], row[:p])
-					}
-				}
-			} else {
-				for p := 0; p < n; p++ {
-					if diag == NonUnit {
-						row[p] /= t.At(p, p)
-					}
-					if v := row[p]; v != 0 {
-						Axpy(-v, t.Row(p)[p+1:n], row[p+1:n])
-					}
-				}
-			}
-		}
+	k := table[T]()
+	if w == 1 && k.narrowN != nil {
+		trsmColumn(k, lower, trans, diag, t, b.Data, xs)
 		return
 	}
-	// Transposed right side: op(T)[p, j] = t[j, p], so each x_j is a dot
-	// product against the contiguous row j of t.
-	for r := 0; r < b.Rows; r++ {
-		row := b.Row(r)
-		if lower {
-			// op(T) lower ⇒ t upper: x_j from last to first.
-			for j := n - 1; j >= 0; j-- {
-				s := row[j] - Dot(row[j+1:n], t.Row(j)[j+1:n])
-				if diag == NonUnit {
-					s /= t.At(j, j)
-				}
-				row[j] = s
+	trsmPacked(k, side, lower, trans, diag, t, b)
+}
+
+// The packed solve cuts op(T)'s rows into MR-row blocks, solved in
+// dependency order (trsmBlock): top-down for a lower op(T), bottom-up for
+// an upper one, with the fringe block at the bottom either way. A block's
+// rows first subtract their products with the rows solved before the block
+// (trsmSolved), one micro-kernel chain from zero per KC block of them, and
+// then the block solves its diagonal square by substitution (trsmDiag).
+// trsmPacked and trsmColumn share these functions, which is what makes
+// their roundings agree.
+
+// trsmBlock returns the q-th MR-row block [i0, i0+rows) of op(T) in
+// dependency order.
+func trsmBlock(lower bool, n, mr, q int) (i0, rows int) {
+	i0 = q * mr
+	if !lower {
+		i0 = ((n-1)/mr - q) * mr
+	}
+	return i0, min(mr, n-i0)
+}
+
+// trsmSolved returns the rows [lo, hi) solved before block [i0, i0+rows),
+// which are the block rows' stored columns of op(T) off its diagonal
+// square.
+func trsmSolved(lower bool, n, i0, rows int) (lo, hi int) {
+	if lower {
+		return 0, i0
+	}
+	return i0 + rows, n
+}
+
+// trsmDiag solves rows [i0, i0+rows) of X, held w wide and ld apart in x,
+// against op(T)'s diagonal square there (op(T)[i, p] is t[i*rs+p*cs]) by
+// substitution in dependency order: each row subtracts the block rows
+// solved before it in increasing order, through Axpy, which skips a zero
+// multiplier; a non-unit row is then multiplied by 1/t_ii. One column
+// applies Axpy's arithmetic (madd, fused as Axpy fuses) without the call,
+// which would cost the one-column solve more than its multiply-adds.
+func trsmDiag[T mat.Float](t []T, rs, cs int, lower bool, diag Diag, i0, rows int, x []T, w, ld int) {
+	fused := table[T]().axpy != nil
+	for s := 0; s < rows; s++ {
+		r, q0, q1 := s, 0, s
+		if !lower {
+			r = rows - 1 - s
+			q0, q1 = r+1, rows
+		}
+		i, xr := i0+r, x[r*ld:][:w]
+		for q := q0; q < q1; q++ {
+			m := -t[i*rs+(i0+q)*cs]
+			if w > 1 {
+				Axpy(m, x[q*ld:][:w], xr)
+			} else if m != 0 {
+				xr[0] = madd(fused, m, x[q*ld], xr[0])
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				s := row[j] - Dot(row[:j], t.Row(j)[:j])
-				if diag == NonUnit {
-					s /= t.At(j, j)
-				}
-				row[j] = s
-			}
+		}
+		if diag == NonUnit {
+			Scal(1/t[i*rs+i*cs], xr)
 		}
 	}
 }
 
-// trsmColumn is trsmBasic's Left path for a single column, with lower the
-// orientation of op(T). It indexes T in place instead of through the At
-// closure, and rounds exactly as the row-wise path does: each update is a
-// multiply-add fused exactly when Axpy's is, skipped when the multiplier is
-// zero as Axpy skips it, and the diagonal is applied as a multiplication by
-// 1/t_ii as Scal applies it. So the column's bits match column j of a wider
-// solve.
-func trsmColumn[T mat.Float](lower bool, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
-	n := t.Rows
+// trsmPacked is the Left solve op(T)·X = B through the packed micro-kernel,
+// in place in B, or the Right solve as the Left one on a transposed copy of
+// B. Each row block in dependency order packs its rows of op(T) over the
+// solved columns, scaled by −1, into one MR-tall micro-panel; runs the
+// micro-kernel with it over the block's rows of X, against the solved rows,
+// writing straight into X; solves its diagonal square along whole rows;
+// and packs its solved rows into NR-wide micro-panels, the micro-kernel's
+// B operand for the blocks after it.
+func trsmPacked[T mat.Float](kt *kernels[T], side Side, lower bool, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
+	n, mr, nr := t.Rows, kt.mr, kt.nr
+	rs, cs := t.Stride, 1
+	if trans == Trans {
+		rs, cs = 1, t.Stride
+	}
+	w, x, ld := b.Cols, b.Data, b.Stride
+	if side == Right {
+		w = b.Rows
+		xt := mat.GetBuf[T](n * w)
+		defer mat.PutBuf(xt)
+		x, ld = xt.Data, w
+		transpose(x, ld, b.Data, b.Stride, w, n)
+	}
+	buf := mat.GetBuf[T](mr*n + n*roundUp(w, nr) + mr*nr)
+	defer mat.PutBuf(buf)
+	// panel holds the block's micro-panel of op(T), column p at
+	// panel[(p-lo)*mr:]; bp the solved rows of X, the micro-panel of
+	// columns [jr, jr+nr) at bp[jr*n:] with row p at [p*nr:]; tmp is
+	// microTile's scratch tile.
+	panel, bp, tmp := buf.Data[:mr*n], buf.Data[mr*n:len(buf.Data)-mr*nr], buf.Data[len(buf.Data)-mr*nr:]
+	for q := 0; q*mr < n; q++ {
+		i0, rows := trsmBlock(lower, n, mr, q)
+		lo, hi := trsmSolved(lower, n, i0, rows)
+		xi := x[i0*ld:]
+		if hi > lo {
+			packA(kt, panel, t, trans, -1, i0, lo, rows, hi-lo)
+			for jr := 0; jr < w; jr += nr {
+				for k0 := lo; k0 < hi; k0 += gemmKC {
+					microTile(kt, min(gemmKC, hi-k0), panel[(k0-lo)*mr:], bp[jr*n+k0*nr:], xi[jr:], ld, rows, min(nr, w-jr), tmp)
+				}
+			}
+		}
+		trsmDiag(t.Data, rs, cs, lower, diag, i0, rows, xi, w, ld)
+		if (q+1)*mr >= n {
+			break
+		}
+		for i := i0; i < i0+rows; i++ {
+			xr := x[i*ld:][:w]
+			for jr := 0; jr < w; jr += nr {
+				d := bp[jr*n+i*nr:][:nr]
+				clear(d[copy(d, xr[jr:]):])
+			}
+		}
+	}
+	if side == Right {
+		transpose(b.Data, b.Stride, x, ld, n, w)
+	}
+}
+
+// transpose writes the transpose of the rows×cols matrix src (rows lds
+// apart) to dst (rows ldd apart). It reads eight rows side by side, so each
+// row of dst takes eight contiguous elements at a time. At 192×192 that is
+// about 4× (float64) and 2× (float32) as fast as storing one element per
+// row of dst.
+func transpose[T mat.Float](dst []T, ldd int, src []T, lds, rows, cols int) {
+	i := 0
+	for ; i+8 <= rows; i += 8 {
+		s0 := src[i*lds:][:cols]
+		s1 := src[(i+1)*lds:][:cols]
+		s2 := src[(i+2)*lds:][:cols]
+		s3 := src[(i+3)*lds:][:cols]
+		s4 := src[(i+4)*lds:][:cols]
+		s5 := src[(i+5)*lds:][:cols]
+		s6 := src[(i+6)*lds:][:cols]
+		s7 := src[(i+7)*lds:][:cols]
+		for j := range s0 {
+			d := dst[j*ldd+i:][:8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0[j], s1[j], s2[j], s3[j], s4[j], s5[j], s6[j], s7[j]
+		}
+	}
+	for ; i < rows; i++ {
+		for j, v := range src[i*lds:][:cols] {
+			dst[j*ldd+i] = v
+		}
+	}
+}
+
+// trsmColumn is the solve of one right-hand side x (elements xs apart),
+// with lower the orientation of op(T). It walks trsmPacked's blocks
+// without packing: each block's rows take their products with the rows
+// solved before it through the table's narrow kernels, which round as the
+// micro-kernel does (one chain from zero per KC block, added to the
+// element), and then trsmDiag on the one column. So a column's bits match
+// column j of a wider solve. It exists for speed: the packed path would
+// pack all of op(T) and run the micro-kernel over an NR-wide panel with one
+// live column, which at nb = 64–192 takes 1.5–2.2× as long.
+func trsmColumn[T mat.Float](kt *kernels[T], lower bool, trans Transpose, diag Diag, t *mat.Dense[T], x []T, xs int) {
+	n, mr := t.Rows, kt.mr
 	// op(T)[i, p] is t.Data[i*rs+p*cs].
 	rs, cs := t.Stride, 1
 	if trans == Trans {
 		rs, cs = 1, t.Stride
 	}
-	fused := table[T]().axpy != nil
-	x, xs := b.Data, b.Stride
-	for step := 0; step < n; step++ {
-		// Forward substitution for a lower op(T), backward for an upper one;
-		// x_i needs the already-solved x_p for p in [lo, hi).
-		i, lo, hi := step, 0, step
-		if !lower {
-			i, lo, hi = n-1-step, n-step, n
-		}
-		s := x[i*xs]
-		for p := lo; p < hi; p++ {
-			if m := -t.Data[i*rs+p*cs]; m != 0 {
-				s = madd(fused, m, x[p*xs], s)
+	buf := mat.GetBuf[T](mr)
+	defer mat.PutBuf(buf)
+	for q := 0; q*mr < n; q++ {
+		i0, rows := trsmBlock(lower, n, mr, q)
+		lo, hi := trsmSolved(lower, n, i0, rows)
+		for k0 := lo; k0 < hi; k0 += gemmKC {
+			kc := min(gemmKC, hi-k0)
+			if trans == NoTrans {
+				kt.narrowN(rows, kc, -1, t.Data[i0*rs+k0:], rs, x[k0*xs:], xs, x[i0*xs:], xs)
+				continue
+			}
+			// The block's rows of op(T) are columns of t: narrowT runs
+			// their chains side by side in acc.
+			acc := buf.Data[:rows]
+			clear(acc)
+			kt.narrowT(kc, -1, t.Data[k0*cs+i0:], cs, x[k0*xs:], xs, acc)
+			for r, v := range acc {
+				x[(i0+r)*xs] += v
 			}
 		}
-		if diag == NonUnit {
-			s *= 1 / t.Data[i*t.Stride+i]
-		}
-		x[i*xs] = s
+		trsmDiag(t.Data, rs, cs, lower, diag, i0, rows, x[i0*xs:], 1, xs)
 	}
 }
 
@@ -397,9 +396,9 @@ func trsmColumn[T mat.Float](lower bool, trans Transpose, diag Diag, t, b *mat.D
 // The Left side is a packed triangular multiply on the GEMM micro-kernel
 // (trmmPacked); one right-hand side — at most trmmNarrowCols columns, where
 // the type's kernel table has narrow kernels — takes trmmNarrow, which
-// rounds every element the same way. The Right side is blocked like
-// Trsm: diagonal blocks of order triBlock go through the unblocked kernel
-// and the off-diagonal coupling is GEMM.
+// rounds every element the same way. The Right side is blocked: diagonal
+// blocks of order triBlock go through the unblocked kernel and the
+// off-diagonal coupling is GEMM.
 func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
@@ -556,7 +555,7 @@ func trmmPacked[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag D
 					// Column p of the panel lands at panel[(p-pc)*mr:].
 					panel := apack[ir*kc:]
 					if d0 > c0 {
-						packA(panel[(c0-pc)*mr:], t, trans, alpha, i0, c0, rows, d0-c0, mr)
+						packA(kt, panel[(c0-pc)*mr:], t, trans, alpha, i0, c0, rows, d0-c0)
 					}
 					for p := d0; p < d1; p++ {
 						d := panel[(p-pc)*mr:][:mr]
@@ -568,7 +567,7 @@ func trmmPacked[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag D
 						}
 					}
 					if c1 > d1 {
-						packA(panel[(d1-pc)*mr:], t, trans, alpha, i0, d1, rows, c1-d1, mr)
+						packA(kt, panel[(d1-pc)*mr:], t, trans, alpha, i0, d1, rows, c1-d1)
 					}
 				}
 				for jr := 0; jr < nc; jr += nr {

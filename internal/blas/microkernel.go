@@ -30,6 +30,9 @@ type kernels[T mat.Float] struct {
 	// mr×nr is the micro-tile geometry of gemm, the GEMM micro-kernel.
 	mr, nr int
 	gemm   func(kc int, a, b, c []T, ldc int)
+	// packPanel packs one full mr-tall micro-panel for gemm (packA); the
+	// tables' entries differ only in that height.
+	packPanel func(dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int)
 	// narrowN and narrowT are gemm's narrow-path companions (gemmNarrow),
 	// nil when the type has none that round exactly as gemm does; the
 	// narrow path then stays off.
@@ -49,7 +52,10 @@ var (
 // portableKernels is the pure-Go table: the 4×4 micro-kernel with its
 // narrow companions, and the scalar level-1 loops.
 func portableKernels[T mat.Float]() kernels[T] {
-	return kernels[T]{mr: 4, nr: 4, gemm: kernelGeneric4x4[T], narrowN: narrowNGeneric[T], narrowT: narrowTGeneric[T]}
+	return kernels[T]{
+		mr: 4, nr: 4, gemm: kernelGeneric4x4[T], packPanel: packPanel4[T],
+		narrowN: narrowNGeneric[T], narrowT: narrowTGeneric[T],
+	}
 }
 
 // table returns the kernel table of element type T. Axpy and Dot look it up

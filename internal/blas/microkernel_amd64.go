@@ -67,7 +67,8 @@ func init() {
 	}
 	kernels64 = kernels[float64]{
 		mr: 6, nr: 8,
-		gemm: kernelAVX6x8,
+		gemm:      kernelAVX6x8,
+		packPanel: packPanel6[float64],
 		narrowN: func(m, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 			narrowNFMA(m, k, alpha, &a[0], lda, &b[0], ldb, &c[0], ldc)
 		},
@@ -79,9 +80,10 @@ func init() {
 	}
 	kernels32 = kernels[float32]{
 		mr: 6, nr: 16,
-		gemm: kernelAVX6x16f32,
-		axpy: func(alpha float32, x, y []float32) { axpyFMA32(alpha, &x[0], &y[0], len(x)) },
-		dot:  func(x, y []float32) float32 { return dotFMA32(&x[0], &y[0], len(x)) },
+		gemm:      kernelAVX6x16f32,
+		packPanel: packPanel6[float32],
+		axpy:      func(alpha float32, x, y []float32) { axpyFMA32(alpha, &x[0], &y[0], len(x)) },
+		dot:       func(x, y []float32) float32 { return dotFMA32(&x[0], &y[0], len(x)) },
 	}
 }
 

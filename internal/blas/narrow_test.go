@@ -135,17 +135,48 @@ func TestTrmmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrsmZeroAlloc: the packed triangular solve allocates nothing in
+// steady state, on either side and at either precision (its micro-panels,
+// and the Right side's transposed copy of B, come from the workspace arena).
+func TestTrsmZeroAlloc(t *testing.T) {
+	forEachType(t, testTrsmZeroAlloc[float64], testTrsmZeroAlloc[float32])
+}
+
+func testTrsmZeroAlloc[T mat.Float](t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
+	}
+	rng := rand.New(rand.NewSource(28))
+	for _, nb := range []int{40, 96, 192} {
+		tm := roundTo[T](solvableTri(rng, nb, Upper, NonUnit))
+		b0 := randT[T](rng, nb, nb)
+		b := b0.Clone()
+		for _, side := range []Side{Left, Right} {
+			solve := func() {
+				b.CopyFrom(b0)
+				Trsm(side, Upper, NoTrans, NonUnit, 1, tm, b)
+			}
+			solve()
+			if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
+				t.Errorf("Trsm nb=%d side=%v: %v allocs/op, want 0", nb, side, allocs)
+			}
+		}
+	}
+}
+
 // TestTrsmColumnMatchesWide is the triangular solve's version of the
 // narrow contract: a Left solve of one column equals column j of the same
-// solve over w columns bit for bit, for every uplo/trans/diag, orders on
-// both sides of the blocking threshold, alpha scaling, and a right-hand side
-// with an Inf behind a zero multiplier (the skip Axpy makes must be made by
-// the column path too, or 0·Inf turns the solution into NaN).
+// solve over w columns bit for bit, for every uplo/trans/diag, orders with
+// an MR fringe, past triBlock and across a KC block, alpha scaling, and a
+// right-hand side with an Inf behind zero multipliers. Inside the Inf's
+// diagonal micro-block the zero multipliers are skipped, as Axpy skips
+// them, and past it they meet the Inf in the micro-kernel as 0·Inf = NaN:
+// the column path must make the same skips and the same NaNs.
 func TestTrsmColumnMatchesWide(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
 		maxW := 2*gemmNR + 1
-		for _, n := range []int{1, 7, triBlock, triBlock + 1, 2*triBlock + 5} {
+		for _, n := range []int{1, 7, 13, triBlock, triBlock + 1, 2*triBlock + 5, gemmKC + 3} {
 			for _, uplo := range []Uplo{Upper, Lower} {
 				for _, trans := range []Transpose{NoTrans, Trans} {
 					for _, diag := range []Diag{NonUnit, Unit} {

@@ -35,41 +35,86 @@ func roundUp(n, q int) int { return (n + q - 1) / q * q }
 
 // packA packs op(A)[i0:i0+mc, p0:p0+kc], scaled by alpha, into MR-tall
 // column-major micro-panels: element (ir+i, p) of the block lands at
-// buf[ir*kc + p*mr + i]. Rows past mc are zero-filled so every micro-panel
-// is a full MR tall.
-func packA[T mat.Float](buf []T, a *mat.Dense[T], transA Transpose, alpha T, i0, p0, mc, kc, mr int) {
+// buf[ir*kc + p*mr + i]. A full panel goes through the table's packPanel,
+// the fixed-height body beside the micro-kernel it feeds; a fringe panel is
+// zero-filled past mc so every micro-panel is a full MR tall.
+func packA[T mat.Float](kt *kernels[T], buf []T, a *mat.Dense[T], transA Transpose, alpha T, i0, p0, mc, kc int) {
+	mr := kt.mr
 	for ir := 0; ir < mc; ir += mr {
-		rows := min(mr, mc-ir)
-		dst := buf[ir*kc:]
-		if transA == NoTrans {
-			// op(A) row i0+ir+i is a contiguous slice of A; scatter it into
-			// the panel with stride mr.
-			for i := 0; i < rows; i++ {
-				src := a.Data[(i0+ir+i)*a.Stride+p0:][:kc]
-				d := dst[i:]
-				for p, v := range src {
-					d[p*mr] = alpha * v
-				}
+		dst := buf[ir*kc:][:mr*kc]
+		if rows := mc - ir; rows < mr {
+			packFringe(dst, a, transA, alpha, i0+ir, p0, rows, kc, mr)
+			continue
+		}
+		kt.packPanel(dst, a, transA, alpha, i0+ir, p0, kc)
+	}
+}
+
+// packFringe packs the rows < mr rows of op(A) from (i, p0) over kc columns
+// into one mr-tall micro-panel, zero below them.
+func packFringe[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, rows, kc, mr int) {
+	for p := 0; p < kc; p++ {
+		d := dst[p*mr:][:mr]
+		for r := range d {
+			d[r] = 0
+			if r >= rows {
+				continue
 			}
-		} else {
-			// op(A)[r, p] = A[p0+p, i0+r]: each A row provides one packed
-			// column, contiguous on both sides.
-			for p := 0; p < kc; p++ {
-				src := a.Data[(p0+p)*a.Stride+i0+ir:][:rows]
-				d := dst[p*mr : p*mr+rows : p*mr+rows]
-				for i, v := range src {
-					d[i] = alpha * v
-				}
+			if transA == NoTrans {
+				d[r] = alpha * a.Data[(i+r)*a.Stride+p0+p]
+			} else {
+				d[r] = alpha * a.Data[(p0+p)*a.Stride+i+r]
 			}
 		}
-		if rows < mr {
-			for p := 0; p < kc; p++ {
-				d := dst[p*mr:]
-				for i := rows; i < mr; i++ {
-					d[i] = 0
-				}
-			}
+	}
+}
+
+// packPanel4 and packPanel6 are the tables' packPanel entries: each packs
+// one full micro-panel of its height, op(A) rows [i, i+mr) over the kc
+// columns from p0, scaled by alpha, writing each packed column's mr
+// elements together. op(A) = A reads the mr rows side by side; op(A) = Aᵀ
+// reads each packed column from one row of A, which with the height fixed
+// packs a 192×192 block of Aᵀ about twice as fast as a loop over a variable
+// height, at either precision.
+func packPanel4[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int) {
+	dst = dst[:4*kc]
+	if transA == NoTrans {
+		r0 := a.Data[i*a.Stride+p0:][:kc]
+		r1 := a.Data[(i+1)*a.Stride+p0:][:kc]
+		r2 := a.Data[(i+2)*a.Stride+p0:][:kc]
+		r3 := a.Data[(i+3)*a.Stride+p0:][:kc]
+		for p := range r0 {
+			d := dst[4*p : 4*p+4 : 4*p+4]
+			d[0], d[1], d[2], d[3] = alpha*r0[p], alpha*r1[p], alpha*r2[p], alpha*r3[p]
 		}
+		return
+	}
+	for p := 0; p < kc; p++ {
+		s := a.Data[(p0+p)*a.Stride+i:][:4]
+		d := dst[4*p : 4*p+4 : 4*p+4]
+		d[0], d[1], d[2], d[3] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3]
+	}
+}
+
+func packPanel6[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int) {
+	dst = dst[:6*kc]
+	if transA == NoTrans {
+		r0 := a.Data[i*a.Stride+p0:][:kc]
+		r1 := a.Data[(i+1)*a.Stride+p0:][:kc]
+		r2 := a.Data[(i+2)*a.Stride+p0:][:kc]
+		r3 := a.Data[(i+3)*a.Stride+p0:][:kc]
+		r4 := a.Data[(i+4)*a.Stride+p0:][:kc]
+		r5 := a.Data[(i+5)*a.Stride+p0:][:kc]
+		for p := range r0 {
+			d := dst[6*p : 6*p+6 : 6*p+6]
+			d[0], d[1], d[2], d[3], d[4], d[5] = alpha*r0[p], alpha*r1[p], alpha*r2[p], alpha*r3[p], alpha*r4[p], alpha*r5[p]
+		}
+		return
+	}
+	for p := 0; p < kc; p++ {
+		s := a.Data[(p0+p)*a.Stride+i:][:6]
+		d := dst[6*p : 6*p+6 : 6*p+6]
+		d[0], d[1], d[2], d[3], d[4], d[5] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3], alpha*s[4], alpha*s[5]
 	}
 }
 

@@ -111,6 +111,54 @@ func testGemmTable[T mat.Float](t *testing.T) {
 	check(t, true)
 }
 
+// TestPackAMatchesLayout pins packA, whose full micro-panels go through
+// the table's fixed-height packPanel body, to the layout the micro-kernel
+// reads: element (ir+i, p) of alpha·op(A)'s block at buf[ir*kc + p*mr + i],
+// zero below a fringe panel's rows — exactly, at each precision, for both
+// transposes, A as a strided view, and block heights from one element to
+// past two micro-panels.
+func TestPackAMatchesLayout(t *testing.T) {
+	forEachType(t, testPackAMatchesLayout[float64], testPackAMatchesLayout[float32])
+}
+
+func testPackAMatchesLayout[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	kt := table[T]()
+	mr := kt.mr
+	for _, transA := range []Transpose{NoTrans, Trans} {
+		for _, mc := range []int{1, mr - 1, mr, mr + 1, 2*mr + 1} {
+			for _, kc := range []int{1, 5, 17} {
+				const i0, p0 = 2, 3
+				ar, ac := i0+mc+1, p0+kc+2
+				if transA == Trans {
+					ar, ac = ac, ar
+				}
+				a := viewOfT[T](rng, ar, ac)
+				var alpha T = -0.75
+				buf := make([]T, roundUp(mc, mr)*kc)
+				packA(kt, buf, a, transA, alpha, i0, p0, mc, kc)
+				for ir := 0; ir < mc; ir += mr {
+					for p := 0; p < kc; p++ {
+						for i := 0; i < mr; i++ {
+							var want T
+							if r := ir + i; r < mc {
+								if transA == NoTrans {
+									want = alpha * a.At(i0+r, p0+p)
+								} else {
+									want = alpha * a.At(p0+p, i0+r)
+								}
+							}
+							if got := buf[ir*kc+p*mr+i]; got != want {
+								t.Fatalf("transA=%v mc=%d kc=%d: panel %d (%d, %d) = %v, want %v", transA, mc, kc, ir/mr, i, p, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTrsmOddShapesAndViews covers Trsm on odd orders, rectangular B, alpha
 // scaling, and strided views for every side/uplo/trans/diag combination.
 func TestTrsmOddShapesAndViews(t *testing.T) {

@@ -8,13 +8,13 @@ import (
 	"luqr/internal/mat"
 )
 
-// Pinning tests for the triangular kernels: past triBlock, Trsm and Trmm's
-// Right side solve triBlock-order diagonal blocks with the basic kernels and
-// run the couplings between them through the packed GEMM, and Trmm's Left
-// side is a packed triangular multiply at every order. Each must agree with
-// one basic-kernel pass over the whole triangle (accumulation order differs,
-// so agreement is tolerance-gated), and none may read outside the stored
-// triangle.
+// Pinning tests for the triangular kernels: Trsm is a packed triangular
+// solve and Trmm's Left side a packed triangular multiply at every order,
+// and past triBlock Trmm's Right side multiplies triBlock-order diagonal
+// blocks with the basic kernel and runs the couplings between them through
+// the packed GEMM. Each must agree with one basic-kernel pass over the whole
+// triangle (accumulation order differs, so agreement is tolerance-gated),
+// and none may read outside the stored triangle.
 
 // TestTrmmBlockedMatchesBasic and TestTrmm32PackedMatchesBasic drive every
 // Trmm variant at orders past triBlock and across one and two KC blocks, on
@@ -60,8 +60,10 @@ func testTrmmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 }
 
 // TestTrsmBlockedMatchesBasic and TestTrsm32BlockedMatchesBasic drive every
-// Trsm variant at orders past triBlock and compare against a single
-// trsmBasic solve, at each precision.
+// Trsm variant with alpha = −0.5 at the orders of the Trmm test — MR
+// fringes, past triBlock and across a KC block — on one column (the column
+// path), a micro-tile fringe and several micro-panels, and compare against
+// a single trsmBasic solve, at each precision.
 func TestTrsmBlockedMatchesBasic(t *testing.T) {
 	forEachKernel(t, testTrsmBlockedMatchesBasic[float64])
 }
@@ -72,22 +74,26 @@ func TestTrsm32BlockedMatchesBasic(t *testing.T) {
 
 func testTrsmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
-	for _, n := range []int{triBlock + 1, 40, 96} {
-		for _, w := range []int{1, 7} {
+	const alpha = -0.5
+	for _, n := range []int{5, 7, 13, triBlock + 1, 96, gemmKC + 3} {
+		for _, w := range []int{1, 7, 33} {
 			for _, side := range []Side{Left, Right} {
 				for _, uplo := range []Uplo{Lower, Upper} {
 					for _, trans := range []Transpose{NoTrans, Trans} {
 						for _, diag := range []Diag{NonUnit, Unit} {
-							tm := roundTo[T](randTri(rng, n, uplo, diag))
+							tm := roundTo[T](solvableTri(rng, n, uplo, diag))
 							br, bc := n, w
 							if side == Right {
 								br, bc = w, n
 							}
 							b := randMat(rng, br, bc)
 							want := roundTo[T](b)
+							for i := range want.Data {
+								want.Data[i] *= alpha
+							}
 							trsmBasic(side, uplo, trans, diag, tm, want)
 							got := roundTo[T](b)
-							Trsm(side, uplo, trans, diag, 1, tm, got)
+							Trsm(side, uplo, trans, diag, alpha, tm, got)
 							tol := 1024 * unitRoundoff[T]() * float64(n) * max(1, want.NormMax())
 							if d := mat.MaxDiff(got, want); d > tol {
 								t.Fatalf("Trsm blocked n=%d w=%d side=%v uplo=%v trans=%v diag=%v maxdiff %g > %g",
@@ -99,6 +105,22 @@ func testTrsmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 			}
 		}
 	}
+}
+
+// solvableTri is randTri with its strict triangle scaled by 1/√n: past a
+// hundred or so, randTri's inverse grows so fast that two correct solves in
+// different summation orders need not agree to any digit.
+func solvableTri(rng *rand.Rand, n int, uplo Uplo, diag Diag) *mat.Matrix {
+	t := randTri(rng, n, uplo, diag)
+	s := 1 / math.Sqrt(float64(n))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				t.Set(i, j, s*t.At(i, j))
+			}
+		}
+	}
+	return t
 }
 
 // TestTrmmIgnoresOffTriangle and TestTrmm32PackedIgnoresOffTriangle poison
@@ -161,6 +183,103 @@ func testTriIgnoresOffTriangle[T mat.Float](t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// trsmBasic is the tests' reference for Trsm: unblocked forward/back
+// substitution with row Axpys, alpha already applied by the caller.
+func trsmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, t, b *mat.Dense[T]) {
+	n := t.Rows
+	// Reduce the transposed cases to the non-transposed triangle on the
+	// opposite side of the diagonal; element access goes through get().
+	lower := uplo == Lower
+	if trans == Trans {
+		lower = !lower
+	}
+	get := func(i, j int) T {
+		if trans == Trans {
+			return t.At(j, i)
+		}
+		return t.At(i, j)
+	}
+
+	if side == Left {
+		// Row-oriented forward/back substitution over the rows of B: each
+		// step updates a whole row with unit stride.
+		if lower {
+			for i := 0; i < n; i++ {
+				bi := b.Row(i)
+				for p := 0; p < i; p++ {
+					Axpy(-get(i, p), b.Row(p), bi)
+				}
+				if diag == NonUnit {
+					Scal(1/get(i, i), bi)
+				}
+			}
+		} else {
+			for i := n - 1; i >= 0; i-- {
+				bi := b.Row(i)
+				for p := i + 1; p < n; p++ {
+					Axpy(-get(i, p), b.Row(p), bi)
+				}
+				if diag == NonUnit {
+					Scal(1/get(i, i), bi)
+				}
+			}
+		}
+		return
+	}
+
+	// Right side: X·op(T) = B, solved one row of B at a time. For the
+	// untransposed cases the substitution is expressed with T's rows so the
+	// inner loops run over contiguous memory.
+	if trans == NoTrans {
+		for r := 0; r < b.Rows; r++ {
+			row := b.Row(r)
+			if lower {
+				for p := n - 1; p >= 0; p-- {
+					if diag == NonUnit {
+						row[p] /= t.At(p, p)
+					}
+					if v := row[p]; v != 0 {
+						Axpy(-v, t.Row(p)[:p], row[:p])
+					}
+				}
+			} else {
+				for p := 0; p < n; p++ {
+					if diag == NonUnit {
+						row[p] /= t.At(p, p)
+					}
+					if v := row[p]; v != 0 {
+						Axpy(-v, t.Row(p)[p+1:n], row[p+1:n])
+					}
+				}
+			}
+		}
+		return
+	}
+	// Transposed right side: op(T)[p, j] = t[j, p], so each x_j is a dot
+	// product against the contiguous row j of t.
+	for r := 0; r < b.Rows; r++ {
+		row := b.Row(r)
+		if lower {
+			// op(T) lower ⇒ t upper: x_j from last to first.
+			for j := n - 1; j >= 0; j-- {
+				s := row[j] - Dot(row[j+1:n], t.Row(j)[j+1:n])
+				if diag == NonUnit {
+					s /= t.At(j, j)
+				}
+				row[j] = s
+			}
+		} else {
+			for j := 0; j < n; j++ {
+				s := row[j] - Dot(row[:j], t.Row(j)[:j])
+				if diag == NonUnit {
+					s /= t.At(j, j)
+				}
+				row[j] = s
 			}
 		}
 	}

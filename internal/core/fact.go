@@ -120,12 +120,15 @@ type fact struct {
 	diagSolvers []func(b *mat.Matrix)
 
 	// Mixed-precision state (Config.Precision != PrecisionF64): a0 retains a
-	// copy of the (padded) input for the refinement residuals and normA0 its
-	// ‖·‖∞, f32Bound is the excursion ceiling 1e8·max(1, max|A|) beyond
-	// which a float32 result is rejected and its task re-run at float64.
-	a0       *mat.Matrix
-	normA0   float64
-	f32Bound float64
+	// copy of the (padded) input for the refinement residuals and normA the
+	// ‖·‖∞ of the original, unpadded matrix, which the refinement's HPL3
+	// uses as the report does; f32Ceil is the bit pattern of the excursion
+	// ceiling 1e8·max(1, max|A|) rounded down to float32 (f32Ceiling),
+	// beyond which a float32 result is rejected and its task re-run at
+	// float64.
+	a0      *mat.Matrix
+	normA   float64
+	f32Ceil uint32
 	// res is the float32 tile-residency store, built for every run that is
 	// not f64-effective (nil otherwise). Float32 kernels run on its resident
 	// tile images through the run32 harness, and every float64 task
@@ -226,21 +229,34 @@ func (f *fact) ensure64(m *tile.Meter, refs ...tile.Ref) {
 }
 
 // excursion32 reports whether any of the float32 images holds a casualty: a
-// non-finite entry, or growth past f.f32Bound — far beyond what a healthy
-// elimination step produces, yet far below float32 overflow, so it flags a
-// factorization going wrong before the poison spreads.
+// non-finite entry, or growth past the ceiling f.f32Ceil — far beyond what
+// a healthy elimination step produces, yet far below float32 overflow, so
+// it flags a factorization going wrong before the poison spreads. It is one
+// unsigned compare per element: with the sign cleared, float32 bit patterns
+// sort as their magnitudes do, and ±Inf and every NaN sort above each
+// finite value.
 func (f *fact) excursion32(ms ...*mat.Matrix32) bool {
 	for _, m := range ms {
 		for i := 0; i < m.Rows; i++ {
 			for _, v := range m.Row(i) {
-				w := float64(v)
-				if math.IsNaN(w) || w > f.f32Bound || w < -f.f32Bound {
+				if math.Float32bits(v)&^(1<<31) > f.f32Ceil {
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// f32Ceiling returns the bit pattern of the largest float32 at most bound
+// (bound ≥ 0, +Inf allowed), the ceiling excursion32 compares against: a
+// float32 exceeds bound exactly when it exceeds that float32.
+func f32Ceiling(bound float64) uint32 {
+	c := float32(bound)
+	if float64(c) > bound {
+		c = math.Nextafter32(c, 0)
+	}
+	return math.Float32bits(c)
 }
 
 // trailingCols returns the column indices j > k.

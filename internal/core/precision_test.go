@@ -185,6 +185,44 @@ func TestF32ExcursionDemotes(t *testing.T) {
 	}
 }
 
+// TestExcursionScanMatchesRangeCheck pins excursion32's one-compare scan to
+// the predicate it replaced — widen to float64, flag a NaN or a value
+// outside ±bound — at the values where they could part: the bound itself
+// and its float32 neighbours, ±Inf, NaNs of both signs, subnormals and
+// zeros, and bounds that are exact float32s, not float32s, at most
+// math.MaxFloat32 and above it.
+func TestExcursionScanMatchesRangeCheck(t *testing.T) {
+	ranged := func(v float32, bound float64) bool {
+		w := float64(v)
+		return math.IsNaN(w) || w > bound || w < -bound
+	}
+	inf32 := float32(math.Inf(1))
+	for _, bound := range []float64{1e8, 1e8 * 1.2345678901, 0x1p100, math.MaxFloat32, 1e39, 1e300, math.Inf(1)} {
+		c := float32(bound)
+		vals := []float32{
+			0, float32(math.Copysign(0, -1)), 1, 0x1p-149, 0x1p-130, -0x1p-149,
+			c, math.Nextafter32(c, 0), math.Nextafter32(c, inf32),
+			inf32, -inf32, math.MaxFloat32, -math.MaxFloat32,
+			math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0x7f800001),
+		}
+		f := &fact{f32Ceil: f32Ceiling(bound)}
+		for _, v := range append(vals, negate32(vals)...) {
+			m := &mat.Matrix32{Rows: 1, Cols: 1, Stride: 1, Data: []float32{v}}
+			if got, want := f.excursion32(m), ranged(v, bound); got != want {
+				t.Errorf("bound %g, v %g (%#08x): excursion32 %v, range check %v", bound, v, math.Float32bits(v), got, want)
+			}
+		}
+	}
+}
+
+func negate32(vs []float32) []float32 {
+	out := make([]float32, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float32frombits(math.Float32bits(v) ^ 1<<31)
+	}
+	return out
+}
+
 // TestSolveBatchRefinedNewRHS factors once at forced f32 and solves fresh
 // right-hand sides: SolveBatchRefined must refine each column into the
 // acceptance band, and SolveBatch must return exactly the refined columns.
@@ -224,24 +262,42 @@ func TestSolveBatchRefinedNewRHS(t *testing.T) {
 }
 
 // TestMixedPaddedSystem checks the precision layer composes with the
-// §II-D.2 padding path (N not a multiple of NB).
+// §II-D.2 padding path (N not a multiple of NB): the run and a re-solve
+// refine into the band. Refinement must judge the HPL3 Run reports, over
+// the original rows with ‖A‖∞ and N. Judged on the padded system instead
+// (N rounded up to NB, ‖·‖∞ at least 1), HPL3 reads up to that factor
+// lower, and the 1×1 hybrid case at N=500 stopped after one round at a
+// padded HPL3 just inside the band while reporting 16.3.
 func TestMixedPaddedSystem(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	n := 75 // pads to 80 with NB=16
-	a := matgen.DiagDominant(n, rng)
-	b := matgen.RandomVector(n, rng)
-	res := runOn(t, a, b, Config{Alg: LUQR, NB: 16, Precision: PrecisionF32})
-	if res.Report.F32Steps == 0 {
-		t.Fatal("padded run took no f32 steps")
-	}
-	if math.IsNaN(res.Report.HPL3) || res.Report.HPL3 > refineHPL3Tol {
-		t.Fatalf("padded mixed HPL3 = %g", res.Report.HPL3)
-	}
-	x2, err := res.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := mat.HPL3(a, x2, b); math.IsNaN(h) || h > refineHPL3Tol {
-		t.Fatalf("padded refined re-solve HPL3 = %g", h)
+	hybrid := Config{Alg: LUQR, NB: 64, Grid: tile.NewGrid(1, 1), Criterion: criteria.Random{Alpha: 50}, Seed: 7}
+	hybrid2x2 := hybrid
+	hybrid2x2.Grid = tile.NewGrid(2, 2)
+	for _, c := range []struct {
+		n    int
+		seed int64
+		cfg  Config
+	}{
+		{75, 56, Config{Alg: LUQR, NB: 16}}, // pads to 80
+		{500, 507, hybrid},                  // pads to 512
+		{500, 507, hybrid2x2},
+	} {
+		rng := rand.New(rand.NewSource(c.seed))
+		a := matgen.DiagDominant(c.n, rng)
+		b := matgen.RandomVector(c.n, rng)
+		c.cfg.Precision = PrecisionF32
+		res := runOn(t, a, b, c.cfg)
+		if res.Report.F32Steps == 0 {
+			t.Fatalf("N=%d %v: padded run took no f32 steps", c.n, c.cfg.Grid)
+		}
+		if math.IsNaN(res.Report.HPL3) || res.Report.HPL3 > refineHPL3Tol {
+			t.Fatalf("N=%d %v: padded mixed HPL3 = %g after %d rounds", c.n, c.cfg.Grid, res.Report.HPL3, res.Report.RefineIters)
+		}
+		x2, err := res.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := mat.HPL3(a, x2, b); math.IsNaN(h) || h > refineHPL3Tol {
+			t.Fatalf("N=%d %v: padded refined re-solve HPL3 = %g", c.n, c.cfg.Grid, h)
+		}
 	}
 }

@@ -135,21 +135,26 @@ const (
 // accepted per column only when its HPL3 improves — so refinement can stall
 // but never degrade a solution. Columns at or below refineHPL3Tol are left
 // alone. Each iterate's residual is formed once: it gives the iterate's
-// HPL3 (with the stored ‖a0‖∞) and, once accepted, the next correction's
-// right-hand side. Returns the number of rounds performed and the final
-// HPL3 of every column. Vectors are full tiled-order (padded) length; for a
-// padded system the pad rows of b are zero and the identity block keeps
-// their residual exact.
+// HPL3 and, once accepted, the next correction's right-hand side. Returns
+// the number of rounds performed and the final HPL3 of every column.
+// Vectors are full tiled-order (padded) length; for a padded system the pad
+// rows of b are zero and the identity block keeps their residual exact.
+// HPL3 judges the original rows only — the first N entries of the residual
+// and of x, against the original ‖A‖∞ and N — which is the quantity Run
+// reports: with finite pad entries of x, those residual rows equal the
+// unpadded system's bit for bit (the pad columns add only zero products).
 func (f *fact) refineVecs(bs, xs [][]float64) (int, []float64) {
 	a := f.a0
 	if a == nil {
 		return 0, nil
 	}
+	n := f.report.N
+	hpl3 := func(r, x []float64) float64 { return mat.HPL3Residual(r[:n], x[:n], f.normA) }
 	rs := make([][]float64, len(xs))
 	best := make([]float64, len(xs))
 	for j := range xs {
 		rs[j] = f.residual(a, xs[j], bs[j])
-		best[j] = mat.HPL3Residual(rs[j], xs[j], f.normA0)
+		best[j] = hpl3(rs[j], xs[j])
 	}
 	iters := 0
 	for it := 0; it < refineMaxIters; it++ {
@@ -178,7 +183,7 @@ func (f *fact) refineVecs(bs, xs [][]float64) (int, []float64) {
 				cand[i] = xs[j][i] + dxs[m][i]
 			}
 			r := f.residual(a, cand, bs[j])
-			if h := mat.HPL3Residual(r, cand, f.normA0); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
+			if h := hpl3(r, cand); h < best[j] || (math.IsNaN(best[j]) && !math.IsNaN(h)) {
 				copy(xs[j], cand)
 				rs[j] = r
 				best[j] = h

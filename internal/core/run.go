@@ -77,12 +77,12 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		norms[bi], maxes[bi] = ta.LoadDense(bi, a, a0)
 	})
 	normA, maxA0 := foldMax(norms), foldMax(maxes)
-	f.normA0 = normA
+	f.normA, f.report.N = normA, n
 	if np > n {
-		// The identity block adds entries and row sums of 1.
-		maxA0, f.normA0 = math.Max(maxA0, 1), math.Max(normA, 1)
+		// The identity block adds entries of 1.
+		maxA0 = math.Max(maxA0, 1)
 	}
-	f.f32Bound = 1e8 * math.Max(1, maxA0)
+	f.f32Ceil = f32Ceiling(1e8 * math.Max(1, maxA0))
 	if a0 != nil {
 		f.a0 = a0
 		// Float32 steps run on resident tile images, converting only at
@@ -189,21 +189,20 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	// A mixed-precision factorization delivers a float32-accurate solution;
 	// iterative refinement through the stored factors (float64 residuals,
 	// O(N²) per round) brings it back to float64 backward error before the
-	// run's HPL3 is judged. Its last accepted iterate's HPL3 is the run's
-	// unless the system was padded: the report judges the original rows.
+	// run's HPL3 is judged. Refinement judges the original rows, as the
+	// report does, so its last accepted iterate's HPL3 is the run's.
 	var hpl3 []float64
 	if f.report.F32Steps > 0 && !f.breakdown {
 		f.report.RefineIters, hpl3 = f.refineVecs([][]float64{bp}, [][]float64{x})
 	}
 	x = x[:n]
-	if hpl3 != nil && np == n {
+	if hpl3 != nil {
 		f.report.HPL3 = hpl3[0]
 	} else {
 		f.report.HPL3 = mat.HPL3Residual(f.residual(a, x, b), x, normA)
 	}
 	f.e.Close()
 	f.e = nil // later solves run on the caller's goroutine
-	f.report.N = n
 	return &Result{X: x, Factored: ta, Report: f.report, f: f}, nil
 }
 

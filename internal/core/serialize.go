@@ -437,7 +437,7 @@ func DecodeFactorization(data []byte) (*Result, error) {
 	}
 	f.a0 = a0
 	if a0 != nil {
-		f.normA0 = a0.NormInf()
+		f.normA = a0.View(0, 0, p.N, p.N).NormInf()
 	}
 
 	for k := range p.Steps {

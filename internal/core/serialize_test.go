@@ -290,10 +290,17 @@ func rebuildStream(version uint32, payload []byte) []byte {
 // state — mode, per-step flags, margins, demotions, and the retained
 // original matrix that feeds refinement — must survive encode/decode, and
 // the reloaded Result must still refine fresh right-hand sides into the
-// acceptance band (the service restart scenario).
+// acceptance band (the service restart scenario). The padded order (60 pads
+// to 64) checks that the decoded Result refines against the same ‖A‖∞ of
+// the original rows as the live one.
 func TestSerializeMixedPrecisionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	n := 64
+	for _, n := range []int{64, 60} {
+		testMixedPrecisionRoundTrip(t, rng, n)
+	}
+}
+
+func testMixedPrecisionRoundTrip(t *testing.T, rng *rand.Rand, n int) {
 	a := matgen.DiagDominant(n, rng)
 	b := matgen.RandomVector(n, rng)
 	res := runOn(t, a, b, Config{Alg: LUQR, NB: 16, Precision: PrecisionF32, Criterion: criteria.Max{Alpha: 100}})
