@@ -61,11 +61,11 @@ const (
 // of how many columns ride along).
 const simdMin = 8
 
-// SimdAccelerated reports whether the SIMD (AVX2+FMA) kernels are active on
-// this host. Part of the autotuner's machine fingerprint: a tuning table
-// probed with vector kernels must not be reused on a host running the
-// generic paths.
-func SimdAccelerated() bool { return kernels64.axpy != nil }
+// KernelID names the kernel table element type T runs on this host:
+// "avx512", "avx2" or "portable". Part of the autotuner's machine
+// fingerprint: a tuning table probed under one micro-kernel must not be
+// reused under another.
+func KernelID[T mat.Float]() string { return table[T]().id }
 
 // Dot returns xᵀy.
 func Dot[T mat.Float](x, y []T) T {

@@ -115,6 +115,30 @@ func forEachType(t *testing.T, check64, check32 func(t *testing.T)) {
 	t.Run("float32", func(t *testing.T) { forEachKernel(t, check32) })
 }
 
+// TestKernelIDNamesEachTable: every kernel table this host runs reports
+// its own name through KernelID, the same at both precisions: the host's
+// selection, the AVX2 tables where that is AVX-512, and the portable ones.
+func TestKernelIDNamesEachTable(t *testing.T) {
+	name := func() string {
+		id := KernelID[float64]()
+		if id32 := KernelID[float32](); id32 != id {
+			t.Fatalf("float64 table %q, float32 table %q", id, id32)
+		}
+		return id
+	}
+	host := name()
+	if host != "avx512" && host != "avx2" && host != "portable" {
+		t.Fatalf("host table %q", host)
+	}
+	var avx2, portable string
+	if withAVX2Kernels(func() { avx2 = name() }) && (avx2 != "avx2" || avx2 == host) {
+		t.Fatalf("AVX2 tables report %q beside host tables %q", avx2, host)
+	}
+	if withPortableKernels(func() { portable = name() }); portable != "portable" {
+		t.Fatalf("portable tables report %q", portable)
+	}
+}
+
 func TestDotAxpyScalIamax(t *testing.T) {
 	forEachType(t, testDotAxpyScalIamax[float64], testDotAxpyScalIamax[float32])
 }

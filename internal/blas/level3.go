@@ -12,10 +12,10 @@ import (
 // operands are repacked into micro-panels in the exact order the register-
 // blocked micro-kernel consumes (pack.go, microkernel.go), with the
 // transposes absorbed by the packing. Workspace comes from the mat arena,
-// so steady-state calls perform no heap allocation. A C at most half a
-// micro-tile wide with an untransposed B — a right-hand side's replay —
-// skips packing (gemmNarrow) but rounds every element the same way; it runs
-// only when the type's kernel table has narrow kernels.
+// so steady-state calls perform no heap allocation. A C at most the kernel
+// table's narrowCols wide with an untransposed B — a right-hand side's
+// replay — skips packing (gemmNarrow) but rounds every element the same
+// way; it runs only when the type's kernel table has narrow kernels.
 func Gemm[T mat.Float](transA, transB Transpose, alpha T, a, b *mat.Dense[T], beta T, c *mat.Dense[T]) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
@@ -39,10 +39,10 @@ func Gemm[T mat.Float](transA, transB Transpose, alpha T, a, b *mat.Dense[T], be
 	if alpha == 0 || ka == 0 || m == 0 || n == 0 {
 		return
 	}
-	// Past half a micro-tile, reading A once per column costs more than
-	// packing it once (the crossover measured at nb=192 is n = 5 of 8).
+	// Past the table's measured cut, reading A once per column costs more
+	// than packing it once (DESIGN.md §7).
 	k := table[T]()
-	if 2*n <= k.nr && transB == NoTrans && k.narrowN != nil {
+	if n <= k.narrowCols && transB == NoTrans {
 		gemmNarrow(k, transA, alpha, a, b, c, m, n, ka)
 		return
 	}
@@ -587,10 +587,10 @@ func trmmPacked[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag D
 
 // trmmNarrowCols is the widest B that takes trmmNarrow. The packed path
 // costs about the same for any B up to NR wide, since it pads B to a full
-// micro-panel; the narrow one costs a pass over T per column. At nb=192
-// narrow is 1.7–2.8× as fast at one column and 1.15–1.7× at two, within
-// 25% either way at three and slower at four, on the 6×8 AVX2 table and
-// the portable 4×4 alike.
+// micro-panel; the narrow one costs a pass over T per column. At n = 64
+// and 192 narrow takes 0.57–0.89× the packed time at one column, 0.77–1.40×
+// at two and 0.97–1.83× at three, on the 6×16 AVX-512 and 6×8 AVX2 tables
+// alike: one column is the one-right-hand-side replay, and two is a wash.
 const trmmNarrowCols = 2
 
 // trmmNarrow is the Left multiply for a B at most trmmNarrowCols wide,

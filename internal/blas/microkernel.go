@@ -19,14 +19,18 @@ import (
 // tiles of C through a scratch tile instead.
 //
 // The portable kernel below keeps a 4×4 accumulator block in locals so the
-// compiler can hold it in registers; amd64 hosts with AVX2+FMA replace it at
-// init time with assembly kernels (microkernel_amd64.go) that hold a 6×8
-// float64 or 6×16 float32 accumulator block in twelve YMM registers.
+// compiler can hold it in registers; amd64 hosts replace it at init time
+// (microkernel_amd64.go) with assembly kernels that hold the accumulator
+// block in twelve vector registers: 6×8 float64 or 6×16 float32 in YMM
+// registers with AVX2+FMA, 6×16 float64 or 6×32 float32 in ZMM registers
+// with AVX-512F.
 
 // kernels is the kernel table of one element type: the only per-type code
 // in this package. Every blas routine, and through them every lapack
 // kernel, is one generic body that reads what it needs from table[T]().
 type kernels[T mat.Float] struct {
+	// id names the table: "avx512", "avx2" or "portable" (KernelID).
+	id string
 	// mr×nr is the micro-tile geometry of gemm, the GEMM micro-kernel.
 	mr, nr int
 	gemm   func(kc int, a, b, c []T, ldc int)
@@ -35,9 +39,11 @@ type kernels[T mat.Float] struct {
 	packPanel func(dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int)
 	// narrowN and narrowT are gemm's narrow-path companions (gemmNarrow),
 	// nil when the type has none that round exactly as gemm does; the
-	// narrow path then stays off.
-	narrowN func(m, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
-	narrowT func(k int, alpha T, a []T, lda int, b []T, ldb int, acc []T)
+	// narrow path then stays off. narrowCols is the widest C that Gemm
+	// sends to them, measured per table (zero without them).
+	narrowCols int
+	narrowN    func(m, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int)
+	narrowT    func(k int, alpha T, a []T, lda int, b []T, ldb int, acc []T)
 	// axpy and dot are the SIMD level-1 kernels, nil on hosts without them.
 	axpy func(alpha T, x, y []T)
 	dot  func(x, y []T) T
@@ -53,8 +59,8 @@ var (
 // narrow companions, and the scalar level-1 loops.
 func portableKernels[T mat.Float]() kernels[T] {
 	return kernels[T]{
-		mr: 4, nr: 4, gemm: kernelGeneric4x4[T], packPanel: packPanel4[T],
-		narrowN: narrowNGeneric[T], narrowT: narrowTGeneric[T],
+		id: "portable", mr: 4, nr: 4, gemm: kernelGeneric4x4[T], packPanel: packPanel4[T],
+		narrowCols: 2, narrowN: narrowNGeneric[T], narrowT: narrowTGeneric[T],
 	}
 }
 

@@ -22,12 +22,12 @@ func sameBits(got, want *mat.Matrix) (i, j int, ok bool) {
 
 // TestGemmNarrowMatchesWide pins the narrow path's contract: Gemm with one
 // output column (the unpacked path) equals column j of Gemm with w columns
-// bit for bit, for every w from 1 (narrow up to NR/2) to 2·NR+1 (packed,
-// with a micro-tile fringe), both transposes of A, A as a strided view, B
-// columns both strided and contiguous, and k crossing the KC blocking
-// boundary — under the host kernel and the portable one. An Inf in A meets
-// a zero of B in the last column: the micro-kernel does not skip zero
-// multipliers, so that element turns NaN on both paths.
+// bit for bit, for every w from 1 (narrow up to the table's narrowCols) to
+// 2·NR+1 (packed, with a micro-tile fringe), both transposes of A, A as a
+// strided view, B columns both strided and contiguous, and k crossing the
+// KC blocking boundary — under every kernel table the host runs. An Inf in
+// A meets a zero of B in the last column: the micro-kernel does not skip
+// zero multipliers, so that element turns NaN on both paths.
 func TestGemmNarrowMatchesWide(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
@@ -69,13 +69,14 @@ func TestGemmNarrowMatchesWide(t *testing.T) {
 	})
 }
 
-// TestGemmNarrowAgainstReference checks the narrow path's values (n ≤ NR/2)
+// TestGemmNarrowAgainstReference checks the narrow path's values (n up to
+// the table's narrowCols)
 // against the naive product, with alpha and beta scaling, both transposes
 // of A, and a column of C embedded in a wider parent.
 func TestGemmNarrowAgainstReference(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
-		for _, mnk := range [][3]int{{5, 1, 3}, {3, 1, 5}, {17, 2, 40}, {40, gemmNR / 2, 17}} {
+		for _, mnk := range [][3]int{{5, 1, 3}, {3, 1, 5}, {17, 2, 40}, {40, kernels64.narrowCols, 17}} {
 			m, n, k := mnk[0], mnk[1], mnk[2]
 			for _, ta := range []Transpose{NoTrans, Trans} {
 				for _, ab := range [][2]float64{{1, 0}, {2, 0}, {1, 3}, {-0.5, 1}} {
@@ -105,14 +106,16 @@ func TestGemmNarrowZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
 	}
-	rng := rand.New(rand.NewSource(23))
-	a, b, c := randMat(rng, 64, 64), randMat(rng, 64, 1), randMat(rng, 64, 1)
-	for _, ta := range []Transpose{NoTrans, Trans} {
-		Gemm(ta, NoTrans, -1, a, b, 1, c)
-		if allocs := testing.AllocsPerRun(10, func() { Gemm(ta, NoTrans, -1, a, b, 1, c) }); allocs != 0 {
-			t.Errorf("narrow Gemm ta=%v: %v allocs/op, want 0", ta, allocs)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		a, b, c := randMat(rng, 64, 64), randMat(rng, 64, 1), randMat(rng, 64, 1)
+		for _, ta := range []Transpose{NoTrans, Trans} {
+			Gemm(ta, NoTrans, -1, a, b, 1, c)
+			if allocs := testing.AllocsPerRun(10, func() { Gemm(ta, NoTrans, -1, a, b, 1, c) }); allocs != 0 {
+				t.Errorf("narrow Gemm ta=%v: %v allocs/op, want 0", ta, allocs)
+			}
 		}
-	}
+	})
 }
 
 // TestTrmmZeroAlloc: the Left triangular multiply allocates nothing in
@@ -122,17 +125,19 @@ func TestTrmmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
 	}
-	rng := rand.New(rand.NewSource(27))
-	tm := randTri(rng, 64, Upper, NonUnit)
-	for _, w := range []int{1, 64} {
-		b := randMat(rng, 64, w)
-		for _, trans := range []Transpose{NoTrans, Trans} {
-			Trmm(Left, Upper, trans, NonUnit, 1, tm, b)
-			if allocs := testing.AllocsPerRun(10, func() { Trmm(Left, Upper, trans, NonUnit, 1, tm, b) }); allocs != 0 {
-				t.Errorf("Trmm Left w=%d trans=%v: %v allocs/op, want 0", w, trans, allocs)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(27))
+		tm := randTri(rng, 64, Upper, NonUnit)
+		for _, w := range []int{1, 64} {
+			b := randMat(rng, 64, w)
+			for _, trans := range []Transpose{NoTrans, Trans} {
+				Trmm(Left, Upper, trans, NonUnit, 1, tm, b)
+				if allocs := testing.AllocsPerRun(10, func() { Trmm(Left, Upper, trans, NonUnit, 1, tm, b) }); allocs != 0 {
+					t.Errorf("Trmm Left w=%d trans=%v: %v allocs/op, want 0", w, trans, allocs)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestTrsmZeroAlloc: the packed triangular solve allocates nothing in

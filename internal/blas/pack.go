@@ -27,7 +27,7 @@ const (
 	// L2. A multiple of every micro-tile height (lcm(4, 6) = 12).
 	gemmMC = 132
 	// gemmNC: the packed B panel is KC×NC ≤ 1 MiB. A multiple of every
-	// micro-tile width (4, 8 and 16).
+	// micro-tile width (4, 8, 16 and 32).
 	gemmNC = 512
 )
 

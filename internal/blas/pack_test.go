@@ -8,17 +8,32 @@ import (
 	"luqr/internal/mat"
 )
 
+// withKernels runs f on the kernel tables k64 and k32, restoring the
+// init-time selection afterwards.
+func withKernels(k64 kernels[float64], k32 kernels[float32], f func()) {
+	h64, h32 := kernels64, kernels32
+	kernels64, kernels32 = k64, k32
+	defer func() { kernels64, kernels32 = h64, h32 }()
+	f()
+}
+
 // withPortableKernels runs f on the portable kernel tables of both element
 // types — the 4×4 micro-kernel with its narrow companions and the scalar
-// level-1 loops — restoring the init-time selection afterwards. It lets the
-// suite exercise the portable arithmetic on hosts where init picked the
-// assembly kernels (the reverse needs no hook: the portable kernels are
-// always available).
+// level-1 loops. It lets the suite exercise the portable arithmetic on
+// hosts where init picked the assembly kernels (the reverse needs no hook:
+// the portable kernels are always available).
 func withPortableKernels(f func()) {
-	k64, k32 := kernels64, kernels32
-	kernels64, kernels32 = portableKernels[float64](), portableKernels[float32]()
-	defer func() { kernels64, kernels32 = k64, k32 }()
-	f()
+	withKernels(portableKernels[float64](), portableKernels[float32](), f)
+}
+
+// withAVX2Kernels runs f on the AVX2 tables where init picked the AVX-512
+// ones, and reports whether it did; elsewhere it does nothing.
+func withAVX2Kernels(f func()) bool {
+	k64, k32, ok := avx2Tables()
+	if ok {
+		withKernels(k64, k32, f)
+	}
+	return ok
 }
 
 // gemmNR is the float64 table's micro-tile width, the width the narrow-path
@@ -26,13 +41,17 @@ func withPortableKernels(f func()) {
 var gemmNR int
 
 // forEachKernel runs check as the subtests "hostKernel" (the init-time
-// selection) and "portableKernel".
+// selection), "avx2Kernel" where init picked the AVX-512 tables, and
+// "portableKernel".
 func forEachKernel(t *testing.T, check func(t *testing.T)) {
 	run := func(t *testing.T) {
 		gemmNR = kernels64.nr
 		check(t)
 	}
 	t.Run("hostKernel", run)
+	if k64, k32, ok := avx2Tables(); ok {
+		t.Run("avx2Kernel", func(t *testing.T) { withKernels(k64, k32, func() { run(t) }) })
+	}
 	t.Run("portableKernel", func(t *testing.T) { withPortableKernels(func() { run(t) }) })
 }
 

@@ -119,7 +119,8 @@ func ValidateSolverBench(r io.Reader) (*SolverBenchReport, error) {
 }
 
 // KernelBenchDiff prints a benchstat-style before/after comparison of two
-// kernel benchmark files, aligned on (kernel, nb). When old is nil, the
+// kernel benchmark files, aligned on (kernel, nb), after the kernel tables
+// each file ran on, with a warning when they differ. When old is nil, the
 // comparison is new's committed seed baseline vs. its current section — the
 // in-file before/after of BENCH_kernels.json.
 func KernelBenchDiff(oldR, newR io.Reader, out io.Writer) error {
@@ -136,6 +137,12 @@ func KernelBenchDiff(oldR, newR io.Reader, out io.Writer) error {
 		}
 		oldEntries = oldRep.Current
 		oldLabel = "old"
+		fmt.Fprintf(out, "kernel tables: old %s, new %s\n", kernelTables(oldRep), kernelTables(newRep))
+		if oldRep.KernelF64 != newRep.KernelF64 || oldRep.KernelF32 != newRep.KernelF32 {
+			fmt.Fprintln(out, "warning: the files ran on different kernel tables; the deltas include the micro-kernel change")
+		}
+	} else {
+		fmt.Fprintf(out, "kernel tables: %s\n", kernelTables(newRep))
 	}
 
 	type key struct {
@@ -195,4 +202,16 @@ func KernelBenchDiff(oldR, newR io.Reader, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// kernelTables names the kernel tables a report ran on, "unrecorded" for a
+// file written before reports carried them.
+func kernelTables(r KernelBenchReport) string {
+	name := func(id string) string {
+		if id == "" {
+			return "unrecorded"
+		}
+		return id
+	}
+	return fmt.Sprintf("f64=%s f32=%s", name(r.KernelF64), name(r.KernelF32))
 }

@@ -170,8 +170,10 @@ func TestKernelBenchDiff(t *testing.T) {
 		},
 	}
 	newRep := KernelBenchReport{
-		Schema: 1,
-		Seed:   []KernelBenchEntry{{Kernel: "GETRF", NB: 128, GFlops: 1.0}},
+		Schema:    1,
+		KernelF64: "avx512",
+		KernelF32: "avx512",
+		Seed:      []KernelBenchEntry{{Kernel: "GETRF", NB: 128, GFlops: 1.0}},
 		Current: []KernelBenchEntry{
 			{Kernel: "GETRF", NB: 128, GFlops: 6.78},
 			{Kernel: "GEMM", NB: 128, GFlops: 25},
@@ -191,10 +193,20 @@ func TestKernelBenchDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"GETRF", "+400.4%", "(new)", "old GF/s"} {
+	for _, want := range []string{"GETRF", "+400.4%", "(new)", "old GF/s",
+		"kernel tables: old f64=unrecorded f32=unrecorded, new f64=avx512 f32=avx512", "warning: the files ran on different kernel tables"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("diff output missing %q:\n%s", want, got)
 		}
+	}
+	// Files from the same tables print no warning.
+	out.Reset()
+	oldRep.KernelF64, oldRep.KernelF32 = "avx512", "avx512"
+	if err := KernelBenchDiff(enc(oldRep), enc(newRep), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); strings.Contains(got, "warning") || !strings.Contains(got, "old f64=avx512 f32=avx512, new f64=avx512") {
+		t.Fatalf("same-table diff header wrong:\n%s", got)
 	}
 
 	// Single-file mode: seed baseline vs. current.
@@ -202,7 +214,7 @@ func TestKernelBenchDiff(t *testing.T) {
 	if err := KernelBenchDiff(nil, enc(newRep), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "seed baseline GF/s") {
+	if !strings.Contains(out.String(), "seed baseline GF/s") || !strings.Contains(out.String(), "kernel tables: f64=avx512 f32=avx512") {
 		t.Fatalf("single-file diff header wrong:\n%s", out.String())
 	}
 

@@ -28,12 +28,17 @@ type KernelBenchEntry struct {
 //
 //	go run ./cmd/luqr-bench -json BENCH_kernels.json
 type KernelBenchReport struct {
-	Schema  int                `json:"schema"`
-	Go      string             `json:"go"`
-	GoArch  string             `json:"goarch"`
-	Reps    int                `json:"reps"`
-	Seed    []KernelBenchEntry `json:"seed_baseline"`
-	Current []KernelBenchEntry `json:"current"`
+	Schema int    `json:"schema"`
+	Go     string `json:"go"`
+	GoArch string `json:"goarch"`
+	// KernelF64 and KernelF32 name the kernel tables the current section
+	// ran on (blas.KernelID): rates from different tables compare
+	// micro-kernels, not code changes.
+	KernelF64 string             `json:"kernel_f64"`
+	KernelF32 string             `json:"kernel_f32"`
+	Reps      int                `json:"reps"`
+	Seed      []KernelBenchEntry `json:"seed_baseline"`
+	Current   []KernelBenchEntry `json:"current"`
 }
 
 // seedKernelBaseline records the kernel rates of the pre-packed-GEMM code
@@ -58,11 +63,13 @@ var KernelBenchNBs = []int{40, 128, 192, 256}
 // model flop counts, so rates are comparable across kernels and precisions.
 func WriteKernelBench(nbs []int, reps int, out io.Writer) error {
 	rep := KernelBenchReport{
-		Schema: 1,
-		Go:     runtime.Version(),
-		GoArch: runtime.GOARCH,
-		Reps:   reps,
-		Seed:   seedKernelBaseline,
+		Schema:    1,
+		Go:        runtime.Version(),
+		GoArch:    runtime.GOARCH,
+		KernelF64: blas.KernelID[float64](),
+		KernelF32: blas.KernelID[float32](),
+		Reps:      reps,
+		Seed:      seedKernelBaseline,
 	}
 	add := func(suffix string, nb int, ks []kernelTiming) {
 		for _, k := range ks {

@@ -179,10 +179,15 @@ func New(opts Options) *Tuner {
 }
 
 // MachineID fingerprints the host for table keying: a table entry probed
-// under one fingerprint is never applied under another.
-func MachineID() string {
-	return fmt.Sprintf("%s/%s/procs=%d/simd=%v",
-		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), blas.SimdAccelerated())
+// under one fingerprint is never applied under another. It names the
+// selected kernel table (blas.KernelID), so an entry probed under one
+// micro-kernel re-probes under another.
+func MachineID() string { return machineID(blas.KernelID[float64]()) }
+
+// machineID is MachineID with the kernel table named by kernel.
+func machineID(kernel string) string {
+	return fmt.Sprintf("%s/%s/procs=%d/kernel=%s",
+		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), kernel)
 }
 
 // classKey buckets problems for table lookup. Tile-size choice depends on

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"luqr/internal/blas"
 	"luqr/internal/core"
 )
 
@@ -156,6 +158,28 @@ func TestMachineMismatchReprobes(t *testing.T) {
 	}
 	if len(tab.Machines) != 2 {
 		t.Fatalf("want 2 machines in table, got %d", len(tab.Machines))
+	}
+}
+
+// TestMachineIDNamesKernelTable: the fingerprint names the kernel table
+// blas selected, and each table gives a distinct fingerprint, so an entry
+// probed under the AVX2 micro-kernel re-probes under the AVX-512 one (both
+// report SIMD, which the old fingerprint keyed on; TestMachineMismatchReprobes
+// covers the re-probe itself).
+func TestMachineIDNamesKernelTable(t *testing.T) {
+	if got, want := MachineID(), machineID(blas.KernelID[float64]()); got != want {
+		t.Fatalf("MachineID() = %q, want %q", got, want)
+	}
+	seen := map[string]string{}
+	for _, id := range []string{"avx512", "avx2", "portable"} {
+		m := machineID(id)
+		if !strings.HasSuffix(m, "/kernel="+id) {
+			t.Fatalf("machineID(%q) = %q does not name the table", id, m)
+		}
+		if prev, dup := seen[m]; dup {
+			t.Fatalf("tables %q and %q share the fingerprint %q", prev, id, m)
+		}
+		seen[m] = id
 	}
 }
 
