@@ -184,6 +184,73 @@ func testAxpyZeroAlphaNoop[T mat.Float](t *testing.T) {
 	}
 }
 
+// TestAxpyUnitAlphaIsAddSub: Axpy(−1, s, d) and Axpy(1, s, d) give the
+// bits of the loops d − s and d + s, which lapack's subRows and addRows
+// replace with them: fma(∓1, s, d) rounds once, as d ∓ s does (where
+// both operands are NaN, either one's payload may come through). The
+// operands cover ±0, ±Inf, NaN, subnormals and T's extremes, in rows
+// shorter and longer than simdMin, and pairs whose exponents differ by 30
+// to 60, which in float32 rows shorter than simdMin go through madd's
+// float64 FMA: a double rounding would show there if one could occur.
+func TestAxpyUnitAlphaIsAddSub(t *testing.T) {
+	forEachType(t, testAxpyUnitAlphaIsAddSub[float64], testAxpyUnitAlphaIsAddSub[float32])
+}
+
+func testAxpyUnitAlphaIsAddSub[T mat.Float](t *testing.T) {
+	d, s := unitAlphaOperands[T]()
+	for _, n := range []int{1, 3, simdMin - 1, simdMin, 13, 64} {
+		for lo := 0; lo < len(d); lo += n {
+			hi := min(lo+n, len(d))
+			for _, alpha := range []T{-1, 1} {
+				got := append([]T(nil), d[lo:hi]...)
+				Axpy(alpha, s[lo:hi], got)
+				for i, g := range got {
+					a, b := d[lo+i], s[lo+i]
+					want := a + b
+					if alpha < 0 {
+						want = a - b
+					}
+					if a != a && b != b && g != g {
+						continue // IEEE 754 lets either NaN operand's payload through
+					}
+					if math.Float64bits(float64(g)) != math.Float64bits(float64(want)) {
+						t.Fatalf("n=%d alpha=%g: d=%g s=%g gives %g, want %g", n, alpha, a, b, g, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// unitAlphaOperands returns the pairs (d[k], s[k]) TestAxpyUnitAlphaIsAddSub
+// runs: every pair of a set of special and ordinary values of T, then
+// random pairs whose exponents differ by 30 to 60.
+func unitAlphaOperands[T mat.Float]() (d, s []T) {
+	tiny, maxT := math.SmallestNonzeroFloat64, math.MaxFloat64
+	if unitRoundoff[T]() > 1e-10 {
+		tiny, maxT = math.SmallestNonzeroFloat32, math.MaxFloat32
+	}
+	var vals []T
+	for _, v := range []float64{0, 1, 1.5, 3, tiny, 3 * tiny, 1e-3 * maxT, maxT, math.Inf(1), math.NaN()} {
+		vals = append(vals, T(v), -T(v))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			d, s = append(d, a), append(s, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for k := 0; k < 512; k++ {
+		a := T(1 + rng.Float64())
+		b := T(math.Ldexp(1+rng.Float64(), -30-rng.Intn(31)))
+		if k%2 == 1 {
+			b = -b
+		}
+		d, s = append(d, a), append(s, b)
+	}
+	return d, s
+}
+
 func TestGemmBetaZeroIgnoresNaNInC(t *testing.T) {
 	forEachType(t, testGemmBetaZeroIgnoresNaNInC[float64], testGemmBetaZeroIgnoresNaNInC[float32])
 }

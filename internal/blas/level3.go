@@ -148,12 +148,6 @@ func opShape[T mat.Float](m *mat.Dense[T], t Transpose) (rows, cols int) {
 	return m.Rows, m.Cols
 }
 
-// triBlock is the diagonal-block order of Trmm's blocked Right side: only
-// a triBlock-wide band of the work runs through the unblocked loops, and
-// everything off the diagonal is a rank-triBlock GEMM update through the
-// packed micro-kernel path.
-const triBlock = 32
-
 // Trsm solves op(T)·X = alpha·B (Side == Left) or X·op(T) = alpha·B
 // (Side == Right) in place: B is overwritten with X. T is triangular as
 // described by uplo/diag.
@@ -186,13 +180,7 @@ func Trsm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T
 	if side == Right {
 		// op(T)ᵀ is op(T) with the transpose flipped, so it lies on the
 		// other side of the diagonal; Bᵀ has B's rows as its columns.
-		lower = !lower
-		if trans == Trans {
-			trans = NoTrans
-		} else {
-			trans = Trans
-		}
-		w, xs = b.Rows, 1
+		lower, trans, w, xs = !lower, flip(trans), b.Rows, 1
 	}
 	if n == 0 || w == 0 {
 		return
@@ -393,12 +381,11 @@ func trsmColumn[T mat.Float](kt *kernels[T], lower bool, trans Transpose, diag D
 // Trmm computes B = alpha·op(T)·B (Side == Left) or B = alpha·B·op(T)
 // (Side == Right) in place, with T triangular.
 //
-// The Left side is a packed triangular multiply on the GEMM micro-kernel
-// (trmmPacked); one right-hand side — at most trmmNarrowCols columns, where
-// the type's kernel table has narrow kernels — takes trmmNarrow, which
-// rounds every element the same way. The Right side is blocked: diagonal
-// blocks of order triBlock go through the unblocked kernel and the
-// off-diagonal coupling is GEMM.
+// Both sides are one packed triangular multiply on the GEMM micro-kernel
+// (trmmPacked): the Right side is the Left multiply op(T)ᵀ·Bᵀ on a
+// transposed copy of B, as in Trsm. B at most trmmNarrowCols columns wide
+// on the Left, or rows tall on the Right, takes trmmNarrow where the type's
+// kernel table has narrow kernels; it rounds every element the same way.
 func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
 	n := t.Rows
 	if t.Cols != n {
@@ -410,55 +397,39 @@ func Trmm[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T
 	if side == Right && b.Cols != n {
 		panic(fmt.Sprintf("blas: Trmm Right shape mismatch T=%d B=%dx%d", n, b.Rows, b.Cols))
 	}
-	effLower := (uplo == Lower) != (trans == Trans)
-	if side == Left {
-		if n == 0 || b.Cols == 0 {
-			return
-		}
-		k := table[T]()
-		if b.Cols <= trmmNarrowCols && k.narrowN != nil {
-			trmmNarrow(k, !effLower, trans, diag, alpha, t, b)
-			return
-		}
-		trmmPacked(k, !effLower, trans, diag, alpha, t, b)
+	upper := (uplo == Upper) != (trans == Trans)
+	w := b.Cols
+	if side == Right {
+		// op(T)ᵀ is op(T) with the transpose flipped, so it lies on the
+		// other side of the diagonal; Bᵀ has B's rows as its columns.
+		upper, trans, w = !upper, flip(trans), b.Rows
+	}
+	if n == 0 || w == 0 {
 		return
 	}
-	if n <= triBlock {
-		trmmBasic(side, uplo, trans, diag, alpha, t, b)
-		return
+	x := b
+	if side == Right {
+		buf := mat.GetBuf[T](n * w)
+		defer mat.PutBuf(buf)
+		x = &mat.Dense[T]{Rows: n, Cols: w, Stride: w, Data: buf.Data}
+		transpose(x.Data, w, b.Data, b.Stride, w, n)
 	}
-	// Right side: column block j of B·op(T) couples with the original
-	// columns on op(T)'s nonzero side — right-to-left for upper, left-to-
-	// right for lower.
-	m := b.Rows
-	if !effLower {
-		for j0 := ((n - 1) / triBlock) * triBlock; j0 >= 0; j0 -= triBlock {
-			bs := min(triBlock, n-j0)
-			bj := b.View(0, j0, m, bs)
-			trmmBasic(Right, uplo, trans, diag, alpha, t.View(j0, j0, bs, bs), bj)
-			if j0 > 0 {
-				if trans == NoTrans {
-					Gemm(NoTrans, NoTrans, alpha, b.View(0, 0, m, j0), t.View(0, j0, j0, bs), 1, bj)
-				} else {
-					Gemm(NoTrans, Trans, alpha, b.View(0, 0, m, j0), t.View(j0, 0, bs, j0), 1, bj)
-				}
-			}
-		}
-		return
+	if k := table[T](); w <= trmmNarrowCols && k.narrowN != nil {
+		trmmNarrow(k, upper, trans, diag, alpha, t, x)
+	} else {
+		trmmPacked(k, upper, trans, diag, alpha, t, x)
 	}
-	for j0 := 0; j0 < n; j0 += triBlock {
-		bs := min(triBlock, n-j0)
-		bj := b.View(0, j0, m, bs)
-		rest := n - j0 - bs
-		trmmBasic(Right, uplo, trans, diag, alpha, t.View(j0, j0, bs, bs), bj)
-		if rest > 0 {
-			if trans == NoTrans {
-				Gemm(NoTrans, NoTrans, alpha, b.View(0, j0+bs, m, rest), t.View(j0+bs, j0, rest, bs), 1, bj)
-			} else {
-				Gemm(NoTrans, Trans, alpha, b.View(0, j0+bs, m, rest), t.View(j0, j0+bs, bs, rest), 1, bj)
-			}
-		}
+	if side == Right {
+		transpose(b.Data, b.Stride, x.Data, w, n, w)
 	}
+}
+
+// flip returns the other transpose.
+func flip(t Transpose) Transpose {
+	if t == Trans {
+		return NoTrans
+	}
+	return Trans
 }
 
 // The Left multiply B = alpha·op(T)·B runs GEMM's loop nest with the
@@ -668,120 +639,6 @@ func trmmNarrow[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag D
 				for r, v := range acc {
 					b.Data[(i0+r)*b.Stride+j] += v
 				}
-			}
-		}
-	}
-}
-
-// trmmBasic is the unblocked triangular-multiply kernel behind Trmm's
-// Right side. Its Left path is the tests' reference for the packed one.
-func trmmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
-	n := t.Rows
-	lower := uplo == Lower
-	if trans == Trans {
-		lower = !lower
-	}
-	get := func(i, j int) T {
-		if trans == Trans {
-			return t.At(j, i)
-		}
-		return t.At(i, j)
-	}
-	if side == Left {
-		if !lower {
-			// Row i of result depends on rows i..n−1: compute top-down.
-			for i := 0; i < n; i++ {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal(get(i, i), bi)
-				}
-				for p := i + 1; p < n; p++ {
-					Axpy(get(i, p), b.Row(p), bi)
-				}
-				Scal(alpha, bi)
-			}
-		} else {
-			// Row i depends on rows 0..i: compute bottom-up.
-			for i := n - 1; i >= 0; i-- {
-				bi := b.Row(i)
-				if diag == NonUnit {
-					Scal(get(i, i), bi)
-				}
-				for p := 0; p < i; p++ {
-					Axpy(get(i, p), b.Row(p), bi)
-				}
-				Scal(alpha, bi)
-			}
-		}
-		return
-	}
-	// Right side: operate on each row independently.
-	if trans == Trans {
-		// op(T)[p, j] = t[j, p]: each result entry is a dot product against
-		// the contiguous row j of t. The in-place order follows the
-		// dependency direction (ascending reads x[j:], descending x[:j]).
-		for r := 0; r < b.Rows; r++ {
-			row := b.Row(r)
-			if lower {
-				for j := 0; j < n; j++ {
-					s := Dot(row[j+1:n], t.Row(j)[j+1:n])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			} else {
-				for j := n - 1; j >= 0; j-- {
-					s := Dot(row[:j], t.Row(j)[:j])
-					if diag == NonUnit {
-						s += row[j] * t.At(j, j)
-					} else {
-						s += row[j]
-					}
-					row[j] = alpha * s
-				}
-			}
-		}
-		return
-	}
-	// Untransposed: accumulate x·T into a scratch row with Axpy over t's
-	// contiguous rows, then write back.
-	buf := mat.GetBuf[T](n)
-	defer mat.PutBuf(buf)
-	tmp := buf.Data[:n]
-	for r := 0; r < b.Rows; r++ {
-		row := b.Row(r)
-		for j := range tmp {
-			tmp[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			v := row[p]
-			if v == 0 {
-				continue
-			}
-			if !lower {
-				if diag == NonUnit {
-					Axpy(v, t.Row(p)[p:n], tmp[p:n])
-				} else {
-					tmp[p] += v
-					Axpy(v, t.Row(p)[p+1:n], tmp[p+1:n])
-				}
-			} else {
-				if diag == NonUnit {
-					Axpy(v, t.Row(p)[:p+1], tmp[:p+1])
-				} else {
-					Axpy(v, t.Row(p)[:p], tmp[:p])
-					tmp[p] += v
-				}
-			}
-		}
-		if alpha == 1 {
-			copy(row, tmp)
-		} else {
-			for j := range row {
-				row[j] = alpha * tmp[j]
 			}
 		}
 	}

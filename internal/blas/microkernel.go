@@ -34,9 +34,11 @@ type kernels[T mat.Float] struct {
 	// mr×nr is the micro-tile geometry of gemm, the GEMM micro-kernel.
 	mr, nr int
 	gemm   func(kc int, a, b, c []T, ldc int)
-	// packPanel packs one full mr-tall micro-panel for gemm (packA); the
-	// tables' entries differ only in that height.
-	packPanel func(dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int)
+	// packPanel packs one full mr-tall micro-panel for gemm (packA) from A,
+	// rows lda apart; the tables' entries differ only in that height. A is
+	// a slice, not a *mat.Dense: an operand passed through a function value
+	// escapes, and a matrix view would then cost a heap allocation.
+	packPanel func(dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int)
 	// narrowN and narrowT are gemm's narrow-path companions (gemmNarrow),
 	// nil when the type has none that round exactly as gemm does; the
 	// narrow path then stays off. narrowCols is the widest C that Gemm

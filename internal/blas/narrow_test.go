@@ -118,9 +118,9 @@ func TestGemmNarrowZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestTrmmZeroAlloc: the Left triangular multiply allocates nothing in
-// steady state on either path (packing and copies come from the workspace
-// arena).
+// TestTrmmZeroAlloc: the triangular multiply allocates nothing in steady
+// state on either side and either path (packing, the narrow path's copies
+// and the Right side's transposed copy of B come from the workspace arena).
 func TestTrmmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
@@ -129,11 +129,16 @@ func TestTrmmZeroAlloc(t *testing.T) {
 		rng := rand.New(rand.NewSource(27))
 		tm := randTri(rng, 64, Upper, NonUnit)
 		for _, w := range []int{1, 64} {
-			b := randMat(rng, 64, w)
-			for _, trans := range []Transpose{NoTrans, Trans} {
-				Trmm(Left, Upper, trans, NonUnit, 1, tm, b)
-				if allocs := testing.AllocsPerRun(10, func() { Trmm(Left, Upper, trans, NonUnit, 1, tm, b) }); allocs != 0 {
-					t.Errorf("Trmm Left w=%d trans=%v: %v allocs/op, want 0", w, trans, allocs)
+			for _, side := range []Side{Left, Right} {
+				b := randMat(rng, 64, w)
+				if side == Right {
+					b = randMat(rng, w, 64)
+				}
+				for _, trans := range []Transpose{NoTrans, Trans} {
+					Trmm(side, Upper, trans, NonUnit, 1, tm, b)
+					if allocs := testing.AllocsPerRun(10, func() { Trmm(side, Upper, trans, NonUnit, 1, tm, b) }); allocs != 0 {
+						t.Errorf("Trmm side=%v w=%d trans=%v: %v allocs/op, want 0", side, w, trans, allocs)
+					}
 				}
 			}
 		}
@@ -172,7 +177,7 @@ func testTrsmZeroAlloc[T mat.Float](t *testing.T) {
 // TestTrsmColumnMatchesWide is the triangular solve's version of the
 // narrow contract: a Left solve of one column equals column j of the same
 // solve over w columns bit for bit, for every uplo/trans/diag, orders with
-// an MR fringe, past triBlock and across a KC block, alpha scaling, and a
+// an MR fringe, past order 32 and across a KC block, alpha scaling, and a
 // right-hand side with an Inf behind zero multipliers. Inside the Inf's
 // diagonal micro-block the zero multipliers are skipped, as Axpy skips
 // them, and past it they meet the Inf in the micro-kernel as 0·Inf = NaN:
@@ -181,7 +186,7 @@ func TestTrsmColumnMatchesWide(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
 		maxW := 2*gemmNR + 1
-		for _, n := range []int{1, 7, 13, triBlock, triBlock + 1, 2*triBlock + 5, gemmKC + 3} {
+		for _, n := range []int{1, 7, 13, 32, 33, 69, gemmKC + 3} {
 			for _, uplo := range []Uplo{Upper, Lower} {
 				for _, trans := range []Transpose{NoTrans, Trans} {
 					for _, diag := range []Diag{NonUnit, Unit} {
@@ -230,7 +235,7 @@ func TestTrsmColumnMatchesWide(t *testing.T) {
 // the narrow contract: op(T) times one column equals column j of the same
 // product over w columns bit for bit, for every uplo/trans/diag, alpha
 // scaling, T as a strided view, and orders that straddle the micro-panel
-// height, triBlock and KC. An Inf in B's last column reaches the other rows
+// height, order 32 and KC. An Inf in B's last column reaches the other rows
 // of its micro-panel as 0·Inf on the packed path, so the narrow path must
 // produce the same NaNs.
 func TestTrmmColumnMatchesWide(t *testing.T) {
@@ -240,7 +245,7 @@ func TestTrmmColumnMatchesWide(t *testing.T) {
 func testTrmmColumnMatchesWide[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	maxW := 2*table[T]().nr + 1
-	for _, n := range []int{1, 5, 7, 13, triBlock + 1, 2*triBlock + 5, gemmKC + 3} {
+	for _, n := range []int{1, 5, 7, 13, 33, 69, gemmKC + 3} {
 		for _, uplo := range []Uplo{Upper, Lower} {
 			for _, trans := range []Transpose{NoTrans, Trans} {
 				for _, diag := range []Diag{NonUnit, Unit} {

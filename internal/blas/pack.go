@@ -46,7 +46,7 @@ func packA[T mat.Float](kt *kernels[T], buf []T, a *mat.Dense[T], transA Transpo
 			packFringe(dst, a, transA, alpha, i0+ir, p0, rows, kc, mr)
 			continue
 		}
-		kt.packPanel(dst, a, transA, alpha, i0+ir, p0, kc)
+		kt.packPanel(dst, a.Data, a.Stride, transA, alpha, i0+ir, p0, kc)
 	}
 }
 
@@ -76,13 +76,13 @@ func packFringe[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T
 // reads each packed column from one row of A, which with the height fixed
 // packs a 192×192 block of Aᵀ about twice as fast as a loop over a variable
 // height, at either precision.
-func packPanel4[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int) {
+func packPanel4[T mat.Float](dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int) {
 	dst = dst[:4*kc]
 	if transA == NoTrans {
-		r0 := a.Data[i*a.Stride+p0:][:kc]
-		r1 := a.Data[(i+1)*a.Stride+p0:][:kc]
-		r2 := a.Data[(i+2)*a.Stride+p0:][:kc]
-		r3 := a.Data[(i+3)*a.Stride+p0:][:kc]
+		r0 := a[i*lda+p0:][:kc]
+		r1 := a[(i+1)*lda+p0:][:kc]
+		r2 := a[(i+2)*lda+p0:][:kc]
+		r3 := a[(i+3)*lda+p0:][:kc]
 		for p := range r0 {
 			d := dst[4*p : 4*p+4 : 4*p+4]
 			d[0], d[1], d[2], d[3] = alpha*r0[p], alpha*r1[p], alpha*r2[p], alpha*r3[p]
@@ -90,21 +90,21 @@ func packPanel4[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T
 		return
 	}
 	for p := 0; p < kc; p++ {
-		s := a.Data[(p0+p)*a.Stride+i:][:4]
+		s := a[(p0+p)*lda+i:][:4]
 		d := dst[4*p : 4*p+4 : 4*p+4]
 		d[0], d[1], d[2], d[3] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3]
 	}
 }
 
-func packPanel6[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T, i, p0, kc int) {
+func packPanel6[T mat.Float](dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int) {
 	dst = dst[:6*kc]
 	if transA == NoTrans {
-		r0 := a.Data[i*a.Stride+p0:][:kc]
-		r1 := a.Data[(i+1)*a.Stride+p0:][:kc]
-		r2 := a.Data[(i+2)*a.Stride+p0:][:kc]
-		r3 := a.Data[(i+3)*a.Stride+p0:][:kc]
-		r4 := a.Data[(i+4)*a.Stride+p0:][:kc]
-		r5 := a.Data[(i+5)*a.Stride+p0:][:kc]
+		r0 := a[i*lda+p0:][:kc]
+		r1 := a[(i+1)*lda+p0:][:kc]
+		r2 := a[(i+2)*lda+p0:][:kc]
+		r3 := a[(i+3)*lda+p0:][:kc]
+		r4 := a[(i+4)*lda+p0:][:kc]
+		r5 := a[(i+5)*lda+p0:][:kc]
 		for p := range r0 {
 			d := dst[6*p : 6*p+6 : 6*p+6]
 			d[0], d[1], d[2], d[3], d[4], d[5] = alpha*r0[p], alpha*r1[p], alpha*r2[p], alpha*r3[p], alpha*r4[p], alpha*r5[p]
@@ -112,7 +112,7 @@ func packPanel6[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T
 		return
 	}
 	for p := 0; p < kc; p++ {
-		s := a.Data[(p0+p)*a.Stride+i:][:6]
+		s := a[(p0+p)*lda+i:][:6]
 		d := dst[6*p : 6*p+6 : 6*p+6]
 		d[0], d[1], d[2], d[3], d[4], d[5] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3], alpha*s[4], alpha*s[5]
 	}

@@ -9,17 +9,18 @@ import (
 )
 
 // Pinning tests for the triangular kernels: Trsm is a packed triangular
-// solve and Trmm's Left side a packed triangular multiply at every order,
-// and past triBlock Trmm's Right side multiplies triBlock-order diagonal
-// blocks with the basic kernel and runs the couplings between them through
-// the packed GEMM. Each must agree with one basic-kernel pass over the whole
-// triangle (accumulation order differs, so agreement is tolerance-gated),
-// and none may read outside the stored triangle.
+// solve and Trmm a packed triangular multiply at every order, on both
+// sides (the Right side runs the Left one on a transposed copy of B). Each
+// must agree with one basic-kernel pass over the whole triangle
+// (accumulation order differs, so agreement is tolerance-gated), and none
+// may read outside the stored triangle.
 
 // TestTrmmBlockedMatchesBasic and TestTrmm32PackedMatchesBasic drive every
-// Trmm variant at orders past triBlock and across one and two KC blocks, on
-// both the packed and the narrow Left paths, and compare against trmmBasic
-// on the same data, at each precision.
+// Trmm variant at orders from 1 through an MR fringe, order 32 (the
+// Right-side multiply larftMerge runs at ib = 32), and across one and two
+// KC blocks, on both the packed and the narrow paths — B one and two
+// columns wide on the Left, one and two rows tall on the Right — and
+// compare against trmmBasic on the same data, at each precision.
 func TestTrmmBlockedMatchesBasic(t *testing.T) {
 	forEachKernel(t, testTrmmBlockedMatchesBasic[float64])
 }
@@ -30,8 +31,8 @@ func TestTrmm32PackedMatchesBasic(t *testing.T) {
 
 func testTrmmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
-	for _, n := range []int{triBlock + 1, 40, 96, gemmKC + 3, 2*gemmKC + 5} {
-		for _, w := range []int{1, 7, 33} {
+	for _, n := range []int{1, 5, 7, 13, 32, 33, 40, 96, gemmKC + 3, 2*gemmKC + 5} {
+		for _, w := range []int{1, 2, 7, 33} {
 			for _, side := range []Side{Left, Right} {
 				for _, uplo := range []Uplo{Lower, Upper} {
 					for _, trans := range []Transpose{NoTrans, Trans} {
@@ -61,7 +62,7 @@ func testTrmmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 
 // TestTrsmBlockedMatchesBasic and TestTrsm32BlockedMatchesBasic drive every
 // Trsm variant with alpha = −0.5 at the orders of the Trmm test — MR
-// fringes, past triBlock and across a KC block — on one column (the column
+// fringes, past order 32 and across a KC block — on one column (the column
 // path), a micro-tile fringe and several micro-panels, and compare against
 // a single trsmBasic solve, at each precision.
 func TestTrsmBlockedMatchesBasic(t *testing.T) {
@@ -75,7 +76,7 @@ func TestTrsm32BlockedMatchesBasic(t *testing.T) {
 func testTrsmBlockedMatchesBasic[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
 	const alpha = -0.5
-	for _, n := range []int{5, 7, 13, triBlock + 1, 96, gemmKC + 3} {
+	for _, n := range []int{5, 7, 13, 33, 96, gemmKC + 3} {
 		for _, w := range []int{1, 7, 33} {
 			for _, side := range []Side{Left, Right} {
 				for _, uplo := range []Uplo{Lower, Upper} {
@@ -280,6 +281,121 @@ func trsmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, t,
 					s /= t.At(j, j)
 				}
 				row[j] = s
+			}
+		}
+	}
+}
+
+// trmmBasic is the tests' reference for Trmm: the unblocked triangular
+// multiply, with row Axpys on the Left and dot products or row Axpys on
+// the Right.
+func trmmBasic[T mat.Float](side Side, uplo Uplo, trans Transpose, diag Diag, alpha T, t, b *mat.Dense[T]) {
+	n := t.Rows
+	lower := uplo == Lower
+	if trans == Trans {
+		lower = !lower
+	}
+	get := func(i, j int) T {
+		if trans == Trans {
+			return t.At(j, i)
+		}
+		return t.At(i, j)
+	}
+	if side == Left {
+		if !lower {
+			// Row i of result depends on rows i..n−1: compute top-down.
+			for i := 0; i < n; i++ {
+				bi := b.Row(i)
+				if diag == NonUnit {
+					Scal(get(i, i), bi)
+				}
+				for p := i + 1; p < n; p++ {
+					Axpy(get(i, p), b.Row(p), bi)
+				}
+				Scal(alpha, bi)
+			}
+		} else {
+			// Row i depends on rows 0..i: compute bottom-up.
+			for i := n - 1; i >= 0; i-- {
+				bi := b.Row(i)
+				if diag == NonUnit {
+					Scal(get(i, i), bi)
+				}
+				for p := 0; p < i; p++ {
+					Axpy(get(i, p), b.Row(p), bi)
+				}
+				Scal(alpha, bi)
+			}
+		}
+		return
+	}
+	// Right side: operate on each row independently.
+	if trans == Trans {
+		// op(T)[p, j] = t[j, p]: each result entry is a dot product against
+		// the contiguous row j of t. The in-place order follows the
+		// dependency direction (ascending reads x[j:], descending x[:j]).
+		for r := 0; r < b.Rows; r++ {
+			row := b.Row(r)
+			if lower {
+				for j := 0; j < n; j++ {
+					s := Dot(row[j+1:n], t.Row(j)[j+1:n])
+					if diag == NonUnit {
+						s += row[j] * t.At(j, j)
+					} else {
+						s += row[j]
+					}
+					row[j] = alpha * s
+				}
+			} else {
+				for j := n - 1; j >= 0; j-- {
+					s := Dot(row[:j], t.Row(j)[:j])
+					if diag == NonUnit {
+						s += row[j] * t.At(j, j)
+					} else {
+						s += row[j]
+					}
+					row[j] = alpha * s
+				}
+			}
+		}
+		return
+	}
+	// Untransposed: accumulate x·T into a scratch row with Axpy over t's
+	// contiguous rows, then write back.
+	buf := mat.GetBuf[T](n)
+	defer mat.PutBuf(buf)
+	tmp := buf.Data[:n]
+	for r := 0; r < b.Rows; r++ {
+		row := b.Row(r)
+		for j := range tmp {
+			tmp[j] = 0
+		}
+		for p := 0; p < n; p++ {
+			v := row[p]
+			if v == 0 {
+				continue
+			}
+			if !lower {
+				if diag == NonUnit {
+					Axpy(v, t.Row(p)[p:n], tmp[p:n])
+				} else {
+					tmp[p] += v
+					Axpy(v, t.Row(p)[p+1:n], tmp[p+1:n])
+				}
+			} else {
+				if diag == NonUnit {
+					Axpy(v, t.Row(p)[:p+1], tmp[:p+1])
+				} else {
+					Axpy(v, t.Row(p)[:p], tmp[:p])
+					tmp[p] += v
+				}
+			}
+		}
+		if alpha == 1 {
+			copy(row, tmp)
+		} else {
+			for j := range row {
+				row[j] = alpha * tmp[j]
 			}
 		}
 	}

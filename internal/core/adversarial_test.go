@@ -116,3 +116,27 @@ func TestAdversarialOperatorContracts(t *testing.T) {
 		}
 	}
 }
+
+// TestScaledOperatorsSolve: HQR and LUQR solve a random operator scaled
+// toward either end of float64's range, as LUPP does. Their Householder
+// reflectors square the columns' entries, which under- or overflows at
+// these scales unless Larfg scales the column first.
+func TestScaledOperatorsSolve(t *testing.T) {
+	const n, nb = 256, 64
+	for _, s := range []float64{1e-170, 1e170} {
+		a := matgen.Random(n, rand.New(rand.NewSource(11)))
+		for i := range a.Data {
+			a.Data[i] *= s
+		}
+		b := matgen.RandomVector(n, rand.New(rand.NewSource(12)))
+		for _, alg := range []Algorithm{HQR, LUQR, LUPP} {
+			res, err := Run(a, b, Config{Alg: alg, NB: nb, Criterion: criteria.Max{Alpha: 100}})
+			if err != nil {
+				t.Fatalf("scale %g %v: %v", s, alg, err)
+			}
+			if h := res.Report.HPL3; !(h <= 16) {
+				t.Errorf("scale %g %v: HPL3 %g, want ≤ 16", s, alg, h)
+			}
+		}
+	}
+}

@@ -98,7 +98,7 @@ func TestSolvePaddedSystem(t *testing.T) {
 // column, exactly what the one-at-a-time replay produces — the block kernels
 // never mix columns — for every algorithm family, including the block-LU
 // variants whose diagonal solvers run on the full NB×W tile. Also covers a
-// padded (non-tile-multiple) system, and tiles past triBlock, where the QR
+// padded (non-tile-multiple) system, and tiles past order 32, where the QR
 // replay's triangular multiplies take the packed and narrow paths.
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))

@@ -37,22 +37,44 @@ func larftMerge[T mat.Float](t *mat.Dense[T], j0, bs int, y *mat.Dense[T]) {
 	}
 }
 
-// subRows computes dst −= src row-wise for equally shaped matrices.
+// subRows computes dst −= src and addRows dst += src, for equally shaped
+// matrices, one row at a time through Axpy(∓1, …). fma(∓1, s, d) rounds
+// exactly as d ∓ s does, signed zeros, subnormals and Inf included, and so
+// does Axpy's scalar loop on every kernel table, so the result has the
+// plain loop's bits; of two NaN operands, either payload may come through.
 func subRows[T mat.Float](dst, src *mat.Dense[T]) {
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] -= s[c]
+		blas.Axpy(-1, src.Row(i), dst.Row(i))
+	}
+}
+
+func addRows[T mat.Float](dst, src *mat.Dense[T]) {
+	for i := 0; i < dst.Rows; i++ {
+		blas.Axpy(1, src.Row(i), dst.Row(i))
+	}
+}
+
+// The unblocked leaves of GEQRT, TSQRT and TTQRT factor a pooled
+// column-major copy of their strip, so that Larfg, the update of the
+// columns right of each reflector and the T column all run along
+// contiguous columns through Dot and Axpy. gatherColumns and
+// scatterColumns move the strip between a's rows and the copy's columns,
+// column j at cm[j*ld:]. They copy the entries (i, j) with i ≤ off+j, the
+// trapezoid of a TTQRT strip; off ≥ a.Rows−1 copies all of a.
+
+func gatherColumns[T mat.Float](cm []T, ld int, a *mat.Dense[T], off int) {
+	for i := 0; i < a.Rows; i++ {
+		for j := max(0, i-off); j < a.Cols; j++ {
+			cm[j*ld+i] = a.Data[i*a.Stride+j]
 		}
 	}
 }
 
-// addRows computes dst += src row-wise for equally shaped matrices.
-func addRows[T mat.Float](dst, src *mat.Dense[T]) {
-	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for c := range d {
-			d[c] += s[c]
+func scatterColumns[T mat.Float](a *mat.Dense[T], cm []T, ld int, off int) {
+	for i := 0; i < a.Rows; i++ {
+		row := a.Row(i)
+		for j := max(0, i-off); j < a.Cols; j++ {
+			row[j] = cm[j*ld+i]
 		}
 	}
 }

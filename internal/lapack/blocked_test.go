@@ -217,3 +217,53 @@ func maxDiffUpper(a, b *mat.Matrix) float64 {
 	}
 	return d
 }
+
+// TestSubAddRowsMatchLoop: subRows and addRows give the plain loops' bits
+// on ±0, ±Inf, NaN, subnormal and extreme operands, in rows shorter and
+// longer than blas's SIMD cut, at both precisions. blas's
+// TestAxpyUnitAlphaIsAddSub runs the Axpy they call under every kernel
+// table.
+func TestSubAddRowsMatchLoop(t *testing.T) {
+	t.Run("float64", testSubAddRowsMatchLoop[float64])
+	t.Run("float32", testSubAddRowsMatchLoop[float32])
+}
+
+func testSubAddRowsMatchLoop[T mat.Float](t *testing.T) {
+	var vals []T
+	for _, v := range []float64{0, 1, 1.5, 0x1p-40, 1e-310, 1e-44, 1e300, 1e38, math.Inf(1), math.NaN()} {
+		vals = append(vals, T(v), -T(v))
+	}
+	for _, w := range []int{3, 13} {
+		// Row i of dst holds vals[i] throughout; src cycles through vals.
+		n := len(vals)
+		dst := &mat.Dense[T]{Rows: n, Cols: w, Stride: w, Data: make([]T, n*w)}
+		src := &mat.Dense[T]{Rows: n, Cols: w, Stride: w, Data: make([]T, n*w)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < w; j++ {
+				dst.Set(i, j, vals[i])
+				src.Set(i, j, vals[(i*w+j)%n])
+			}
+		}
+		for _, sub := range []bool{true, false} {
+			got := dst.Clone()
+			if sub {
+				subRows(got, src)
+			} else {
+				addRows(got, src)
+			}
+			for k, g := range got.Data {
+				a, b := dst.Data[k], src.Data[k]
+				want := a + b
+				if sub {
+					want = a - b
+				}
+				if a != a && b != b && g != g {
+					continue // either NaN operand's payload may come through
+				}
+				if math.Float64bits(float64(g)) != math.Float64bits(float64(want)) {
+					t.Fatalf("w=%d sub=%v: %g and %g give %g, want %g", w, sub, a, b, g, want)
+				}
+			}
+		}
+	}
+}

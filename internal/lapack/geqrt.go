@@ -89,48 +89,36 @@ func mergeGeqrtT[T mat.Float](a, t *mat.Dense[T], j0, bs int) {
 	larftMerge(t, j0, bs, y)
 }
 
-// geqrtUnblocked is the classical column-by-column Householder QR leaf:
-// per-column Larfg, row-wise rank-1 trailing updates, and the incremental
-// T construction. a is m×bs, t at least bs×bs (leading block written).
+// geqrtUnblocked is the column-by-column Householder QR leaf on a column-
+// major copy of the m×bs strip a (t at least bs×bs, leading block
+// written): per column, Larfg, the reflector applied to the columns on its
+// right, and the T column.
 func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T]) {
 	m, n := a.Rows, a.Cols
-	buf := mat.GetBuf[T](m + n)
+	buf := mat.GetBuf[T](m*n + n)
 	defer mat.PutBuf(buf)
-	x := buf.Data[:m]
-	w := buf.Data[m:]
+	cm, w := buf.Data[:m*n], buf.Data[m*n:]
+	gatherColumns(cm, m, a, m)
 	for j := 0; j < n; j++ {
-		// Generate the reflector annihilating A[j+1:m, j].
-		for i := j + 1; i < m; i++ {
-			x[i-j-1] = a.At(i, j)
+		// Generate the reflector annihilating column j below row j.
+		cj := cm[j*m:][:m]
+		beta, tau := Larfg(cj[j], cj[j+1:])
+		cj[j] = beta
+		v := cj[j+1:]
+		// Apply H = I − tau·[1; v]·[1; v]ᵀ to rows j..m of the columns on
+		// the right.
+		for c := j + 1; c < n && tau != 0; c++ {
+			applyReflector(tau, v, &cm[c*m+j], cm[c*m+j+1:][:len(v)])
 		}
-		beta, tau := Larfg(a.At(j, j), x[:m-j-1])
-		a.Set(j, j, beta)
-		for i := j + 1; i < m; i++ {
-			a.Set(i, j, x[i-j-1])
+		// Extend T: w[i] = V[:, i]ᵀ·v_j for i < j, with V unit lower
+		// trapezoidal and v_j's implicit 1 in row j.
+		for i := 0; i < j; i++ {
+			ci := cm[i*m+j:][:m-j]
+			w[i] = ci[0] + blas.Dot(ci[1:], v)
 		}
-		// Apply H = I − tau·v·vᵀ to A[j:m, j+1:n], row-wise:
-		//   w = vᵀ·A (row j plus v-weighted rows below), then
-		//   row_i −= tau·v_i·w.
-		if tau != 0 && j+1 < n {
-			wj := w[:n-j-1]
-			copy(wj, a.Row(j)[j+1:n])
-			for i := j + 1; i < m; i++ {
-				blas.Axpy(a.At(i, j), a.Row(i)[j+1:n], wj)
-			}
-			blas.Axpy(-tau, wj, a.Row(j)[j+1:n])
-			for i := j + 1; i < m; i++ {
-				blas.Axpy(-tau*a.At(i, j), wj, a.Row(i)[j+1:n])
-			}
-		}
-		// Extend T: w[i] = V[:, i]ᵀ · v_j for i < j, with V unit lower
-		// trapezoidal and v_j's implicit 1 in row j. Accumulated row-wise.
-		wt := w[:j]
-		copy(wt, a.Row(j)[:j])
-		for r := j + 1; r < m; r++ {
-			blas.Axpy(a.At(r, j), a.Row(r)[:j], wt)
-		}
-		larftColumn(t, j, tau, wt)
+		larftColumn(t, j, tau, w[:j])
 	}
+	scatterColumns(a, cm, m, m)
 }
 
 // Unmqr applies Q or Qᵀ (from a Geqrt factorization held in v's lower
@@ -163,24 +151,11 @@ func Unmqr[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 		blas.Gemm(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
 	}
 	// W ← op(T)·W with T upper triangular.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
-	// C1 −= V1·W (via a TRMM on a copy);  C2 −= V2·W.
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
+	// C2 −= V2·W; then C1 −= V1·W, with V1 applied to W in place.
 	if m > n {
-		w2, w2buf := mat.GetMatrix[T](n, k)
-		defer mat.PutBuf(w2buf)
-		w2.CopyFrom(w)
-		blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w2)
-		subRows(c1, w2)
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
-		return
 	}
-	// m == n: the trailing GEMM is gone and W is dead after the
-	// subtraction, so V1·W runs in place without the scratch copy.
 	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
 	subRows(c1, w)
 }

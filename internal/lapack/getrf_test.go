@@ -74,6 +74,15 @@ func randT[T mat.Float](rng *rand.Rand, r, c int) *mat.Dense[T] {
 	return roundTo[T](randMat(rng, r, c))
 }
 
+// scaledT is randT with randMat's values scaled by s before rounding.
+func scaledT[T mat.Float](rng *rand.Rand, r, c int, s float64) *mat.Dense[T] {
+	m := randMat(rng, r, c)
+	for i := range m.Data {
+		m.Data[i] *= s
+	}
+	return roundTo[T](m)
+}
+
 func TestGetrfReconstructsSquare(t *testing.T) {
 	testGetrfReconstructs[float64](t, 1, [][2]int{{1, 1}, {2, 2}, {3, 3}, {8, 8}, {17, 17}, {40, 40}})
 }

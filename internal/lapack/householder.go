@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"math"
+	"unsafe"
 
 	"luqr/internal/blas"
 	"luqr/internal/mat"
@@ -15,8 +16,34 @@ import (
 //
 // x is overwritten with v and (beta, tau) are returned. H is orthogonal and
 // symmetric. When x is zero and alpha needs no change, tau = 0 and H = I.
+//
+// A column whose squares leave T's range — xᵀx below larfgSafe's floor,
+// where underflow may have eaten its digits, or alpha² + xᵀx overflowing —
+// takes larfgScaled. Every other column, and every column holding an Inf
+// or a NaN, gets the unscaled formula's bits.
 func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) {
 	sigma := blas.Dot(x, x)
+	lo, hi := larfgSafe[T]()
+	if float64(sigma) < lo || float64(alpha*alpha+sigma) > hi {
+		return larfgScaled(alpha, x)
+	}
+	return larfgFormula(alpha, sigma, x)
+}
+
+// larfgSafe returns the range of xᵀx and alpha² + xᵀx inside which Larfg's
+// unscaled formula is accurate: above hi (T's largest value) a square has
+// overflowed, and below lo (T's smallest normal over its unit roundoff,
+// LAPACK's dlarfg safmin) the squares that underflowed may matter.
+func larfgSafe[T mat.Float]() (lo, hi float64) {
+	var z T
+	if unsafe.Sizeof(z) == 4 {
+		return 0x1p-102, math.MaxFloat32
+	}
+	return 0x1p-969, math.MaxFloat64
+}
+
+// larfgFormula is Larfg's unscaled formula, given sigma = xᵀx.
+func larfgFormula[T mat.Float](alpha, sigma T, x []T) (beta, tau T) {
 	if sigma == 0 {
 		// H = I. (We do not flip the sign of a negative alpha; LAPACK keeps
 		// tau = 0 here as well.)
@@ -33,6 +60,37 @@ func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) {
 	return beta, tau
 }
 
+// larfgScaled is Larfg for a column whose squares leave T's range. It
+// scales alpha and x by the power of two that brings their largest
+// magnitude into [1/2, 1), runs larfgFormula there, and scales beta back;
+// v and tau do not depend on the scale. A power of two scales exactly,
+// except entries it pushes below T's subnormal range, which lie under
+// u·|beta| and cannot move it. This is what LAPACK's dnrm2/dlapy2 scaling
+// and dlarfg's rescale loop achieve, and it also covers a |beta| past half
+// of T's range, where dlarfg's 1/(alpha−beta) overflows. A column holding
+// an Inf or a NaN keeps scale 1.
+func larfgScaled[T mat.Float](alpha T, x []T) (beta, tau T) {
+	amax := math.Abs(float64(alpha))
+	for _, v := range x {
+		amax = math.Max(amax, math.Abs(float64(v)))
+	}
+	_, e := math.Frexp(amax)
+	for i, v := range x {
+		x[i] = T(math.Ldexp(float64(v), -e))
+	}
+	alpha = T(math.Ldexp(float64(alpha), -e))
+	beta, tau = larfgFormula(alpha, blas.Dot(x, x), x)
+	return T(math.Ldexp(float64(beta), e)), tau
+}
+
+// applyReflector applies H = I − tau·[1; v]·[1; v]ᵀ to the column
+// [*head; c]: w = *head + vᵀ·c, then *head −= tau·w and c −= tau·w·v.
+func applyReflector[T mat.Float](tau T, v []T, head *T, c []T) {
+	s := tau * (*head + blas.Dot(v, c))
+	*head -= s
+	blas.Axpy(-s, v, c)
+}
+
 // larftColumn extends the compact-WY T factor by one column: given that the
 // leading j×j block of t is the T factor of reflectors 0..j−1 and w already
 // holds V[:,0:j]ᵀ·v_j, it writes column j of T:
@@ -41,12 +99,7 @@ func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) {
 func larftColumn[T mat.Float](t *mat.Dense[T], j int, tau T, w []T) {
 	// y = T(0:j,0:j) · w (T upper triangular).
 	for r := 0; r < j; r++ {
-		var s T
-		row := t.Row(r)
-		for c := r; c < j; c++ {
-			s += row[c] * w[c]
-		}
-		t.Set(r, j, -tau*s)
+		t.Set(r, j, -tau*blas.Dot(t.Row(r)[r:j], w[r:j]))
 	}
 	t.Set(j, j, tau)
 }

@@ -114,24 +114,28 @@ func TestGeqrt32Reconstructs(t *testing.T) { testGeqrtFactorization[float32](t, 
 // paths) and replays the widened factor through the float64 Unmqr: Q must
 // be orthogonal and Q·R must recover A at T's resolution — the V/T
 // contract the serialized-factor replay relies on at either precision.
+// The tiles also come scaled toward either end of T's range, where the
+// reflectors' squares under- or overflow unless Larfg scales them.
 func testGeqrtFactorization[T mat.Float](t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	u := unitRoundoff[T]()
-	for _, d := range [][2]int{{1, 1}, {3, 3}, {4, 4}, {8, 8}, {13, 7}, {16, 16}, {20, 12}, {40, 40}, {48, 33}} {
-		m, n := d[0], d[1]
-		for _, ib := range []int{0, 4} {
-			a := randT[T](rng, m, n)
-			a0 := widen(a)
-			tf := roundTo[T](mat.New(n, n))
-			GeqrtIB(a, tf, ib)
-			v, tw := widen(a), widen(tf)
-			if e := orthoError(explicitQ(v, tw)); e > 256*u*float64(m) {
-				t.Fatalf("%dx%d ib=%d: Q not orthogonal: %g", m, n, ib, e)
-			}
-			c := upperOf(v)
-			Unmqr(blas.NoTrans, v, tw, c)
-			if diff := mat.MaxDiff(c, a0); diff > 1024*u*float64(m) {
-				t.Fatalf("%dx%d ib=%d: Q·R differs from A by %g", m, n, ib, diff)
+	for _, s := range append([]float64{1}, larfgScales[T]()...) {
+		for _, d := range [][2]int{{1, 1}, {3, 3}, {4, 4}, {8, 8}, {13, 7}, {16, 16}, {20, 12}, {40, 40}, {48, 33}} {
+			m, n := d[0], d[1]
+			for _, ib := range []int{0, 4} {
+				a := scaledT[T](rng, m, n, s)
+				a0 := widen(a)
+				tf := roundTo[T](mat.New(n, n))
+				GeqrtIB(a, tf, ib)
+				v, tw := widen(a), widen(tf)
+				if e := orthoError(explicitQ(v, tw)); !(e <= 256*u*float64(m)) {
+					t.Fatalf("%dx%d ib=%d scale %g: Q not orthogonal: %g", m, n, ib, s, e)
+				}
+				c := upperOf(v)
+				Unmqr(blas.NoTrans, v, tw, c)
+				if diff := mat.MaxDiff(c, a0) / s; !(diff <= 1024*u*float64(m)) {
+					t.Fatalf("%dx%d ib=%d scale %g: Q·R differs from A by %g·scale", m, n, ib, s, diff)
+				}
 			}
 		}
 	}
@@ -183,33 +187,36 @@ func TestTsqrtFactorization(t *testing.T) { testTsqrtFactorization[float64](t, 4
 func TestTsqrt32Reconstructs(t *testing.T) { testTsqrtFactorization[float32](t, 44) }
 
 // testTsqrtFactorization factors a triangle-on-square stack at T (unblocked
-// and blocked inner paths), checks R's strictly lower storage (V data from
-// an earlier factorization) is untouched, and replays the widened factor
-// through the float64 Tsmqr: Q·[R1; 0] must recover [R0; A0].
+// and blocked inner paths, unscaled and scaled as in Geqrt's test), checks
+// R's strictly lower storage (V data from an earlier factorization) is
+// untouched, and replays the widened factor through the float64 Tsmqr:
+// Q·[R1; 0] must recover [R0; A0].
 func testTsqrtFactorization[T mat.Float](t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, d := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {8, 8}, {13, 13}, {16, 16}, {33, 20}, {40, 40}} {
-		n, m := d[0], d[1]
-		for _, ib := range []int{0, 4} {
-			r := randT[T](rng, n, n)
-			a := randT[T](rng, m, n)
-			r0 := widen(r)
-			a0 := widen(a)
-			tf := roundTo[T](mat.New(n, n))
-			TsqrtIB(r, a, tf, ib)
-			r1 := widen(r)
-			if !mat.Equal(strictLowerOf(r1), strictLowerOf(r0)) {
-				t.Fatalf("n=%d m=%d ib=%d: touched R's strictly lower storage", n, m, ib)
-			}
-			c1 := upperOf(r1)
-			c2 := mat.New(m, n)
-			Tsmqr(blas.NoTrans, widen(a), widen(tf), c1, c2)
-			tol := 1024 * unitRoundoff[T]() * float64(n+m)
-			if diff := mat.MaxDiff(c1, upperOf(r0)); diff > tol {
-				t.Fatalf("n=%d m=%d ib=%d: R block off by %g > %g", n, m, ib, diff, tol)
-			}
-			if diff := mat.MaxDiff(c2, a0); diff > tol {
-				t.Fatalf("n=%d m=%d ib=%d: A block off by %g > %g", n, m, ib, diff, tol)
+	for _, s := range append([]float64{1}, larfgScales[T]()...) {
+		for _, d := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {8, 8}, {13, 13}, {16, 16}, {33, 20}, {40, 40}} {
+			n, m := d[0], d[1]
+			for _, ib := range []int{0, 4} {
+				r := scaledT[T](rng, n, n, s)
+				a := scaledT[T](rng, m, n, s)
+				r0 := widen(r)
+				a0 := widen(a)
+				tf := roundTo[T](mat.New(n, n))
+				TsqrtIB(r, a, tf, ib)
+				r1 := widen(r)
+				if !mat.Equal(strictLowerOf(r1), strictLowerOf(r0)) {
+					t.Fatalf("n=%d m=%d ib=%d scale %g: touched R's strictly lower storage", n, m, ib, s)
+				}
+				c1 := upperOf(r1)
+				c2 := mat.New(m, n)
+				Tsmqr(blas.NoTrans, widen(a), widen(tf), c1, c2)
+				tol := 1024 * unitRoundoff[T]() * float64(n+m)
+				if diff := mat.MaxDiff(c1, upperOf(r0)) / s; !(diff <= tol) {
+					t.Fatalf("n=%d m=%d ib=%d scale %g: R block off by %g·scale > %g", n, m, ib, s, diff, tol)
+				}
+				if diff := mat.MaxDiff(c2, a0) / s; !(diff <= tol) {
+					t.Fatalf("n=%d m=%d ib=%d scale %g: A block off by %g·scale > %g", n, m, ib, s, diff, tol)
+				}
 			}
 		}
 	}
@@ -253,33 +260,36 @@ func TestTtqrtFactorization(t *testing.T) { testTtqrtFactorization[float64](t, 5
 func TestTtqrt32Reconstructs(t *testing.T) { testTtqrtFactorization[float32](t, 45) }
 
 // testTtqrtFactorization factors a triangle-on-triangle stack at T
-// (unblocked and blocked inner paths), checks both tiles' strictly lower
-// storage is untouched, and replays the widened factor through the float64
-// Ttmqr: Q·[R1; 0] must recover the two original upper triangles.
+// (unblocked and blocked inner paths, unscaled and scaled as in Geqrt's
+// test), checks both tiles' strictly lower storage is untouched, and
+// replays the widened factor through the float64 Ttmqr: Q·[R1; 0] must
+// recover the two original upper triangles.
 func testTtqrtFactorization[T mat.Float](t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, n := range []int{1, 2, 4, 5, 9, 13, 16, 40} {
-		for _, ib := range []int{0, 4} {
-			r1 := randT[T](rng, n, n)
-			r2 := randT[T](rng, n, n)
-			r1w, r2w := widen(r1), widen(r2)
-			r1u0, r2u0 := upperOf(r1w), upperOf(r2w)
-			r1low, r2low := strictLowerOf(r1w), strictLowerOf(r2w)
-			tf := roundTo[T](mat.New(n, n))
-			TtqrtIB(r1, r2, tf, ib)
-			r1w, r2w = widen(r1), widen(r2)
-			if !mat.Equal(strictLowerOf(r1w), r1low) || !mat.Equal(strictLowerOf(r2w), r2low) {
-				t.Fatalf("n=%d ib=%d: touched strictly lower storage", n, ib)
-			}
-			c1 := upperOf(r1w)
-			c2 := mat.New(n, n)
-			Ttmqr(blas.NoTrans, r2w, widen(tf), c1, c2)
-			tol := 1024 * unitRoundoff[T]() * float64(2*n)
-			if diff := mat.MaxDiff(c1, r1u0); diff > tol {
-				t.Fatalf("n=%d ib=%d: R1 off by %g > %g", n, ib, diff, tol)
-			}
-			if diff := mat.MaxDiff(c2, r2u0); diff > tol {
-				t.Fatalf("n=%d ib=%d: R2 off by %g > %g", n, ib, diff, tol)
+	for _, s := range append([]float64{1}, larfgScales[T]()...) {
+		for _, n := range []int{1, 2, 4, 5, 9, 13, 16, 40} {
+			for _, ib := range []int{0, 4} {
+				r1 := scaledT[T](rng, n, n, s)
+				r2 := scaledT[T](rng, n, n, s)
+				r1w, r2w := widen(r1), widen(r2)
+				r1u0, r2u0 := upperOf(r1w), upperOf(r2w)
+				r1low, r2low := strictLowerOf(r1w), strictLowerOf(r2w)
+				tf := roundTo[T](mat.New(n, n))
+				TtqrtIB(r1, r2, tf, ib)
+				r1w, r2w = widen(r1), widen(r2)
+				if !mat.Equal(strictLowerOf(r1w), r1low) || !mat.Equal(strictLowerOf(r2w), r2low) {
+					t.Fatalf("n=%d ib=%d scale %g: touched strictly lower storage", n, ib, s)
+				}
+				c1 := upperOf(r1w)
+				c2 := mat.New(n, n)
+				Ttmqr(blas.NoTrans, r2w, widen(tf), c1, c2)
+				tol := 1024 * unitRoundoff[T]() * float64(2*n)
+				if diff := mat.MaxDiff(c1, r1u0) / s; !(diff <= tol) {
+					t.Fatalf("n=%d ib=%d scale %g: R1 off by %g·scale > %g", n, ib, s, diff, tol)
+				}
+				if diff := mat.MaxDiff(c2, r2u0) / s; !(diff <= tol) {
+					t.Fatalf("n=%d ib=%d scale %g: R2 off by %g·scale > %g", n, ib, s, diff, tol)
+				}
 			}
 		}
 	}

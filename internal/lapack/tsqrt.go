@@ -69,55 +69,36 @@ func TsqrtIB[T mat.Float](r, a, t *mat.Dense[T], ib int) {
 	}
 }
 
-// tsqrtUnblocked is the classical column-by-column TS leaf on an
-// (bs + m)-row stacked panel: r is bs×bs upper triangular, a is m×bs.
+// tsqrtUnblocked is the column-by-column TS leaf on an (bs + m)-row
+// stacked panel: r is bs×bs upper triangular, a is m×bs and is factored as
+// a column-major copy.
 func tsqrtUnblocked[T mat.Float](r, a, t *mat.Dense[T]) {
 	n := r.Cols
 	m := a.Rows
-	buf := mat.GetBuf[T](m + n)
+	buf := mat.GetBuf[T](m*n + n)
 	defer mat.PutBuf(buf)
-	x := buf.Data[:m]
-	w := buf.Data[m:]
+	cm, w := buf.Data[:m*n], buf.Data[m*n:]
+	gatherColumns(cm, m, a, m)
 	for j := 0; j < n; j++ {
 		// Reflector from (R[j,j]; A[:, j]): the rows of R below j are
 		// structurally zero in the stacked panel, so the vector part lives
 		// entirely in A's column j.
-		for i := 0; i < m; i++ {
-			x[i] = a.At(i, j)
-		}
-		beta, tau := Larfg(r.At(j, j), x)
+		v := cm[j*m:][:m]
+		beta, tau := Larfg(r.At(j, j), v)
 		r.Set(j, j, beta)
-		for i := 0; i < m; i++ {
-			a.Set(i, j, x[i])
-		}
-		// Apply H to the trailing stacked columns (row j of R, all of A):
-		//   w = R[j, j+1:] + V2ᵀ·A[:, j+1:], then subtract tau·v·w.
-		if tau != 0 && j+1 < n {
-			rrow := r.Row(j)[j+1 : n]
-			wj := w[:n-j-1]
-			copy(wj, rrow)
-			for i := 0; i < m; i++ {
-				arow := a.Row(i)
-				blas.Axpy(arow[j], arow[j+1:n], wj)
-			}
-			blas.Axpy(-tau, wj, rrow)
-			for i := 0; i < m; i++ {
-				arow := a.Row(i)
-				blas.Axpy(-tau*arow[j], wj, arow[j+1:n])
-			}
+		// Apply H to the trailing stacked columns: row j of R, all of A.
+		rrow := r.Row(j)
+		for c := j + 1; c < n && tau != 0; c++ {
+			applyReflector(tau, v, &rrow[c], cm[c*m:][:m])
 		}
 		// T column: the identity blocks of V contribute nothing across
-		// distinct columns, so w[i] = V2[:, i]ᵀ · v2_j, accumulated row-wise.
-		wt := w[:j]
-		for i := range wt {
-			wt[i] = 0
+		// distinct columns, so w[i] = V2[:, i]ᵀ·v2_j.
+		for i := 0; i < j; i++ {
+			w[i] = blas.Dot(cm[i*m:][:m], v)
 		}
-		for q := 0; q < m; q++ {
-			arow := a.Row(q)
-			blas.Axpy(arow[j], arow[:j], wt)
-		}
-		larftColumn(t, j, tau, wt)
+		larftColumn(t, j, tau, w[:j])
 	}
+	scatterColumns(a, cm, m, m)
 }
 
 // Tsmqr applies the block reflector produced by Tsqrt to the stacked pair
@@ -141,12 +122,7 @@ func Tsmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	w.CopyFrom(c1)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
 	// W ← op(T)·W.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
 	// C1 −= W;  C2 −= V2·W.
 	subRows(c1, w)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)

@@ -70,94 +70,65 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 // ttqrtApply pushes the [j0,j0+bs) strip's block reflector (Qᵀ, matching
 // the first-to-last generation order) across the trailing columns: C1 is
 // rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2. The V2 trapezoid splits
-// into its dense top D (GEMM) and triangular diagonal block (TRMM on a
-// copy), keeping R2's strictly-lower storage untouched.
+// into its dense top D (GEMM) and triangular diagonal block (TRMM on W),
+// keeping R2's strictly-lower storage untouched.
 func ttqrtApply[T mat.Float](r1, r2, tb *mat.Dense[T], j0, bs, rest int) {
 	c1 := r1.View(j0, j0+bs, bs, rest)
 	tri := r2.View(j0, j0, bs, bs)
 	c2bot := r2.View(j0, j0+bs, bs, rest)
-	// W = C1 + Dᵀ·C2top + Triᵀ·C2bot.
+	// W = Triᵀ·C2bot + C1 + Dᵀ·C2top.
 	w, wbuf := mat.GetMatrix[T](bs, rest)
 	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c1)
+	w.CopyFrom(c2bot)
+	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, w)
+	addRows(w, c1)
 	if j0 > 0 {
 		blas.Gemm(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
 	}
-	wt, wtbuf := mat.GetMatrix[T](bs, rest)
-	defer mat.PutBuf(wtbuf)
-	wt.CopyFrom(c2bot)
-	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, wt)
-	addRows(w, wt)
 	// W ← Tᵀ·W.
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tb, w)
-	// C1 −= W;  C2top −= D·W;  C2bot −= Tri·W.
+	// C1 −= W;  C2top −= D·W;  C2bot −= Tri·W, with Tri applied to W in
+	// place.
 	subRows(c1, w)
 	if j0 > 0 {
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, r2.View(0, j0, j0, bs), w, 1, r2.View(0, j0+bs, j0, rest))
 	}
-	wt.CopyFrom(w)
-	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, wt)
-	subRows(c2bot, wt)
+	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, w)
+	subRows(c2bot, w)
 }
 
 // ttqrtUnblocked is the column-by-column TT leaf. r1 is bs×bs upper
 // triangular; r2 holds the strip's V2 part as an (off+bs)×bs trapezoid:
 // local column j's vector part occupies rows 0..off+j (dense above row
 // off, triangular within the diagonal block). off == 0 recovers the
-// classical square case.
+// classical square case. The leaf factors a column-major copy of the
+// trapezoid alone, so r2's strictly lower storage is neither read nor
+// written.
 func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
 	n := r1.Cols
-	buf := mat.GetBuf[T](2*n + off)
+	ld := off + n
+	buf := mat.GetBuf[T](ld*n + n)
 	defer mat.PutBuf(buf)
-	x := buf.Data[: n+off : n+off]
-	w := buf.Data[n+off:]
+	cm, w := buf.Data[:ld*n], buf.Data[ld*n:]
+	gatherColumns(cm, ld, r2, off)
 	for j := 0; j < n; j++ {
 		// Column j of the stacked panel has nonzeros at R1[j,j] and
 		// R2[0..off+j, j] only.
-		h := off + j
-		for i := 0; i <= h; i++ {
-			x[i] = r2.At(i, j)
-		}
-		beta, tau := Larfg(r1.At(j, j), x[:h+1])
+		v := cm[j*ld:][:off+j+1]
+		beta, tau := Larfg(r1.At(j, j), v)
 		r1.Set(j, j, beta)
-		for i := 0; i <= h; i++ {
-			r2.Set(i, j, x[i])
+		// Apply H to the trailing columns: row j of R1, rows 0..off+j of R2.
+		r1row := r1.Row(j)
+		for c := j + 1; c < n && tau != 0; c++ {
+			applyReflector(tau, v, &r1row[c], cm[c*ld:][:len(v)])
 		}
-		// Apply H to trailing columns (row j of R1, rows 0..off+j of R2),
-		// row-wise: w = R1[j, j+1:] + V2[0..off+j, j]ᵀ·R2[0..off+j, j+1:].
-		if tau != 0 && j+1 < n {
-			r1row := r1.Row(j)[j+1 : n]
-			wj := w[:n-j-1]
-			copy(wj, r1row)
-			for i := 0; i <= h; i++ {
-				r2row := r2.Row(i)
-				blas.Axpy(r2row[j], r2row[j+1:n], wj)
-			}
-			blas.Axpy(-tau, wj, r1row)
-			for i := 0; i <= h; i++ {
-				r2row := r2.Row(i)
-				blas.Axpy(-tau*r2row[j], wj, r2row[j+1:n])
-			}
+		// T column: w[i] = V2[:, i]ᵀ·v2_j over the overlap rows 0..off+i.
+		for i := 0; i < j; i++ {
+			w[i] = blas.Dot(cm[i*ld:][:off+i+1], v[:off+i+1])
 		}
-		// T column: w[i] = V2[:, i]ᵀ · v2_j over the overlap rows
-		// 0..off+i, accumulated row-wise over the trapezoid.
-		wt := w[:j]
-		for i := range wt {
-			wt[i] = 0
-		}
-		for q := 0; q <= h; q++ {
-			r2row := r2.Row(q)
-			// Row q contributes to columns i with off+i ≥ q, i < j.
-			i0 := q - off
-			if i0 < 0 {
-				i0 = 0
-			}
-			if i0 < j {
-				blas.Axpy(r2row[j], r2row[i0:j], wt[i0:j])
-			}
-		}
-		larftColumn(t, j, tau, wt)
+		larftColumn(t, j, tau, w[:j])
 	}
+	scatterColumns(r2, cm, ld, off)
 }
 
 // Ttmqr applies the block reflector produced by Ttqrt to the stacked pair
@@ -167,7 +138,7 @@ func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
 //
 // v2 holds V2 in its upper triangle (lower part ignored), t the T factor.
 // The three multiplications by the triangular V2 and T run through the
-// packed TRMM path (on copies, since TRMM works in place).
+// packed TRMM path on W, since TRMM works in place.
 func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {
@@ -182,12 +153,7 @@ func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
 	addRows(w, c1)
 	// W ← op(T)·W.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
-	}
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
 	// C1 −= W;  C2 −= V2·W (upper triangle of V2 only).
 	subRows(c1, w)
 	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)

@@ -14,63 +14,33 @@ import (
 //
 // with Q = I − V·T·Vᵀ. c must have v.Rows columns. Used by the block-LU
 // variant (B2), whose Eliminate step is A_ik ← A_ik·A_kk⁻¹ = (A_ik·R⁻¹)·Qᵀ.
+//
+// It mirrors Unmqr with the Right-side TRMM: W = C·V is a unit-lower TRMM
+// on the top square V1 plus a GEMM on the trapezoid V2 below it, W·op(T) is
+// a TRMM, and C −= W·Vᵀ the mirror GEMM + TRMM pair.
 func UnmqrRight[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 	m, n := v.Rows, v.Cols
 	if c.Cols != m {
 		panic(fmt.Sprintf("lapack: UnmqrRight shape mismatch V=%dx%d C=%dx%d", m, n, c.Rows, c.Cols))
 	}
 	k := c.Rows
-	// W = C·V (k×n), exploiting V's unit lower trapezoidal structure:
-	// W[:, j] = C[:, j] + Σ_{r>j} C[:, r]·v(r, j). Every row is fully
-	// written (copy then accumulate), so the pooled buffer is safe unzeroed.
+	v1 := v.View(0, 0, n, n)
+	c1 := c.View(0, 0, k, n)
+	// W = C1·V1 + C2·V2. CopyFrom overwrites every row, so a pooled
+	// (unzeroed) buffer is safe.
 	w, wbuf := mat.GetMatrix[T](k, n)
 	defer mat.PutBuf(wbuf)
-	for r := 0; r < k; r++ {
-		crow := c.Row(r)
-		wrow := w.Row(r)
-		copy(wrow, crow[:n]) // the implicit identity block of V
-		for q := 0; q < m; q++ {
-			vrow := v.Row(q)
-			cq := crow[q]
-			if cq == 0 {
-				continue
-			}
-			hi := q
-			if hi > n {
-				hi = n
-			}
-			// Row q of V holds v(q, j) for j < min(q, n); the diagonal 1 was
-			// already added by the copy above.
-			for j := 0; j < hi; j++ {
-				wrow[j] += cq * vrow[j]
-			}
-		}
+	w.CopyFrom(c1)
+	blas.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
+	if m > n {
+		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, c.View(0, n, k, m-n), v.View(n, 0, m-n, n), 1, w)
 	}
 	// W ← W·op(T): c·Q = c − (C·V)·T·Vᵀ, c·Qᵀ = c − (C·V)·Tᵀ·Vᵀ.
-	tview := t.View(0, 0, n, n)
-	if trans == blas.Trans {
-		blas.Trmm(blas.Right, blas.Upper, blas.Trans, blas.NonUnit, 1, tview, w)
-	} else {
-		blas.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tview, w)
+	blas.Trmm(blas.Right, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
+	// C2 −= W·V2ᵀ; then C1 −= W·V1ᵀ, with V1ᵀ applied to W in place.
+	if m > n {
+		blas.Gemm(blas.NoTrans, blas.Trans, -1, w, v.View(n, 0, m-n, n), 1, c.View(0, n, k, m-n))
 	}
-	// C ← C − W·Vᵀ: C[:, q] −= Σ_j W[:, j]·v(q, j) (+ the identity part).
-	for r := 0; r < k; r++ {
-		crow := c.Row(r)
-		wrow := w.Row(r)
-		for q := 0; q < m; q++ {
-			vrow := v.Row(q)
-			hi := q
-			if hi > n {
-				hi = n
-			}
-			var s T
-			for j := 0; j < hi; j++ {
-				s += wrow[j] * vrow[j]
-			}
-			if q < n {
-				s += wrow[q] // implicit unit diagonal
-			}
-			crow[q] -= s
-		}
-	}
+	blas.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+	subRows(c1, w)
 }

@@ -9,9 +9,13 @@ import (
 	"luqr/internal/mat"
 )
 
+// TestUnmqrRightMatchesTransposedLeft: c·op(Q) equals the transpose of
+// Unmqr's op(Q)ᵀ·cᵀ, from small shapes up to the production tile (192×192,
+// k = 192, the square V of VarB2's Eliminate step) and a tall V (m > n)
+// past one inner block.
 func TestUnmqrRightMatchesTransposedLeft(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][3]int{{4, 4, 3}, {8, 8, 8}, {10, 6, 5}, {1, 1, 2}} {
+	for _, dims := range [][3]int{{4, 4, 3}, {8, 8, 8}, {10, 6, 5}, {1, 1, 2}, {192, 192, 192}, {200, 72, 33}} {
 		m, n, k := dims[0], dims[1], dims[2]
 		v := randMat(rng, m, n)
 		tt := mat.New(n, n)

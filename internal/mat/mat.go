@@ -69,7 +69,7 @@ func Identity(n int) *Matrix {
 // common case; explicit checks are reserved for Set/At in debug helpers.
 func (m *Dense[T]) At(i, j int) T {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("mat: At(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
+		panic(rangeError{op: "At", i: i, j: j, mr: m.Rows, mc: m.Cols})
 	}
 	return m.Data[i*m.Stride+j]
 }
@@ -77,7 +77,7 @@ func (m *Dense[T]) At(i, j int) T {
 // Set assigns element (i, j).
 func (m *Dense[T]) Set(i, j int, v T) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("mat: Set(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
+		panic(rangeError{op: "Set", i: i, j: j, mr: m.Rows, mc: m.Cols})
 	}
 	m.Data[i*m.Stride+j] = v
 }
@@ -86,7 +86,7 @@ func (m *Dense[T]) Set(i, j int, v T) {
 // view shares storage with m.
 func (m *Dense[T]) View(i, j, rows, cols int) *Dense[T] {
 	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
-		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of range %dx%d", i, j, rows, cols, m.Rows, m.Cols))
+		panic(rangeError{op: "View", i: i, j: j, rows: rows, cols: cols, mr: m.Rows, mc: m.Cols})
 	}
 	return &Dense[T]{
 		Rows:   rows,
@@ -99,9 +99,29 @@ func (m *Dense[T]) View(i, j, rows, cols int) *Dense[T] {
 // Row returns row i as a length-Cols slice aliasing m's storage.
 func (m *Dense[T]) Row(i int) []T {
 	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mat: Row(%d) out of range %d", i, m.Rows))
+		panic(rangeError{op: "Row", i: i, mr: m.Rows})
 	}
 	return m.Data[i*m.Stride : i*m.Stride+m.Cols]
+}
+
+// rangeError is the panic value of an out-of-range At, Set, View or Row.
+// The accessors build it rather than the message, which keeps them within
+// the inliner's budget inside the generic kernels too. There, a View that
+// is not inlined returns its header from the heap, and an At, Set or Row
+// costs a call per element.
+type rangeError struct {
+	op                       string
+	i, j, rows, cols, mr, mc int
+}
+
+func (e rangeError) Error() string {
+	switch e.op {
+	case "View":
+		return fmt.Sprintf("mat: View(%d,%d,%d,%d) out of range %dx%d", e.i, e.j, e.rows, e.cols, e.mr, e.mc)
+	case "Row":
+		return fmt.Sprintf("mat: Row(%d) out of range %d", e.i, e.mr)
+	}
+	return fmt.Sprintf("mat: %s(%d,%d) out of range %dx%d", e.op, e.i, e.j, e.mr, e.mc)
 }
 
 // Clone returns a deep copy of m with a tight stride.

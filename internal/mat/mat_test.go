@@ -96,6 +96,28 @@ func TestViewBounds(t *testing.T) {
 	}
 }
 
+// TestAccessorPanicMessages: an out-of-range At, Set, View or Row panics
+// with an error naming the call and the matrix's shape.
+func TestAccessorPanicMessages(t *testing.T) {
+	m := New(4, 3)
+	for want, f := range map[string]func(){
+		"mat: At(4,0) out of range 4x3":       func() { m.At(4, 0) },
+		"mat: Set(0,3) out of range 4x3":      func() { m.Set(0, 3, 1) },
+		"mat: View(1,1,4,1) out of range 4x3": func() { m.View(1, 1, 4, 1) },
+		"mat: Row(-1) out of range 4":         func() { m.Row(-1) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || err.Error() != want {
+					t.Errorf("panic %v, want %q", err, want)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomMatrix(rng, 5, 7)

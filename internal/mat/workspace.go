@@ -32,6 +32,7 @@ const (
 type Buf[T Float] struct {
 	Data []T
 	pool *sync.Pool // the size class's pool, nil for an unpooled (oversized) buffer
+	m    Dense[T]   // GetMatrix's header over Data
 }
 
 // arena is the size-classed pool of one element type.
@@ -88,19 +89,12 @@ func PutBuf[T Float](b *Buf[T]) {
 	b.pool.Put(b)
 }
 
-// Matrix views the first rows·cols elements of the buffer as a rows×cols
-// row-major matrix with tight stride. The view aliases b.Data; it dies with
-// the buffer at PutBuf. Contents are unspecified (call Zero if needed).
-func (b *Buf[T]) Matrix(rows, cols int) *Dense[T] {
-	if rows < 0 || cols < 0 || rows*cols > len(b.Data) {
-		panic("mat: Buf.Matrix view larger than buffer")
-	}
-	return &Dense[T]{Rows: rows, Cols: cols, Stride: cols, Data: b.Data[:rows*cols]}
-}
-
 // GetMatrix returns a rows×cols matrix backed by a pooled buffer, plus the
-// buffer to PutBuf when done. Contents are unspecified.
+// buffer to PutBuf when done. Contents are unspecified. The matrix header
+// lives in the buffer, so a steady-state call allocates nothing; it dies
+// with the buffer at PutBuf.
 func GetMatrix[T Float](rows, cols int) (*Dense[T], *Buf[T]) {
 	b := GetBuf[T](rows * cols)
-	return b.Matrix(rows, cols), b
+	b.m = Dense[T]{Rows: rows, Cols: cols, Stride: cols, Data: b.Data}
+	return &b.m, b
 }
