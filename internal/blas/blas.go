@@ -67,6 +67,28 @@ const simdMin = 8
 // reused under another.
 func KernelID[T mat.Float]() string { return table[T]().id }
 
+// Above32 reports whether some element of x, its sign bit cleared, has a
+// bit pattern above ceil. With the sign cleared, float32 bit patterns sort
+// as their magnitudes do, and ±Inf and every NaN sort above each finite
+// value: with ceil the bits of a nonnegative float32 c, it reports an
+// element of magnitude above c, an infinity or a NaN.
+func Above32(x []float32, ceil uint32) bool {
+	if s := table[float32]().above32; s != nil {
+		return s(x, ceil)
+	}
+	return above32Generic(x, ceil)
+}
+
+// above32Generic is Above32's scalar loop, one unsigned compare per element.
+func above32Generic(x []float32, ceil uint32) bool {
+	for _, v := range x {
+		if math.Float32bits(v)&^(1<<31) > ceil {
+			return true
+		}
+	}
+	return false
+}
+
 // Dot returns xᵀy.
 func Dot[T mat.Float](x, y []T) T {
 	if len(x) != len(y) {

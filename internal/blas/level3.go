@@ -104,7 +104,7 @@ func gemmPacked[T mat.Float](kt *kernels[T], transA, transB Transpose, alpha T, 
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
-			packB(bufB.Data, b, transB, jc, pc, kc, nc, nr)
+			packB(kt, bufB.Data, b, transB, jc, pc, kc, nc)
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
 				packA(kt, apack, a, transA, alpha, ic, pc, mc, kc)
@@ -513,7 +513,7 @@ func trmmPacked[T mat.Float](kt *kernels[T], upper bool, trans Transpose, diag D
 		nc := min(gemmNC, w-jc)
 		for q := 0; q*gemmKC < n; q++ {
 			pc, kc, r0, r1 := trmmBlock(upper, n, q)
-			packB(bufB.Data, b, NoTrans, jc, pc, kc, nc, nr)
+			packB(kt, bufB.Data, b, NoTrans, jc, pc, kc, nc)
 			for i := pc; i < pc+kc; i++ {
 				clear(b.Data[i*b.Stride+jc:][:nc])
 			}

@@ -39,6 +39,10 @@ type kernels[T mat.Float] struct {
 	// a slice, not a *mat.Dense: an operand passed through a function value
 	// escapes, and a matrix view would then cost a heap allocation.
 	packPanel func(dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int)
+	// packRows copies kc rows of one full NR-wide micro-panel of B, rows
+	// ldb apart, into dst back to back (packB); nil where the table has no
+	// such entry, and packB copies each row itself.
+	packRows func(dst, b []T, ldb, kc int)
 	// narrowN and narrowT are gemm's narrow-path companions (gemmNarrow),
 	// nil when the type has none that round exactly as gemm does; the
 	// narrow path then stays off. narrowCols is the widest C that Gemm
@@ -49,6 +53,10 @@ type kernels[T mat.Float] struct {
 	// axpy and dot are the SIMD level-1 kernels, nil on hosts without them.
 	axpy func(alpha T, x, y []T)
 	dot  func(x, y []T) T
+	// above32 is the float32 excursion scan (Above32), read from the
+	// float32 table only; nil where the table has none, and Above32 runs
+	// the scalar loop.
+	above32 func(x []float32, ceil uint32) bool
 }
 
 // The tables start portable; init-time CPU detection may replace entries.

@@ -1,5 +1,11 @@
 package blas
 
+import (
+	"unsafe"
+
+	"luqr/internal/mat"
+)
+
 // SIMD kernel selection. Go's default amd64 codegen targets the GOAMD64=v1
 // baseline (scalar SSE2), whose ~2 FP ops/cycle ceiling caps a pure-Go GEMM
 // near 3 GFLOP/s on the paper-class hosts. The 6×8 float64 assembly kernel
@@ -8,9 +14,10 @@ package blas
 // kernel does the same with 8-wide FMAs. So hosts with AVX2+FMA run the
 // same packed path several times faster. On hosts with AVX-512F the 6×16
 // float64 and 6×32 float32 kernels (microkernel_avx512_amd64.s) run the
-// same plan in ZMM registers, twice as wide again. Feature detection
-// happens once at init via CPUID/XGETBV; unsupported hosts keep the
-// portable tables.
+// same plan in ZMM registers, twice as wide again. The packing around them
+// and the float32 excursion scan have SIMD entries too (pack_amd64.s).
+// Feature detection happens once at init via CPUID/XGETBV; unsupported
+// hosts keep the portable tables.
 
 // cpuidLeaf executes CPUID with the given EAX/ECX inputs.
 func cpuidLeaf(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -70,6 +77,35 @@ func kernel6x16ZMM(kc int, a, b, c *float64, ldc int)
 //go:noescape
 func kernel6x32ZMM32(kc int, a, b, c *float32, ldc int)
 
+// packN6ZMM and packN6ZMM32 pack alpha·A[0:6, 0:n] into the MR=6
+// micro-panel layout (packPanel6's op(A) = A), n a positive multiple of 8
+// (float64) or 16 (float32), through the permutes idx (zmmPackIndex).
+// packT6ZMM and packT6ZMM32 pack alpha·A[0:kc, 0:6]ᵀ (op(A) = Aᵀ), kc > 0.
+// A has rows lda elements apart.
+//
+//go:noescape
+func packN6ZMM(dst, a *float64, lda, n int, alpha float64, idx *[8][16]uint32)
+
+//go:noescape
+func packN6ZMM32(dst, a *float32, lda, n int, alpha float32, idx *[8][16]uint32)
+
+//go:noescape
+func packT6ZMM(dst, a *float64, lda, kc int, alpha float64)
+
+//go:noescape
+func packT6ZMM32(dst, a *float32, lda, kc int, alpha float32)
+
+// packRows128 copies rows > 0 rows of 128 bytes, lds bytes apart at src, to
+// dst back to back.
+//
+//go:noescape
+func packRows128(dst, src unsafe.Pointer, lds, rows int)
+
+// above32ZMM is Above32 on x[0:n] in ZMM registers.
+//
+//go:noescape
+func above32ZMM(x *float32, n int, ceil uint32) bool
+
 // init fills both kernel tables from one CPUID/XGETBV probe. A second init
 // in another file would run in file-name order and could silently replace
 // what this one selects, so all selection happens here.
@@ -84,7 +120,8 @@ func init() {
 
 // avx2Kernels returns the AVX2+FMA tables. The float32 table has no narrow
 // kernels: float32 results carry no width-independence contract, so its
-// narrow GEMMs take the packed path.
+// narrow GEMMs take the packed path. Packing and the float32 excursion
+// scan run the Go bodies.
 func avx2Kernels() (kernels[float64], kernels[float32]) {
 	k64 := kernels[float64]{
 		id: "avx2", mr: 6, nr: 8,
@@ -111,15 +148,103 @@ func avx2Kernels() (kernels[float64], kernels[float32]) {
 }
 
 // avx512Kernels returns the AVX-512 tables: the AVX2 ones with the ZMM
-// micro-kernels, their micro-tile widths, and a narrower cut to gemmNarrow
-// (the packed path gains more from the wider kernel than the narrow one
-// does). MR, the packing and the narrow and level-1 kernels are the AVX2
-// ones, so every element rounds as it does under AVX2.
+// micro-kernels, their micro-tile widths, the ZMM packing entries, the
+// float32 excursion scan, and a narrower cut to gemmNarrow (the packed
+// path gains more from the wider kernel than the narrow one does). MR,
+// the packed layout and the narrow and level-1 kernels are the AVX2 ones,
+// and packing only moves and scales elements, so every element rounds as
+// it does under AVX2.
 func avx512Kernels() (kernels[float64], kernels[float32]) {
 	k64, k32 := avx2Kernels()
 	k64.id, k64.gemm, k64.nr, k64.narrowCols = "avx512", kernelZMM6x16, 16, 2
 	k32.id, k32.gemm, k32.nr = "avx512", kernelZMM6x32f32, 32
+	k64.packPanel = zmmPackPanel(8, packN6ZMM, packT6ZMM)
+	k32.packPanel = zmmPackPanel(16, packN6ZMM32, packT6ZMM32)
+	k64.packRows, k32.packRows = packRowsZMM[float64], packRowsZMM[float32]
+	k32.above32 = func(x []float32, ceil uint32) bool {
+		return len(x) > 0 && above32ZMM(&x[0], len(x), ceil)
+	}
 	return k64, k32
+}
+
+// zmmPackPanel returns the AVX-512 packPanel entry of a 6-tall table on the
+// assembly bodies blockN (op(A) = A, in whole blocks of w columns) and colT
+// (op(A) = Aᵀ). packPanel6 packs the columns past the last whole block.
+func zmmPackPanel[T mat.Float](w int, blockN func(dst, a *T, lda, n int, alpha T, idx *[8][16]uint32), colT func(dst, a *T, lda, kc int, alpha T)) func(dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int) {
+	idx := zmmPackIndex(int(unsafe.Sizeof(T(0))))
+	return func(dst, a []T, lda int, transA Transpose, alpha T, i, p0, kc int) {
+		if kc == 0 {
+			return
+		}
+		dst = dst[:6*kc]
+		if transA == Trans {
+			_ = a[(p0+kc-1)*lda+i+5]
+			colT(&dst[0], &a[p0*lda+i], lda, kc, alpha)
+			return
+		}
+		n := kc / w * w
+		if n > 0 {
+			_ = a[(i+5)*lda+p0+n-1]
+			blockN(&dst[0], &a[i*lda+p0], lda, n, alpha, &idx)
+		}
+		if n < kc {
+			packPanel6(dst[6*n:], a, lda, NoTrans, alpha, i, p0+n, kc-n)
+		}
+	}
+}
+
+// zmmPackIndex returns the permute indices of packN6ZMM (size 8) or
+// packN6ZMM32 (size 4), one ZMM vector each, as dwords: an element index
+// of the type fills s = size/4 dwords, a qword index its low half. A block
+// holds L = 64/size columns of the six rows. idx[0] and idx[1] pair two
+// rows x, y element by element (VPERMT2Q or VPERMT2D): x0 y0 x1 y1 … over
+// columns [0, L/2) and [L/2, L). A pair of one column is then a chunk of s
+// qwords, w = L/2 chunks a vector. Output vector k < 3 of each half holds
+// the packed chunks q = k·w + t, t < w: column c = q/3's pair j = q%3, of
+// rows (2j, 2j+1). idx[2+2k] (VPERMT2Q) takes the chunks with j < 2 from
+// the vectors of rows (0,1) and (2,3), and idx[3+2k] those with j = 2 from
+// the vector of rows (4,5), keeping the rest in place.
+func zmmPackIndex(size int) (idx [8][16]uint32) {
+	l, s := 64/size, size/4
+	w := l / 2
+	elem := func(v *[16]uint32, e, val int) { v[e*s] = uint32(val) }
+	for m := 0; m < w; m++ {
+		elem(&idx[0], 2*m, m)
+		elem(&idx[0], 2*m+1, l+m)
+		elem(&idx[1], 2*m, w+m)
+		elem(&idx[1], 2*m+1, l+w+m)
+	}
+	for k := 0; k < 3; k++ {
+		for t := 0; t < w; t++ {
+			c, j := (k*w+t)/3, (k*w+t)%3
+			for h := 0; h < s; h++ {
+				from01, from45 := c*s+h, t*s+h
+				if j == 1 {
+					from01 += 8
+				}
+				if j == 2 {
+					from45 = 8 + c*s + h
+				}
+				idx[2+2*k][2*(t*s+h)] = uint32(from01)
+				idx[3+2*k][2*(t*s+h)] = uint32(from45)
+			}
+		}
+	}
+	return idx
+}
+
+// packRowsZMM is the AVX-512 tables' packRows entry: a full micro-panel's
+// row is 128 bytes at either precision (NR = 16 float64 or 32 float32).
+// Through copy each row would cost a runtime.memmove call.
+func packRowsZMM[T mat.Float](dst, b []T, ldb, kc int) {
+	if kc == 0 {
+		return
+	}
+	size := int(unsafe.Sizeof(b[0]))
+	w := 128 / size
+	_ = b[(kc-1)*ldb+w-1]
+	_ = dst[kc*w-1]
+	packRows128(unsafe.Pointer(&dst[0]), unsafe.Pointer(&b[0]), ldb*size, kc)
 }
 
 func kernelAVX6x8(kc int, a, b, c []float64, ldc int) {

@@ -69,7 +69,8 @@ func packFringe[T mat.Float](dst []T, a *mat.Dense[T], transA Transpose, alpha T
 	}
 }
 
-// packPanel4 and packPanel6 are the tables' packPanel entries: each packs
+// packPanel4 and packPanel6 are the portable and AVX2 tables' packPanel
+// entries, and packPanel6 packs the AVX-512 entry's kc tail: each packs
 // one full micro-panel of its height, op(A) rows [i, i+mr) over the kc
 // columns from p0, scaled by alpha, writing each packed column's mr
 // elements together. op(A) = A reads the mr rows side by side; op(A) = Aᵀ
@@ -120,12 +121,19 @@ func packPanel6[T mat.Float](dst, a []T, lda int, transA Transpose, alpha T, i, 
 
 // packB packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide row-major micro-panels:
 // element (p, jr+j) of the block lands at buf[jr*kc + p*nr + j]. Columns
-// past nc are zero-filled so every micro-panel is a full NR wide.
-func packB[T mat.Float](buf []T, b *mat.Dense[T], transB Transpose, j0, p0, kc, nc, nr int) {
+// past nc are zero-filled so every micro-panel is a full NR wide. A full
+// panel of op(B) = B copies its rows through the table's packRows where it
+// has one; fringe panels and op(B) = Bᵀ run the loops here.
+func packB[T mat.Float](kt *kernels[T], buf []T, b *mat.Dense[T], transB Transpose, j0, p0, kc, nc int) {
+	nr := kt.nr
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		dst := buf[jr*kc:]
 		if transB == NoTrans {
+			if cols == nr && kt.packRows != nil {
+				kt.packRows(dst[:kc*nr], b.Data[p0*b.Stride+j0+jr:], b.Stride, kc)
+				continue
+			}
 			// op(B) row p is contiguous in B; copy nr-wide chunks.
 			for p := 0; p < kc; p++ {
 				src := b.Data[(p0+p)*b.Stride+j0+jr:][:cols]

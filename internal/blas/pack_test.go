@@ -2,8 +2,10 @@ package blas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"luqr/internal/mat"
 )
@@ -131,11 +133,15 @@ func testGemmTable[T mat.Float](t *testing.T) {
 }
 
 // TestPackAMatchesLayout pins packA, whose full micro-panels go through
-// the table's fixed-height packPanel body, to the layout the micro-kernel
-// reads: element (ir+i, p) of alpha·op(A)'s block at buf[ir*kc + p*mr + i],
-// zero below a fringe panel's rows — exactly, at each precision, for both
-// transposes, A as a strided view, and block heights from one element to
-// past two micro-panels.
+// the table's packPanel entry, to the scalar body's layout and arithmetic:
+// element (ir+i, p) of the block at buf[ir*kc + p*mr + i] is alpha times
+// op(A)'s element by one IEEE product, and a fringe panel is zero below
+// its rows. It compares bits, so NaN payloads and signed zeros count, at
+// each precision on every kernel table, for both transposes, alpha ∈
+// {1, −1, 0, −0.75}, entries that include ±0, ±Inf, NaN payloads of both
+// signs and kinds and subnormals, every kc from 0 to 40 and 255–257 (each
+// tail of the assembly's 8- and 16-column blocks), block heights from one
+// element to past two micro-panels, and A as a strided view.
 func TestPackAMatchesLayout(t *testing.T) {
 	forEachType(t, testPackAMatchesLayout[float64], testPackAMatchesLayout[float32])
 }
@@ -144,31 +150,41 @@ func testPackAMatchesLayout[T mat.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	kt := table[T]()
 	mr := kt.mr
+	kcs := []int{255, 256, 257}
+	for kc := 0; kc <= 40; kc++ {
+		kcs = append(kcs, kc)
+	}
 	for _, transA := range []Transpose{NoTrans, Trans} {
 		for _, mc := range []int{1, mr - 1, mr, mr + 1, 2*mr + 1} {
-			for _, kc := range []int{1, 5, 17} {
+			for _, kc := range kcs {
 				const i0, p0 = 2, 3
 				ar, ac := i0+mc+1, p0+kc+2
 				if transA == Trans {
 					ar, ac = ac, ar
 				}
 				a := viewOfT[T](rng, ar, ac)
-				var alpha T = -0.75
-				buf := make([]T, roundUp(mc, mr)*kc)
-				packA(kt, buf, a, transA, alpha, i0, p0, mc, kc)
-				for ir := 0; ir < mc; ir += mr {
-					for p := 0; p < kc; p++ {
-						for i := 0; i < mr; i++ {
-							var want T
-							if r := ir + i; r < mc {
-								if transA == NoTrans {
-									want = alpha * a.At(i0+r, p0+p)
-								} else {
-									want = alpha * a.At(p0+p, i0+r)
+				specialFill(rng, a)
+				for _, alpha := range []T{1, -1, 0, -0.75} {
+					buf := make([]T, roundUp(mc, mr)*kc)
+					for i := range buf {
+						buf[i] = fromBits[T](0x7ff4dead7fa0beef) // a NaN neither side writes
+					}
+					packA(kt, buf, a, transA, alpha, i0, p0, mc, kc)
+					for ir := 0; ir < mc; ir += mr {
+						for p := 0; p < kc; p++ {
+							for i := 0; i < mr; i++ {
+								var want T
+								if r := ir + i; r < mc {
+									if transA == NoTrans {
+										want = alpha * a.At(i0+r, p0+p)
+									} else {
+										want = alpha * a.At(p0+p, i0+r)
+									}
 								}
-							}
-							if got := buf[ir*kc+p*mr+i]; got != want {
-								t.Fatalf("transA=%v mc=%d kc=%d: panel %d (%d, %d) = %v, want %v", transA, mc, kc, ir/mr, i, p, got, want)
+								if got := buf[ir*kc+p*mr+i]; bitsOf(got) != bitsOf(want) {
+									t.Fatalf("transA=%v mc=%d kc=%d alpha=%v: panel %d (%d, %d) = %v (%#x), want %v (%#x)",
+										transA, mc, kc, alpha, ir/mr, i, p, got, bitsOf(got), want, bitsOf(want))
+								}
 							}
 						}
 					}
@@ -176,6 +192,243 @@ func testPackAMatchesLayout[T mat.Float](t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPackPanel packs one full micro-panel through every kernel table's
+// packPanel entry, at both precisions and both transposes, from a fuzzed
+// shape — kc, the row stride's slack past the panel, the panel's first row
+// i and column p0 — alpha and element bits, and requires the scalar body's
+// layout and bits. It also runs every table's Above32 over the float32
+// operand, from a fuzzed offset, against the scalar predicate with a fuzzed
+// ceiling. A NaN alpha is skipped: no caller passes one, and which of two
+// NaN operands' payload a product keeps is the compiler's choice in the Go
+// body.
+func FuzzPackPanel(f *testing.F) {
+	f.Add(uint16(17), uint8(3), uint8(1), uint8(2), math.Float64bits(-0.75), uint64(0x7ff8000000000abc), uint64(1), uint32(0x4cbebc20))
+	f.Add(uint16(257), uint8(0), uint8(0), uint8(0), math.Float64bits(1), uint64(0xfff0000000000000), uint64(0x807fffff), uint32(0x7f800000))
+	f.Add(uint16(0), uint8(7), uint8(5), uint8(3), math.Float64bits(0), uint64(0x7ff0000000000001), uint64(0xffc00123), uint32(0))
+	f.Add(uint16(40), uint8(1), uint8(2), uint8(7), math.Float64bits(-1), uint64(1<<63), uint64(0x7f7fffff), uint32(0x7f7fffff))
+	f.Fuzz(func(t *testing.T, kc16 uint16, slack, i8, p8 uint8, alphaBits, e1, e2 uint64, ceil uint32) {
+		if math.IsNaN(math.Float64frombits(alphaBits)) {
+			t.Skip("NaN alpha")
+		}
+		kc, s, i, p0 := int(kc16%300), int(slack%8), int(i8%8), int(p8%8)
+		fuzzPackPanel[float64](t, kc, s, i, p0, alphaBits, e1, e2, ceil)
+		fuzzPackPanel[float32](t, kc, s, i, p0, alphaBits, e1, e2, ceil)
+	})
+}
+
+func fuzzPackPanel[T mat.Float](t *testing.T, kc, slack, i, p0 int, alphaBits, e1, e2 uint64, ceil uint32) {
+	alpha := T(math.Float64frombits(alphaBits))
+	rng := rand.New(rand.NewSource(int64(e1 ^ e2<<1 ^ uint64(kc))))
+	for _, transA := range []Transpose{NoTrans, Trans} {
+		eachTable(func() {
+			kt := table[T]()
+			mr := kt.mr
+			rows, lda := i+mr, p0+kc+slack
+			if transA == Trans {
+				rows, lda = p0+kc, i+mr+slack
+			}
+			a := make([]T, rows*lda)
+			for k := range a {
+				switch rng.Intn(4) {
+				case 0:
+					a[k] = fromBits[T](e1)
+				case 1:
+					a[k] = fromBits[T](e2)
+				case 2:
+					a[k] = fromBits[T](specials[rng.Intn(len(specials))][1-int(unsafe.Sizeof(a[k])/8)])
+				default:
+					a[k] = T(rng.NormFloat64())
+				}
+			}
+			dst := make([]T, mr*kc)
+			kt.packPanel(dst, a, lda, transA, alpha, i, p0, kc)
+			for p := 0; p < kc; p++ {
+				for r := 0; r < mr; r++ {
+					at := (i+r)*lda + p0 + p
+					if transA == Trans {
+						at = (p0+p)*lda + i + r
+					}
+					want := alpha * a[at]
+					if got := dst[p*mr+r]; bitsOf(got) != bitsOf(want) {
+						t.Fatalf("%s transA=%v kc=%d lda=%d i=%d p0=%d alpha=%v: (%d, %d) = %#x, want %#x",
+							kt.id, transA, kc, lda, i, p0, alpha, r, p, bitsOf(got), bitsOf(want))
+					}
+				}
+			}
+			if x, ok := any(a).([]float32); ok {
+				x = x[min(len(x), slack):]
+				if got, want := Above32(x, ceil), above32Generic(x, ceil); got != want {
+					t.Fatalf("%s Above32(ceil %#x) over %d elements: %v, scalar %v", kt.id, ceil, len(x), got, want)
+				}
+			}
+		})
+	}
+}
+
+// eachTable runs f on the host kernel tables, on the AVX2 ones where the
+// host's are AVX-512, and on the portable ones.
+func eachTable(f func()) {
+	f()
+	withAVX2Kernels(f)
+	withPortableKernels(f)
+}
+
+// TestPackBMatchesLoop pins packB, whose full op(B) = B micro-panels go
+// through the table's packRows entry where it has one, to packB's own loops
+// (the table with the entry removed), bit for bit and with every element of
+// the packed block written: full and fringe panels, both transposes, nc
+// not a multiple of NR, kc across one row to a full KC block, B as a
+// strided view holding special values.
+func TestPackBMatchesLoop(t *testing.T) {
+	forEachType(t, testPackBMatchesLoop[float64], testPackBMatchesLoop[float32])
+}
+
+func testPackBMatchesLoop[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	kt := table[T]()
+	loops := *kt
+	loops.packRows = nil
+	nr := kt.nr
+	for _, transB := range []Transpose{NoTrans, Trans} {
+		for _, nc := range []int{1, nr - 1, nr, nr + 1, 2*nr + 3, 3 * nr} {
+			for _, kc := range []int{1, 2, 7, 40, 256} {
+				const j0, p0 = 3, 2
+				br, bc := p0+kc+1, j0+nc+2
+				if transB == Trans {
+					br, bc = bc, br
+				}
+				b := viewOfT[T](rng, br, bc)
+				specialFill(rng, b)
+				got, want := make([]T, roundUp(nc, nr)*kc), make([]T, roundUp(nc, nr)*kc)
+				for i := range got {
+					got[i] = fromBits[T](0x7ff4dead7fa0beef)
+					want[i] = fromBits[T](0x7ff4dead7fa0beef)
+				}
+				packB(kt, got, b, transB, j0, p0, kc, nc)
+				packB(&loops, want, b, transB, j0, p0, kc, nc)
+				for i := range got {
+					if bitsOf(got[i]) != bitsOf(want[i]) {
+						t.Fatalf("transB=%v nc=%d kc=%d: element %d = %v (%#x), loops wrote %v (%#x)",
+							transB, nc, kc, i, got[i], bitsOf(got[i]), want[i], bitsOf(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAbove32MatchesScalar pins Above32, through the float32 table's scan
+// entry where it has one, to the scalar predicate: any element whose
+// sign-cleared bits exceed the ceiling. Each value — the ceiling and its
+// float32 neighbours, ±Inf, NaNs of both signs, ±0 and subnormals — sits
+// at every position of a slice of every length from 1 to 40 and of 1000,
+// among elements below the ceiling, and at offsets into a longer array;
+// empty slices and slices of only small values must report false.
+func TestAbove32MatchesScalar(t *testing.T) {
+	forEachKernel(t, testAbove32MatchesScalar)
+}
+
+func testAbove32MatchesScalar(t *testing.T) {
+	inf := float32(math.Inf(1))
+	// The ceilings are float32 bit patterns from 0 through +Inf, and the
+	// patterns past every sign-cleared one: 0x7fffffff, 1<<31, 0xffffffff.
+	for _, ceil := range []uint32{0, 1, 0x3f800000, 0x4cbebc20, 0x7f7fffff, 0x7f800000, 0x7fffffff, 1 << 31, 0xffffffff} {
+		c := math.Float32frombits(ceil)
+		vals := []float32{
+			c, math.Float32frombits(ceil - 1), math.Float32frombits(ceil + 1), 0, 0x1p-149, 0x1p-127,
+			inf, math.Float32frombits(0x7fc00001), math.Float32frombits(0x7f800001), math.MaxFloat32,
+		}
+		vals = append(vals, negate32(vals)...)
+		lens := []int{1000}
+		for n := 1; n <= 40; n++ {
+			lens = append(lens, n)
+		}
+		back := make([]float32, 1003)
+		for _, n := range lens {
+			for off := 0; off < 3; off += 2 {
+				x := back[off : off+n]
+				for i := range back {
+					back[i] = 0
+				}
+				if Above32(x[:0], ceil) || Above32(x, ceil) != above32Generic(x, ceil) {
+					t.Fatalf("ceil %g n=%d: zeros disagree", c, n)
+				}
+				for _, v := range vals {
+					for k := 0; k < n; k += max(1, n/64) {
+						x[k] = v
+						if got, want := Above32(x, ceil), above32Generic(x, ceil); got != want {
+							t.Fatalf("ceil %g (%#x) n=%d off=%d: %g (%#x) at %d: Above32 %v, scalar %v",
+								c, ceil, n, off, v, math.Float32bits(v), k, got, want)
+						}
+						x[k] = 0
+					}
+				}
+				// Elements past the slice are never read.
+				back[off+n] = inf
+				if got, want := Above32(x, ceil), above32Generic(x, ceil); got != want {
+					t.Fatalf("ceil %g n=%d off=%d: reads past the slice", c, n, off)
+				}
+			}
+		}
+	}
+}
+
+func negate32(vs []float32) []float32 {
+	out := make([]float32, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float32frombits(math.Float32bits(v) ^ 1<<31)
+	}
+	return out
+}
+
+// specials are bit patterns specialFill writes, as float64 and float32:
+// ±0, ±Inf, quiet and signalling NaNs of both signs with payloads, the
+// smallest and largest subnormals and the largest finite value.
+var specials = [][2]uint64{
+	{0, 0}, {1 << 63, 1 << 31},
+	{0x7ff0000000000000, 0x7f800000}, {0xfff0000000000000, 0xff800000},
+	{0x7ff8000000000abc, 0x7fc00abc}, {0xfff8000000000123, 0xffc00123},
+	{0x7ff0000000000001, 0x7f800001}, {0xfff00000000dead0, 0xff80dead},
+	{1, 1}, {0x800fffffffffffff, 0x807fffff}, {0x7fefffffffffffff, 0x7f7fffff},
+}
+
+// specialFill overwrites about a third of m's elements with specials.
+func specialFill[T mat.Float](rng *rand.Rand, m *mat.Dense[T]) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			if rng.Intn(3) == 0 {
+				sp := specials[rng.Intn(len(specials))]
+				if unsafe.Sizeof(row[j]) == 4 {
+					row[j] = fromBits[T](sp[1])
+				} else {
+					row[j] = fromBits[T](sp[0])
+				}
+			}
+		}
+	}
+}
+
+// fromBits returns the T whose bits are b (the low 32 bits for float32);
+// bitsOf returns v's bits. Neither converts between widths, which would
+// quiet a signalling NaN.
+func fromBits[T mat.Float](b uint64) T {
+	var v T
+	if unsafe.Sizeof(v) == 4 {
+		*(*uint32)(unsafe.Pointer(&v)) = uint32(b)
+	} else {
+		*(*uint64)(unsafe.Pointer(&v)) = b
+	}
+	return v
+}
+
+func bitsOf[T mat.Float](v T) uint64 {
+	if unsafe.Sizeof(v) == 4 {
+		return uint64(*(*uint32)(unsafe.Pointer(&v)))
+	}
+	return *(*uint64)(unsafe.Pointer(&v))
 }
 
 // TestTrsmOddShapesAndViews covers Trsm on odd orders, rectangular B, alpha
@@ -274,6 +527,45 @@ func BenchmarkGemmPacked(b *testing.B) {
 			b.StopTimer()
 			gf := 2 * float64(nb) * float64(nb) * float64(nb) / 1e9
 			b.ReportMetric(gf*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkPack times packA and packB of a 192×192 block at both
+// precisions and transposes, hot in cache, on the host table ("table") and
+// on the host table with the Go bodies in place of its packing entries
+// ("go"): packPanel6 (or packPanel4) and packB's row loop.
+func BenchmarkPack(b *testing.B) {
+	b.Run("float64", benchPack[float64])
+	b.Run("float32", benchPack[float32])
+}
+
+func benchPack[T mat.Float](b *testing.B) {
+	const nb = 192
+	rng := rand.New(rand.NewSource(16))
+	a := randT[T](rng, nb, nb)
+	kt := table[T]()
+	goBodies := *kt
+	goBodies.packPanel, goBodies.packRows = packPanel6[T], nil
+	if kt.mr == 4 {
+		goBodies.packPanel = packPanel4[T]
+	}
+	buf := make([]T, roundUp(nb, max(kt.mr, kt.nr))*nb)
+	for _, v := range []struct {
+		name string
+		kt   *kernels[T]
+	}{{"table", kt}, {"go", &goBodies}} {
+		for _, tr := range []Transpose{NoTrans, Trans} {
+			b.Run(fmt.Sprintf("packA/trans=%v/%s", tr, v.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					packA(v.kt, buf, a, tr, -1, 0, 0, nb, nb)
+				}
+			})
+		}
+		b.Run("packB/"+v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				packB(v.kt, buf, a, NoTrans, 0, 0, nb, nb)
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,23 +121,61 @@ func TestAdversarialOperatorContracts(t *testing.T) {
 // TestScaledOperatorsSolve: HQR and LUQR solve a random operator scaled
 // toward either end of float64's range, as LUPP does. Their Householder
 // reflectors square the columns' entries, which under- or overflows at
-// these scales unless Larfg scales the column first.
+// these scales unless Larfg scales the column first. Under PrecisionAuto
+// the same algorithms solve random and diagonally dominant operators
+// scaled below float32's normal range (1e-170, 1e-45) and past its
+// headroom (1e+40, 1e+170), padded (N=250) as well, without one float32
+// step: float32 would round them to zeros and subnormals, or demote every
+// step. A diagonally dominant operator of order one still runs its LU
+// steps in float32.
 func TestScaledOperatorsSolve(t *testing.T) {
-	const n, nb = 256, 64
-	for _, s := range []float64{1e-170, 1e170} {
-		a := matgen.Random(n, rand.New(rand.NewSource(11)))
+	const nb = 64
+	solve := func(t *testing.T, a *mat.Matrix, alg Algorithm, prec Precision) *Report {
+		t.Helper()
+		b := matgen.RandomVector(a.Rows, rand.New(rand.NewSource(12)))
+		res, err := Run(a, b, Config{Alg: alg, NB: nb, Criterion: criteria.Max{Alpha: 100}, Precision: prec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := res.Report.HPL3; !(h <= 16) {
+			t.Errorf("HPL3 %g, want ≤ 16", h)
+		}
+		return res.Report
+	}
+	scaled := func(gen func(int, *rand.Rand) *mat.Matrix, n int, s float64) *mat.Matrix {
+		a := gen(n, rand.New(rand.NewSource(11)))
 		for i := range a.Data {
 			a.Data[i] *= s
 		}
-		b := matgen.RandomVector(n, rand.New(rand.NewSource(12)))
+		return a
+	}
+	ops := map[string]func(int, *rand.Rand) *mat.Matrix{"random": matgen.Random, "diagdom": matgen.DiagDominant}
+	for _, s := range []float64{1e-170, 1e170} {
 		for _, alg := range []Algorithm{HQR, LUQR, LUPP} {
-			res, err := Run(a, b, Config{Alg: alg, NB: nb, Criterion: criteria.Max{Alpha: 100}})
-			if err != nil {
-				t.Fatalf("scale %g %v: %v", s, alg, err)
-			}
-			if h := res.Report.HPL3; !(h <= 16) {
-				t.Errorf("scale %g %v: HPL3 %g, want ≤ 16", s, alg, h)
+			t.Run(fmt.Sprintf("f64/random/%g/%v", s, alg), func(t *testing.T) {
+				solve(t, scaled(matgen.Random, 256, s), alg, PrecisionF64)
+			})
+		}
+	}
+	for _, name := range []string{"random", "diagdom"} {
+		for _, s := range []float64{1e-170, 1e-45, 1e40, 1e170} {
+			for _, alg := range []Algorithm{HQR, LUQR, LUPP} {
+				t.Run(fmt.Sprintf("auto/%s/%g/%v", name, s, alg), func(t *testing.T) {
+					if r := solve(t, scaled(ops[name], 256, s), alg, PrecisionAuto); r.F32Steps != 0 {
+						t.Errorf("%d float32 steps on an operator outside float32's range", r.F32Steps)
+					}
+				})
 			}
 		}
 	}
+	t.Run("auto/diagdom/1e-170/padded", func(t *testing.T) {
+		if r := solve(t, scaled(matgen.DiagDominant, 250, 1e-170), LUQR, PrecisionAuto); r.F32Steps != 0 {
+			t.Errorf("%d float32 steps on a padded operator outside float32's range", r.F32Steps)
+		}
+	})
+	t.Run("auto/diagdom/1/LUQR", func(t *testing.T) {
+		if r := solve(t, scaled(matgen.DiagDominant, 256, 1), LUQR, PrecisionAuto); r.F32Steps == 0 {
+			t.Error("no float32 step on a diagonally dominant operator of order one")
+		}
+	})
 }

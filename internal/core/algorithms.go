@@ -44,11 +44,12 @@ func (f *fact) scheduleHybridStep(k int) {
 			f.report.Margins[k] = in.Margin
 			// PrecisionAuto: a comfortable LU margin — the decision quantity
 			// at least 1/DefaultF32Margin below the α threshold — licenses
-			// float32 for this step's eliminations and updates. The trial
-			// panel already ran (at f64, for free), and any f32 excursion
-			// later demotes, so the gamble costs nothing on the downside.
-			// NaN margins (Random criterion) fail the comparison and stay f64.
-			if f.cfg.Precision == PrecisionAuto && st.decision && in.Margin <= DefaultF32Margin {
+			// float32 for this step's eliminations and updates, on an
+			// operator float32 holds (f.autoF32). The trial panel already
+			// ran (at f64, for free), and any f32 excursion later demotes,
+			// so the gamble costs nothing on the downside. NaN margins
+			// (Random criterion) fail the comparison and stay f64.
+			if f.cfg.Precision == PrecisionAuto && f.autoF32 && st.decision && in.Margin <= DefaultF32Margin {
 				st.f32 = true
 				// Resident SWPTRSM applies solve against a float32 image of
 				// the factored panel's top block; build it once here (the

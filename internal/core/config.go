@@ -160,7 +160,9 @@ const (
 	// sits that far below the α threshold — runs its Eliminate and Update
 	// kernels in float32; panels (the free float64 trial factors) and QR
 	// steps stay float64. Any f32 excursion demotes the task back to f64 by
-	// re-running it, so a bad panel is never accepted.
+	// re-running it, so a bad panel is never accepted. An operator whose
+	// max|a_ij| lies outside [1e8·FLT_MIN, MaxFloat32/1e8] runs every step
+	// in float64: float32 would round it to subnormals or past its range.
 	PrecisionAuto
 	// PrecisionF32 forces every kernel — panels and QR steps included —
 	// through the float32 path, with the same per-task excursion demotion.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"luqr/internal/blas"
 	"luqr/internal/criteria"
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
@@ -129,6 +130,11 @@ type fact struct {
 	a0      *mat.Matrix
 	normA   float64
 	f32Ceil uint32
+	// autoF32 licenses PrecisionAuto's float32 steps: max|A| over the
+	// original entries lies within float32's normal range with the
+	// ceiling's f32Headroom on both sides (f32Licensed). Outside it every
+	// step stays float64.
+	autoF32 bool
 	// res is the float32 tile-residency store, built for every run that is
 	// not f64-effective (nil otherwise). Float32 kernels run on its resident
 	// tile images through the run32 harness, and every float64 task
@@ -231,21 +237,40 @@ func (f *fact) ensure64(m *tile.Meter, refs ...tile.Ref) {
 // excursion32 reports whether any of the float32 images holds a casualty: a
 // non-finite entry, or growth past the ceiling f.f32Ceil — far beyond what
 // a healthy elimination step produces, yet far below float32 overflow, so
-// it flags a factorization going wrong before the poison spreads. It is one
-// unsigned compare per element: with the sign cleared, float32 bit patterns
-// sort as their magnitudes do, and ±Inf and every NaN sort above each
-// finite value.
+// it flags a factorization going wrong before the poison spreads. It is
+// blas.Above32's one unsigned compare per element, over a whole image at
+// once where its rows are contiguous and row by row in a view.
 func (f *fact) excursion32(ms ...*mat.Matrix32) bool {
 	for _, m := range ms {
+		if m.Stride == m.Cols {
+			if blas.Above32(m.Data[:m.Rows*m.Cols], f.f32Ceil) {
+				return true
+			}
+			continue
+		}
 		for i := 0; i < m.Rows; i++ {
-			for _, v := range m.Row(i) {
-				if math.Float32bits(v)&^(1<<31) > f.f32Ceil {
-					return true
-				}
+			if blas.Above32(m.Row(i), f.f32Ceil) {
+				return true
 			}
 		}
 	}
 	return false
+}
+
+// f32Headroom is how far an operator's entries may grow in a float32 step
+// before the excursion scan rejects it: the ceiling is
+// f32Headroom·max(1, max|A|).
+const f32Headroom = 1e8
+
+// f32Licensed reports whether PrecisionAuto may run float32 steps on an
+// operator of largest magnitude maxA: f32Headroom·FLT_MIN ≤ maxA ≤
+// MaxFloat32/f32Headroom. Below, float32 rounds the operator to
+// subnormals and zeros, which no excursion flags; above, float32 leaves
+// less than the ceiling's headroom before overflow, and past MaxFloat32
+// every step demotes.
+func f32Licensed(maxA float64) bool {
+	const minNormal32 = 0x1p-126
+	return maxA >= f32Headroom*minNormal32 && maxA <= math.MaxFloat32/f32Headroom
 }
 
 // f32Ceiling returns the bit pattern of the largest float32 at most bound

@@ -206,12 +206,42 @@ func TestExcursionScanMatchesRangeCheck(t *testing.T) {
 			math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0x7f800001),
 		}
 		f := &fact{f32Ceil: f32Ceiling(bound)}
+		// Each value sits alone among zeros at several positions of a
+		// contiguous image (scanned in one blas.Above32 call) and of a row
+		// view (one call per row), so it meets the scan's vector blocks,
+		// its masked tail and the row boundaries.
+		img := mat.NewMatrix32(7, 37)
+		view := mat.NewMatrix32(9, 41).View(1, 2, 7, 37)
 		for _, v := range append(vals, negate32(vals)...) {
-			m := &mat.Matrix32{Rows: 1, Cols: 1, Stride: 1, Data: []float32{v}}
-			if got, want := f.excursion32(m), ranged(v, bound); got != want {
-				t.Errorf("bound %g, v %g (%#08x): excursion32 %v, range check %v", bound, v, math.Float32bits(v), got, want)
+			for _, m := range []*mat.Matrix32{img, view} {
+				for _, at := range [][2]int{{0, 0}, {0, 36}, {3, 15}, {3, 16}, {6, 31}, {6, 36}} {
+					m.Set(at[0], at[1], v)
+					if got, want := f.excursion32(m), ranged(v, bound); got != want {
+						t.Errorf("bound %g, v %g (%#08x) at %v, stride %d: excursion32 %v, range check %v",
+							bound, v, math.Float32bits(v), at, m.Stride, got, want)
+					}
+					m.Set(at[0], at[1], 0)
+				}
 			}
 		}
+	}
+}
+
+// TestExcursionScanZeroAlloc: the scan every resident float32 task runs
+// over its outputs allocates nothing, on a contiguous image and on a view.
+func TestExcursionScanZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract checked in non-race runs")
+	}
+	f := &fact{f32Ceil: f32Ceiling(1e8)}
+	img, view := mat.NewMatrix32(64, 64), mat.NewMatrix32(70, 70).View(3, 3, 64, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		if f.excursion32(img, view) {
+			t.Fatal("excursion on zeros")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("excursion32: %v allocs/op, want 0", allocs)
 	}
 }
 

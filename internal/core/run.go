@@ -78,11 +78,14 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	})
 	normA, maxA0 := foldMax(norms), foldMax(maxes)
 	f.normA, f.report.N = normA, n
+	// The license reads the original entries: the identity pad's 1 would
+	// let a padded operator far below float32's range pass.
+	f.autoF32 = f32Licensed(maxA0)
 	if np > n {
 		// The identity block adds entries of 1.
 		maxA0 = math.Max(maxA0, 1)
 	}
-	f.f32Ceil = f32Ceiling(1e8 * math.Max(1, maxA0))
+	f.f32Ceil = f32Ceiling(f32Headroom * math.Max(1, maxA0))
 	if a0 != nil {
 		f.a0 = a0
 		// Float32 steps run on resident tile images, converting only at

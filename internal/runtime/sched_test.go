@@ -99,25 +99,55 @@ func TestLocalityChainStaysLocal(t *testing.T) {
 // the scheduler: A pops it from its own deque, or — if B's steal sweep gets
 // there before A wakes — B steals it. Either way the dispatch kind must
 // match the worker.
+//
+// The task bodies hand-shake so that every run takes this path: "produce"
+// and "other" each block until the other one is running, so they hold the
+// two workers side by side, and "other" finishes only after "probe" — a
+// successor of "produce" that "consume" does not wait for — has started,
+// by which time A has finished releasing the successors of "produce".
 func TestAffinityReleaseCrossesWorkers(t *testing.T) {
 	e := NewEngine(Config{Workers: 2, Trace: true})
 	defer e.Close()
 	tile := e.NewHandle("tile", 8, 0)
 	dep := e.NewHandle("dep", 8, 0)
+	sig := e.NewHandle("sig", 8, 0)
 
-	step := make(chan struct{})
-	// v1 writer of tile: runs first, on some worker A.
-	e.Submit(TaskSpec{Name: "produce", Accesses: []Access{W(tile)}})
-	// A long task occupies A... then "other" (below) must run on worker B.
-	e.Submit(TaskSpec{Name: "occupy", Accesses: []Access{R(tile)}, Run: func() { <-step }})
-	// Runs on worker B (A is blocked in occupy); its completion releases
-	// "consume", whose affinity (last writer of tile) executed on A.
-	e.Submit(TaskSpec{Name: "other", Accesses: []Access{W(dep)}, Run: func() {
-		close(step) // free A so it can pop the affinity-released task
-		time.Sleep(200 * time.Microsecond)
+	// A stalled hand-shake lets its task go on and fails the test below,
+	// instead of hanging the suite.
+	var stalled atomic.Bool
+	await := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			stalled.Store(true)
+		}
+	}
+	submitted := make(chan struct{})
+	otherRunning := make(chan struct{})
+	probeRunning := make(chan struct{})
+	// v1 writer of tile, on some worker A. Holding A until "other" runs puts
+	// "other" on worker B; waiting for every Submit first keeps "produce"
+	// from finishing before its successors attach to it.
+	e.Submit(TaskSpec{Name: "produce", Accesses: []Access{W(tile), W(sig)}, Run: func() {
+		await(submitted)
+		await(otherRunning)
 	}})
+	// Runs on worker B; its completion releases "consume", whose affinity
+	// (last writer of tile) executed on A.
+	e.Submit(TaskSpec{Name: "other", Accesses: []Access{W(dep)}, Run: func() {
+		close(otherRunning)
+		await(probeRunning)
+	}})
+	// Released by the completion of "produce" onto A's deque, and popped
+	// there once A has gone through every successor of "produce" (B, blocked
+	// in "other", cannot steal it).
+	e.Submit(TaskSpec{Name: "probe", Accesses: []Access{R(sig)}, Run: func() { close(probeRunning) }})
 	e.Submit(TaskSpec{Name: "consume", Accesses: []Access{W(tile), R(dep)}})
+	close(submitted)
 	e.Wait()
+	if stalled.Load() {
+		t.Fatal("a task waited 10s for its hand-shake partner: produce and other never ran side by side")
+	}
 
 	tr := e.Trace()
 	byName := map[string]*TraceTask{}
@@ -126,7 +156,7 @@ func TestAffinityReleaseCrossesWorkers(t *testing.T) {
 	}
 	prod, other, cons := byName["produce"], byName["other"], byName["consume"]
 	if other.Worker == prod.Worker {
-		t.Skip("occupy/other landed on one worker; affinity path not exercised this run")
+		t.Fatalf("produce and other both ran on worker %d", prod.Worker)
 	}
 	if c := e.SchedCounters(); c.RemoteReleases == 0 {
 		t.Fatalf("consume was not released to the producer's deque: counters %+v", c)
