@@ -126,8 +126,10 @@ func TestAdversarialOperatorContracts(t *testing.T) {
 // scaled below float32's normal range (1e-170, 1e-45) and past its
 // headroom (1e+40, 1e+170), padded (N=250) as well, without one float32
 // step: float32 would round them to zeros and subnormals, or demote every
-// step. A diagonally dominant operator of order one still runs its LU
-// steps in float32.
+// step. Forced PrecisionF32 runs the operators below the range in float64
+// too (HQR read HPL3 +Inf at 1e-170 while its float32 steps went
+// unflagged). A diagonally dominant operator of order one still runs its
+// LU steps in float32.
 func TestScaledOperatorsSolve(t *testing.T) {
 	const nb = 64
 	solve := func(t *testing.T, a *mat.Matrix, alg Algorithm, prec Precision) *Report {
@@ -168,11 +170,24 @@ func TestScaledOperatorsSolve(t *testing.T) {
 			}
 		}
 	}
-	t.Run("auto/diagdom/1e-170/padded", func(t *testing.T) {
-		if r := solve(t, scaled(matgen.DiagDominant, 250, 1e-170), LUQR, PrecisionAuto); r.F32Steps != 0 {
-			t.Errorf("%d float32 steps on a padded operator outside float32's range", r.F32Steps)
+	for _, name := range []string{"random", "diagdom"} {
+		for _, s := range []float64{1e-170, 1e-45} {
+			for _, alg := range []Algorithm{HQR, LUQR, LUPP} {
+				t.Run(fmt.Sprintf("f32/%s/%g/%v", name, s, alg), func(t *testing.T) {
+					if r := solve(t, scaled(ops[name], 256, s), alg, PrecisionF32); r.F32Steps != 0 {
+						t.Errorf("%d float32 steps on an operator below float32's range", r.F32Steps)
+					}
+				})
+			}
 		}
-	})
+	}
+	for _, prec := range []Precision{PrecisionAuto, PrecisionF32} {
+		t.Run(fmt.Sprintf("%v/diagdom/1e-170/padded", prec), func(t *testing.T) {
+			if r := solve(t, scaled(matgen.DiagDominant, 250, 1e-170), LUQR, prec); r.F32Steps != 0 {
+				t.Errorf("%d float32 steps on a padded operator outside float32's range", r.F32Steps)
+			}
+		})
+	}
 	t.Run("auto/diagdom/1/LUQR", func(t *testing.T) {
 		if r := solve(t, scaled(matgen.DiagDominant, 256, 1), LUQR, PrecisionAuto); r.F32Steps == 0 {
 			t.Error("no float32 step on a diagonally dominant operator of order one")

@@ -15,7 +15,7 @@ import (
 // the restore + QR step; finally it schedules step k+1.
 func (f *fact) scheduleHybridStep(k int) {
 	st := &stepState{k: k, rows: f.pivotRows(k, f.cfg.Scope)}
-	st.f32 = f.cfg.Precision == PrecisionF32
+	st.f32 = f.forceF32
 	f.steps[k] = st
 
 	f.submitNormTasks(st)
@@ -101,7 +101,7 @@ func (f *fact) allReduceComm(k int) []runtime.Message {
 func (f *fact) scheduleLU(scope Scope, wholePanel bool) {
 	for k := 0; k < f.nt; k++ {
 		st := &stepState{k: k}
-		st.f32 = f.cfg.Precision == PrecisionF32
+		st.f32 = f.forceF32
 		if wholePanel {
 			st.rows = f.panelRows(k)
 		} else {
@@ -140,7 +140,7 @@ func (f *fact) submitPanelFactorStatic(st *stepState) {
 func (f *fact) scheduleHQR() {
 	for k := 0; k < f.nt; k++ {
 		st := &stepState{k: k}
-		st.f32 = f.cfg.Precision == PrecisionF32
+		st.f32 = f.forceF32
 		f.steps[k] = st
 		f.report.Decisions[k] = false
 		f.submitQRStep(st)

@@ -71,10 +71,10 @@ type stepState struct {
 
 	decision bool // true = LU step
 	// f32 marks the step's kernels for the float32 path: set at schedule
-	// time under PrecisionF32, or by the decision task when PrecisionAuto
-	// finds the criterion margin comfortable. A panel excursion clears it
-	// (the whole step demotes); individual update-task demotions re-run at
-	// f64 without clearing it.
+	// time under PrecisionF32 (fact.forceF32), or by the decision task when
+	// PrecisionAuto finds the criterion margin comfortable. A panel
+	// excursion clears it (the whole step demotes); individual update-task
+	// demotions re-run at f64 without clearing it.
 	f32 bool
 	// preFactored marks that the diagonal tile already holds a QR
 	// factorization from an (A2)/(B2) trial, reusable by the QR step.
@@ -133,8 +133,10 @@ type fact struct {
 	// autoF32 licenses PrecisionAuto's float32 steps: max|A| over the
 	// original entries lies within float32's normal range with the
 	// ceiling's f32Headroom on both sides (f32Licensed). Outside it every
-	// step stays float64.
-	autoF32 bool
+	// step stays float64. forceF32 is PrecisionF32's schedule-time f32 mark:
+	// set unless max|A| lies below f32Floor; the upper side is left to the
+	// excursion scan, which demotes what grows past the ceiling.
+	autoF32, forceF32 bool
 	// res is the float32 tile-residency store, built for every run that is
 	// not f64-effective (nil otherwise). Float32 kernels run on its resident
 	// tile images through the run32 harness, and every float64 task
@@ -262,15 +264,17 @@ func (f *fact) excursion32(ms ...*mat.Matrix32) bool {
 // f32Headroom·max(1, max|A|).
 const f32Headroom = 1e8
 
+// f32Floor is the smallest max|A| float32 steps run on, f32Headroom·FLT_MIN
+// (≈1.2e-30): below it float32 rounds the operator to subnormals and
+// zeros, which no excursion flags, so even forced float32 runs float64.
+const f32Floor = f32Headroom * 0x1p-126
+
 // f32Licensed reports whether PrecisionAuto may run float32 steps on an
-// operator of largest magnitude maxA: f32Headroom·FLT_MIN ≤ maxA ≤
-// MaxFloat32/f32Headroom. Below, float32 rounds the operator to
-// subnormals and zeros, which no excursion flags; above, float32 leaves
-// less than the ceiling's headroom before overflow, and past MaxFloat32
-// every step demotes.
+// operator of largest magnitude maxA: f32Floor ≤ maxA ≤
+// MaxFloat32/f32Headroom. Above, float32 leaves less than the ceiling's
+// headroom before overflow, and past MaxFloat32 every step demotes.
 func f32Licensed(maxA float64) bool {
-	const minNormal32 = 0x1p-126
-	return maxA >= f32Headroom*minNormal32 && maxA <= math.MaxFloat32/f32Headroom
+	return maxA >= f32Floor && maxA <= math.MaxFloat32/f32Headroom
 }
 
 // f32Ceiling returns the bit pattern of the largest float32 at most bound

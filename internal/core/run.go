@@ -78,9 +78,10 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	})
 	normA, maxA0 := foldMax(norms), foldMax(maxes)
 	f.normA, f.report.N = normA, n
-	// The license reads the original entries: the identity pad's 1 would
+	// The licenses read the original entries: the identity pad's 1 would
 	// let a padded operator far below float32's range pass.
 	f.autoF32 = f32Licensed(maxA0)
+	f.forceF32 = c.Precision == PrecisionF32 && maxA0 >= f32Floor
 	if np > n {
 		// The identity block adds entries of 1.
 		maxA0 = math.Max(maxA0, 1)

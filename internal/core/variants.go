@@ -51,8 +51,10 @@ func (f *fact) scheduleVariantStep(k int) {
 		Priority: prioPanel(k),
 		Accesses: acc,
 		Run: func() {
-			st.decision = f.cfg.Criterion.Decide(f.criterionInput(st))
+			in := f.criterionInput(st)
+			st.decision = f.cfg.Criterion.Decide(in)
 			f.report.Decisions[k] = st.decision
+			f.report.Margins[k] = in.Margin
 			if st.decision {
 				f.noteBreakdown(st.luErr)
 			}

@@ -14,7 +14,8 @@ import (
 var allVariants = []LUVariant{VarA2, VarB1, VarB2}
 
 // TestVariantsSolveAccurately: every §II-C variant must produce accurate
-// solutions across criteria outcomes (all-LU, all-QR, mixed).
+// solutions across criteria outcomes (all-LU, all-QR, mixed), and under the
+// Max criterion record a finite margin at every step, as (A1) does.
 func TestVariantsSolveAccurately(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	n := 96
@@ -29,6 +30,17 @@ func TestVariantsSolveAccurately(t *testing.T) {
 			if res.Report.HPL3 > 50 || math.IsNaN(res.Report.HPL3) {
 				t.Errorf("variant %v criterion %s: HPL3 = %g", v, crit.Name(), res.Report.HPL3)
 				continue
+			}
+			if _, isMax := crit.(criteria.Max); isMax {
+				r := res.Report
+				for k, m := range r.Margins {
+					if math.IsNaN(m) || math.IsInf(m, 0) {
+						t.Errorf("variant %v step %d: margin %g", v, k, m)
+					}
+				}
+				if math.IsNaN(r.MarginMin) || math.IsNaN(r.MarginMax) {
+					t.Errorf("variant %v: margin range [%g, %g]", v, r.MarginMin, r.MarginMax)
+				}
 			}
 			for i := range xTrue {
 				if math.Abs(res.X[i]-xTrue[i]) > 1e-6*(1+math.Abs(xTrue[i])) {

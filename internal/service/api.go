@@ -55,22 +55,19 @@ type ConfigSpec struct {
 	Precision string `json:"precision,omitempty"`
 }
 
-// SubmitRequest is the body of POST /v1/jobs. RHS is optional: jobs
-// factor and solve against it (default: the all-ones vector), and the
-// factorization lands in the cache either way.
-type SubmitRequest struct {
-	Matrix MatrixSpec `json:"matrix"`
-	Config ConfigSpec `json:"config"`
-	RHS    []float64  `json:"rhs,omitempty"`
-}
-
 // SolveRequest is the body of POST /v1/solve: solve A·x = rhs, reusing the
-// cached factorization of A when one exists.
+// cached factorization of A when one exists. RHS is optional (default: the
+// all-ones vector).
 type SolveRequest struct {
 	Matrix MatrixSpec `json:"matrix"`
 	Config ConfigSpec `json:"config"`
 	RHS    []float64  `json:"rhs,omitempty"`
 }
+
+// SubmitRequest is the body of POST /v1/jobs, which has a solve's shape:
+// the job factors and solves against RHS, and the factorization lands in
+// the cache either way.
+type SubmitRequest = SolveRequest
 
 // parsedRequest is a validated request: the operator's spec, the
 // right-hand side, the resolved core.Config, and the cache key its

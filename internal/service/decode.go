@@ -1,0 +1,318 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"strconv"
+	"sync"
+)
+
+// bodyPool holds request-body buffers between requests, so a stream of
+// explicit-data requests reads into memory the process already has instead
+// of growing a fresh buffer per request.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readRequest reads body, already size-limited, into a pooled buffer and
+// decodes it. Nothing it returns aliases the buffer.
+func readRequest(body io.Reader) (SolveRequest, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return SolveRequest{}, err
+	}
+	return decodeRequest(buf.Bytes())
+}
+
+// decodeRequest decodes a request body exactly as
+// json.NewDecoder(bytes.NewReader(b)).Decode into a zero SolveRequest does:
+// the same bodies succeed, with the same values, and the same ones fail,
+// with the same errors. A canonical body takes decodeCanonical's single
+// pass; any other is handed to encoding/json from the start.
+func decodeRequest(b []byte) (SolveRequest, error) {
+	if req, ok := decodeCanonical(b); ok {
+		return req, nil
+	}
+	var req SolveRequest
+	err := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
+	return req, err
+}
+
+// decodeCanonical decodes b in one pass when it is a canonical request:
+// one JSON object holding only the request's own keys, each at most once
+// and spelled exactly as its tag; strings of plain ASCII without escapes;
+// numbers in the strict JSON grammar. Each number converts through
+// strconv.ParseFloat or ParseInt exactly as encoding/json converts it, and
+// null leaves a field at its zero value, as it does from a zero value
+// there. ok is false on the first byte outside that subset, or on a value
+// encoding/json would refuse (a number out of range, an integer written
+// with a fraction); the caller then decodes b with encoding/json. Under
+// these restrictions encoding/json's case-folded key matching, object
+// merging, escape and UTF-8 handling never come into play, which is why the
+// two decoders cannot disagree.
+func decodeCanonical(b []byte) (req SolveRequest, ok bool) {
+	d := decoder{b: b}
+	m, c := &req.Matrix, &req.Config
+	ok = d.object(map[string]func() bool{
+		"matrix": func() bool {
+			return d.object(map[string]func() bool{
+				"n":    func() bool { return d.setInt(&m.N) },
+				"gen":  func() bool { return d.setString(&m.Gen) },
+				"seed": func() bool { return d.setInt64(&m.Seed) },
+				"data": func() bool { return d.setFloats(&m.Data, d.entries(m.N, m.N)) },
+			})
+		},
+		"config": func() bool {
+			return d.object(map[string]func() bool{
+				"alg":       func() bool { return d.setString(&c.Alg) },
+				"nb":        func() bool { return d.setInt(&c.NB) },
+				"ib":        func() bool { return d.setInt(&c.IB) },
+				"p":         func() bool { return d.setInt(&c.P) },
+				"q":         func() bool { return d.setInt(&c.Q) },
+				"criterion": func() bool { return d.setString(&c.Criterion) },
+				"alpha":     func() bool { return d.setFloatPtr(&c.Alpha) },
+				"variant":   func() bool { return d.setString(&c.Variant) },
+				"workers":   func() bool { return d.setInt(&c.Workers) },
+				"seed":      func() bool { return d.setInt64(&c.Seed) },
+				"precision": func() bool { return d.setString(&c.Precision) },
+			})
+		},
+		"rhs": func() bool { return d.setFloats(&req.RHS, d.entries(m.N, 1)) },
+	})
+	d.space()
+	return req, ok && d.i == len(b)
+}
+
+// decoder is decodeCanonical's cursor over the body. Each method consumes
+// one token or value and reports whether it was in the canonical subset.
+type decoder struct {
+	b []byte
+	i int
+}
+
+// space skips JSON whitespace.
+func (d *decoder) space() {
+	for d.i < len(d.b) {
+		switch d.b[d.i] {
+		case ' ', '\t', '\n', '\r':
+			d.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, reporting whether c was there.
+func (d *decoder) consume(c byte) bool {
+	d.space()
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// null consumes the literal null if it comes next.
+func (d *decoder) null() bool {
+	d.space()
+	if bytes.HasPrefix(d.b[d.i:], []byte("null")) {
+		d.i += len("null")
+		return true
+	}
+	return false
+}
+
+// object decodes an object whose keys all name fields, each at most once:
+// a key's function decodes its value, and is dropped once used. null is
+// the zero value.
+func (d *decoder) object(fields map[string]func() bool) bool {
+	if d.null() {
+		return true
+	}
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	for {
+		key, ok := d.scanString()
+		if !ok || !d.consume(':') {
+			return false
+		}
+		field, ok := fields[string(key)]
+		if !ok || !field() {
+			return false
+		}
+		delete(fields, string(key))
+		if d.consume('}') {
+			return true
+		}
+		if !d.consume(',') {
+			return false
+		}
+	}
+}
+
+// scanString scans a string of ASCII without control characters or escapes
+// and returns its contents, which alias the body.
+func (d *decoder) scanString() ([]byte, bool) {
+	if !d.consume('"') {
+		return nil, false
+	}
+	for j := d.i; j < len(d.b); j++ {
+		switch c := d.b[j]; {
+		case c == '"':
+			s := d.b[d.i:j]
+			d.i = j + 1
+			return s, true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// setString decodes a string field into a copy that does not alias the
+// body.
+func (d *decoder) setString(v *string) bool {
+	if d.null() {
+		return true
+	}
+	s, ok := d.scanString()
+	*v = string(s)
+	return ok
+}
+
+// scanNumber scans one number in the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+// What follows it is left to the caller's next token, so "01" scans as 0
+// and then fails on the 1.
+func (d *decoder) scanNumber() ([]byte, bool) {
+	d.space()
+	b, i := d.b, d.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if i = digits(b, i); i < 0 {
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); i < 0 {
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i = digits(b, i); i < 0 {
+			return nil, false
+		}
+	}
+	num := b[d.i:i]
+	d.i = i
+	return num, true
+}
+
+// digits returns the index past the run of decimal digits at b[i:], or -1
+// when there is none.
+func digits(b []byte, i int) int {
+	j := i
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	if j == i {
+		return -1
+	}
+	return j
+}
+
+// setInt64 decodes an integer field as encoding/json does, with
+// strconv.ParseInt; a fraction or exponent (1.0, 1e2) fails there.
+func (d *decoder) setInt64(v *int64) bool {
+	if d.null() {
+		return true
+	}
+	num, ok := d.scanNumber()
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseInt(string(num), 10, 64)
+	*v = n
+	return err == nil
+}
+
+// setInt decodes an int field, refusing values int does not hold.
+func (d *decoder) setInt(v *int) bool {
+	var n int64
+	ok := d.setInt64(&n)
+	*v = int(n)
+	return ok && int64(*v) == n
+}
+
+// float decodes one number as encoding/json decodes a float64, with
+// strconv.ParseFloat; a value out of float64's range fails there.
+func (d *decoder) float() (float64, bool) {
+	num, ok := d.scanNumber()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	return f, err == nil
+}
+
+// setFloatPtr decodes a *float64 field: null is nil.
+func (d *decoder) setFloatPtr(v **float64) bool {
+	if d.null() {
+		return true
+	}
+	f, ok := d.float()
+	*v = &f
+	return ok
+}
+
+// setFloats decodes a []float64 field into a slice of capacity want: null is
+// nil and [] is empty but not nil, as in encoding/json.
+func (d *decoder) setFloats(v *[]float64, want int) bool {
+	if d.null() {
+		return true
+	}
+	if !d.consume('[') {
+		return false
+	}
+	s := make([]float64, 0, want)
+	if !d.consume(']') {
+		for {
+			f, ok := d.float()
+			if !ok {
+				return false
+			}
+			s = append(s, f)
+			if d.consume(']') {
+				break
+			}
+			if !d.consume(',') {
+				return false
+			}
+		}
+	}
+	*v = s
+	return true
+}
+
+// entries returns rows·cols, the length a float array of the request is
+// expected to have, when the rest of the body can hold that many numbers
+// (each takes at least two bytes, one and a comma), and 0 otherwise: a
+// request cannot make the decoder reserve more than its body justifies.
+func (d *decoder) entries(rows, cols int) int {
+	room := (len(d.b) - d.i + 1) / 2
+	if rows <= 0 || cols <= 0 || rows > room/cols {
+		return 0
+	}
+	return rows * cols
+}

@@ -174,9 +174,11 @@ type ReportView struct {
 	RefineIters int     `json:"refine_iters,omitempty"`
 	// MarginMin/MarginMax summarize the criterion decision margins over the
 	// run's steps (present when at least one step had a finite margin).
-	MarginMin float64 `json:"margin_min,omitempty"`
-	MarginMax float64 `json:"margin_max,omitempty"`
-	WallMS    float64 `json:"wall_ms"`
+	// Pointers, because a range that starts at 0 (the Max criterion's last
+	// step, with nothing below the diagonal) is a value to report.
+	MarginMin *float64 `json:"margin_min,omitempty"`
+	MarginMax *float64 `json:"margin_max,omitempty"`
+	WallMS    float64  `json:"wall_ms"`
 }
 
 // JobView is the JSON shape of GET /v1/jobs/{id}. CacheKey is the full
@@ -247,7 +249,8 @@ func newReportView(r *core.Report, req *parsedRequest) *ReportView {
 	if !math.IsNaN(r.MarginMin) {
 		// NaN (no step had a finite margin) cannot be marshaled; the pair
 		// is always set together.
-		rv.MarginMin, rv.MarginMax = r.MarginMin, r.MarginMax
+		lo, hi := r.MarginMin, r.MarginMax
+		rv.MarginMin, rv.MarginMax = &lo, &hi
 	}
 	rv.Decisions = make([]string, len(r.Decisions))
 	for k, lu := range r.Decisions {

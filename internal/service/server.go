@@ -42,33 +42,34 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as compact JSON: the indent pass cost more than
+// encoding a solve's reply.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// decodeBody reads a size-limited JSON body into v, mapping an oversized
-// body to 413 and malformed JSON to 400. Reports whether decoding succeeded;
-// on failure the response has been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// request reads and decodes the size-limited body of a submission or a
+// solve, mapping an oversized body to 413 and malformed JSON to 400.
+// Reports whether decoding succeeded; on failure the response has been
+// written.
+func (s *Server) request(w http.ResponseWriter, r *http.Request) (SolveRequest, bool) {
+	req, err := readRequest(http.MaxBytesReader(w, r.Body, s.maxBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, err)
 		} else {
 			writeError(w, http.StatusBadRequest, err)
 		}
-		return false
+		return req, false
 	}
-	return true
+	return req, true
 }
 
 // submitResponse is the body of a 202 from POST /v1/jobs.
@@ -79,8 +80,8 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.request(w, r)
+	if !ok {
 		return
 	}
 	p, err := parse(req.Matrix, req.Config, req.RHS, s.m.Options())
@@ -136,8 +137,8 @@ type solveResponse struct {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.request(w, r)
+	if !ok {
 		return
 	}
 	p, err := parse(req.Matrix, req.Config, req.RHS, s.m.Options())

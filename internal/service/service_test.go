@@ -477,6 +477,26 @@ func TestDigestKey(t *testing.T) {
 	if q1.key == q2.key {
 		t.Fatal("matrices differing in one bit share a cache key")
 	}
+
+	// The key bytes name every stored factorization, so they must not move:
+	// these digests were computed before the data hashing was chunked. The
+	// data operator's 2025 entries end in a partial 4 KiB chunk, and -0 and
+	// a subnormal hash by their bits.
+	if want := "34dba41d97d7c48097404e7aafd80cd98d18540aa0a92075b0d7968649b40573"; p1.key != want {
+		t.Errorf("gen key %s, want %s", p1.key, want)
+	}
+	d := make([]float64, 45*45)
+	for i := range d {
+		d[i] = float64(i%7) + 1
+	}
+	d[0], d[1] = math.Copysign(0, -1), 1e-310
+	q3, err := parse(MatrixSpec{N: 45, Data: d}, ConfigSpec{NB: 15}, nil, Options{MaxN: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ab7eabd0b842fca90584251c47491c7bd3d76310e8297a7634d847dc5501400d"; q3.key != want {
+		t.Errorf("data key %s, want %s", q3.key, want)
+	}
 }
 
 func TestCacheLRUEvictsOnlyCompleted(t *testing.T) {
@@ -561,10 +581,11 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
-// FuzzParse: whatever the body, the request parser with no tuner either
-// rejects it or yields a request inside the service limits (N ≤ MaxN, nb
-// dividing N, workers within core.MaxWorkers) whose digest a second parse
-// reproduces. Seeds are a valid body and TestHTTPValidation's invalid ones.
+// FuzzParse: whatever the body, the served decoder and the request parser
+// with no tuner either reject it or yield a request inside the service
+// limits (N ≤ MaxN, nb dividing N, workers within core.MaxWorkers) whose
+// digest a second parse reproduces. Seeds are a valid body and
+// TestHTTPValidation's invalid ones.
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"n":160,"gen":"random","seed":3},"config":{"alg":"luqr","nb":40,"p":2,"q":2,"alpha":0,"workers":2,"precision":"auto"},"rhs":null}`))
 	f.Add([]byte(`{"matrix":{"n":2,"data":[4,1,1,3]},"config":{"nb":1,"criterion":"sum","variant":"b2"},"rhs":[1,2]}`))
@@ -577,8 +598,8 @@ func FuzzParse(f *testing.F) {
 	}
 	opts := Options{MaxN: 512}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req SubmitRequest
-		if json.Unmarshal(data, &req) != nil {
+		req, err := decodeRequest(data)
+		if err != nil {
 			return
 		}
 		p, err := parse(req.Matrix, req.Config, req.RHS, opts)
@@ -594,4 +615,39 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("second parse: key %s vs %s, err %v", again.key, p.key, err)
 		}
 	})
+}
+
+// TestVariantJobViewCarriesMargins: a Max-criterion job of every LU-step
+// variant reports its criterion margins' range, including a minimum of 0
+// (the last step's, with nothing below the diagonal).
+func TestVariantJobViewCarriesMargins(t *testing.T) {
+	m := mustManager(t, Options{QueueSize: 4, Concurrency: 1})
+	defer m.Drain(context.Background())
+	for _, variant := range []string{"a1", "a2", "b1", "b2"} {
+		p := mustParse(t, MatrixSpec{N: 160, Gen: "random", Seed: 5}, ConfigSpec{NB: 40, Criterion: "max", Variant: variant})
+		j, err := m.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.done
+		if err := j.Err(); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(j.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v struct {
+			Report map[string]any `json:"report"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := v.Report["margin_min"]; !ok {
+			t.Errorf("variant %s: job view has no margin_min: %s", variant, body)
+		}
+		if _, ok := v.Report["margin_max"]; !ok {
+			t.Errorf("variant %s: job view has no margin_max: %s", variant, body)
+		}
+	}
 }
