@@ -218,3 +218,40 @@ func TestParseVariant(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
+
+// TestWilkinsonDecisionsIndependentOfIB: every tile below the diagonal of
+// the Wilkinson operator is all −1, so it has rank one, and after a QR step
+// the columns past the first hold only rounding noise. The QR leaves treat
+// such columns as annihilated, so the trailing matrix, and with it each
+// step's LU/QR decision under (A1) and (B1), is a function of the data: it
+// must not change with the inner block size or the worker count.
+func TestWilkinsonDecisionsIndependentOfIB(t *testing.T) {
+	for _, v := range []LUVariant{VarA1, VarB1} {
+		for _, size := range [][2]int{{192, 32}, {500, 64}} {
+			n, nb := size[0], size[1]
+			a := matgen.Wilkinson(n)
+			b := matgen.RandomVector(n, rand.New(rand.NewSource(int64(n)+1)))
+			for _, grid := range []int{1, 2} {
+				want := ""
+				for _, ib := range []int{8, 16, 24, 31, 32, 33} {
+					for _, workers := range []int{1, 2} {
+						res := runOn(t, a, b, Config{
+							Alg: LUQR, Variant: v, NB: nb, IB: ib, Workers: workers,
+							Grid: tile.NewGrid(grid, grid), Criterion: criteria.Max{Alpha: 100},
+						})
+						got := ""
+						for _, lu := range res.Report.Decisions {
+							got += map[bool]string{true: "L", false: "Q"}[lu]
+						}
+						if want == "" {
+							want = got
+						} else if got != want {
+							t.Errorf("%v N=%d nb=%d grid %dx%d ib=%d workers=%d: decisions %s, want %s (ib=8, 1 worker)",
+								v, n, nb, grid, grid, ib, workers, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

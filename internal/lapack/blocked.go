@@ -1,6 +1,9 @@
 package lapack
 
 import (
+	"math"
+	"unsafe"
+
 	"luqr/internal/blas"
 	"luqr/internal/mat"
 )
@@ -77,4 +80,69 @@ func scatterColumns[T mat.Float](a *mat.Dense[T], cm []T, ld int, off int) {
 			row[j] = cm[j*ld+i]
 		}
 	}
+}
+
+// The leaves treat a column as already annihilated when the part x below
+// its diagonal has ‖x‖₂ ≤ 16·m·u·ref, where m is the stacked height of the
+// tile kernel, u the unit roundoff and ref the largest magnitude in the
+// column when the tile kernel started (absMaxColumns). Such an x is
+// rounding noise left by the reflectors before it: a rank-deficient tile
+// leaves one in every column past its rank. Reflecting it would make the
+// later reflectors, and every product with Q, depend on that noise, so the
+// leaf zeroes it and takes H = I (larfgRank). What it drops is at most
+// O(u·‖A‖), so the factorization stays backward stable. The reference does
+// not depend on the inner block size, so neither does the test.
+
+// absMaxColumns raises ref[j] to the largest magnitude among the entries
+// (i, j) of a with i ≤ off+j, the trapezoid gatherColumns copies. It
+// compares magnitudes as their bit patterns, which order non-negative
+// floats as they order by value, at about half a float compare's cost; a
+// NaN raises ref[j] to a NaN, which turns the column's test off.
+func absMaxColumns[T mat.Float](ref []T, a *mat.Dense[T], off int) {
+	var z T
+	if unsafe.Sizeof(z) == 4 {
+		absMaxBits(bitsOf[T, uint32](ref), bitsOf[T, uint32](a.Data), a.Rows, a.Cols, a.Stride, off)
+		return
+	}
+	absMaxBits(bitsOf[T, uint64](ref), bitsOf[T, uint64](a.Data), a.Rows, a.Cols, a.Stride, off)
+}
+
+func absMaxBits[U uint32 | uint64](ref, data []U, rows, cols, stride, off int) {
+	sign := ^(^U(0) >> 1)
+	for i := 0; i < rows; i++ {
+		lo := max(0, i-off)
+		if lo >= cols {
+			break
+		}
+		r := ref[lo:cols]
+		for j, x := range data[i*stride+lo : i*stride+cols] {
+			if v := x &^ sign; v > r[j] {
+				r[j] = v
+			}
+		}
+	}
+}
+
+// bitsOf views a float slice as the unsigned integers of its bits; U must
+// have T's size.
+func bitsOf[T mat.Float, U uint32 | uint64](x []T) []U {
+	return unsafe.Slice((*U)(unsafe.Pointer(unsafe.SliceData(x))), len(x))
+}
+
+// rankTol returns the rank test's factor 16·m·u for stacked height m.
+func rankTol[T mat.Float](m int) float64 {
+	var z T
+	if unsafe.Sizeof(z) == 4 {
+		return 16 * float64(m) * 0x1p-24
+	}
+	return 16 * float64(m) * 0x1p-53
+}
+
+// rankThr returns the rank test's threshold on ‖x‖₂ for a column of
+// reference ref, or 0 (no test) when ref is not finite.
+func rankThr[T mat.Float](tol float64, ref T) float64 {
+	if thr := tol * float64(ref); thr <= math.MaxFloat64 {
+		return thr
+	}
+	return 0
 }

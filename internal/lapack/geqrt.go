@@ -36,15 +36,16 @@ func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 	if ib <= 0 {
 		ib = PanelIB()
 	}
-	if n <= ib {
-		geqrtUnblocked(a, t)
-		return
-	}
+	rbuf := mat.GetBuf[T](n)
+	ref := rbuf.Data[:n]
+	clear(ref)
+	absMaxColumns(ref, a, m)
+	tol := rankTol[T](m)
 	for j0 := 0; j0 < n; j0 += ib {
 		bs := min(ib, n-j0)
 		v := a.View(j0, j0, m-j0, bs)
 		tb := t.View(j0, j0, bs, bs)
-		geqrtUnblocked(v, tb)
+		geqrtUnblocked(v, tb, ref[j0:], tol)
 		// Trailing update: the strip's reflectors were generated first-to-
 		// last, so the trailing columns receive Qᵀ = I − V·Tᵀ·Vᵀ — exactly
 		// Unmqr with trans, through the packed TRMM/GEMM path.
@@ -55,6 +56,7 @@ func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 			mergeGeqrtT(a, t, j0, bs)
 		}
 	}
+	mat.PutBuf(rbuf)
 }
 
 // mergeGeqrtT joins the [j0,j0+bs) strip's T block into the full factor:
@@ -91,9 +93,10 @@ func mergeGeqrtT[T mat.Float](a, t *mat.Dense[T], j0, bs int) {
 
 // geqrtUnblocked is the column-by-column Householder QR leaf on a column-
 // major copy of the m×bs strip a (t at least bs×bs, leading block
-// written): per column, Larfg, the reflector applied to the columns on its
-// right, and the T column.
-func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T]) {
+// written): per column, Larfg with the rank test (reference ref[j], factor
+// tol), the reflector applied to the columns on its right, and the T
+// column.
+func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T], ref []T, tol float64) {
 	m, n := a.Rows, a.Cols
 	buf := mat.GetBuf[T](m*n + n)
 	defer mat.PutBuf(buf)
@@ -102,7 +105,7 @@ func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T]) {
 	for j := 0; j < n; j++ {
 		// Generate the reflector annihilating column j below row j.
 		cj := cm[j*m:][:m]
-		beta, tau := Larfg(cj[j], cj[j+1:])
+		beta, tau := larfgRank(cj[j], cj[j+1:], rankThr(tol, ref[j]))
 		cj[j] = beta
 		v := cj[j+1:]
 		// Apply H = I − tau·[1; v]·[1; v]ᵀ to rows j..m of the columns on

@@ -21,11 +21,23 @@ import (
 // where underflow may have eaten its digits, or alpha² + xᵀx overflowing —
 // takes larfgScaled. Every other column, and every column holding an Inf
 // or a NaN, gets the unscaled formula's bits.
-func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) {
+func Larfg[T mat.Float](alpha T, x []T) (beta, tau T) { return larfgRank(alpha, x, 0) }
+
+// larfgRank is Larfg with the QR leaves' rank test: a column whose ‖x‖₂ is
+// at most thr > 0 counts as already annihilated, so x is zeroed and H = I
+// (beta = alpha, tau = 0), as dlarfg does for an exactly zero x. The test
+// reuses Larfg's xᵀx, compared where it holds no under- or overflow: on
+// the unscaled path as it is, on the scaled path in the scaled units. An
+// x holding an Inf or a NaN never passes it.
+func larfgRank[T mat.Float](alpha T, x []T, thr float64) (beta, tau T) {
 	sigma := blas.Dot(x, x)
 	lo, hi := larfgSafe[T]()
 	if float64(sigma) < lo || float64(alpha*alpha+sigma) > hi {
-		return larfgScaled(alpha, x)
+		return larfgScaled(alpha, x, thr)
+	}
+	if math.Sqrt(float64(sigma)) <= thr {
+		clear(x)
+		return alpha, 0
 	}
 	return larfgFormula(alpha, sigma, x)
 }
@@ -68,8 +80,9 @@ func larfgFormula[T mat.Float](alpha, sigma T, x []T) (beta, tau T) {
 // u·|beta| and cannot move it. This is what LAPACK's dnrm2/dlapy2 scaling
 // and dlarfg's rescale loop achieve, and it also covers a |beta| past half
 // of T's range, where dlarfg's 1/(alpha−beta) overflows. A column holding
-// an Inf or a NaN keeps scale 1.
-func larfgScaled[T mat.Float](alpha T, x []T) (beta, tau T) {
+// an Inf or a NaN keeps scale 1. The rank test compares ‖x‖₂ with thr in
+// the scaled units, where xᵀx neither under- nor overflows.
+func larfgScaled[T mat.Float](alpha T, x []T, thr float64) (beta, tau T) {
 	amax := math.Abs(float64(alpha))
 	for _, v := range x {
 		amax = math.Max(amax, math.Abs(float64(v)))
@@ -78,8 +91,12 @@ func larfgScaled[T mat.Float](alpha T, x []T) (beta, tau T) {
 	for i, v := range x {
 		x[i] = T(math.Ldexp(float64(v), -e))
 	}
-	alpha = T(math.Ldexp(float64(alpha), -e))
-	beta, tau = larfgFormula(alpha, blas.Dot(x, x), x)
+	sigma := blas.Dot(x, x)
+	if thr > 0 && math.Sqrt(float64(sigma)) <= math.Ldexp(thr, -e) {
+		clear(x)
+		return alpha, 0
+	}
+	beta, tau = larfgFormula(T(math.Ldexp(float64(alpha), -e)), sigma, x)
 	return T(math.Ldexp(float64(beta), e)), tau
 }
 

@@ -256,3 +256,61 @@ func encodeLarfgInput(f32 bool, col []float64) []byte {
 	}
 	return data
 }
+
+// TestLarfgRankTest pins the QR leaves' rank test at both precisions, on
+// unscaled columns and on columns at larfgScales: a threshold below ‖x‖₂
+// leaves Larfg's beta, tau and v bit for bit; one at or above it zeroes x
+// and returns beta = alpha, tau = 0; and an x holding an Inf or a NaN
+// never passes it, whatever the threshold.
+func TestLarfgRankTest(t *testing.T) {
+	t.Run("float64", testLarfgRankTest[float64])
+	t.Run("float32", testLarfgRankTest[float32])
+}
+
+func testLarfgRankTest[T mat.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	same := func(a, b T) bool {
+		return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) || (a != a && b != b)
+	}
+	for _, s := range append([]float64{1}, larfgScales[T]()...) {
+		for _, n := range []int{1, 7, 40, 192} {
+			alpha := T(s * rng.NormFloat64())
+			x := make([]T, n)
+			for i := range x {
+				x[i] = T(s * rng.NormFloat64())
+			}
+			norm := 0.0
+			for _, v := range x {
+				norm = math.Hypot(norm, float64(v))
+			}
+			got, want := append([]T(nil), x...), append([]T(nil), x...)
+			gb, gt := larfgRank(alpha, got, 0.5*norm)
+			wb, wt := Larfg(alpha, want)
+			if !same(gb, wb) || !same(gt, wt) {
+				t.Fatalf("scale %g n=%d: below the threshold beta, tau = %g, %g; Larfg gives %g, %g", s, n, gb, gt, wb, wt)
+			}
+			for i := range got {
+				if !same(got[i], want[i]) {
+					t.Fatalf("scale %g n=%d: v[%d] = %g, Larfg gives %g", s, n, i, got[i], want[i])
+				}
+			}
+			got = append(got[:0], x...)
+			gb, gt = larfgRank(alpha, got, 2*norm)
+			if gb != alpha || gt != 0 {
+				t.Fatalf("scale %g n=%d: above the threshold beta, tau = %g, %g, want %g, 0", s, n, gb, gt, alpha)
+			}
+			for i, v := range got {
+				if v != 0 {
+					t.Fatalf("scale %g n=%d: above the threshold v[%d] = %g, want 0", s, n, i, v)
+				}
+			}
+			for _, bad := range []T{T(math.Inf(1)), T(math.NaN())} {
+				got = append(got[:0], x...)
+				got[rng.Intn(n)] = bad
+				if _, gt = larfgRank(alpha, got, math.MaxFloat64); gt == 0 {
+					t.Fatalf("scale %g n=%d: x holding %g passed the rank test", s, n, bad)
+				}
+			}
+		}
+	}
+}

@@ -437,3 +437,60 @@ func TestGeconEst(t *testing.T) {
 		t.Fatalf("hilbert rcond = %g, expected ≪ 1e-10", rc)
 	}
 }
+
+// TestQRLeavesDropRoundingColumns factors rank-one stacks, whose columns
+// past the first hold only rounding noise once the first reflector has
+// run: an all −1 tile (GEQRT, the Wilkinson operator's sub-diagonal
+// tiles), a triangle with one nonzero row on an all −1 tile (TSQRT) and two
+// such triangles (TTQRT). At every inner block size and both precisions
+// the leaves must take H = I for those columns: T's diagonal is zero past
+// its first entry and so are the stored Householder vectors.
+func TestQRLeavesDropRoundingColumns(t *testing.T) {
+	t.Run("float64", testQRLeavesDropRoundingColumns[float64])
+	t.Run("float32", testQRLeavesDropRoundingColumns[float32])
+}
+
+func testQRLeavesDropRoundingColumns[T mat.Float](t *testing.T) {
+	check := func(name string, n, ib int, tf, v *mat.Dense[T], vRows func(j int) (int, int)) {
+		t.Helper()
+		if tf.At(0, 0) == 0 {
+			t.Fatalf("%s n=%d ib=%d: the first reflector is the identity", name, n, ib)
+		}
+		for j := 1; j < n; j++ {
+			if tau := tf.At(j, j); tau != 0 {
+				t.Fatalf("%s n=%d ib=%d: tau[%d] = %g on a rank-one stack, want 0", name, n, ib, j, tau)
+			}
+			lo, hi := vRows(j)
+			for i := lo; i < hi; i++ {
+				if x := v.At(i, j); x != 0 {
+					t.Fatalf("%s n=%d ib=%d: v[%d][%d] = %g, want 0", name, n, ib, i, j, x)
+				}
+			}
+		}
+	}
+	row := func(n int, c T) *mat.Dense[T] {
+		r := roundTo[T](mat.New(n, n))
+		for j := 0; j < n; j++ {
+			r.Set(0, j, c)
+		}
+		return r
+	}
+	for _, n := range []int{7, 32, 64, 100} {
+		for _, ib := range []int{4, 8, 16, 31, 32, 33} {
+			a := roundTo[T](mat.New(n, n))
+			a.Fill(-1)
+			tf := roundTo[T](mat.New(n, n))
+			GeqrtIB(a, tf, ib)
+			check("GEQRT", n, ib, tf, a, func(j int) (int, int) { return j + 1, n })
+
+			r := row(n, 3)
+			a.Fill(-1)
+			TsqrtIB(r, a, tf, ib)
+			check("TSQRT", n, ib, tf, a, func(int) (int, int) { return 0, n })
+
+			r, r2 := row(n, 3), row(n, -1)
+			TtqrtIB(r, r2, tf, ib)
+			check("TTQRT", n, ib, tf, r2, func(j int) (int, int) { return 0, j + 1 })
+		}
+	}
+}

@@ -43,15 +43,17 @@ func TsqrtIB[T mat.Float](r, a, t *mat.Dense[T], ib int) {
 	if ib <= 0 {
 		ib = PanelIB()
 	}
-	if n <= ib {
-		tsqrtUnblocked(r, a, t)
-		return
-	}
+	rbuf := mat.GetBuf[T](n)
+	ref := rbuf.Data[:n]
+	clear(ref)
+	absMaxColumns(ref, r, 0)
+	absMaxColumns(ref, a, m)
+	tol := rankTol[T](n + m)
 	for j0 := 0; j0 < n; j0 += ib {
 		bs := min(ib, n-j0)
 		v2 := a.View(0, j0, m, bs)
 		tb := t.View(j0, j0, bs, bs)
-		tsqrtUnblocked(r.View(j0, j0, bs, bs), v2, tb)
+		tsqrtUnblocked(r.View(j0, j0, bs, bs), v2, tb, ref[j0:], tol)
 		// Trailing update with the strip's reflector, first-to-last order
 		// ⇒ apply Qᵀ: rows j0..j0+bs of R are the C1 block, all of A's
 		// trailing columns the C2 block.
@@ -67,12 +69,13 @@ func TsqrtIB[T mat.Float](r, a, t *mat.Dense[T], ib int) {
 			mat.PutBuf(ybuf)
 		}
 	}
+	mat.PutBuf(rbuf)
 }
 
 // tsqrtUnblocked is the column-by-column TS leaf on an (bs + m)-row
 // stacked panel: r is bs×bs upper triangular, a is m×bs and is factored as
-// a column-major copy.
-func tsqrtUnblocked[T mat.Float](r, a, t *mat.Dense[T]) {
+// a column-major copy, with geqrtUnblocked's rank test.
+func tsqrtUnblocked[T mat.Float](r, a, t *mat.Dense[T], ref []T, tol float64) {
 	n := r.Cols
 	m := a.Rows
 	buf := mat.GetBuf[T](m*n + n)
@@ -84,7 +87,7 @@ func tsqrtUnblocked[T mat.Float](r, a, t *mat.Dense[T]) {
 		// structurally zero in the stacked panel, so the vector part lives
 		// entirely in A's column j.
 		v := cm[j*m:][:m]
-		beta, tau := Larfg(r.At(j, j), v)
+		beta, tau := larfgRank(r.At(j, j), v, rankThr(tol, ref[j]))
 		r.Set(j, j, beta)
 		// Apply H to the trailing stacked columns: row j of R, all of A.
 		rrow := r.Row(j)

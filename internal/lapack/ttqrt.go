@@ -40,17 +40,19 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 	if ib <= 0 {
 		ib = PanelIB()
 	}
-	if n <= ib {
-		ttqrtUnblocked(r1, r2.View(0, 0, n, n), t, 0)
-		return
-	}
+	rbuf := mat.GetBuf[T](n)
+	ref := rbuf.Data[:n]
+	clear(ref)
+	absMaxColumns(ref, r1, 0)
+	absMaxColumns(ref, r2, 0)
+	tol := rankTol[T](2 * n)
 	for j0 := 0; j0 < n; j0 += ib {
 		bs := min(ib, n-j0)
 		rest := n - j0 - bs
 		tb := t.View(j0, j0, bs, bs)
 		// The strip's V2 is r2[0:j0+bs, j0:j0+bs): a dense j0×bs block D on
 		// top of a bs×bs upper triangle.
-		ttqrtUnblocked(r1.View(j0, j0, bs, bs), r2.View(0, j0, j0+bs, bs), tb, j0)
+		ttqrtUnblocked(r1.View(j0, j0, bs, bs), r2.View(0, j0, j0+bs, bs), tb, j0, ref[j0:], tol)
 		if rest > 0 {
 			ttqrtApply(r1, r2, tb, j0, bs, rest)
 		}
@@ -65,6 +67,7 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 			mat.PutBuf(ybuf)
 		}
 	}
+	mat.PutBuf(rbuf)
 }
 
 // ttqrtApply pushes the [j0,j0+bs) strip's block reflector (Qᵀ, matching
@@ -103,8 +106,8 @@ func ttqrtApply[T mat.Float](r1, r2, tb *mat.Dense[T], j0, bs, rest int) {
 // off, triangular within the diagonal block). off == 0 recovers the
 // classical square case. The leaf factors a column-major copy of the
 // trapezoid alone, so r2's strictly lower storage is neither read nor
-// written.
-func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
+// written. It makes geqrtUnblocked's rank test.
+func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int, ref []T, tol float64) {
 	n := r1.Cols
 	ld := off + n
 	buf := mat.GetBuf[T](ld*n + n)
@@ -115,7 +118,7 @@ func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int) {
 		// Column j of the stacked panel has nonzeros at R1[j,j] and
 		// R2[0..off+j, j] only.
 		v := cm[j*ld:][:off+j+1]
-		beta, tau := Larfg(r1.At(j, j), v)
+		beta, tau := larfgRank(r1.At(j, j), v, rankThr(tol, ref[j]))
 		r1.Set(j, j, beta)
 		// Apply H to the trailing columns: row j of R1, rows 0..off+j of R2.
 		r1row := r1.Row(j)
