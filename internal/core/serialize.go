@@ -43,11 +43,15 @@ import (
 // factEncodingVersion is bumped whenever the payload layout — or the replay
 // semantics it feeds — changes incompatibly. v2 added the mixed-precision
 // state (precision mode, per-step f32 flags, criterion margins, and the
-// retained original matrix that feeds refinement residuals). v1 streams are
-// still readable: gob matches payload fields by name, so the new fields
-// decode to their zero values, which is exactly the pure-f64 meaning every
-// v1 factorization had. Decoding any version newer than this build fails.
-const factEncodingVersion = 2
+// retained original matrix that feeds refinement residuals). v3 stores
+// Y = V₁·Tᵀ in the strictly lower triangle of every GEQRT T factor, which
+// the replay's Unmqr reads; v1 and v2 left it zero. Older streams are still
+// readable: gob matches payload fields by name, so the v2 fields decode to
+// their zero values, which is exactly the pure-f64 meaning every v1
+// factorization had, and decoding a v1 or v2 stream forms Y with
+// lapack.FormY, as GEQRT does. Decoding any version newer than this build
+// fails.
+const factEncodingVersion = 3
 
 var factMagic = [8]byte{'L', 'U', 'Q', 'R', 'F', 'A', 'C', 'T'}
 
@@ -359,8 +363,9 @@ func DecodeFactorization(data []byte) (*Result, error) {
 	if !bytes.Equal(data[:8], factMagic[:]) {
 		return nil, fmt.Errorf("core: not a factorization stream (bad magic)")
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v < 1 || v > factEncodingVersion {
-		return nil, fmt.Errorf("core: factorization version skew: stream v%d, this build reads v1–v%d", v, factEncodingVersion)
+	version := binary.LittleEndian.Uint32(data[8:12])
+	if version < 1 || version > factEncodingVersion {
+		return nil, fmt.Errorf("core: factorization version skew: stream v%d, this build reads v1–v%d", version, factEncodingVersion)
 	}
 	plen := binary.LittleEndian.Uint64(data[12:20])
 	if uint64(len(data)-factHeaderLen) != plen {
@@ -447,6 +452,11 @@ func DecodeFactorization(data []byte) (*Result, error) {
 		}
 		st.decision = p.Decisions[k]
 		f.steps[k] = st
+		if version < 3 {
+			for i, tf := range st.tGeqrt {
+				lapack.FormY(ta.Tile(i, st.k), tf.t)
+			}
+		}
 		// The B variants leave block-triangular factors; reinstall the
 		// diagonal solver exactly as submitVariantLUStep does.
 		if p.Decisions[k] && Algorithm(p.Alg) == LUQR {

@@ -427,6 +427,94 @@ func TestSerializeV1Migration(t *testing.T) {
 	assertReplaysIdentically(t, res, got, n, 403)
 }
 
+// TestSerializeV2FormsY: a v2 stream stored its GEQRT T factors with a
+// zero strictly lower triangle, where v3 keeps Y = V₁·Tᵀ. Decoding one,
+// made here from a v3 run's payload with those triangles zeroed, must form
+// Y again and solve bit for bit as the v3 stream and the live Result do,
+// for the GEQRT updates of HQR and the (A2)/(B2) diagonal solvers.
+//
+// A run with float32 steps is the exception: its accepted float32 GEQRTs
+// formed Y in float32, while decoding forms it in float64 from the
+// widened factors, so there the replays agree to float32's rounding and
+// the refined solve still reaches the acceptance band.
+func TestSerializeV2FormsY(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	n := 64
+	a := matgen.Random(n, rng)
+	b := matgen.RandomVector(n, rng)
+	for _, cfg := range []Config{
+		{Alg: HQR, NB: 16, Grid: tile.NewGrid(2, 1)},
+		{Alg: LUQR, Variant: VarA2, NB: 16, Criterion: criteria.Max{Alpha: 1.5}},
+		{Alg: LUQR, Variant: VarB2, NB: 16, Criterion: criteria.Max{Alpha: 1.5}},
+		{Alg: HQR, NB: 16, Grid: tile.NewGrid(2, 1), Precision: PrecisionF32},
+	} {
+		res := runOn(t, a, b, cfg)
+		data, err := res.EncodeFactorization()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3, err := DecodeFactorization(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p facPayload
+		if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		zeroed := 0
+		for _, st := range p.Steps {
+			for _, kv := range st.TGeqrt {
+				m := kv.M
+				for i := 0; i < m.Rows; i++ {
+					for j := 0; j < i; j++ {
+						if m.Data[i*m.Cols+j] != 0 {
+							m.Data[i*m.Cols+j] = 0
+							zeroed++
+						}
+					}
+				}
+			}
+		}
+		if zeroed == 0 {
+			t.Fatalf("%v %v: no GEQRT factor held Y", cfg.Alg, cfg.Variant)
+		}
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+			t.Fatal(err)
+		}
+		v2, err := DecodeFactorization(rebuildStream(2, payload.Bytes()))
+		if err != nil {
+			t.Fatalf("%v %v: v2 stream rejected: %v", cfg.Alg, cfg.Variant, err)
+		}
+		if cfg.Precision == PrecisionF32 && res.Report.F32Steps == 0 {
+			t.Fatal("the float32 run took no float32 step")
+		}
+		if res.Report.F32Steps == 0 {
+			assertReplaysIdentically(t, v3, v2, n, 404)
+			assertReplaysIdentically(t, res, v2, n, 405)
+			continue
+		}
+		rhs := matgen.RandomVector(n, rand.New(rand.NewSource(406)))
+		x3, err3 := v3.Solve(rhs)
+		x2, err2 := v2.Solve(rhs)
+		if err3 != nil || err2 != nil {
+			t.Fatalf("f32 run: Solve errors %v, %v", err3, err2)
+		}
+		for i := range x3 {
+			if d := math.Abs(x2[i] - x3[i]); d > 1e-4*(1+math.Abs(x3[i])) {
+				t.Fatalf("f32 run: x[%d] = %g from the v2 stream, %g from v3", i, x2[i], x3[i])
+			}
+		}
+		xs, _, err := v2.SolveBatchRefined([][]float64{rhs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := mat.HPL3(a, xs[0], rhs); !(h <= 16) {
+			t.Fatalf("f32 run: refined solve from the v2 stream has HPL3 %g", h)
+		}
+	}
+}
+
 // TestSerializeRejectsF32WithoutA0: a stream claiming f32 steps but missing
 // the original matrix cannot honor refined solves and must be rejected.
 func TestSerializeRejectsF32WithoutA0(t *testing.T) {

@@ -85,8 +85,8 @@ func TestGetrfMatchesReference(t *testing.T) {
 // TestGeqrtBlockedMatchesUnblocked factors the same tile with the blocked
 // strips (several inner block sizes, including non-divisors of n) and with
 // the unblocked leaf (ib ≥ n), and requires identical V, R, and T factors
-// up to rounding — the contract that lets the blocked kernel slot in under
-// the serialized-factor replay unchanged.
+// (t's upper triangle) up to rounding — the contract that lets the blocked
+// kernel slot in under the serialized-factor replay unchanged.
 func TestGeqrtBlockedMatchesUnblocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, s := range blockedShapes {
@@ -103,7 +103,8 @@ func TestGeqrtBlockedMatchesUnblocked(t *testing.T) {
 			if d := mat.MaxDiff(aB, aRef); d > tol {
 				t.Fatalf("%s ib=%d: V/R differ from unblocked by %g (tol %g)", s.name, ib, d, tol)
 			}
-			if d := mat.MaxDiff(tB, tRef); d > tol {
+			// T is t's upper triangle; the lower one holds Y = V₁·Tᵀ.
+			if d := mat.MaxDiff(upperOf(tB), upperOf(tRef)); d > tol {
 				t.Fatalf("%s ib=%d: T differs from unblocked by %g (tol %g)", s.name, ib, d, tol)
 			}
 		}

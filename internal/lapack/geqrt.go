@@ -11,15 +11,15 @@ import (
 // form: A = Q·R with Q = I − V·T·Vᵀ. On return the upper triangle of a holds
 // R, the strictly lower trapezoid holds the Householder vectors V (unit
 // diagonal implicit), and t (n×n) holds the upper triangular block reflector
-// factor T. This is the PLASMA GEQRT kernel.
+// factor T in its upper triangle and Y = V₁·Tᵀ (FormY) in its strictly
+// lower one, V₁ being V's top n×n block. This is the PLASMA GEQRT kernel.
 //
 // The factorization is blocked with inner block size ib = PanelIB():
 // reflectors are generated an ib-wide strip at a time by the unblocked
 // leaf, each strip's block reflector is applied to the trailing columns
 // through the TRMM/GEMM path (Unmqr), and the strip's T block is merged
-// into the full n×n T by the dlarft recurrence — so the output contract
-// (full T, usable by Unmqr and the serialized-factor replay) is unchanged
-// from the unblocked kernel.
+// into the full n×n T by the dlarft recurrence — so T is the one the
+// unblocked kernel builds, up to rounding.
 func Geqrt[T mat.Float](a, t *mat.Dense[T]) { GeqrtIB(a, t, PanelIB()) }
 
 // GeqrtIB is Geqrt with an explicit inner block size; ib <= 0 falls back to
@@ -57,6 +57,86 @@ func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 		}
 	}
 	mat.PutBuf(rbuf)
+	FormY(a.View(0, 0, n, n), t.View(0, 0, n, n))
+}
+
+// FormY writes Y = V₁·Tᵀ into the strictly lower triangle of the n×n t,
+// from the unit lower triangular V₁ in v's strictly lower triangle and the
+// upper triangular T in t's upper one; t's strictly lower triangle is
+// overwritten. Geqrt forms Y this way, and a T stored without it (a
+// factorization serialized before Y existed) gets it from here, with the
+// same bits.
+//
+// Y is lower triangular and its diagonal is T's, which t already holds, so
+// the square-V products of Unmqr and UnmqrRight read Y as t's lower
+// triangle and take one triangular multiply by Y where T and V₁ took two.
+//
+// With X = Tᵀ copied out (lower triangular, so every product below packs
+// plain operands), Y is accumulated by yStrip-wide column strips J of V₁,
+// each a copy W with its unit diagonal and zeros: Y[J.., 0:e] += W·X[J,
+// 0:e], e being J's end. The rows below J take one GEMM straight into t;
+// J's own rows go through a scratch block, whose strictly lower part is
+// added to t. That is n³/3 + n²·yStrip flops, all of them GEMM's.
+func FormY[T mat.Float](v, t *mat.Dense[T]) {
+	n := t.Rows
+	if v.Rows != n || v.Cols != n || t.Cols != n {
+		panic(fmt.Sprintf("lapack: FormY needs square V and T of one order, got %dx%d and %dx%d", v.Rows, v.Cols, t.Rows, t.Cols))
+	}
+	bw := min(n, yStrip)
+	buf := mat.GetBuf[T](n*n + 2*n*bw)
+	x := &mat.Dense[T]{Rows: n, Cols: n, Stride: n, Data: buf.Data[:n*n]}
+	// X = Tᵀ, by blocks of eight rows of T, with zeros above the diagonal
+	// inside the strips' diagonal blocks (the rest of X is not read).
+	var trow [8][]T
+	for c0 := 0; c0 < n; c0 += 8 {
+		tr := trow[:min(8, n-c0)]
+		for k := range tr {
+			tr[k] = t.Row(c0 + k)
+		}
+		for i := c0; i < n; i++ {
+			xr := x.Row(i)[c0:][:min(len(tr), i+1-c0)]
+			for k := range xr {
+				xr[k] = tr[k][i]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		clear(x.Row(i)[i+1 : min(n, (i/yStrip+1)*yStrip)])
+		clear(t.Row(i)[:i])
+	}
+	for j0 := 0; j0 < n; j0 += yStrip {
+		bs, r := min(yStrip, n-j0), n-j0
+		e := j0 + bs
+		w := &mat.Dense[T]{Rows: r, Cols: bs, Stride: bs, Data: buf.Data[n*n:][:r*bs]}
+		unitLowerCopy(w, v.View(j0, j0, r, bs))
+		xs := x.View(j0, 0, bs, e)
+		if r > bs {
+			blas.Gemm(blas.NoTrans, blas.NoTrans, 1, w.View(bs, 0, r-bs, bs), xs, 1, t.View(e, 0, r-bs, e))
+		}
+		sc := &mat.Dense[T]{Rows: bs, Cols: e, Stride: e, Data: buf.Data[n*n+n*bw:][:bs*e]}
+		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, w.View(0, 0, bs, bs), xs, 0, sc)
+		for i := 0; i < bs; i++ {
+			blas.Axpy(1, sc.Row(i)[:j0+i], t.Row(j0 + i)[:j0+i])
+		}
+	}
+	mat.PutBuf(buf)
+}
+
+// yStrip is the strip width of FormY.
+const yStrip = 32
+
+// unitLowerCopy writes into w the unit lower trapezoid stored in v's
+// strictly lower part: ones on the diagonal and zeros above it.
+func unitLowerCopy[T mat.Float](w, v *mat.Dense[T]) {
+	for i := 0; i < w.Rows; i++ {
+		dst := w.Row(i)
+		d := min(i, w.Cols)
+		copy(dst[:d], v.Row(i)[:d])
+		if i < w.Cols {
+			dst[i] = 1
+			clear(dst[i+1:])
+		}
+	}
 }
 
 // mergeGeqrtT joins the [j0,j0+bs) strip's T block into the full factor:
@@ -69,20 +149,7 @@ func mergeGeqrtT[T mat.Float](a, t *mat.Dense[T], j0, bs int) {
 	// with R's rows. Materialize it so one GEMM forms the Gram block.
 	v2, v2buf := mat.GetMatrix[T](m-j0, bs)
 	defer mat.PutBuf(v2buf)
-	for i := 0; i < m-j0; i++ {
-		dst := v2.Row(i)
-		src := a.Row(j0 + i)[j0 : j0+bs]
-		for c := range dst {
-			switch {
-			case i < c:
-				dst[c] = 0
-			case i == c:
-				dst[c] = 1
-			default:
-				dst[c] = src[c]
-			}
-		}
-	}
+	unitLowerCopy(v2, a.View(j0, j0, m-j0, bs))
 	// V1's columns are zero above row j0, so the Gram needs only its dense
 	// lower part.
 	y, ybuf := mat.GetMatrix[T](j0, bs)
@@ -131,11 +198,17 @@ func geqrtUnblocked[T mat.Float](a, t *mat.Dense[T], ref []T, tol float64) {
 //
 // with Q = I − V·T·Vᵀ. c must have v.Rows rows.
 //
-// All three stages run through blocked BLAS: W = VᵀC splits into a unit-
-// lower TRMM on the top square of V plus a GEMM on the trapezoid below,
-// T is applied by TRMM, and C −= V·W is the mirror TRMM + GEMM pair. The
-// unit-diagonal TRMMs never read V's diagonal or upper triangle, so the R
-// values sharing the tile are ignored exactly as in the scalar kernel.
+// A square V is V₁ alone, and t holds Y = V₁·Tᵀ in its lower triangle
+// (FormY), so each product is two triangular multiplies on W = C:
+//
+//	Qᵀ·C = C − Y·(V₁ᵀ·C)      Q·C = C − V₁·(Yᵀ·C)
+//
+// A trapezoidal V (only Geqrt's own inner strips have one) takes three
+// stages through blocked BLAS: W = VᵀC splits into a unit-lower TRMM on the
+// top square of V plus a GEMM on the trapezoid below, T is applied by
+// TRMM, and C −= V·W is the mirror TRMM + GEMM pair. The unit-diagonal
+// TRMMs never read V's diagonal or upper triangle, so the R values sharing
+// the tile are ignored exactly as in the scalar kernel.
 func Unmqr[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 	m, n := v.Rows, v.Cols
 	if c.Rows != m {
@@ -144,21 +217,29 @@ func Unmqr[T mat.Float](trans blas.Transpose, v, t, c *mat.Dense[T]) {
 	k := c.Cols
 	v1 := v.View(0, 0, n, n)
 	c1 := c.View(0, 0, n, k)
-	// W = V1ᵀ·C1 + V2ᵀ·C2. CopyFrom overwrites every row, so a pooled
-	// (unzeroed) buffer is safe.
+	// CopyFrom overwrites every row, so a pooled (unzeroed) buffer is safe.
 	w, wbuf := mat.GetMatrix[T](n, k)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c1)
-	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
-	if m > n {
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
+	if m == n {
+		y := t.View(0, 0, n, n)
+		if trans == blas.Trans {
+			blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+			blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, 1, y, w)
+		} else {
+			blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.NonUnit, 1, y, w)
+			blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
+		}
+		subRows(c1, w)
+		return
 	}
+	// W = V1ᵀ·C1 + V2ᵀ·C2.
+	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
+	blas.Gemm(blas.Trans, blas.NoTrans, 1, v.View(n, 0, m-n, n), c.View(n, 0, m-n, k), 1, w)
 	// W ← op(T)·W with T upper triangular.
 	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
 	// C2 −= V2·W; then C1 −= V1·W, with V1 applied to W in place.
-	if m > n {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
-	}
+	blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v.View(n, 0, m-n, n), w, 1, c.View(n, 0, m-n, k))
 	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
 	subRows(c1, w)
 }

@@ -72,29 +72,38 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 
 // ttqrtApply pushes the [j0,j0+bs) strip's block reflector (Qᵀ, matching
 // the first-to-last generation order) across the trailing columns: C1 is
-// rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2. The V2 trapezoid splits
-// into its dense top D (GEMM) and triangular diagonal block (TRMM on W),
-// keeping R2's strictly-lower storage untouched.
+// rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2.
 func ttqrtApply[T mat.Float](r1, r2, tb *mat.Dense[T], j0, bs, rest int) {
-	c1 := r1.View(j0, j0+bs, bs, rest)
-	tri := r2.View(j0, j0, bs, bs)
-	c2bot := r2.View(j0, j0+bs, bs, rest)
+	ttStrip(blas.Trans, r2, tb, j0, bs, r1.View(j0, j0+bs, bs, rest), r2.View(0, j0+bs, j0+bs, rest))
+}
+
+// ttStrip applies op(Q_J) for the column strip J = [j0, j0+bs) of a TT
+// factor, Q_J = I − V_J·T_J·V_Jᵀ, to the rows it touches: c1 is the bs
+// rows J of the top tile, c2 rows 0..j0+bs of the bottom one. V_J is the
+// identity on J above the strip [v2's rows 0..j0+bs of columns J], which is
+// a dense j0×bs block D on a bs×bs upper triangle; tb is T_J. D takes GEMM
+// and the triangle TRMM on W, so v2's strictly lower storage is never
+// read. TTQRT's trailing update and Ttmqr share this body.
+func ttStrip[T mat.Float](trans blas.Transpose, v2, tb *mat.Dense[T], j0, bs int, c1, c2 *mat.Dense[T]) {
+	k := c1.Cols
+	tri := v2.View(j0, j0, bs, bs)
+	c2bot := c2.View(j0, 0, bs, k)
 	// W = Triᵀ·C2bot + C1 + Dᵀ·C2top.
-	w, wbuf := mat.GetMatrix[T](bs, rest)
+	w, wbuf := mat.GetMatrix[T](bs, k)
 	defer mat.PutBuf(wbuf)
 	w.CopyFrom(c2bot)
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tri, w)
 	addRows(w, c1)
 	if j0 > 0 {
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, r2.View(0, j0, j0, bs), r2.View(0, j0+bs, j0, rest), 1, w)
+		blas.Gemm(blas.Trans, blas.NoTrans, 1, v2.View(0, j0, j0, bs), c2.View(0, 0, j0, k), 1, w)
 	}
-	// W ← Tᵀ·W.
-	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, tb, w)
+	// W ← op(T_J)·W.
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, tb, w)
 	// C1 −= W;  C2top −= D·W;  C2bot −= Tri·W, with Tri applied to W in
 	// place.
 	subRows(c1, w)
 	if j0 > 0 {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, r2.View(0, j0, j0, bs), w, 1, r2.View(0, j0+bs, j0, rest))
+		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v2.View(0, j0, j0, bs), w, 1, c2.View(0, 0, j0, k))
 	}
 	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, tri, w)
 	subRows(c2bot, w)
@@ -140,8 +149,16 @@ func ttqrtUnblocked[T mat.Float](r1, r2, t *mat.Dense[T], off int, ref []T, tol 
 //	[C1; C2] ← op(Q)·[C1; C2],  Q = I − [I; V2]·T·[I; V2]ᵀ
 //
 // v2 holds V2 in its upper triangle (lower part ignored), t the T factor.
-// The three multiplications by the triangular V2 and T run through the
-// packed TRMM path on W, since TRMM works in place.
+//
+// Q is the product Q_0·Q_1⋯ of its ttmqrStrip-wide column strips' block
+// reflectors, and each Q_J's T factor is T's diagonal block on J (the
+// dlarft recurrence builds T column by column), so Ttmqr applies the
+// strips one after another through ttStrip: first to last for Qᵀ, last to
+// first for Q. Strip J's reflectors reach only rows 0..J's end of C2, so
+// this skips the zeros of V2 and of T's coupling blocks: about
+// 2n²k + n·k·ttmqrStrip flops, where the full T costs 3n²k. (The trick of
+// Unmqr does not carry over: here the equivalent of Y is V2·Tᵀ, which is
+// dense.)
 func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 	n := v2.Rows
 	if v2.Cols != n || c1.Rows != n || c2.Rows != n || c1.Cols != c2.Cols {
@@ -149,16 +166,20 @@ func Ttmqr[T mat.Float](trans blas.Transpose, v2, t, c1, c2 *mat.Dense[T]) {
 			v2.Rows, v2.Cols, c1.Rows, c1.Cols, c2.Rows, c2.Cols))
 	}
 	k := c1.Cols
-	// W = C1 + V2ᵀ·C2, reading only V2's upper triangle.
-	w, wbuf := mat.GetMatrix[T](n, k)
-	defer mat.PutBuf(wbuf)
-	w.CopyFrom(c2)
-	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
-	addRows(w, c1)
-	// W ← op(T)·W.
-	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, 1, t.View(0, 0, n, n), w)
-	// C1 −= W;  C2 −= V2·W (upper triangle of V2 only).
-	subRows(c1, w)
-	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, v2, w)
-	subRows(c2, w)
+	strip := func(j0 int) {
+		bs := min(ttmqrStrip, n-j0)
+		ttStrip(trans, v2, t.View(j0, j0, bs, bs), j0, bs, c1.View(j0, 0, bs, k), c2.View(0, 0, j0+bs, k))
+	}
+	if trans == blas.Trans {
+		for j0 := 0; j0 < n; j0 += ttmqrStrip {
+			strip(j0)
+		}
+		return
+	}
+	for j0 := (n - 1) / ttmqrStrip * ttmqrStrip; j0 >= 0; j0 -= ttmqrStrip {
+		strip(j0)
+	}
 }
+
+// ttmqrStrip is Ttmqr's strip width.
+const ttmqrStrip = 48
