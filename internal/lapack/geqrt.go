@@ -71,59 +71,69 @@ func GeqrtIB[T mat.Float](a, t *mat.Dense[T], ib int) {
 // the square-V products of Unmqr and UnmqrRight read Y as t's lower
 // triangle and take one triangular multiply by Y where T and V₁ took two.
 //
-// With X = Tᵀ copied out (lower triangular, so every product below packs
-// plain operands), Y is accumulated by yStrip-wide column strips J of V₁,
-// each a copy W with its unit diagonal and zeros: Y[J.., 0:e] += W·X[J,
-// 0:e], e being J's end. The rows below J take one GEMM straight into t;
-// J's own rows go through a scratch block, whose strictly lower part is
-// added to t. That is n³/3 + n²·yStrip flops, all of them GEMM's.
+// FormY copies X = Tᵀ out and multiplies it by V₁ one yStrip-wide column
+// block C at a time: X's rows above C's first column are zero there, so
+// Y[c0:, C] = V₁[c0:, c0:]·X[c0:, C] is one unit-lower TRMM of order
+// n − c0, in place in the copy, whose strictly lower part then goes to t.
+// That is n³/3 + n²·yStrip/2 flops.
 func FormY[T mat.Float](v, t *mat.Dense[T]) {
 	n := t.Rows
 	if v.Rows != n || v.Cols != n || t.Cols != n {
 		panic(fmt.Sprintf("lapack: FormY needs square V and T of one order, got %dx%d and %dx%d", v.Rows, v.Cols, t.Rows, t.Cols))
 	}
-	bw := min(n, yStrip)
-	buf := mat.GetBuf[T](n*n + 2*n*bw)
+	buf := mat.GetBuf[T](n * n)
 	x := &mat.Dense[T]{Rows: n, Cols: n, Stride: n, Data: buf.Data[:n*n]}
-	// X = Tᵀ, by blocks of eight rows of T, with zeros above the diagonal
-	// inside the strips' diagonal blocks (the rest of X is not read).
-	var trow [8][]T
-	for c0 := 0; c0 < n; c0 += 8 {
-		tr := trow[:min(8, n-c0)]
-		for k := range tr {
-			tr[k] = t.Row(c0 + k)
-		}
-		for i := c0; i < n; i++ {
-			xr := x.Row(i)[c0:][:min(len(tr), i+1-c0)]
-			for k := range xr {
-				xr[k] = tr[k][i]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		clear(x.Row(i)[i+1 : min(n, (i/yStrip+1)*yStrip)])
-		clear(t.Row(i)[:i])
-	}
-	for j0 := 0; j0 < n; j0 += yStrip {
-		bs, r := min(yStrip, n-j0), n-j0
-		e := j0 + bs
-		w := &mat.Dense[T]{Rows: r, Cols: bs, Stride: bs, Data: buf.Data[n*n:][:r*bs]}
-		unitLowerCopy(w, v.View(j0, j0, r, bs))
-		xs := x.View(j0, 0, bs, e)
-		if r > bs {
-			blas.Gemm(blas.NoTrans, blas.NoTrans, 1, w.View(bs, 0, r-bs, bs), xs, 1, t.View(e, 0, r-bs, e))
-		}
-		sc := &mat.Dense[T]{Rows: bs, Cols: e, Stride: e, Data: buf.Data[n*n+n*bw:][:bs*e]}
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, w.View(0, 0, bs, bs), xs, 0, sc)
-		for i := 0; i < bs; i++ {
-			blas.Axpy(1, sc.Row(i)[:j0+i], t.Row(j0 + i)[:j0+i])
+	transposeUpper(x, t)
+	for c0 := 0; c0 < n; c0 += yStrip {
+		cb, r := min(yStrip, n-c0), n-c0
+		blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v.View(c0, c0, r, r), x.View(c0, c0, r, cb))
+		for i := c0 + 1; i < n; i++ {
+			copy(t.Row(i)[c0:min(i, c0+cb)], x.Row(i)[c0:])
 		}
 	}
 	mat.PutBuf(buf)
 }
 
-// yStrip is the strip width of FormY.
-const yStrip = 32
+// yStrip is the column block of FormY.
+const yStrip = 64
+
+// transposeUpper writes into x the transpose of t's upper triangle, with
+// zeros above x's diagonal inside each yStrip-wide diagonal block (the
+// rest of x above the diagonal is left as it was, and not read). It moves
+// 4×4 blocks, so each row of t is read four entries at a time.
+func transposeUpper[T mat.Float](x, t *mat.Dense[T]) {
+	n := t.Rows
+	for i := 0; i < n; i++ {
+		clear(x.Row(i)[i+1 : min(n, (i/yStrip+1)*yStrip)])
+	}
+	c0 := 0
+	for ; c0+4 <= n; c0 += 4 {
+		t0, t1, t2, t3 := t.Row(c0), t.Row(c0+1), t.Row(c0+2), t.Row(c0+3)
+		// The diagonal block: x[i][c] = t[c][i] for c ≤ i.
+		for i := c0; i < c0+4; i++ {
+			xr := x.Row(i)
+			for c := c0; c <= i; c++ {
+				xr[c] = t.Data[c*t.Stride+i]
+			}
+		}
+		i := c0 + 4
+		for ; i+4 <= n; i += 4 {
+			a, b, c, d := (*[4]T)(t0[i:]), (*[4]T)(t1[i:]), (*[4]T)(t2[i:]), (*[4]T)(t3[i:])
+			*(*[4]T)(x.Row(i)[c0:]) = [4]T{a[0], b[0], c[0], d[0]}
+			*(*[4]T)(x.Row(i + 1)[c0:]) = [4]T{a[1], b[1], c[1], d[1]}
+			*(*[4]T)(x.Row(i + 2)[c0:]) = [4]T{a[2], b[2], c[2], d[2]}
+			*(*[4]T)(x.Row(i + 3)[c0:]) = [4]T{a[3], b[3], c[3], d[3]}
+		}
+		for ; i < n; i++ {
+			*(*[4]T)(x.Row(i)[c0:]) = [4]T{t0[i], t1[i], t2[i], t3[i]}
+		}
+	}
+	for ; c0 < n; c0++ {
+		for i := c0; i < n; i++ {
+			x.Data[i*x.Stride+c0] = t.Data[c0*t.Stride+i]
+		}
+	}
+}
 
 // unitLowerCopy writes into w the unit lower trapezoid stored in v's
 // strictly lower part: ones on the diagonal and zeros above it.
