@@ -135,20 +135,6 @@ func transposeUpper[T mat.Float](x, t *mat.Dense[T]) {
 	}
 }
 
-// unitLowerCopy writes into w the unit lower trapezoid stored in v's
-// strictly lower part: ones on the diagonal and zeros above it.
-func unitLowerCopy[T mat.Float](w, v *mat.Dense[T]) {
-	for i := 0; i < w.Rows; i++ {
-		dst := w.Row(i)
-		d := min(i, w.Cols)
-		copy(dst[:d], v.Row(i)[:d])
-		if i < w.Cols {
-			dst[i] = 1
-			clear(dst[i+1:])
-		}
-	}
-}
-
 // mergeGeqrtT joins the [j0,j0+bs) strip's T block into the full factor:
 // it forms the cross-Gram Y = V1ᵀ·V2 of the previous reflectors against the
 // strip's (V2 materialized with its implicit unit diagonal) and hands it to
@@ -159,7 +145,20 @@ func mergeGeqrtT[T mat.Float](a, t *mat.Dense[T], j0, bs int) {
 	// with R's rows. Materialize it so one GEMM forms the Gram block.
 	v2, v2buf := mat.GetMatrix[T](m-j0, bs)
 	defer mat.PutBuf(v2buf)
-	unitLowerCopy(v2, a.View(j0, j0, m-j0, bs))
+	for i := 0; i < m-j0; i++ {
+		dst := v2.Row(i)
+		src := a.Row(j0 + i)[j0 : j0+bs]
+		for c := range dst {
+			switch {
+			case i < c:
+				dst[c] = 0
+			case i == c:
+				dst[c] = 1
+			default:
+				dst[c] = src[c]
+			}
+		}
+	}
 	// V1's columns are zero above row j0, so the Gram needs only its dense
 	// lower part.
 	y, ybuf := mat.GetMatrix[T](j0, bs)

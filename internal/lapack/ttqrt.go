@@ -53,8 +53,10 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 		// The strip's V2 is r2[0:j0+bs, j0:j0+bs): a dense j0×bs block D on
 		// top of a bs×bs upper triangle.
 		ttqrtUnblocked(r1.View(j0, j0, bs, bs), r2.View(0, j0, j0+bs, bs), tb, j0, ref[j0:], tol)
+		// Trailing update: the strip's Qᵀ (first-to-last generation order)
+		// on rows j0..j0+bs of R1 and rows 0..j0+bs of R2.
 		if rest > 0 {
-			ttqrtApply(r1, r2, tb, j0, bs, rest)
+			ttStrip(blas.Trans, r2, tb, j0, bs, r1.View(j0, j0+bs, bs, rest), r2.View(0, j0+bs, j0+bs, rest))
 		}
 		if j0 > 0 {
 			// Cross-Gram V1ᵀ·V2: V1 (the previous columns of V2-space) is
@@ -68,13 +70,6 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 		}
 	}
 	mat.PutBuf(rbuf)
-}
-
-// ttqrtApply pushes the [j0,j0+bs) strip's block reflector (Qᵀ, matching
-// the first-to-last generation order) across the trailing columns: C1 is
-// rows j0..j0+bs of R1, C2 is rows 0..j0+bs of R2.
-func ttqrtApply[T mat.Float](r1, r2, tb *mat.Dense[T], j0, bs, rest int) {
-	ttStrip(blas.Trans, r2, tb, j0, bs, r1.View(j0, j0+bs, bs, rest), r2.View(0, j0+bs, j0+bs, rest))
 }
 
 // ttStrip applies op(Q_J) for the column strip J = [j0, j0+bs) of a TT
