@@ -74,11 +74,12 @@ func TtqrtIB[T mat.Float](r1, r2, t *mat.Dense[T], ib int) {
 
 // ttStrip applies op(Q_J) for the column strip J = [j0, j0+bs) of a TT
 // factor, Q_J = I − V_J·T_J·V_Jᵀ, to the rows it touches: c1 is the bs
-// rows J of the top tile, c2 rows 0..j0+bs of the bottom one. V_J is the
-// identity on J above the strip [v2's rows 0..j0+bs of columns J], which is
-// a dense j0×bs block D on a bs×bs upper triangle; tb is T_J. D takes GEMM
-// and the triangle TRMM on W, so v2's strictly lower storage is never
-// read. TTQRT's trailing update and Ttmqr share this body.
+// rows J of the top tile, c2 rows 0..j0+bs of the bottom one, and tb is
+// T_J. V_J is the identity on the top tile's rows J over v2's columns J,
+// which are nonzero only in rows 0..j0+bs: a dense j0×bs block D on a
+// bs×bs upper triangle. D takes GEMM and the triangle TRMM on W, so v2's
+// strictly lower storage is never read. TTQRT's trailing update and Ttmqr
+// share this body.
 func ttStrip[T mat.Float](trans blas.Transpose, v2, tb *mat.Dense[T], j0, bs int, c1, c2 *mat.Dense[T]) {
 	k := c1.Cols
 	tri := v2.View(j0, j0, bs, bs)
