@@ -234,6 +234,45 @@ func fuzzLarfg[T mat.Float](t *testing.T, data []byte) {
 	if msg := checkReflector(col[0], col[1:]); msg != "" {
 		t.Fatalf("alpha %g, x %g: %s", col[0], col[1:], msg)
 	}
+	fuzzLarfgRank(t, col[0], col[1:])
+}
+
+// fuzzLarfgRank checks larfgRank on the fuzzed column against Larfg, with
+// ‖x‖₂ formed in 256-bit arithmetic: at half of it the rank test must not
+// change Larfg's beta and tau, nor v unless Larfg itself returned H = I
+// (its xᵀx underflowed in the scaled units, where a zeroed v is the same
+// reflector); at twice it, x must be zeroed and H = I.
+func fuzzLarfgRank[T mat.Float](t *testing.T, alpha T, x []T) {
+	norm := new(big.Float).SetPrec(256)
+	for _, v := range x {
+		f := new(big.Float).SetPrec(256).SetFloat64(float64(v))
+		norm.Add(norm, f.Mul(f, f))
+	}
+	nx, _ := norm.Sqrt(norm).Float64()
+	if nx == 0 || math.IsInf(2*nx, 0) {
+		return
+	}
+	want := append([]T(nil), x...)
+	wb, wt := Larfg(alpha, want)
+	got := append([]T(nil), x...)
+	gb, gt := larfgRank(alpha, got, nx/2)
+	if gb != wb || gt != wt {
+		t.Fatalf("alpha %g, x %g: below the threshold beta, tau = %g, %g; Larfg gives %g, %g", alpha, x, gb, gt, wb, wt)
+	}
+	for i := range got {
+		if got[i] != want[i] && !(got[i] == 0 && wt == 0) {
+			t.Fatalf("alpha %g, x %g: below the threshold v[%d] = %g; Larfg gives %g", alpha, x, i, got[i], want[i])
+		}
+	}
+	got = append(got[:0], x...)
+	if gb, gt = larfgRank(alpha, got, 2*nx); gb != alpha || gt != 0 {
+		t.Fatalf("alpha %g, x %g: above the threshold beta, tau = %g, %g, want %g, 0", alpha, x, gb, gt, alpha)
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("alpha %g, x %g: above the threshold v[%d] = %g, want 0", alpha, x, i, v)
+		}
+	}
 }
 
 // encodeLarfgInput is fuzzLarfg's decoding run backwards, for the seeds.
