@@ -54,38 +54,17 @@ bench:
 bench-kernels:
 	$(GO) run ./cmd/luqr-bench -json BENCH_kernels.json
 
-# bench-solver regenerates the schema-2 solver baseline at production sizes
-# (default N=4096 nb=192): measured worker + tile-order sweeps, the simulated
-# DAG-scaling curve, and dispatch ns/task vs. the single-heap seed.
-.PHONY: bench-solver
-bench-solver:
-	$(GO) run ./cmd/luqr-bench -sweep-workers BENCH_solver.json -reps 3
-
-# bench-solver-smoke is the non-gating CI check: a small sweep, the autotuner
-# probe (persisted on first run, table hit on the second), and the α
-# learn-then-apply loop (learned on the first run, applied from the persisted
-# table on the second), then the generated file is validated against the
-# schema-2 contract — which includes the mixed-precision section, so the
-# validate step asserts the forced-f32 run engaged the float32 path and
-# refined back into the HPL acceptance band, that it opened residency
-# epochs and paid their boundary conversions (a zero there means the epoch
-# counters came unwired), that the QR-stepping random operator's forced-f32
-# row ran its QR updates resident with a bounded conversions-per-epoch
-# ratio (per-column restacking would blow it up), and that the
-# GEMM-dominated diagdom operator's auto run licensed real f32 steps.
-# Numbers are not gated — only the machinery is.
-.PHONY: bench-solver-smoke
-bench-solver-smoke:
-	$(GO) run ./cmd/luqr-bench -sweep-workers bench_solver_smoke.json -n 512 -nb 64 -reps 1
-	$(GO) run ./cmd/luqr-bench -validate-solver bench_solver_smoke.json | grep -q 'mixed random f32: refined to tolerance'
-	$(GO) run ./cmd/luqr-bench -validate-solver bench_solver_smoke.json | grep -Eq 'mixed random f32: .* [1-9][0-9]* epochs, [1-9][0-9]* conversions'
-	$(GO) run ./cmd/luqr-bench -validate-solver bench_solver_smoke.json | grep -Eq 'mixed random f32: .* [1-9][0-9]* qr steps'
-	$(GO) run ./cmd/luqr-bench -validate-solver bench_solver_smoke.json | grep -Eq 'mixed diagdom auto: .* [1-9][0-9]* f32 steps'
+# tune-smoke is the non-gating CI check of the tuner legs: the autotuner
+# probe (persisted on first run, table hit on the second) and the α
+# learn-then-apply loop (learned on the first run, applied from the
+# persisted table on the second). Numbers are not gated, only the machinery.
+.PHONY: tune-smoke
+tune-smoke:
 	$(GO) run ./cmd/luqr-bench -tune-probe -n 256 -tune-file tune_smoke.json
 	$(GO) run ./cmd/luqr-bench -tune-probe -n 256 -tune-file tune_smoke.json | grep -q 'probe skipped'
 	$(GO) run ./cmd/luqr-bench -alpha-learn -n 256 -nb 64 -reps 2 -tune-file tune_smoke.json
 	$(GO) run ./cmd/luqr-bench -alpha-learn -n 256 -nb 64 -reps 1 -tune-file tune_smoke.json | grep -q 'applied learned α'
-	rm -f bench_solver_smoke.json tune_smoke.json
+	rm -f tune_smoke.json
 
 # bench-diff prints a benchstat-style kernel before/after table. With no
 # arguments it compares BENCH_kernels.json's committed seed baseline against

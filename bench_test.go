@@ -229,8 +229,9 @@ func BenchmarkPanelGEQRT128(b *testing.B) { benchGeqrtNB(b, 128) }
 func BenchmarkPanelGEQRT192(b *testing.B) { benchGeqrtNB(b, 192) }
 
 // BenchmarkSolverProductionTiles is the end-to-end headline shape at a
-// production tile order (the BENCH_solver.json configuration scaled down to
-// bench-friendly wall time), reporting sustained GFLOP/s per op.
+// production tile order (LUQR, Random α=50, FlatTS/Fibonacci on a 2×2 grid
+// at nb=192, sized for bench-friendly wall time), reporting sustained
+// GFLOP/s per op.
 func BenchmarkSolverProductionTiles(b *testing.B) {
 	const n, nb = 1536, 192
 	rng := rand.New(rand.NewSource(12))

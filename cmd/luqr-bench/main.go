@@ -13,17 +13,9 @@
 //	luqr-bench -exp kappa               extension conditioning sweep (randsvd)
 //	luqr-bench -exp machines            extension platform-sensitivity sweep
 //	luqr-bench -exp breakdown           measured vs. simulated per-kernel breakdown
-//	luqr-bench -exp all                 everything
+//	luqr-bench -exp all                 every experiment above but kappa, machines
+//	                                    and tune (the default)
 //	luqr-bench -json BENCH_kernels.json machine-readable kernel rates (GFLOP/s, ns/op)
-//	luqr-bench -sweep-workers BENCH_solver.json
-//	                                    schema-2 solver benchmark at production sizes
-//	                                    (default N=4096 nb=192; -n/-nb override):
-//	                                    measured worker + tile-order sweeps, the
-//	                                    simulated DAG-scaling curve, and dispatch
-//	                                    ns/task vs. the single-heap seed baseline
-//	luqr-bench -validate-solver BENCH_solver.json
-//	                                    check a solver bench file against the
-//	                                    schema-2 contract (the CI smoke gate)
 //	luqr-bench -diff-kernels BENCH_kernels.json [-diff-baseline OLD.json]
 //	                                    benchstat-style kernel before/after table;
 //	                                    without -diff-baseline, compares the file's
@@ -39,18 +31,11 @@
 //	                                    table before each (default 100 until
 //	                                    learned), feed each outcome back, and
 //	                                    print the learned per-class α
-//	luqr-bench -timeline out.json       run one hybrid factorization, write the task
-//	                                    timeline as Chrome trace-event JSON (open in
-//	                                    chrome://tracing or Perfetto) and print the
-//	                                    measured per-kernel stats table
-//	luqr-bench -load http://host:8090   drive a running luqr-serve with a mixed
-//	                                    solve/submit/status workload and report
-//	                                    per-operation latency percentiles
-//	                                    (-load-clients, -load-requests, -load-n,
-//	                                    -load-nb, -load-matrices)
 //
 // Default sizes run in minutes on a laptop; pass -n/-nb (e.g. -n 20000
-// -nb 240) for the paper-scale experiment.
+// -nb 240) for the paper-scale experiment. End-to-end solver and service
+// timings are the repository benchmark's (benchmark/run.sh), and a task
+// timeline of one run is `luqr -timeline out.json -stats`.
 package main
 
 import (
@@ -64,14 +49,13 @@ import (
 	"luqr/internal/criteria"
 	"luqr/internal/experiments"
 	"luqr/internal/matgen"
-	"luqr/internal/service"
 	"luqr/internal/tile"
 	"luqr/internal/tune"
 )
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: table1, fig2, table2, fig3, table3, overhead, breakdown, all")
+		exp          = flag.String("exp", "all", "experiment: table1, fig2, table2, fig3, table3, overhead, ablation, calu, kappa, machines, tune, breakdown, or all (every one but kappa, machines and tune)")
 		n            = flag.Int("n", 480, "matrix order")
 		nb           = flag.Int("nb", 40, "tile order")
 		p            = flag.Int("p", 4, "grid rows")
@@ -80,35 +64,13 @@ func main() {
 		seed         = flag.Int64("seed", 1, "base random seed")
 		workers      = flag.Int("workers", 0, "runtime workers (0 = GOMAXPROCS)")
 		jsonOut      = flag.String("json", "", "write per-kernel GFLOP/s and ns/op as JSON to this path (e.g. BENCH_kernels.json) and exit")
-		sweepWorkers = flag.String("sweep-workers", "", "run the schema-2 solver benchmark (defaults N=4096 nb=192; -n/-nb override), write JSON to this path (e.g. BENCH_solver.json), print the tables, and exit")
-		validateFile = flag.String("validate-solver", "", "validate this BENCH_solver.json against the schema-2 contract and exit")
 		diffKernels  = flag.String("diff-kernels", "", "print a benchstat-style kernel comparison for this BENCH_kernels.json and exit")
 		diffBaseline = flag.String("diff-baseline", "", "older BENCH_kernels.json to diff against (with -diff-kernels; default: the file's own seed baseline)")
 		tuneProbe    = flag.Bool("tune-probe", false, "run the autotuner probe for the class (-n, luqr), print the chosen point, and exit")
 		alphaLearn   = flag.Bool("alpha-learn", false, "run -reps hybrid factorizations for the class (-n, luqr), learn α online from each outcome, print the learned value, and exit")
 		tuneFile     = flag.String("tune-file", "", "tuning-table path for -tune-probe/-alpha-learn (empty = in-memory only)")
-		timeline     = flag.String("timeline", "", "run one hybrid factorization, write its Chrome trace-event timeline to this path, print the per-kernel stats table, and exit")
-		loadURL      = flag.String("load", "", "drive a running luqr-serve at this base URL with a mixed workload, print latency percentiles, and exit")
-		loadClients  = flag.Int("load-clients", 4, "concurrent load-generator clients (with -load)")
-		loadRequests = flag.Int("load-requests", 64, "total load-generator requests (with -load)")
-		loadN        = flag.Int("load-n", 480, "matrix order of generated load (with -load)")
-		loadNB       = flag.Int("load-nb", 40, "tile order of generated load (with -load)")
-		loadMatrices = flag.Int("load-matrices", 4, "distinct operators cycled by the load generator; controls the attainable cache hit rate (with -load)")
 	)
 	flag.Parse()
-
-	// The sweep has its own production-size defaults (N=4096, nb=192):
-	// the global -n/-nb defaults (480/40) suit the §V table experiments but
-	// reproduce the old scheduler-bound sweep. Explicit flags still win.
-	nSet, nbSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "n":
-			nSet = true
-		case "nb":
-			nbSet = true
-		}
-	})
 
 	if *tuneProbe {
 		tuner := tune.New(tune.Options{Path: *tuneFile, Logf: func(format string, args ...any) {
@@ -188,32 +150,6 @@ func main() {
 		return
 	}
 
-	if *validateFile != "" {
-		f, err := os.Open(*validateFile)
-		if err == nil {
-			var rep *experiments.SolverBenchReport
-			rep, err = experiments.ValidateSolverBench(f)
-			f.Close()
-			if err == nil {
-				fmt.Printf("%s: valid schema-%d solver bench (N=%d nb=%d, %d measured points, %d simulated)\n",
-					*validateFile, rep.Schema, rep.N, rep.NB, len(rep.Solver), len(rep.SimSolver))
-				for _, e := range rep.Mixed {
-					matrix := e.Matrix
-					if matrix == "" {
-						matrix = "random" // pre-two-operator files carried no name
-					}
-					fmt.Printf("mixed %s %s: refined to tolerance (hpl3=%.3g, %d f32 steps, %d qr steps, %d demotions, %d epochs, %d conversions, %d refine iters)\n",
-						matrix, e.Precision, e.HPL3, e.F32Steps, e.QRSteps, e.Demotions, e.F32Epochs, e.Conversions, e.RefineIters)
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "luqr-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *diffKernels != "" {
 		newF, err := os.Open(*diffKernels)
 		if err != nil {
@@ -237,66 +173,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "luqr-bench:", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *loadURL != "" {
-		if _, err := service.RunLoad(service.LoadOptions{
-			URL:      *loadURL,
-			Clients:  *loadClients,
-			Requests: *loadRequests,
-			N:        *loadN,
-			NB:       *loadNB,
-			Matrices: *loadMatrices,
-			Seed:     *seed,
-		}, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "luqr-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *timeline != "" {
-		o := experiments.Options{
-			N: *n, NB: *nb, Grid: tile.NewGrid(*p, *q),
-			Seed: *seed, Workers: *workers,
-		}
-		f, err := os.Create(*timeline)
-		if err == nil {
-			_, err = experiments.Timeline(o, f, os.Stdout)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "luqr-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *timeline)
-		return
-	}
-
-	if *sweepWorkers != "" {
-		o := experiments.SolverBenchOptions{Reps: *reps}
-		if nSet {
-			o.N = *n
-		}
-		if nbSet {
-			o.NB = *nb
-			o.NBs = []int{*nb}
-		}
-		f, err := os.Create(*sweepWorkers)
-		if err == nil {
-			err = experiments.WriteSolverBench(o, f, os.Stdout)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "luqr-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *sweepWorkers)
 		return
 	}
 

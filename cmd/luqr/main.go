@@ -33,7 +33,7 @@ func main() {
 	var (
 		algName   = flag.String("alg", "luqr", "algorithm: luqr, lunopiv, luincpiv, lupp, hqr, calu, hlu")
 		matName   = flag.String("matrix", "random", "matrix: random, diagdom, or a Table III name (hilb, wilkinson, foster, ...)")
-		n         = flag.Int("n", 480, "matrix order N (multiple of nb)")
+		n         = flag.Int("n", 480, "matrix order N")
 		nb        = flag.Int("nb", 40, "tile order")
 		p         = flag.Int("p", 4, "process grid rows")
 		q         = flag.Int("q", 4, "process grid columns")
@@ -156,7 +156,7 @@ func main() {
 			s.Makespan, r.FakeGFlops(s.Makespan), 100*r.FakeGFlops(s.Makespan)/m.PeakGFlops(), r.TrueGFlops(s.Makespan))
 		fmt.Printf("  %d messages, %.2f MB moved, critical path %.4fs\n",
 			s.Messages, float64(s.CommBytes)/1e6, sim.CriticalPath(r.Trace, m.CoreGFlops))
-		nodes := dist.PanelNodes(cfg.Grid, 0, *n / *nb)
+		nodes := dist.PanelNodes(cfg.Grid, 0, r.NT)
 		fmt.Printf("  panel 0 spans %d node(s); criterion all-reduce: %d rounds\n",
 			len(nodes), dist.AllReduceRounds(len(nodes)))
 		if *profile {

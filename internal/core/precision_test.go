@@ -141,6 +141,12 @@ func TestMixedAutoWithin10xOfF64(t *testing.T) {
 			t.Errorf("%s: mixed HPL3 = %g vs f64 %g (limit %g, f32 steps=%d, demotions=%d)",
 				name, mixed.Report.HPL3, ref.Report.HPL3, limit, mixed.Report.F32Steps, mixed.Report.Demotions)
 		}
+		// Auto licenses float32 only on comfortable margins, so a run that
+		// demotes must also have kept a float32 step: demotions alone mean
+		// it licensed steps float32 cannot hold.
+		if mixed.Report.Demotions > 0 && mixed.Report.F32Steps == 0 {
+			t.Errorf("%s: auto run demoted %d tasks with no accepted f32 step", name, mixed.Report.Demotions)
+		}
 		// No accepted excursion may survive in the factors.
 		for i := 0; i < mixed.Factored.MT; i++ {
 			for j := 0; j < mixed.Factored.NT; j++ {

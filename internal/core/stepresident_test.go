@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,6 +20,14 @@ import (
 // not O(tiles × trailing columns). Before the shared step stack, every
 // SWPTRSM(k,j) re-rounded its column's stateF64 tiles into fresh scratch —
 // uncounted work proportional to the whole trailing submatrix per step.
+//
+// The second input takes QR steps, whose UNMQR/TSMQR/TTMQR updates run on
+// resident images through the step stacks: it must open epochs, pay their
+// boundary conversions (a zero means the counters came unwired) and refine
+// back into the acceptance band. Its trial LU steps re-round tiles, so the
+// bound is per epoch: the rounding into plus the widening out of each, with
+// headroom for the re-roundings. A ratio blowout means per-column
+// restacking is back.
 func TestForcedF32ConversionsPerTileBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n, nb := 96, 16
@@ -42,6 +51,25 @@ func TestForcedF32ConversionsPerTileBounded(t *testing.T) {
 	// One rounding in + one widening out per tile, nothing per column.
 	if res.Report.Conversions == 0 || res.Report.Conversions > 2*tiles {
 		t.Fatalf("conversions = %d for %d tiles — stacking is re-converting per column", res.Report.Conversions, tiles)
+	}
+
+	rng = rand.New(rand.NewSource(1))
+	a = matgen.Random(128, rng)
+	b = matgen.RandomVector(128, rng)
+	r := runOn(t, a, b, Config{
+		Alg: LUQR, NB: 32, Grid: tile.NewGrid(2, 2),
+		Criterion: criteria.Max{Alpha: 100}, Seed: 1,
+		IntraTree: tree.FlatTS, InterTree: tree.Fibonacci, Precision: PrecisionF32,
+	}).Report
+	if r.QRSteps == 0 || r.F32Steps == 0 || r.RefineIters == 0 || r.F32Epochs == 0 {
+		t.Fatalf("QR-stepping forced-f32 run: %d QR steps, %d f32 steps, %d refinement rounds, %d epochs; want each > 0",
+			r.QRSteps, r.F32Steps, r.RefineIters, r.F32Epochs)
+	}
+	if r.Conversions == 0 || r.Conversions > 4*r.F32Epochs {
+		t.Fatalf("QR-stepping forced-f32 run: %d conversions for %d epochs, want in (0, 4·epochs]", r.Conversions, r.F32Epochs)
+	}
+	if math.IsNaN(r.HPL3) || r.HPL3 > refineHPL3Tol {
+		t.Fatalf("QR-stepping forced-f32 run: HPL3 = %g, want ≤ %g", r.HPL3, refineHPL3Tol)
 	}
 }
 

@@ -38,9 +38,10 @@ type sweepRun struct {
 	Kernels   []string `json:"kernels"` // the trace's distinct kernels
 	// SHA-256s: Result is X, HPL3, Growth, PeakGrowth, RefineIters,
 	// F32Steps and Demotions; Solve is SolveBatchRefined on two new
-	// right-hand sides; Encoding is EncodeFactorization with WallTime
-	// zeroed, Factors the same with X and HPL3 cleared too; Trace is each
-	// task's Name, Kernel, Node, Flops, Priority, Deps, Recv and ExtraComm.
+	// right-hand sides; Encoding is EncodeFactorization's payload with
+	// WallTime zeroed, Factors the same with X and HPL3 cleared too; Trace
+	// is each task's Name, Kernel, Node, Flops, Priority, Deps, Recv and
+	// ExtraComm.
 	Result, Solve, Encoding, Factors, Trace string
 	F32Epochs                               int      `json:"f32_epochs"`
 	Conversions                             int      `json:"conversions"`
@@ -180,13 +181,13 @@ func sweepOne(key, alg string, a *mat.Matrix, b []float64, rhs [][]float64, cfg 
 	if err != nil {
 		return nil, err
 	}
-	r.Encoding = fmt.Sprintf("%x", sha256.Sum256(data))
+	r.Encoding = payloadHash(data)
 	x, hpl3 := res.X, rep.HPL3
 	res.X, rep.HPL3 = nil, 0
 	if data, err = res.EncodeFactorization(); err != nil {
 		return nil, err
 	}
-	r.Factors = fmt.Sprintf("%x", sha256.Sum256(data))
+	r.Factors = payloadHash(data)
 	res.X, rep.HPL3, rep.WallTime = x, hpl3, wall
 
 	h = sha256.New()
@@ -202,6 +203,47 @@ func sweepOne(key, alg string, a *mat.Matrix, b []float64, rhs [][]float64, cfg 
 	}
 	sort.Strings(r.Kernels)
 	return r, nil
+}
+
+// factHeaderLen is the length of the factorization stream's fixed header:
+// magic, version, payload length and payload checksum (serialize.go).
+const factHeaderLen = 8 + 4 + 8 + sha256.Size
+
+// payloadHash hashes an encoded factorization past its header, so a change
+// that bumps the stream version still compares every run with its parent.
+// The header's length and checksum are functions of the payload.
+func payloadHash(stream []byte) string {
+	return fmt.Sprintf("%x", sha256.Sum256(stream[factHeaderLen:]))
+}
+
+// TestSweepHashesPayload pins what the Encoding and Factors hashes cover:
+// rewriting a stream's version keeps the hash, flipping a payload byte
+// moves it.
+func TestSweepHashesPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := matgen.Random(64, rng)
+	res, err := core.Run(a, matgen.RandomVector(64, rng), core.Config{NB: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plen := binary.LittleEndian.Uint64(data[12:20]); plen != uint64(len(data)-factHeaderLen) {
+		t.Fatalf("stream of %d bytes promises a %d-byte payload: the header is not %d bytes", len(data), plen, factHeaderLen)
+	}
+	want := payloadHash(data)
+	bumped := slices.Clone(data)
+	binary.LittleEndian.PutUint32(bumped[8:12], binary.LittleEndian.Uint32(data[8:12])+1)
+	if got := payloadHash(bumped); got != want {
+		t.Errorf("rewriting the version moved the hash: %s, want %s", got, want)
+	}
+	flipped := slices.Clone(data)
+	flipped[len(flipped)-1] ^= 1
+	if payloadHash(flipped) == want {
+		t.Error("flipping a payload byte kept the hash")
+	}
 }
 
 func hashFloats(h interface{ Write([]byte) (int, error) }, xs ...float64) {

@@ -29,42 +29,6 @@ func timelineConfig(o Options) core.Config {
 	}
 }
 
-// Timeline runs the canonical observability configuration, writes the
-// recorded task timeline as Chrome trace-event JSON (chrome://tracing or
-// Perfetto: one track per worker, flow arrows for cross-node messages) to
-// traceOut, and prints the measured per-kernel stats table to out. It
-// returns the measured stats so callers can assert on the aggregation.
-func Timeline(o Options, traceOut io.Writer, out io.Writer) (*runtime.Stats, error) {
-	o = o.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
-	a := matgen.Random(o.N, rng)
-	b := matgen.RandomVector(o.N, rng)
-
-	res, err := core.Run(a, b, timelineConfig(o))
-	if err != nil {
-		return nil, err
-	}
-	r := res.Report
-	if traceOut != nil {
-		if err := runtime.WriteChromeTrace(traceOut, r.Trace); err != nil {
-			return nil, err
-		}
-	}
-	s := runtime.ComputeStats(r.Trace)
-	if out != nil {
-		lu := 0
-		for _, d := range r.Decisions {
-			if d {
-				lu++
-			}
-		}
-		fmt.Fprintf(out, "# Measured timeline — N=%d nb=%d grid %dx%d, random criterion (%d LU / %d QR steps)\n",
-			o.N, o.NB, o.Grid.P, o.Grid.Q, lu, len(r.Decisions)-lu)
-		s.WriteTable(out)
-	}
-	return s, nil
-}
-
 // Breakdown replays one measured trace through the machine-model simulator
 // and prints the two per-kernel time breakdowns side by side: the wall-clock
 // core-seconds measured on this host next to the core-seconds the simulator

