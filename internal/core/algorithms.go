@@ -9,23 +9,38 @@ import (
 )
 
 // scheduleHybridStep builds step k of the hybrid LU-QR algorithm
-// (Algorithm 1 / Figure 1): norm collection, panel backup, trial LU on the
-// diagonal domain, the criterion decision, and — from the decision task's
+// (Algorithm 1 / Figure 1): norm collection, panel backup, the trial
+// factorization, the criterion decision, and — from the decision task's
 // unfolding hook — either the LU step (keeping the trial factorization) or
-// the restore + QR step; finally it schedules step k+1.
+// the QR step; finally it schedules step k+1. Variant (A1) factors the
+// diagonal domain with LU; the §II-C variants (variants.go) factor the
+// diagonal tile, and the QR-based (A2)/(B2) need no backup, because a QR
+// step reuses their trial.
 func (f *fact) scheduleHybridStep(k int) {
-	st := &stepState{k: k, rows: f.pivotRows(k, f.cfg.Scope)}
+	st := &stepState{k: k, rows: []int{k}, variant: f.cfg.Variant}
+	if st.variant == VarA1 {
+		st.rows = f.pivotRows(k, f.cfg.Scope)
+	}
 	st.f32 = f.forceF32
 	f.steps[k] = st
 
 	f.submitNormTasks(st)
-	f.submitBackup(st)
-	f.submitPanelFactor(st, true)
+	if st.variant == VarA1 || st.variant == VarB1 {
+		f.submitBackup(st)
+	}
+	if st.variant == VarA1 {
+		f.submitPanelFactor(st, true)
+	} else {
+		f.submitVariantTrial(st)
+	}
 
 	// Decide: every node evaluates the same criterion on the all-reduced
 	// data; here the task reads the small norm handles (the trace charges
 	// their movement) and unfolds the chosen subgraph.
-	acc := []runtime.Access{runtime.R(st.hStack), runtime.R(st.hBackup)}
+	acc := []runtime.Access{runtime.R(st.hStack)}
+	if st.hBackup != nil {
+		acc = append(acc, runtime.R(st.hBackup))
+	}
 	for _, h := range st.hNorms {
 		acc = append(acc, runtime.R(h))
 	}
@@ -48,7 +63,8 @@ func (f *fact) scheduleHybridStep(k int) {
 			// operator float32 holds (f.autoF32). The trial panel already
 			// ran (at f64, for free), and any f32 excursion later demotes,
 			// so the gamble costs nothing on the downside. NaN margins
-			// (Random criterion) fail the comparison and stay f64.
+			// (Random criterion) fail the comparison and stay f64. Only
+			// (A1) runs at PrecisionAuto (EffectivePrecision).
 			if f.cfg.Precision == PrecisionAuto && f.autoF32 && st.decision && in.Margin <= DefaultF32Margin {
 				st.f32 = true
 				// Resident SWPTRSM applies solve against a float32 image of
@@ -63,11 +79,21 @@ func (f *fact) scheduleHybridStep(k int) {
 			}
 		},
 		Then: func(*runtime.Engine) {
-			if st.decision {
+			switch {
+			case st.decision:
 				st.releaseBackup() // LU keeps the trial factors; drop the snapshot
-				f.submitLUStep(st)
-			} else {
+				if st.variant == VarA1 {
+					f.submitLUStep(st)
+				} else {
+					f.submitVariantLUStep(st)
+				}
+			case st.hBackup != nil:
 				f.submitRestore(st)
+				f.submitQRStep(st)
+			default:
+				// The (A2)/(B2) trial's QR factorization of the diagonal
+				// tile is reused: submitQRStep skips GEQRT(k).
+				st.preFactored = true
 				f.submitQRStep(st)
 			}
 			f.submitGrowthProbe(k)

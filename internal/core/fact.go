@@ -8,6 +8,7 @@ import (
 
 	"luqr/internal/blas"
 	"luqr/internal/criteria"
+	"luqr/internal/dist"
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
 	"luqr/internal/runtime"
@@ -82,9 +83,7 @@ type stepState struct {
 	// variant records which LU-step formulation the step used (for RHS
 	// replay in Result.Solve).
 	variant LUVariant
-	// inc retains the incremental-pivoting factors of an LU IncPiv step.
-	inc *incState
-	// hlu retains the multi-eliminator LU factors of an HLU step.
+	// hlu retains the pairwise LU factors of an LU IncPiv or HLU step.
 	hlu *hluState
 
 	hBackup *runtime.Handle
@@ -522,12 +521,7 @@ func pivotExchangeRounds(g tile.Grid, rows []int) int {
 	for _, i := range rows {
 		seen[i%g.P] = true
 	}
-	p := len(seen)
-	r := 0
-	for (1 << r) < p {
-		r++
-	}
-	return r
+	return dist.AllReduceRounds(len(seen))
 }
 
 // stepRng returns the Random criterion's generator for step k, derived from

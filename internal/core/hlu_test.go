@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,5 +136,59 @@ func TestHLUDeterministicAndReplay(t *testing.T) {
 				t.Fatalf("workers=%d changed the HLU result", w)
 			}
 		}
+	}
+}
+
+// TestIncPivIsFlatHLU: LU IncPiv is HLU on the flat TS chain, so on a 1×1
+// grid, where that chain spans the whole panel, the two agree bit for bit
+// on the solution, HPL3, both growth figures, every factored tile and a
+// replayed solve. Cauchy's growth is read off a dead panel tile, which
+// holds the same multipliers in both.
+func TestIncPivIsFlatHLU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *mat.Matrix
+		nb   int
+	}{
+		{"random", matgen.Random(96, rand.New(rand.NewSource(84))), 16},
+		{"random-padded", matgen.Random(90, rand.New(rand.NewSource(85))), 16},
+		{"cauchy", matgen.Cauchy(192), 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.a.Rows
+			b := matgen.RandomVector(n, rand.New(rand.NewSource(86)))
+			cfg := Config{NB: tc.nb, TrackGrowth: true}
+			inc, flat := cfg, cfg
+			inc.Alg = LUIncPiv
+			flat.Alg, flat.IntraTree, flat.InterTree = HLU, tree.FlatTS, tree.FlatTT
+			ri, rh := runOn(t, tc.a, b, inc), runOn(t, tc.a, b, flat)
+			same := func(what string, x, y []float64) {
+				t.Helper()
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+						t.Fatalf("%s[%d]: IncPiv %v, flat HLU %v", what, i, x[i], y[i])
+					}
+				}
+			}
+			same("X", ri.X, rh.X)
+			same("HPL3, Growth, PeakGrowth",
+				[]float64{ri.Report.HPL3, ri.Report.Growth, ri.Report.PeakGrowth},
+				[]float64{rh.Report.HPL3, rh.Report.Growth, rh.Report.PeakGrowth})
+			for i := 0; i < ri.Factored.MT; i++ {
+				for j := 0; j < ri.Factored.NT; j++ {
+					same(fmt.Sprintf("tile (%d,%d)", i, j), ri.Factored.Tile(i, j).Data, rh.Factored.Tile(i, j).Data)
+				}
+			}
+			b2 := matgen.RandomVector(n, rand.New(rand.NewSource(87)))
+			xi, err := ri.Solve(b2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xh, err := rh.Solve(b2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Solve", xi, xh)
+		})
 	}
 }

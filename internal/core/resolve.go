@@ -236,9 +236,6 @@ func (f *fact) replayStep(st *stepState, rhs *tile.Vector) error {
 func (f *fact) replayLUStep(st *stepState, rhs *tile.Vector) error {
 	k := st.k
 	nb := f.nb
-	if st.inc != nil {
-		return f.replayIncPivStep(st, rhs)
-	}
 	if st.hlu != nil {
 		return f.replayHLUStep(st, rhs)
 	}
@@ -287,23 +284,6 @@ func (f *fact) replayQRStep(st *stepState, rhs *tile.Vector) error {
 			}
 			lapack.Ttmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.Piv), rhs.Tile(op.I))
 		}
-	}
-	return nil
-}
-
-func (f *fact) replayIncPivStep(st *stepState, rhs *tile.Vector) error {
-	k := st.k
-	is := st.inc
-	if is.l0 == nil {
-		return fmt.Errorf("core: step %d missing incremental-pivoting factors", k)
-	}
-	// GESSM on the diagonal row's RHS.
-	bk := rhs.Tile(k)
-	lapack.Laswp(bk, is.piv[k], false)
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, is.l0, bk)
-	// Pairwise SSSSM applications, serial in i as in the factorization.
-	for i := k + 1; i < f.nt; i++ {
-		f.ssssm(is, i, rhs.Tile(k), rhs.Tile(i))
 	}
 	return nil
 }

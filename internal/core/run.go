@@ -98,23 +98,17 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	start := time.Now()
 	switch c.Alg {
 	case LUQR:
-		if c.Variant == VarA1 {
-			f.scheduleHybridStep(0)
-		} else {
-			f.scheduleVariantStep(0)
-		}
+		f.scheduleHybridStep(0)
 	case LUNoPiv:
 		f.scheduleLU(ScopeTile, false)
 	case LUPP:
 		f.scheduleLU(ScopeDomain, true)
-	case LUIncPiv:
-		f.scheduleIncPiv()
+	case LUIncPiv, HLU:
+		f.scheduleHLU()
 	case HQR:
 		f.scheduleHQR()
 	case CALU:
 		f.scheduleCALU()
-	case HLU:
-		f.scheduleHLU()
 	default:
 		f.e.Close()
 		return nil, fmt.Errorf("core: unknown algorithm %v", c.Alg)

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"luqr/internal/blas"
 	"luqr/internal/criteria"
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
@@ -79,7 +78,7 @@ type facMatrix struct {
 }
 
 // facKeyed is one sparse (index → matrix) association, used for the QR
-// reflector maps and the per-row factor slices of IncPiv/HLU.
+// reflector maps and the per-row factors of the pairwise LU steps.
 type facKeyed struct {
 	I   int
 	M   facMatrix
@@ -91,14 +90,16 @@ type facOp struct {
 	Kind, I, Piv int
 }
 
-// facInc is the serialized incState of one incremental-pivoting step.
+// facInc is an LU IncPiv step as older streams carry it; decoding converts
+// it to the HLU state (asHLU), and encoding writes every pairwise LU step
+// as a facHLU, so older builds replay new streams too.
 type facInc struct {
 	L0   facMatrix
-	PivK []int      // the diagonal GETRF's pivots (is.piv[k])
+	PivK []int      // the diagonal GETRF's pivots
 	Rows []facKeyed // per killed row: stacked L factors + pivots
 }
 
-// facHLU is the serialized hluState of one multi-eliminator LU step.
+// facHLU is the serialized hluState of one pairwise LU step.
 type facHLU struct {
 	Ops   []facOp
 	Heads []facKeyed // local GETRF factors + pivots, by row
@@ -222,6 +223,18 @@ func packKeyedMap(m map[int]*tFactor) []facKeyed {
 	return out
 }
 
+// packLUFactors flattens per-row LU factors in row order, skipping the
+// rows without any.
+func packLUFactors(ls []*luFactors) []facKeyed {
+	var out []facKeyed
+	for i, l := range ls {
+		if l != nil {
+			out = append(out, facKeyed{I: i, M: packMatrix(l.lu), Piv: append([]int(nil), l.piv...)})
+		}
+	}
+	return out
+}
+
 // EncodeFactorization serializes the factorization state retained by the
 // Result into a self-describing, checksummed byte stream. The encoding
 // captures exactly what Solve/SolveBatch replay — DecodeFactorization
@@ -299,39 +312,13 @@ func (r *Result) EncodeFactorization() ([]byte, error) {
 			fs.Piv = append([]int(nil), st.piv...)
 			fs.Stack = packMatrix(st.stack)
 		}
-		if st.inc != nil {
-			fs.HasInc = true
-			fs.Inc = facInc{L0: packMatrix(st.inc.l0), PivK: append([]int(nil), st.inc.piv[st.k]...)}
-			for i := st.k + 1; i < f.nt; i++ {
-				if st.inc.l[i] == nil {
-					continue
-				}
-				fs.Inc.Rows = append(fs.Inc.Rows, facKeyed{
-					I: i, M: packMatrix(st.inc.l[i]), Piv: append([]int(nil), st.inc.piv[i]...),
-				})
-			}
-		}
 		if st.hlu != nil {
 			fs.HasHLU = true
 			for _, op := range st.hlu.ops {
 				fs.HLU.Ops = append(fs.HLU.Ops, facOp{Kind: int(op.Kind), I: op.I, Piv: op.Piv})
 			}
-			for i, l := range st.hlu.headL {
-				if l == nil {
-					continue
-				}
-				fs.HLU.Heads = append(fs.HLU.Heads, facKeyed{
-					I: i, M: packMatrix(l), Piv: append([]int(nil), st.hlu.headPiv[i]...),
-				})
-			}
-			for i, pr := range st.hlu.pairs {
-				if pr == nil {
-					continue
-				}
-				fs.HLU.Pairs = append(fs.HLU.Pairs, facKeyed{
-					I: i, M: packMatrix(pr.s), Piv: append([]int(nil), pr.piv...),
-				})
-			}
+			fs.HLU.Heads = packLUFactors(st.hlu.heads)
+			fs.HLU.Pairs = packLUFactors(st.hlu.pairs)
 		}
 		p.Steps[k] = fs
 	}
@@ -457,8 +444,7 @@ func DecodeFactorization(data []byte) (*Result, error) {
 				lapack.FormY(ta.Tile(i, st.k), tf.t)
 			}
 		}
-		// The B variants leave block-triangular factors; reinstall the
-		// diagonal solver exactly as submitVariantLUStep does.
+		// The B variants leave block-triangular factors.
 		if p.Decisions[k] && Algorithm(p.Alg) == LUQR {
 			f.installDiagSolver(st)
 		}
@@ -533,7 +519,7 @@ func (p *facPayload) validate() error {
 
 // validate checks step k's replay state against the path replay takes
 // through it (replayStep, installDiagSolver): an LU step replays its
-// incremental-pivoting or HLU factors if it has them, else its variant's;
+// pairwise LU factors (facInc or facHLU) if it has them, else its variant's;
 // a QR step replays the reflector factors the reduction tree names, and a
 // missing one is an error replay reports itself.
 func (fs *facStep) validate(k, nt, nb int, lu bool) error {
@@ -554,7 +540,7 @@ func (fs *facStep) validate(k, nt, nb int, lu bool) error {
 		if err := checkFactor("incpiv diagonal", facKeyed{I: k, M: fs.Inc.L0, Piv: fs.Inc.PivK}, nt, nb, nb, nb); err != nil {
 			return err
 		}
-		// ssssm replays every row below the diagonal.
+		// The flat TS chain kills every row below the diagonal.
 		seen := make([]bool, nt)
 		for _, kv := range fs.Inc.Rows {
 			if kv.I <= k {
@@ -677,62 +663,48 @@ func unpackStep(fs *facStep, nt int) (*stepState, error) {
 			}
 		}
 	}
+	hlu := fs.HLU
 	if fs.HasInc {
-		is := &incState{l: make([]*mat.Matrix, nt), piv: make([][]int, nt)}
-		if is.l0, err = unpackMatrix(fs.Inc.L0); err != nil {
+		hlu = fs.Inc.asHLU(fs.K, nt)
+	}
+	if fs.HasInc || fs.HasHLU {
+		st.hlu = newHLUState(nt, nil)
+		for _, op := range hlu.Ops {
+			st.hlu.ops = append(st.hlu.ops, tree.Op{Kind: tree.Kind(op.Kind), I: op.I, Piv: op.Piv})
+		}
+		if err := unpackLUFactors(st.hlu.heads, hlu.Heads); err != nil {
 			return nil, err
 		}
-		is.piv[fs.K] = fs.Inc.PivK
-		for _, kv := range fs.Inc.Rows {
-			if is.l[kv.I], err = unpackMatrix(kv.M); err != nil {
-				return nil, err
-			}
-			is.piv[kv.I] = kv.Piv
+		if err := unpackLUFactors(st.hlu.pairs, hlu.Pairs); err != nil {
+			return nil, err
 		}
-		st.inc = is
-	}
-	if fs.HasHLU {
-		hs := &hluState{
-			headPiv: make([][]int, nt),
-			headL:   make([]*mat.Matrix, nt),
-			pairs:   make([]*pairLU, nt),
-		}
-		for _, op := range fs.HLU.Ops {
-			hs.ops = append(hs.ops, tree.Op{Kind: tree.Kind(op.Kind), I: op.I, Piv: op.Piv})
-		}
-		for _, kv := range fs.HLU.Heads {
-			if hs.headL[kv.I], err = unpackMatrix(kv.M); err != nil {
-				return nil, err
-			}
-			hs.headPiv[kv.I] = kv.Piv
-		}
-		for _, kv := range fs.HLU.Pairs {
-			s, err := unpackMatrix(kv.M)
-			if err != nil {
-				return nil, err
-			}
-			hs.pairs[kv.I] = &pairLU{s: s, piv: kv.Piv}
-		}
-		st.hlu = hs
 	}
 	return st, nil
 }
 
-// installDiagSolver recreates the stored block-LU diagonal solver of a
-// decoded (B1)/(B2) LU step — the same closures submitVariantLUStep installs
-// during a live factorization.
-func (f *fact) installDiagSolver(st *stepState) {
-	k := st.k
-	switch st.variant {
-	case VarB1:
-		f.diagSolvers[k] = func(b *mat.Matrix) {
-			lapack.Getrs(blas.NoTrans, f.A.Tile(k, k), st.piv, b)
+// unpackLUFactors inverts packLUFactors into dst, indexed by row.
+func unpackLUFactors(dst []*luFactors, kvs []facKeyed) error {
+	for _, kv := range kvs {
+		m, err := unpackMatrix(kv.M)
+		if err != nil {
+			return err
 		}
-	case VarB2:
-		t := st.tGeqrt[k].t
-		f.diagSolvers[k] = func(b *mat.Matrix) {
-			lapack.Unmqr(blas.Trans, f.A.Tile(k, k), t, b)
-			blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, f.A.Tile(k, k), b)
-		}
+		dst[kv.I] = &luFactors{lu: m, piv: kv.Piv}
 	}
+	return nil
+}
+
+// asHLU converts LU IncPiv step k of an older stream into the flat-TS HLU
+// step that runs LU IncPiv: the diagonal GETRF is the head, and each killed
+// row's stacked factors are its pair.
+func (in *facInc) asHLU(k, nt int) facHLU {
+	rows := make([]int, 0, nt-k)
+	for i := k; i < nt; i++ {
+		rows = append(rows, i)
+	}
+	h := facHLU{Heads: []facKeyed{{I: k, M: in.L0, Piv: in.PivK}}, Pairs: in.Rows}
+	for _, op := range tree.Eliminations(rows, tree.FlatTS) {
+		h.Ops = append(h.Ops, facOp{Kind: int(op.Kind), I: op.I, Piv: op.Piv})
+	}
+	return h
 }

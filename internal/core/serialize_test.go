@@ -515,6 +515,61 @@ func TestSerializeV2FormsY(t *testing.T) {
 	}
 }
 
+// incPivParentStream rewrites an LU IncPiv stream into the shape builds
+// wrote before LU IncPiv ran the flat-tree HLU step: every step carries
+// its factors as a facInc (the diagonal GETRF's snapshot and pivots, then
+// each killed row's stack) and its pivot rows as [k], not as a facHLU.
+func incPivParentStream(t testing.TB, data []byte) []byte {
+	var p facPayload
+	if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	for k := range p.Steps {
+		fs := &p.Steps[k]
+		if fs.HasInc || !fs.HasHLU || len(fs.HLU.Heads) != 1 || fs.HLU.Heads[0].I != k {
+			t.Fatalf("step %d is not a flat-tree HLU step: %+v", k, fs)
+		}
+		fs.Rows = []int{k}
+		fs.HasInc, fs.Inc = true, facInc{L0: fs.HLU.Heads[0].M, PivK: fs.HLU.Heads[0].Piv, Rows: fs.HLU.Pairs}
+		fs.HasHLU, fs.HLU = false, facHLU{}
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return rebuildStream(factEncodingVersion, payload.Bytes())
+}
+
+// TestSerializeIncPivParentStream: an LU IncPiv stream in the facInc shape
+// of earlier builds, made here from a fresh run's stream, decodes to the
+// same tiles and replays bit-identically to that run.
+func TestSerializeIncPivParentStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	n := 60 // padded to 64
+	a := matgen.Random(n, rng)
+	b := matgen.RandomVector(n, rng)
+	res := runOn(t, a, b, Config{Alg: LUIncPiv, NB: 16})
+	data, err := res.EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFactorization(incPivParentStream(t, data))
+	if err != nil {
+		t.Fatalf("facInc stream rejected: %v", err)
+	}
+	for i := 0; i < res.Factored.MT; i++ {
+		for j := 0; j < res.Factored.NT; j++ {
+			w, g := res.Factored.Tile(i, j).Data, got.Factored.Tile(i, j).Data
+			for e := range w {
+				if math.Float64bits(w[e]) != math.Float64bits(g[e]) {
+					t.Fatalf("tile (%d,%d)[%d] = %v, want %v", i, j, e, g[e], w[e])
+				}
+			}
+		}
+	}
+	assertReplaysIdentically(t, res, got, n, 407)
+}
+
 // TestSerializeRejectsF32WithoutA0: a stream claiming f32 steps but missing
 // the original matrix cannot honor refined solves and must be rejected.
 func TestSerializeRejectsF32WithoutA0(t *testing.T) {
@@ -625,7 +680,8 @@ func reseal(data []byte) []byte {
 // yields a Result whose Solve returns (an error is allowed, a panic is
 // not). Inputs are re-sealed, so the checksum does not stop mutations
 // before the gob decoder and the validation. Seeds are valid encodings of
-// several algorithms and every class of stream damage.
+// several algorithms, an LU IncPiv stream in the facInc shape of earlier
+// builds, and every class of stream damage.
 func FuzzDecodeFactorization(f *testing.F) {
 	rng := rand.New(rand.NewSource(87))
 	n := 12
@@ -648,6 +704,9 @@ func FuzzDecodeFactorization(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		if cfg.Alg == LUIncPiv {
+			f.Add(incPivParentStream(f, data))
+		}
 	}
 	for _, d := range streamDamage {
 		f.Add(d.mutate(append([]byte(nil), data...)))

@@ -256,22 +256,29 @@ func hashFloats(h interface{ Write([]byte) (int, error) }, xs ...float64) {
 
 // TestSweepDiff compares sweep outputs: LUQR_SWEEP_DIFF lists the parent
 // runs' files and then the change's, comma-separated; it is skipped when
-// the variable is unset. LUQR_SWEEP_CHANGED names what the change may move
-// by rounding: unset for the identity check, "lu" for runs with an LU step
-// (an LU kernel's rounding), or a comma-separated list of trace kernels,
-// such as GEQRT,TSQRT,TTQRT,TRSMQR for the QR panel kernels.
+// the variable is unset. LUQR_SWEEP_CHANGED names what the change may move:
+// unset for the identity check; "lu" for runs with an LU step (an LU
+// kernel's rounding); a comma-separated list of trace kernels, such as
+// GEQRT,TSQRT,TTQRT,TRSMQR for the QR panel kernels, whose runs may move by
+// rounding; or "layout:" and a comma-separated list of run names, such as
+// layout:luincpiv,hlu,luqr-a2, whose runs may change their trace and
+// payload layout but not their results. A name matches the runs whose key
+// begins with it and then "/" or "-", so luqr-a2 covers luqr-a2-max100
+// and luqr-a2-random50.
 //
 // It fails where the parents disagree with each other on any hash, where a
-// run is missing on either side, and where a run that may not move does:
-// under "lu" its factors (X and HPL3 cleared) or its trace, since back
-// substitution's TRSM moves X in every run; otherwise any hash. It
+// run is missing on either side, and where a run moves what it may not:
+// outside the changed set, under "lu", its factors (X and HPL3 cleared) or
+// its trace, since back substitution's TRSM moves X in every run, and
+// otherwise any hash; inside a layout set, its Result or Solve hash. It
 // reports, without failing: how many runs are bit-identical outside the
-// changed set and inside it; for the runs that may move, how many did per
-// effective precision and the largest relative change of X
-// (max|Δx|/max|x|) and of HPL3; every LU/QR decision flip with the step's
-// margin on both sides; every run whose HPL3 crosses the acceptance band
-// (≤ 16) either way; and every F32Epochs or Conversions count outside the
-// parents' range, whose spread is timing.
+// changed set and inside it; for the runs that may move by rounding, how
+// many did per effective precision and the largest relative change of X
+// (max|Δx|/max|x|) and of HPL3; every layout run whose Encoding, Factors or
+// Trace moved; every LU/QR decision flip with the step's margin on both
+// sides; every run whose HPL3 crosses the acceptance band (≤ 16) either
+// way; and every F32Epochs or Conversions count outside the parents'
+// range, whose spread is timing.
 func TestSweepDiff(t *testing.T) {
 	spec := os.Getenv("LUQR_SWEEP_DIFF")
 	if spec == "" {
@@ -287,11 +294,19 @@ func TestSweepDiff(t *testing.T) {
 	}
 	change := readSweep(t, files[len(files)-1])
 	changed := os.Getenv("LUQR_SWEEP_CHANGED")
+	layoutNames, layout := strings.CutPrefix(changed, "layout:")
 	mayMove := func(p, c *sweepRun) bool {
-		switch changed {
-		case "":
+		switch {
+		case changed == "":
 			return false
-		case "lu":
+		case layout:
+			for _, name := range strings.Split(layoutNames, ",") {
+				if strings.HasPrefix(p.Key, name+"/") || strings.HasPrefix(p.Key, name+"-") {
+					return true
+				}
+			}
+			return false
+		case changed == "lu":
 			return p.LUSteps > 0 || c.LUSteps > 0
 		}
 		for _, k := range strings.Split(changed, ",") {
@@ -328,7 +343,7 @@ func TestSweepDiff(t *testing.T) {
 	}
 	byPrec := map[string]*moved{}
 	var outside, identicalOutside, inside, identicalInside int
-	var flips, band, epochs []string
+	var flips, band, epochs, layoutMoves []string
 	for _, k := range keys {
 		p, c := ref[k], change[k]
 		if c == nil {
@@ -345,6 +360,26 @@ func TestSweepDiff(t *testing.T) {
 					p.Result == c.Result, p.Solve == c.Solve, p.Encoding == c.Encoding, p.Factors == c.Factors, p.Trace == c.Trace)
 			case sweepHashes(p) == sweepHashes(c):
 				identicalOutside++
+			}
+		} else if layout {
+			inside++
+			if p.Result != c.Result || p.Solve != c.Solve {
+				t.Errorf("%s: only its layout may move, yet its result (match %v) or solve (match %v) moved", k, p.Result == c.Result, p.Solve == c.Solve)
+			}
+			var moved []string
+			if p.Encoding != c.Encoding {
+				moved = append(moved, "encoding")
+			}
+			if p.Factors != c.Factors {
+				moved = append(moved, "factors")
+			}
+			if p.Trace != c.Trace {
+				moved = append(moved, "trace")
+			}
+			if len(moved) == 0 {
+				identicalInside++
+			} else {
+				layoutMoves = append(layoutMoves, fmt.Sprintf("%s: %s", k, strings.Join(moved, ", ")))
 			}
 		} else {
 			inside++
@@ -415,6 +450,9 @@ func TestSweepDiff(t *testing.T) {
 		for _, l := range lines {
 			t.Logf("  %s", l)
 		}
+	}
+	if layout {
+		report("layout runs whose encoding, factors or trace moved", layoutMoves)
 	}
 	report("decision flips", flips)
 	report("HPL3 band (≤ 16) crossings", band)

@@ -12,9 +12,10 @@ import (
 	"luqr/internal/tile"
 )
 
-// scheduleVariantStep builds step k of the hybrid algorithm for the §II-C
-// LU-step variants (A2), (B1), (B2). All three factor the *diagonal tile*
-// (the variants are defined at tile granularity in the paper):
+// The §II-C LU-step variants (A2), (B1), (B2) run the hybrid step of
+// scheduleHybridStep with their own trial and LU-step bodies. All three
+// factor the *diagonal tile* (the variants are defined at tile granularity
+// in the paper):
 //
 //	(A2)  trial = GEQRT; on LU keep it (Apply = UNMQR, Eliminate = TRSM
 //	      with R, Update = GEMM); on QR *reuse* it — no restore needed.
@@ -24,68 +25,11 @@ import (
 //	      factors are retained for the block back-substitution.
 //	(B2)  trial = GEQRT; on LU, Eliminate = (A_ik·R⁻¹)·Qᵀ, no Apply; on QR,
 //	      reuse as in (A2).
-func (f *fact) scheduleVariantStep(k int) {
-	st := &stepState{k: k, rows: []int{k}}
-	st.variant = f.cfg.Variant
-	f.steps[k] = st
-	variant := f.cfg.Variant
-
-	f.submitNormTasks(st)
-	if variant == VarB1 {
-		f.submitBackup(st)
-	}
-	f.submitVariantTrial(st, variant)
-
-	acc := []runtime.Access{runtime.R(st.hStack)}
-	if st.hBackup != nil {
-		acc = append(acc, runtime.R(st.hBackup))
-	}
-	for _, h := range st.hNorms {
-		acc = append(acc, runtime.R(h))
-	}
-	f.e.Submit(runtime.TaskSpec{
-		Name:     fmt.Sprintf("Decide(%d)", k),
-		Kernel:   "DECIDE",
-		Node:     f.owner(k, k),
-		Flops:    float64(10 * f.nb * f.nb),
-		Priority: prioPanel(k),
-		Accesses: acc,
-		Run: func() {
-			in := f.criterionInput(st)
-			st.decision = f.cfg.Criterion.Decide(in)
-			f.report.Decisions[k] = st.decision
-			f.report.Margins[k] = in.Margin
-			if st.decision {
-				f.noteBreakdown(st.luErr)
-			}
-		},
-		Then: func(*runtime.Engine) {
-			if st.decision {
-				st.releaseBackup() // only VarB1 holds one; no-op otherwise
-				f.submitVariantLUStep(st, variant)
-			} else {
-				switch variant {
-				case VarB1:
-					f.submitRestore(st)
-				case VarA2, VarB2:
-					// The QR factorization of the diagonal tile is reused:
-					// mark the step so submitQRStep skips GEQRT(k).
-					st.preFactored = true
-				}
-				f.submitQRStep(st)
-			}
-			f.submitGrowthProbe(k)
-			if k+1 < f.nt {
-				f.scheduleVariantStep(k + 1)
-			}
-		},
-	})
-}
 
 // submitVariantTrial factors the diagonal tile in place and collects the
 // criterion data. For the QR-based variants the reflector block T is stored
 // in st.tGeqrt[k] so both the LU and the QR branch can apply it.
-func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
+func (f *fact) submitVariantTrial(st *stepState) {
 	k := st.k
 	nb := f.nb
 	st.hStack = f.e.NewHandle(fmt.Sprintf("panelTrial(%d)", k), nb*nb*8, f.owner(k, k))
@@ -94,7 +38,7 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 		st.tKill = map[int]*tFactor{}
 	}
 
-	qrBased := variant == VarA2 || variant == VarB2
+	qrBased := st.variant == VarA2 || st.variant == VarB2
 	var t *mat.Matrix
 	kernel, flop := "GETRF", flops.Getrf(nb, nb)
 	accesses := []runtime.Access{runtime.W(st.hStack), runtime.W(f.h[k][k])}
@@ -153,11 +97,12 @@ func (f *fact) submitVariantTrial(st *stepState, variant LUVariant) {
 	})
 }
 
-// submitVariantLUStep emits the Apply/Eliminate/Update tasks of the chosen
+// submitVariantLUStep emits the Apply/Eliminate/Update tasks of the step's
 // variant, assuming the trial factorization of the diagonal tile was kept.
-func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
+func (f *fact) submitVariantLUStep(st *stepState) {
 	k := st.k
 	nb := f.nb
+	variant := st.variant
 
 	// Apply (row k and the RHS tile) — (A2) only; the B variants leave row
 	// k untouched, which is what makes their result block triangular.
@@ -215,13 +160,18 @@ func (f *fact) submitVariantLUStep(st *stepState, variant LUVariant) {
 	// its step-k values, as block LU requires.
 	f.submitGemmUpdates(st)
 
-	// The B variants leave a block-triangular factor: install the diagonal
-	// solver for the back-substitution.
-	switch variant {
+	f.installDiagSolver(st)
+}
+
+// installDiagSolver installs the diagonal solver of a (B1)/(B2) LU step for
+// the block back-substitution: the B variants leave a block-triangular
+// factor. A live factorization and a decoded one install the same solver.
+func (f *fact) installDiagSolver(st *stepState) {
+	k := st.k
+	switch st.variant {
 	case VarB1:
-		piv := &st.piv
 		f.diagSolvers[k] = func(b *mat.Matrix) {
-			lapack.Getrs(blas.NoTrans, f.A.Tile(k, k), *piv, b)
+			lapack.Getrs(blas.NoTrans, f.A.Tile(k, k), st.piv, b)
 		}
 	case VarB2:
 		t := st.tGeqrt[k].t

@@ -26,15 +26,6 @@ func Random(n int, rng *rand.Rand) *mat.Matrix {
 	return m
 }
 
-// RandomUniform returns entries uniform on [0,1).
-func RandomUniform(n int, rng *rand.Rand) *mat.Matrix {
-	m := mat.New(n, n)
-	for i := range m.Data {
-		m.Data[i] = rng.Float64()
-	}
-	return m
-}
-
 // DiagDominant returns a strictly (block) diagonally dominant random matrix:
 // normal off-diagonal entries with the diagonal lifted to twice the row sum.
 // On such matrices the Sum criterion (α ≥ 1) accepts every step (§III-B).

@@ -74,9 +74,6 @@ type Options struct {
 	// MaxN rejects matrices larger than this order at parse time.
 	// Default 4096.
 	MaxN int
-	// MaxJobs bounds the finished-job history kept for GET /v1/jobs/{id};
-	// the oldest finished jobs are forgotten beyond it. Default 1024.
-	MaxJobs int
 	// NoTrace disables per-job tracing. By default jobs run with tracing on
 	// and the measured per-kernel totals accumulate into /metrics.
 	NoTrace bool
@@ -113,9 +110,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxN <= 0 {
 		o.MaxN = 4096
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 1024
 	}
 	if o.StoreMaxBytes <= 0 {
 		o.StoreMaxBytes = 1 << 30
@@ -226,12 +220,15 @@ func (m *Manager) Cancel(id string) (*Job, bool, error) {
 	return j, canceled, nil
 }
 
+// maxJobs bounds the finished-job history kept for GET /v1/jobs/{id}.
+const maxJobs = 1024
+
 // retire records a terminal job in the bounded history, forgetting the
-// oldest terminal jobs beyond Options.MaxJobs.
+// oldest terminal jobs beyond maxJobs.
 func (m *Manager) retire(id string) {
 	m.mu.Lock()
 	m.finished = append(m.finished, id)
-	for len(m.finished) > m.opts.MaxJobs {
+	for len(m.finished) > maxJobs {
 		delete(m.jobs, m.finished[0])
 		m.finished = m.finished[1:]
 	}

@@ -34,9 +34,6 @@ func (g Grid) Owner(i, j int) int {
 	return (i%g.P)*g.Q + j%g.Q
 }
 
-// OwnerRow returns the grid row of the process owning tile row i.
-func (g Grid) OwnerRow(i int) int { return i % g.P }
-
 // DiagonalDomain returns the rows of panel k that live on the node owning
 // the diagonal tile (k, k): all i in [k, mt) with owner(i, k) == owner(k, k).
 // These are the rows among which the LU step may pivot without inter-node

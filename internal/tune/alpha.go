@@ -34,12 +34,12 @@ const (
 	// exactly-solved tiny system would otherwise make every later
 	// observation an "excursion".
 	refHPL3Floor = 0.01
-	// Default excursion thresholds (Options can override): a single run's
-	// HPL3 more than 4× the best seen for the class, or element growth past
-	// 1024, counts as an excursion. The paper's offline rule compares MEAN
-	// HPL3 against 2× LUPP; single samples are noisier, hence the looser 4×.
-	defaultAlphaHPL3Budget = 4.0
-	defaultAlphaGrowthCap  = 1024
+	// Excursion thresholds: a single run's HPL3 more than 4× the best seen
+	// for the class, or element growth past 1024, counts as an excursion.
+	// The paper's offline rule compares MEAN HPL3 against 2× LUPP; single
+	// samples are noisier, hence the looser 4×.
+	alphaHPL3Budget = 4.0
+	alphaGrowthCap  = 1024
 )
 
 // AlphaState is the learned robustness threshold for one (class, criterion)
@@ -118,10 +118,10 @@ func (t *Tuner) Observe(n int, alg string, o Observation) (AlphaState, bool) {
 		growth = o.Growth
 	}
 	excursion := o.Breakdown || math.IsNaN(o.HPL3) || math.IsInf(o.HPL3, 0)
-	if !excursion && st.RefHPL3 > 0 && o.HPL3 > t.hpl3Budget*st.RefHPL3 {
+	if !excursion && st.RefHPL3 > 0 && o.HPL3 > alphaHPL3Budget*st.RefHPL3 {
 		excursion = true
 	}
-	if !excursion && (math.IsNaN(growth) || growth > t.growthCap) {
+	if !excursion && (math.IsNaN(growth) || growth > alphaGrowthCap) {
 		excursion = true
 	}
 	if excursion {

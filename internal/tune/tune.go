@@ -96,26 +96,18 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Machine overrides the machine fingerprint (tests only).
 	Machine string
-	// AlphaHPL3Budget is the α learner's excursion threshold on the ratio
-	// of a run's HPL3 to the class's best observed HPL3 (default 4.0).
-	AlphaHPL3Budget float64
-	// AlphaGrowthCap is the α learner's excursion threshold on element
-	// growth (default 1024).
-	AlphaGrowthCap float64
 }
 
 // Tuner resolves operating points: memory/table lookup first, probe on miss,
 // persist the winner. Safe for concurrent use; concurrent misses of the same
 // class run one probe.
 type Tuner struct {
-	path       string
-	cands      []Point
-	bench      BenchFunc
-	now        func() time.Time
-	logf       func(string, ...any)
-	machine    string
-	hpl3Budget float64
-	growthCap  float64
+	path    string
+	cands   []Point
+	bench   BenchFunc
+	now     func() time.Time
+	logf    func(string, ...any)
+	machine string
 
 	mu     sync.Mutex
 	tab    *table
@@ -147,21 +139,13 @@ type Stats struct {
 // New builds a Tuner from opts.
 func New(opts Options) *Tuner {
 	t := &Tuner{
-		path:       opts.Path,
-		cands:      opts.Candidates,
-		bench:      opts.Bench,
-		now:        opts.Now,
-		logf:       opts.Logf,
-		machine:    opts.Machine,
-		hpl3Budget: opts.AlphaHPL3Budget,
-		growthCap:  opts.AlphaGrowthCap,
-		probing:    make(map[string]chan struct{}),
-	}
-	if t.hpl3Budget <= 0 {
-		t.hpl3Budget = defaultAlphaHPL3Budget
-	}
-	if t.growthCap <= 0 {
-		t.growthCap = defaultAlphaGrowthCap
+		path:    opts.Path,
+		cands:   opts.Candidates,
+		bench:   opts.Bench,
+		now:     opts.Now,
+		logf:    opts.Logf,
+		machine: opts.Machine,
+		probing: make(map[string]chan struct{}),
 	}
 	if t.bench == nil {
 		t.bench = CoreBench

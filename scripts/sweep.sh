@@ -9,8 +9,14 @@
 # archive or git clone); the script drops the sweep test into it. CHANGED
 # is empty for the identity check, "lu" when the change may move LU-stepping
 # runs by rounding, or a comma-separated list of trace kernels whose runs
-# may move (GEQRT,TSQRT,TTQRT,TRSMQR for the QR panel kernels). The outputs
-# stay in the directory printed at the end.
+# may move (GEQRT,TSQRT,TTQRT,TRSMQR for the QR panel kernels). For a
+# refactor that changes how some runs lay out their tasks and factors but
+# not what they compute, CHANGED is "layout:" and a comma-separated list of
+# run names, the first segment of a run's key or its prefix before a dash
+# (layout:luincpiv,hlu,luqr-a2 covers luqr-a2-max100 and luqr-a2-random50):
+# a named run fails if its Result or Solve hash moves, its Encoding,
+# Factors and Trace moves are listed, and every other run keeps the full
+# identity check. The outputs stay in the directory printed at the end.
 set -euo pipefail
 
 parent=$(cd "$1" && pwd)
