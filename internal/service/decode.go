@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 )
@@ -42,8 +44,8 @@ func decodeRequest(b []byte) (SolveRequest, error) {
 // decodeCanonical decodes b in one pass when it is a canonical request:
 // one JSON object holding only the request's own keys, each at most once
 // and spelled exactly as its tag; strings of plain ASCII without escapes;
-// numbers in the strict JSON grammar. Each number converts through
-// strconv.ParseFloat or ParseInt exactly as encoding/json converts it, and
+// numbers in the strict JSON grammar. Each number converts to the value
+// strconv.ParseFloat or ParseInt gives, as encoding/json converts it, and
 // null leaves a field at its zero value, as it does from a zero value
 // there. ok is false on the first byte outside that subset, or on a value
 // encoding/json would refuse (a number out of range, an integer written
@@ -188,57 +190,162 @@ func (d *decoder) setString(v *string) bool {
 // scanNumber scans one number in the strict JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
 // What follows it is left to the caller's next token, so "01" scans as 0
-// and then fails on the 1.
-func (d *decoder) scanNumber() ([]byte, bool) {
+// and then fails on the 1. In the same pass it converts the number to the
+// float64 strconv.ParseFloat would return, when exactFloat can: fast
+// reports that f holds that value.
+func (d *decoder) scanNumber() (num []byte, f float64, fast, ok bool) {
 	d.space()
 	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	// The value is mant·10^exp, where mant keeps the leading significant
+	// digits, at most 19 of them, and exact is false once a nonzero digit
+	// falls off its end.
+	var mant uint64
+	exp, exact := 0, true
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if i = digits(b, i); i < 0 {
-		return nil, false
+	} else {
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if mant < 1e18 {
+				mant = mant*10 + uint64(b[i]-'0')
+			} else {
+				exp++
+				exact = exact && b[i] == '0'
+			}
+		}
+		if i == j {
+			return nil, 0, false, false
+		}
 	}
 	if i < len(b) && b[i] == '.' {
-		if i = digits(b, i+1); i < 0 {
-			return nil, false
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if mant < 1e18 {
+				mant = mant*10 + uint64(b[i]-'0')
+				exp--
+			} else {
+				exact = exact && b[i] == '0'
+			}
+		}
+		if i == j {
+			return nil, 0, false, false
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || eneg) {
 			i++
 		}
-		if i = digits(b, i); i < 0 {
-			return nil, false
+		j, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 1e6 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			return nil, 0, false, false
+		}
+		// An exponent of 10^6 or more stopped taking digits: strconv
+		// decides such a number.
+		exact = exact && e < 1e6
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	num = b[d.i:i]
+	d.i = i
+	if exact {
+		f, fast = exactFloat(mant, exp)
+		if neg {
+			f = -f
 		}
 	}
-	num := b[d.i:i]
-	d.i = i
-	return num, true
+	return num, f, fast, true
 }
 
-// digits returns the index past the run of decimal digits at b[i:], or -1
-// when there is none.
-func digits(b []byte, i int) int {
-	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
+// pow10 holds the powers of ten a uint64 holds, 10^0 to 10^19.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// pow10f holds the powers of ten a float64 holds exactly, 10^0 to 10^22
+// (5^22 < 2^53).
+var pow10f = [...]float64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// exactFloat returns mant·10^exp rounded to the nearest float64, ties to
+// even, when one of two exact paths decides it; ok is false otherwise.
+// Clinger's fast path takes mant < 2^53 and |exp| ≤ 22: both factors are
+// float64s, so one multiply or divide rounds once, correctly. Otherwise,
+// for |exp| ≤ 19, the 128-bit product mant·10^exp, or the quotient
+// mant/10^exp to 64 bits with a remainder, holds the value exactly enough
+// for roundBits. Their results lie in [10^-19, 10^38], so neither path can
+// overflow or reach a subnormal.
+func exactFloat(mant uint64, exp int) (f float64, ok bool) {
+	switch {
+	case mant == 0:
+		return 0, true
+	case mant < 1<<53 && -22 <= exp && exp <= 22:
+		if exp < 0 {
+			return float64(mant) / pow10f[-exp], true
+		}
+		return float64(mant) * pow10f[exp], true
+	case 0 <= exp && exp <= 19:
+		hi, lo := bits.Mul64(mant, pow10[exp])
+		z := bits.LeadingZeros64(hi)
+		return roundBits(hi<<z|lo>>(64-z), lo<<z != 0, 64-z), true
+	case -19 <= exp && exp < 0:
+		// With mant and 10^-exp shifted to their top bits (m, d·2^dz),
+		// m·2^63/(d·2^dz) lies in [2^62, 2^64), and mant/10^-exp is
+		// that times 2^(dz-mz-63).
+		mz, d := bits.LeadingZeros64(mant), pow10[-exp]
+		dz := bits.LeadingZeros64(d)
+		m := mant << mz
+		q, r := bits.Div64(m>>1, m<<63, d<<dz)
+		return roundBits(q, r != 0, dz-mz-63), true
 	}
-	if j == i {
-		return -1
+	return 0, false
+}
+
+// roundBits returns (x+ε)·2^e2 rounded to 53 bits, ties to even, for a
+// nonzero x and a fraction ε in [0, 1) that is nonzero exactly when
+// sticky. x ≥ 2^53 whenever sticky is set, so ε stays below the last of
+// the bits rounding drops. The result must be a normal float64.
+func roundBits(x uint64, sticky bool, e2 int) float64 {
+	z := bits.LeadingZeros64(x)
+	x <<= z
+	e2 -= z
+	m, rest := x>>11, x&(1<<11-1)
+	if rest > 1<<10 || rest == 1<<10 && (sticky || m&1 == 1) {
+		m++
+		if m == 1<<53 {
+			m >>= 1
+			e2++
+		}
 	}
-	return j
+	// m·2^(e2+11) with m in [2^52, 2^53): the biased exponent is
+	// e2+11+52+1023.
+	return math.Float64frombits(uint64(e2+1086)<<52 | m&(1<<52-1))
 }
 
 // setInt64 decodes an integer field as encoding/json does, with
-// strconv.ParseInt; a fraction or exponent (1.0, 1e2) fails there.
+// strconv.ParseInt on the scanned bytes; a fraction or exponent (1.0, 1e2)
+// fails there.
 func (d *decoder) setInt64(v *int64) bool {
 	if d.null() {
 		return true
 	}
-	num, ok := d.scanNumber()
+	num, _, _, ok := d.scanNumber()
 	if !ok {
 		return false
 	}
@@ -255,12 +362,14 @@ func (d *decoder) setInt(v *int) bool {
 	return ok && int64(*v) == n
 }
 
-// float decodes one number as encoding/json decodes a float64, with
-// strconv.ParseFloat; a value out of float64's range fails there.
+// float decodes one number as encoding/json decodes a float64: to
+// strconv.ParseFloat's value, which scanNumber computes itself for all but
+// the rare number it cannot decide; those go to strconv.ParseFloat, where a
+// value out of float64's range fails.
 func (d *decoder) float() (float64, bool) {
-	num, ok := d.scanNumber()
-	if !ok {
-		return 0, false
+	num, f, fast, ok := d.scanNumber()
+	if !ok || fast {
+		return f, ok
 	}
 	f, err := strconv.ParseFloat(string(num), 64)
 	return f, err == nil

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,6 +88,10 @@ func requestDiff(a, b SolveRequest) string {
 	return ""
 }
 
+// numberEdges are numbers at the edges of the JSON grammar and of
+// float64's range.
+var numberEdges = []string{"-0", "0e0", "1E+2", "1e308", "1e309", "4.9e-324", "1e-400", "01", "1.", ".5", "+1", "-", "1e", "-01", "0.0e-0", "2.5E-3", "NaN", "Infinity"}
+
 // decodeSeeds are bodies at the edges of what encoding/json accepts.
 func decodeSeeds(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(1))
@@ -134,7 +142,7 @@ func decodeSeeds(t testing.TB) [][]byte {
 		[]byte(`{"matrix":{"n":"2","gen":3,"data":[true]}}`),
 	}
 	// Every number edge in a float array, in alpha and in an int field.
-	for _, num := range []string{"-0", "0e0", "1E+2", "1e308", "1e309", "4.9e-324", "1e-400", "01", "1.", ".5", "+1", "-", "1e", "-01", "0.0e-0", "2.5E-3", "NaN", "Infinity"} {
+	for _, num := range numberEdges {
 		seeds = append(seeds,
 			[]byte(`{"matrix":{"n":2,"gen":"random"},"rhs":[1,`+num+`]}`),
 			[]byte(`{"matrix":{"n":2,"gen":"random"},"config":{"alpha":`+num+`}}`),
@@ -186,9 +194,146 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// numberSyntax is the strict JSON number grammar. strictNumber matches
+// one whole number; committedNumber matches the bytes scanNumber reads
+// before it decides, since a '.' or an 'e' commits it to a fraction or an
+// exponent.
+const numberSyntax = `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`
+
+var (
+	strictNumber    = regexp.MustCompile(`^` + numberSyntax + `$`)
+	committedNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)?(\.[0-9]*)?([eE][+-]?[0-9]*)?`)
+	anyNumber       = regexp.MustCompile(numberSyntax)
+)
+
+// numberSeeds are numbers at the edges of the grammar and of both exact
+// paths: ties to even, more than 19 significant digits, long zero runs,
+// long exponents.
+var numberSeeds = []string{
+	"9007199254740993", "9007199254740995", "-9007199254740993e0",
+	"18014398509481986", "18014398509481990", "4503599627370496.5", "4503599627370497.5",
+	"9999999999999999999", "10000000000000000000", "18446744073709551615", "18446744073709551616",
+	"12345678901234567890123", "1234567890123456789.0", "1.00000000000000000000001",
+	"100000000000000000000000000000e-29", "1000000000000000000000000000000000000000000",
+	"0.000000000000000000000000000001234", "-0.00000000000000000000000000000000000000000000001e44",
+	"0.1", "0.2", "0.3", "1e22", "1e23", "9007199254740991e22", "9007199254740992e-22", "1e-19", "9999999999999999999e19",
+	"1e0000000000000000000000000000000000000000001", "1e-9999999999999999999999", "0e99999999999999999",
+	"123456789e-1000000", "1e999999", "1e1000000", "0.0000000000000000000000000000001e1000030",
+	" \t\r\n1.5", "1.5,", "2]", "--1", "1e+", "1.e5", "0.e1", "1E-0", "00", "0123",
+}
+
+// randomNumbers returns 6n numbers: n shortest-form floats as
+// json.Marshal writes them, n digit strings with a point and an exponent,
+// 2n ties at 53 bits and 2n 19-digit neighbours of ties, for the product
+// and the quotient path.
+func randomNumbers(rng *rand.Rand, n int) []string {
+	digits := func(count int) string {
+		b := make([]byte, count)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		if b[0] == '0' {
+			b[0] = '1'
+		}
+		return string(b)
+	}
+	var nums []string
+	for i := 0; i < n; i++ {
+		f := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		b, err := json.Marshal(f)
+		if err != nil {
+			panic(err)
+		}
+		nums = append(nums, string(b))
+
+		num, point := digits(1+rng.Intn(21)), rng.Intn(22)
+		if point < len(num)-1 {
+			num = num[:point+1] + "." + num[point+1:]
+		}
+		nums = append(nums, num+fmt.Sprintf("e%d", rng.Intn(61)-30))
+
+		// v = 2m+1 for m in [2^52, 2^53) is halfway between two float64s,
+		// and so is v·2^s; v/2^k has k ≤ 3 decimals and at most 19 digits.
+		v := 1<<53 + 2*uint64(rng.Int63n(1<<52)) + 1
+		nums = append(nums, fmt.Sprint(v<<rng.Intn(11)))
+		k := 1 + rng.Intn(3)
+		q := fmt.Sprint(v * uint64(math.Pow(5, float64(k))))
+		nums = append(nums, q[:len(q)-k]+"."+q[len(q)-k:])
+
+		// The two 19-digit significands that, times or over 10^e, fall
+		// on either side of the tie v·2^s: the tie's bit is the first
+		// one rounding drops, so the bits below it decide.
+		e := 1 + rng.Intn(19)
+		pow := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(e)), nil)
+		if rng.Intn(2) == 0 {
+			s := int(math.Log2(1e19)+float64(e)*math.Log2(10)) - 55
+			tie := new(big.Int).Lsh(new(big.Int).SetUint64(v), uint(s))
+			lo := new(big.Int).Quo(tie, pow)
+			nums = append(nums, fmt.Sprintf("%de%d", lo, e), fmt.Sprintf("%de%d", lo.Add(lo, big.NewInt(1)), e))
+		} else {
+			num, den := new(big.Int).Mul(new(big.Int).SetUint64(v), pow), big.NewInt(1)
+			if s := int(math.Log2(1e19)-float64(e)*math.Log2(10)) - 55; s >= 0 {
+				num.Lsh(num, uint(s))
+			} else {
+				den.Lsh(den, uint(-s))
+			}
+			lo := new(big.Int).Quo(num, den)
+			nums = append(nums, fmt.Sprintf("%de-%d", lo, e), fmt.Sprintf("%de-%d", lo.Add(lo, big.NewInt(1)), e))
+		}
+	}
+	return nums
+}
+
+// checkNumber: for any bytes after leading whitespace, the decoder's number
+// path and strconv.ParseFloat on the strict-grammar prefix agree on whether
+// the number is accepted, on the bytes it takes, and on its bits.
+func checkNumber(t *testing.T, b []byte) {
+	d := decoder{b: b}
+	got, ok := d.float()
+	rest := bytes.TrimLeft(b, " \t\n\r")
+	span := committedNumber.Find(rest)
+	want, err := strconv.ParseFloat(string(span), 64)
+	if wantOK := strictNumber.Match(span) && err == nil; ok != wantOK {
+		t.Fatalf("%q: accepted %v, strconv on %q %v (%v)", b, ok, span, wantOK, err)
+	}
+	if !ok {
+		return
+	}
+	if n := d.i - (len(b) - len(rest)); n != len(span) {
+		t.Fatalf("%q: took %d bytes, want %d", b, n, len(span))
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%q: %v (%#x), strconv %v (%#x)", b, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// FuzzDecodeNumber holds the decoder's number path to strconv (checkNumber).
+// The seed corpus stays small: the fuzzer runs every seed for baseline
+// coverage first, at ~10 ms each, inside the CI leg's 30 s.
+func FuzzDecodeNumber(f *testing.F) {
+	for _, seeds := range [][]string{numberEdges, numberSeeds, randomNumbers(rand.New(rand.NewSource(1)), 25)} {
+		for _, s := range seeds {
+			f.Add([]byte(s))
+		}
+	}
+	f.Fuzz(checkNumber)
+}
+
+// TestNumberPathMatchesStrconv runs checkNumber over more random numbers
+// than FuzzDecodeNumber's seed corpus holds, and over an exponent too long
+// for the scanner to keep whose value a million fraction zeros bring back
+// into range (1e-1000006·10^1000010).
+func TestNumberPathMatchesStrconv(t *testing.T) {
+	for _, s := range randomNumbers(rand.New(rand.NewSource(2)), 5000) {
+		checkNumber(t, []byte(s))
+	}
+	checkNumber(t, []byte("0."+strings.Repeat("0", 1_000_005)+"1e1000010"))
+}
+
 // TestBenchmarkBodiesTakeFastPath: every body the serve benchmark sends,
 // and one setting every field, decodes in the canonical pass to what
-// encoding/json makes of it.
+// encoding/json makes of it, and converts at least 99.9% of its numbers
+// without strconv.
 func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 	every := []byte(`{"matrix":{"n":160,"gen":"random","seed":3,"data":null},"config":{"alg":"luqr","nb":40,"ib":8,"p":2,"q":2,"criterion":"sum","alpha":0,"variant":"b2","workers":2,"seed":7,"precision":"auto"},"rhs":[1]}`)
 	for _, seed := range []int64{1, 9301} {
@@ -206,7 +351,35 @@ func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 			if d := requestDiff(got, want); d != "" {
 				t.Fatalf("seed %d %s body: %s", seed, kind, d)
 			}
+			nums := anyNumber.FindAll(b, -1)
+			slow := 0
+			for _, num := range nums {
+				d := decoder{b: num}
+				if _, _, fast, _ := d.scanNumber(); !fast {
+					slow++
+				}
+			}
+			if slow*1000 > len(nums) {
+				t.Errorf("seed %d %s body: %d of %d numbers went to strconv", seed, kind, slow, len(nums))
+			}
 		}
+	}
+}
+
+// BenchmarkDecodeRequest times the served decoder, readRequest's pooled
+// read and canonical pass, on the serve benchmark's body shapes.
+func BenchmarkDecodeRequest(b *testing.B) {
+	bodies := benchBodies(b, 1)
+	for _, kind := range []string{"gen", "data"} {
+		body := bodies[kind]
+		b.Run(kind, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := readRequest(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
