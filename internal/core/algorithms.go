@@ -89,12 +89,12 @@ func (f *fact) scheduleHybridStep(k int) {
 				}
 			case st.hBackup != nil:
 				f.submitRestore(st)
-				f.submitQRStep(st)
+				f.submitTreeStep(st, &qrOps)
 			default:
 				// The (A2)/(B2) trial's QR factorization of the diagonal
-				// tile is reused: submitQRStep skips GEQRT(k).
+				// tile is reused: submitTreeStep skips GEQRT(k).
 				st.preFactored = true
-				f.submitQRStep(st)
+				f.submitTreeStep(st, &qrOps)
 			}
 			f.submitGrowthProbe(k)
 			if k+1 < f.nt {
@@ -159,17 +159,18 @@ func (f *fact) submitPanelFactorStatic(st *stepState) {
 	})
 }
 
-// scheduleHQR builds the static task graph of the hierarchical tiled QR
-// factorization [8]: a QR step at every panel, with no decision path — the
-// baseline whose gap to LUQR(α=0) measures the decision-path overhead
-// (§V-B).
-func (f *fact) scheduleHQR() {
+// scheduleTree builds the static task graph of the tree algorithms, a tree
+// step at every panel and no decision path: HQR's hierarchical QR [8],
+// the baseline whose gap to LUQR(α=0) measures the decision-path overhead
+// (§V-B), or the pairwise LU of LU IncPiv and HLU (hlu.go).
+func (f *fact) scheduleTree() {
+	ks := treeOps(f.cfg.Alg)
 	for k := 0; k < f.nt; k++ {
 		st := &stepState{k: k}
 		st.f32 = f.forceF32
 		f.steps[k] = st
-		f.report.Decisions[k] = false
-		f.submitQRStep(st)
+		f.report.Decisions[k] = f.cfg.Alg.pairwise()
+		f.submitTreeStep(st, ks)
 		f.submitGrowthProbe(k)
 	}
 }

@@ -83,6 +83,10 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
+// pairwise reports whether a runs the pairwise LU tree step: LU IncPiv and
+// HLU.
+func (a Algorithm) pairwise() bool { return a == LUIncPiv || a == HLU }
+
 // ParseAlgorithm converts a CLI name into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	for _, a := range []Algorithm{LUQR, LUNoPiv, LUIncPiv, LUPP, HQR, CALU, HLU} {
@@ -262,7 +266,7 @@ type Config struct {
 // actually use. The precision layer covers the task shapes of the A1 hybrid,
 // the LU-step algorithms that share its kernels (LUNoPiv, LUPP), and HQR; the
 // pairwise/tournament panels (LUIncPiv, CALU, HLU) and the §II-C variants
-// keep their own f64 paths, so a non-f64 request on them falls back to f64.
+// run at f64 only, so a non-f64 request on them falls back to f64.
 // The service derives cache digests from this, so a request asking for f32 on
 // an unsupported algorithm shares the pure-f64 factorization instead of
 // splitting the cache.
@@ -285,12 +289,30 @@ func (c Config) EffectivePrecision() Precision {
 // one dies in an out-of-memory fatal error, which no recover can contain.
 const MaxWorkers = 256
 
-// withDefaults fills in the unset fields. Run has already resolved NB and
-// padded N to a multiple of it.
+// withDefaults fills in the unset fields and rejects the out-of-range
+// ones, before Run starts an engine: an unknown algorithm, variant, scope,
+// precision or reduction tree, or a grid side below 1 (the all-zero grid
+// is the 1×1 default). Each would otherwise panic in a task or divide by
+// zero in Grid.Owner. Run has already resolved NB and padded N to a
+// multiple of it.
 func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
 	if cfg.Grid.P == 0 && cfg.Grid.Q == 0 {
 		cfg.Grid = tile.NewGrid(1, 1)
+	}
+	switch {
+	case cfg.Alg < LUQR || cfg.Alg > HLU:
+		return cfg, fmt.Errorf("core: unknown algorithm %v", cfg.Alg)
+	case cfg.Variant < VarA1 || cfg.Variant > VarB2:
+		return cfg, fmt.Errorf("core: unknown LU-step variant %v", cfg.Variant)
+	case cfg.Scope != ScopeDomain && cfg.Scope != ScopeTile:
+		return cfg, fmt.Errorf("core: unknown pivot scope %d", cfg.Scope)
+	case cfg.Precision < PrecisionF64 || cfg.Precision > PrecisionF32:
+		return cfg, fmt.Errorf("core: unknown precision %v", cfg.Precision)
+	case !knownTree(cfg.IntraTree) || !knownTree(cfg.InterTree):
+		return cfg, fmt.Errorf("core: unknown reduction tree %v/%v", cfg.IntraTree, cfg.InterTree)
+	case cfg.Grid.P < 1 || cfg.Grid.Q < 1:
+		return cfg, fmt.Errorf("core: invalid grid %dx%d", cfg.Grid.P, cfg.Grid.Q)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), MaxWorkers)
@@ -307,3 +329,6 @@ func (c *Config) withDefaults() (Config, error) {
 	cfg.Precision = cfg.EffectivePrecision()
 	return cfg, nil
 }
+
+// knownTree reports whether t is one of the reduction trees.
+func knownTree(t tree.Tree) bool { return t >= tree.FlatTS && t <= tree.Fibonacci }

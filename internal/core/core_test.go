@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"luqr/internal/criteria"
@@ -342,6 +343,57 @@ func TestRunInputValidation(t *testing.T) {
 	sq := mat.Identity(4)
 	if _, err := Run(sq, make([]float64, 3), Config{}); err == nil {
 		t.Fatal("wrong RHS length accepted")
+	}
+}
+
+// TestRunRejectsOutOfRangeConfigs: Run returns an error, and neither panics
+// nor runs, for every enumeration outside its constants and every grid side
+// below 1: unchecked, a variant past (B2) panics on a worker goroutine, a
+// zero grid side divides by zero in Grid.Owner, and a negative one runs.
+// The all-zero grid stays the 1×1 default, and every enumeration's last
+// constant runs.
+func TestRunRejectsOutOfRangeConfigs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := matgen.Random(16, rng)
+	b := matgen.RandomVector(16, rng)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"alg-negative", Config{Alg: Algorithm(-1)}, "algorithm"},
+		{"alg-past-hlu", Config{Alg: HLU + 1}, "algorithm"},
+		{"variant-past-b2", Config{Alg: LUQR, Variant: LUVariant(4)}, "variant"},
+		{"variant-negative", Config{Alg: HQR, Variant: LUVariant(-1)}, "variant"},
+		{"scope", Config{Alg: LUQR, Scope: Scope(3)}, "scope"},
+		{"precision-past-f32", Config{Alg: HQR, Precision: Precision(3)}, "precision"},
+		{"precision-negative", Config{Alg: LUPP, Precision: Precision(-1)}, "precision"},
+		{"intra-tree", Config{Alg: LUQR, IntraTree: tree.Tree(42)}, "tree"},
+		{"inter-tree", Config{Alg: HQR, IntraTree: tree.Greedy, InterTree: tree.Tree(-1)}, "tree"},
+		{"grid-p-zero", Config{Alg: HQR, Grid: tile.Grid{P: 0, Q: 2}}, "grid"},
+		{"grid-q-zero", Config{Alg: LUQR, Grid: tile.Grid{P: 2, Q: 0}}, "grid"},
+		{"grid-p-negative", Config{Alg: HLU, Grid: tile.Grid{P: -1, Q: 2}}, "grid"},
+		{"grid-q-negative", Config{Alg: LUPP, Grid: tile.Grid{P: 2, Q: -1}}, "grid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.NB = 8
+			_, err := Run(a, b, tc.cfg)
+			if err == nil {
+				t.Fatalf("Run accepted %+v", tc.cfg)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the %s", err, tc.want)
+			}
+		})
+	}
+	for _, cfg := range []Config{
+		{Alg: HLU, IntraTree: tree.Fibonacci, InterTree: tree.Fibonacci},
+		{Alg: LUQR, Variant: VarB2, Scope: ScopeTile},
+		{Alg: LUQR, Precision: PrecisionF32},
+		{Alg: HQR, Grid: tile.Grid{}},
+	} {
+		cfg.NB = 8
+		runOn(t, a, b, cfg)
 	}
 }
 

@@ -83,17 +83,16 @@ type stepState struct {
 	// variant records which LU-step formulation the step used (for RHS
 	// replay in Result.Solve).
 	variant LUVariant
-	// hlu retains the pairwise LU factors of an LU IncPiv or HLU step.
-	hlu *hluState
 
 	hBackup *runtime.Handle
 	hStack  *runtime.Handle
 	hNorms  []*runtime.Handle
 
-	// QR-step reflector storage, keyed by tile row: the T factors of the
-	// step's GEQRT and kill (TSQRT/TTQRT) tasks, each with its float32
-	// image and runtime handle. The maps are written at submit time
-	// (single-threaded, so they never race with worker reads).
+	// Tree-step factor storage, keyed by tile row: the factors of the
+	// step's head (GEQRT, GETRF) and kill (TSQRT, TTQRT, TSTRF) tasks, each
+	// with its float32 image, pivots and runtime handle. The maps are
+	// written at submit time (single-threaded, so they never race with
+	// worker reads).
 	tGeqrt map[int]*tFactor
 	tKill  map[int]*tFactor
 }

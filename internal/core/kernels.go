@@ -11,22 +11,29 @@ import (
 	"luqr/internal/tile"
 )
 
-// kernel is one of the Table I tile kernels the LU and QR steps run at
-// both precisions. A tile task is declared once, as a kernel plus the tiles
-// it reads (in), the tiles it writes (out) and, for the QR kernels, the
-// step's T factor; submitTile derives the task's accesses, trace label and
-// flops from that, and runTile runs apply at the step's precision.
+// kernel is one of the tile kernels of the LU, QR and pairwise LU steps,
+// run at either precision. A tile task is declared once, as a kernel plus
+// the tiles it reads (in), the tiles it writes (out) and, for the kernels
+// that factor or apply a panel tile's factor, that factor (tFactor);
+// submitTile derives the task's accesses, trace label and flops from that,
+// and runTile runs apply at the step's precision.
 type kernel int
 
 const (
-	kTrsm  kernel = iota // A_ik ← A_ik·U_kk⁻¹
-	kGemm                // C ← C − A·B
-	kGeqrt               // QR of a tile, T written
-	kUnmqr               // C ← Qᵀ·C by GEQRT's reflectors
-	kTsqrt               // QR of a triangle on a square tile, T written
-	kTtqrt               // QR of a triangle on a triangle, T written
-	kTsmqr               // [C1; C2] ← Qᵀ·[C1; C2] by TSQRT's reflectors
-	kTtmqr               // [C1; C2] ← Qᵀ·[C1; C2] by TTQRT's reflectors
+	kTrsm   kernel = iota // A_ik ← A_ik·U_kk⁻¹
+	kGemm                 // C ← C − A·B
+	kGeqrt                // QR of a tile, T written
+	kUnmqr                // C ← Qᵀ·C by GEQRT's reflectors
+	kTsqrt                // QR of a triangle on a square tile, T written
+	kTtqrt                // QR of a triangle on a triangle, T written
+	kTsmqr                // [C1; C2] ← Qᵀ·[C1; C2] by TSQRT's reflectors
+	kTtmqr                // [C1; C2] ← Qᵀ·[C1; C2] by TTQRT's reflectors
+	kGetrf                // LU of a tile, pivoting inside it: L\U and pivots to T, U stays
+	kGessm                // C ← L⁻¹·P·C by GETRF's factors
+	kTstrf                // LU of a pair [U; A]: L\U and pivots to T (2nb×nb)
+	kSsssm                // [C1; C2] ← L⁻¹·P·[C1; C2] by TSTRF's factors
+	kTrsm2                // A_ik ← A_ik·A_kk⁻¹ by the diagonal tile's LU, (B1)
+	kTrsmqr               // A_ik ← A_ik·R_kk⁻¹·Qᵀ by the diagonal tile's QR, (B2)
 )
 
 // tUse says how a kernel touches the T factor of its step.
@@ -39,26 +46,37 @@ const (
 )
 
 // kernels gives each kernel's trace name, its flops on nb×nb tiles when its
-// output tiles are w columns wide (nb, or the right-hand side's width), and
-// its use of T.
+// output tiles are w columns wide (nb, or the right-hand side's width), its
+// use of T, the height in tiles of the T it writes, and whether it reads
+// its factor's panel tile (the reflectors V of the QR updates; an LU
+// update's factor lies in T alone).
 var kernels = [...]struct {
 	name  string
 	flops func(nb, w int) float64
 	t     tUse
+	tRows int
+	v     bool
 }{
-	kTrsm:  {"TRSM", func(nb, _ int) float64 { return flops.Trsm(nb, nb) }, noT},
-	kGemm:  {"GEMM", func(nb, w int) float64 { return flops.Gemm(nb, w, nb) }, noT},
-	kGeqrt: {"GEQRT", func(nb, _ int) float64 { return flops.Geqrt(nb, nb) }, writesT},
-	kUnmqr: {"UNMQR", flops.Unmqr, readsT},
-	kTsqrt: {"TSQRT", func(nb, _ int) float64 { return flops.Tsqrt(nb) }, writesT},
-	kTtqrt: {"TTQRT", func(nb, _ int) float64 { return flops.Ttqrt(nb) }, writesT},
-	kTsmqr: {"TSMQR", flops.Tsmqr, readsT},
-	kTtmqr: {"TTMQR", flops.Ttmqr, readsT},
+	kTrsm:   {"TRSM", func(nb, _ int) float64 { return flops.Trsm(nb, nb) }, noT, 0, false},
+	kGemm:   {"GEMM", func(nb, w int) float64 { return flops.Gemm(nb, w, nb) }, noT, 0, false},
+	kGeqrt:  {"GEQRT", func(nb, _ int) float64 { return flops.Geqrt(nb, nb) }, writesT, 1, false},
+	kUnmqr:  {"UNMQR", flops.Unmqr, readsT, 0, true},
+	kTsqrt:  {"TSQRT", func(nb, _ int) float64 { return flops.Tsqrt(nb) }, writesT, 1, false},
+	kTtqrt:  {"TTQRT", func(nb, _ int) float64 { return flops.Ttqrt(nb) }, writesT, 1, false},
+	kTsmqr:  {"TSMQR", flops.Tsmqr, readsT, 0, true},
+	kTtmqr:  {"TTMQR", flops.Ttmqr, readsT, 0, true},
+	kGetrf:  {"GETRF", func(nb, _ int) float64 { return flops.Getrf(nb, nb) }, writesT, 1, false},
+	kGessm:  {"GESSM", func(nb, w int) float64 { return flops.Trsm(nb, w) }, readsT, 0, false},
+	kTstrf:  {"TSTRF", func(nb, _ int) float64 { return flops.Trsm(nb, nb) }, writesT, 2, false}, // structure-exploiting pairwise count
+	kSsssm:  {"SSSSM", func(nb, w int) float64 { return flops.Trsm(nb, w) + flops.Gemm(nb, w, nb) }, readsT, 0, false},
+	kTrsm2:  {"TRSM2", func(nb, _ int) float64 { return 2 * flops.Trsm(nb, nb) }, noT, 0, false},
+	kTrsmqr: {"TRSMQR", func(nb, _ int) float64 { return flops.Trsm(nb, nb) + flops.Unmqr(nb, nb) }, readsT, 0, false},
 }
 
 // apply runs kernel kn on in and out (in the order the task declared them)
-// with T factor t and inner block size ib, at either precision.
-func apply[T mat.Float](kn kernel, ib int, in, out []*mat.Dense[T], t *mat.Dense[T]) {
+// with factor t and pivots piv and inner block size ib, at either
+// precision. GETRF and TSTRF return their pivots and a zero pivot's error.
+func apply[T mat.Float](kn kernel, ib int, in, out []*mat.Dense[T], t *mat.Dense[T], piv []int) ([]int, error) {
 	switch kn {
 	case kTrsm:
 		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
@@ -76,36 +94,70 @@ func apply[T mat.Float](kn kernel, ib int, in, out []*mat.Dense[T], t *mat.Dense
 		lapack.Tsmqr(blas.Trans, in[0], t, out[0], out[1])
 	case kTtmqr:
 		lapack.Ttmqr(blas.Trans, in[0], t, out[0], out[1])
+	case kGetrf:
+		// The GESSMs and the replay read L from T; the tile keeps only U,
+		// which the pair kills read and rewrite.
+		p, err := lapack.Getrf(out[0])
+		t.CopyFrom(out[0])
+		copyUpper(out[0], t)
+		return p, err
+	case kTstrf:
+		// The stacked pair is factored in T: the winner's U moves to the
+		// pivot row's tile, the multipliers to the killed tile.
+		nb := out[0].Rows
+		top, bot := t.View(0, 0, nb, nb), t.View(nb, 0, nb, nb)
+		top.CopyFrom(out[0])
+		bot.CopyFrom(out[1])
+		p, err := lapack.Getrf(t)
+		copyUpper(out[0], top)
+		out[1].CopyFrom(bot)
+		return p, err
+	case kGessm:
+		swptrsm(out[0], piv, t)
+	case kSsssm:
+		ssssm(t, piv, out[0], out[1])
+	case kTrsm2:
+		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
+		blas.Trsm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, 1, in[0], out[0])
+		lapack.LaswpCols(out[0], piv, true)
+	case kTrsmqr:
+		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, in[0], out[0])
+		lapack.UnmqrRight(blas.Trans, in[0], t, out[0])
 	default:
 		panic(fmt.Sprintf("core: no tile kernel %d", kn))
 	}
+	return nil, nil
 }
 
 // maxRefs bounds the input and the output tiles of one tile kernel, so the
 // harness keeps its per-task tile lists on the stack.
 const maxRefs = 2
 
-// tFactor is the block reflector T of one QR factor task and the handle
-// that orders the step's update tasks after it. t32 is its float32 image,
-// allocated only on a float32 step (at submit time, so the step's map
-// writes stay single-threaded); the factor task keeps it in step with t —
-// widened into t on an accepted float32 factor, rounded from t after a
-// demotion — so the resident updates and the replay read the same T.
+// tFactor is the factor one factor task leaves for its step's updates and
+// the replay — T, a QR kernel's block reflector or an LU kernel's L\U, and
+// the LU kernel's pivots — with the handle that orders the update tasks
+// after it. t32 is T's float32 image, allocated only on a float32 step (at
+// submit time, so the step's map writes stay single-threaded); the factor
+// task keeps it in step with t — widened into t on an accepted float32
+// factor, rounded from t after a demotion — so the resident updates and the
+// replay read the same T.
 type tFactor struct {
 	t   *mat.Matrix
 	t32 *mat.Matrix32
+	piv []int
 	h   *runtime.Handle
 }
 
-// newTFactor allocates the T factor of a factor task on tile row i of
-// panel k; name is its handle's label.
-func (f *fact) newTFactor(st *stepState, name string, i int) *tFactor {
+// newTFactor allocates the factor that kernel kn writes on tile row i of
+// the step's panel, as tall as the kernels table says.
+func (f *fact) newTFactor(st *stepState, kn kernel, i int) *tFactor {
 	nb := f.nb
-	tf := &tFactor{t: mat.New(nb, nb)}
+	rows := kernels[kn].tRows * nb
+	tf := &tFactor{t: mat.New(rows, nb)}
 	if st.f32 {
-		tf.t32 = mat.NewMatrix32(nb, nb)
+		tf.t32 = mat.NewMatrix32(rows, nb)
 	}
-	tf.h = f.e.NewHandle(fmt.Sprintf("%s(%d,%d)", name, i, st.k), nb*nb*8, f.owner(i, st.k))
+	tf.h = f.e.NewHandle(fmt.Sprintf("T%s(%d,%d)", kernels[kn].name, i, st.k), rows*nb*8, f.owner(i, st.k))
 	return tf
 }
 
@@ -170,17 +222,29 @@ func (f *fact) runTile(tr *runtime.TraceTask, st *stepState, kn kernel, in, out 
 	f.ensure64(&m, in...)
 	f.ensure64(&m, out...)
 	var t *mat.Matrix
+	var piv []int
 	if tf != nil {
-		t = tf.t
+		t, piv = tf.t, tf.piv
 	}
 	var in64, out64 [maxRefs]*mat.Matrix
-	apply(kn, f.ib, f.tiles64(in64[:len(in)], in), f.tiles64(out64[:len(out)], out), t)
+	piv, err := apply(kn, f.ib, f.tiles64(in64[:len(in)], in), f.tiles64(out64[:len(out)], out), t, piv)
+	f.keep(tf, piv, err)
 	if st.f32 {
 		if kernels[kn].t == writesT {
 			tf.t32.RoundFrom(tf.t)
 		}
 		f.noteDemotion()
 	}
+}
+
+// keep records what a factor kernel returns besides its tiles: GETRF's and
+// TSTRF's pivots go to the factor, for its updates and the replay, and a
+// zero pivot marks the run's breakdown.
+func (f *fact) keep(tf *tFactor, piv []int, err error) {
+	if piv != nil {
+		tf.piv = piv
+	}
+	f.noteBreakdown(err)
 }
 
 // tiles64 fills dst with the float64 tiles refs name and returns it.
@@ -196,7 +260,8 @@ func (f *fact) tiles64(dst []*mat.Matrix, refs []tile.Ref) []*mat.Matrix {
 // for the rest the float64 array is the epoch's master copy and a restore
 // is free), acquires the in images, runs the kernel, and scans the out
 // images and a written T. An accepted result widens a written T into its
-// float64 copy (keeping it valid for replay and serialization). On an
+// float64 copy (keeping it valid for replay and serialization) and keeps
+// the kernel's pivots. On an
 // excursion it rolls the outs back (restore-from-snapshot for dirty-before,
 // plain image discard otherwise) and reports false, so a rejected float32
 // result never leaks and a fully demoted run is bit-identical to a pure
@@ -218,11 +283,12 @@ func (f *fact) run32(m *tile.Meter, kn kernel, in, out []tile.Ref, tf *tFactor) 
 		inImgs[idx] = f.res.Read32(t, m)
 	}
 	var t32 *mat.Matrix32
+	var piv []int
 	if tf != nil {
-		t32 = tf.t32
+		t32, piv = tf.t32, tf.piv
 	}
 
-	apply(kn, f.ib, inImgs, outImgs, t32)
+	piv, err := apply(kn, f.ib, inImgs, outImgs, t32, piv)
 
 	wroteT := kernels[kn].t == writesT
 	ok := !f.excursion32(outImgs...) && !(wroteT && f.excursion32(t32))
@@ -236,8 +302,11 @@ func (f *fact) run32(m *tile.Meter, kn kernel, in, out []tile.Ref, tf *tFactor) 
 		}
 		mat.PutBuf(bufs[idx])
 	}
-	if ok && wroteT {
-		t32.WidenInto(tf.t)
+	if ok {
+		if wroteT {
+			t32.WidenInto(tf.t)
+		}
+		f.keep(tf, piv, err)
 	}
 	return ok
 }

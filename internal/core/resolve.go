@@ -8,7 +8,6 @@ import (
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
 	"luqr/internal/tile"
-	"luqr/internal/tree"
 )
 
 // Solve solves A·x = b2 for a new right-hand side by replaying the stored
@@ -221,24 +220,22 @@ func (f *fact) parallel(n int, body func(i int)) {
 	f.e.Parallel(n, body)
 }
 
-// replayStep applies step k's transformation to a fresh RHS vector.
+// replayStep applies step k's transformation to a fresh RHS vector: LU
+// IncPiv's and HLU's steps and every QR step replay their tree step, the
+// other LU steps their panel's factors.
 func (f *fact) replayStep(st *stepState, rhs *tile.Vector) error {
 	if st == nil {
 		return fmt.Errorf("core: missing step state")
 	}
-	k := st.k
-	if f.report.Decisions[k] {
+	if f.report.Decisions[st.k] && !f.cfg.Alg.pairwise() {
 		return f.replayLUStep(st, rhs)
 	}
-	return f.replayQRStep(st, rhs)
+	return f.replayTreeStep(st, rhs, treeOps(f.cfg.Alg))
 }
 
 func (f *fact) replayLUStep(st *stepState, rhs *tile.Vector) error {
 	k := st.k
 	nb := f.nb
-	if st.hlu != nil {
-		return f.replayHLUStep(st, rhs)
-	}
 	switch st.variant {
 	case VarA1:
 		// Apply: swaps + unit-lower solve on the stacked pivot rows.
@@ -255,35 +252,6 @@ func (f *fact) replayLUStep(st *stepState, rhs *tile.Vector) error {
 	// Update: b_i −= A_ik·b_k for every sub-diagonal row.
 	for i := k + 1; i < f.nt; i++ {
 		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, f.A.Tile(i, k), rhs.Tile(k), 1, rhs.Tile(i))
-	}
-	return nil
-}
-
-func (f *fact) replayQRStep(st *stepState, rhs *tile.Vector) error {
-	k := st.k
-	domains := f.cfg.Grid.PanelDomains(k, f.nt)
-	ops := tree.Hierarchical(domains, f.cfg.IntraTree, f.cfg.InterTree)
-	for _, op := range ops {
-		switch op.Kind {
-		case tree.OpGeqrt:
-			tf := st.tGeqrt[op.I]
-			if tf == nil {
-				return fmt.Errorf("core: step %d missing GEQRT factor for row %d", k, op.I)
-			}
-			lapack.Unmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.I))
-		case tree.OpTS:
-			tf := st.tKill[op.I]
-			if tf == nil {
-				return fmt.Errorf("core: step %d missing TSQRT factor for row %d", k, op.I)
-			}
-			lapack.Tsmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.Piv), rhs.Tile(op.I))
-		case tree.OpTT:
-			tf := st.tKill[op.I]
-			if tf == nil {
-				return fmt.Errorf("core: step %d missing TTQRT factor for row %d", k, op.I)
-			}
-			lapack.Ttmqr(blas.Trans, f.A.Tile(op.I, k), tf.t, rhs.Tile(op.Piv), rhs.Tile(op.I))
-		}
 	}
 	return nil
 }

@@ -103,15 +103,10 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		f.scheduleLU(ScopeTile, false)
 	case LUPP:
 		f.scheduleLU(ScopeDomain, true)
-	case LUIncPiv, HLU:
-		f.scheduleHLU()
-	case HQR:
-		f.scheduleHQR()
+	case HQR, LUIncPiv, HLU:
+		f.scheduleTree()
 	case CALU:
 		f.scheduleCALU()
-	default:
-		f.e.Close()
-		return nil, fmt.Errorf("core: unknown algorithm %v", c.Alg)
 	}
 	f.e.Wait()
 	if f.res != nil {

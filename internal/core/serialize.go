@@ -77,8 +77,9 @@ type facMatrix struct {
 	Data       []float64
 }
 
-// facKeyed is one sparse (index → matrix) association, used for the QR
-// reflector maps and the per-row factors of the pairwise LU steps.
+// facKeyed is one sparse (index → matrix) association, used for the
+// per-row factors of the tree steps: a QR step's reflector blocks, a
+// pairwise LU step's L\U blocks and their pivots.
 type facKeyed struct {
 	I   int
 	M   facMatrix
@@ -90,8 +91,9 @@ type facOp struct {
 	Kind, I, Piv int
 }
 
-// facInc is an LU IncPiv step as older streams carry it; decoding converts
-// it to the HLU state (asHLU), and encoding writes every pairwise LU step
+// facInc is an LU IncPiv step as older streams carry it; decoding reads it
+// as the flat-TS pairwise step that runs LU IncPiv (the diagonal GETRF's
+// head, each killed row's pair), and encoding writes every pairwise LU step
 // as a facHLU, so older builds replay new streams too.
 type facInc struct {
 	L0   facMatrix
@@ -99,7 +101,8 @@ type facInc struct {
 	Rows []facKeyed // per killed row: stacked L factors + pivots
 }
 
-// facHLU is the serialized hluState of one pairwise LU step.
+// facHLU is one pairwise LU step (LU IncPiv, HLU): its ops, which replay
+// recomputes from the configuration, and its factors.
 type facHLU struct {
 	Ops   []facOp
 	Heads []facKeyed // local GETRF factors + pivots, by row
@@ -198,14 +201,7 @@ func unpackMatrix(f facMatrix) (*mat.Matrix, error) {
 	return &mat.Matrix{Rows: f.Rows, Cols: f.Cols, Stride: f.Cols, Data: f.Data}, nil
 }
 
-// unpackTFactor rebuilds a stored T factor; replay reads only its float64
-// matrix.
-func unpackTFactor(f facMatrix) (*tFactor, error) {
-	t, err := unpackMatrix(f)
-	return &tFactor{t: t}, err
-}
-
-// packKeyedMap flattens a reflector map in ascending key order (gob encodes
+// packKeyedMap flattens a factor map in ascending key order (gob encodes
 // maps in random order; a sorted slice keeps the payload deterministic).
 func packKeyedMap(m map[int]*tFactor) []facKeyed {
 	if len(m) == 0 {
@@ -218,21 +214,22 @@ func packKeyedMap(m map[int]*tFactor) []facKeyed {
 	sort.Ints(keys)
 	out := make([]facKeyed, 0, len(keys))
 	for _, i := range keys {
-		out = append(out, facKeyed{I: i, M: packMatrix(m[i].t)})
+		out = append(out, facKeyed{I: i, M: packMatrix(m[i].t), Piv: append([]int(nil), m[i].piv...)})
 	}
 	return out
 }
 
-// packLUFactors flattens per-row LU factors in row order, skipping the
-// rows without any.
-func packLUFactors(ls []*luFactors) []facKeyed {
-	var out []facKeyed
-	for i, l := range ls {
-		if l != nil {
-			out = append(out, facKeyed{I: i, M: packMatrix(l.lu), Piv: append([]int(nil), l.piv...)})
+// unpackKeyedMap inverts packKeyedMap.
+func unpackKeyedMap(kvs []facKeyed) (map[int]*tFactor, error) {
+	m := make(map[int]*tFactor, len(kvs))
+	for _, kv := range kvs {
+		t, err := unpackMatrix(kv.M)
+		if err != nil {
+			return nil, err
 		}
+		m[kv.I] = &tFactor{t: t, piv: kv.Piv}
 	}
-	return out
+	return m, nil
 }
 
 // EncodeFactorization serializes the factorization state retained by the
@@ -312,13 +309,14 @@ func (r *Result) EncodeFactorization() ([]byte, error) {
 			fs.Piv = append([]int(nil), st.piv...)
 			fs.Stack = packMatrix(st.stack)
 		}
-		if st.hlu != nil {
+		if f.cfg.Alg.pairwise() {
+			// A pairwise LU step's heads and pairs travel as a facHLU.
 			fs.HasHLU = true
-			for _, op := range st.hlu.ops {
+			for _, op := range f.stepOps(k) {
 				fs.HLU.Ops = append(fs.HLU.Ops, facOp{Kind: int(op.Kind), I: op.I, Piv: op.Piv})
 			}
-			fs.HLU.Heads = packLUFactors(st.hlu.heads)
-			fs.HLU.Pairs = packLUFactors(st.hlu.pairs)
+			fs.HLU.Heads, fs.HLU.Pairs = fs.TGeqrt, fs.TKill
+			fs.TGeqrt, fs.TKill = nil, nil
 		}
 		p.Steps[k] = fs
 	}
@@ -432,14 +430,17 @@ func DecodeFactorization(data []byte) (*Result, error) {
 		f.normA = a0.View(0, 0, p.N, p.N).NormInf()
 	}
 
+	pairwise := f.cfg.Alg.pairwise()
 	for k := range p.Steps {
-		st, err := unpackStep(&p.Steps[k], p.NT)
+		st, err := unpackStep(&p.Steps[k], pairwise)
 		if err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", k, err)
 		}
 		st.decision = p.Decisions[k]
 		f.steps[k] = st
-		if version < 3 {
+		if version < 3 && !pairwise {
+			// GETRF heads share tGeqrt with the QR heads; only a QR head
+			// forms Y.
 			for i, tf := range st.tGeqrt {
 				lapack.FormY(ta.Tile(i, st.k), tf.t)
 			}
@@ -510,7 +511,7 @@ func (p *facPayload) validate() error {
 		}
 	}
 	for k := range p.Steps {
-		if err := p.Steps[k].validate(k, p.NT, p.NB, p.Decisions[k]); err != nil {
+		if err := p.Steps[k].validate(k, p.NT, p.NB, p.Decisions[k], Algorithm(p.Alg).pairwise()); err != nil {
 			return fmt.Errorf("core: step %d: %w", k, err)
 		}
 	}
@@ -518,11 +519,12 @@ func (p *facPayload) validate() error {
 }
 
 // validate checks step k's replay state against the path replay takes
-// through it (replayStep, installDiagSolver): an LU step replays its
-// pairwise LU factors (facInc or facHLU) if it has them, else its variant's;
-// a QR step replays the reflector factors the reduction tree names, and a
-// missing one is an error replay reports itself.
-func (fs *facStep) validate(k, nt, nb int, lu bool) error {
+// through it (replayStep, installDiagSolver), which goes by algorithm: a
+// pairwise LU step (LU IncPiv, HLU) replays its heads and pairs (facInc or
+// facHLU), any other LU step its variant's factors, and a QR step the
+// reflector factors the reduction tree names. A tree step's missing factor
+// is an error replay reports itself.
+func (fs *facStep) validate(k, nt, nb int, lu, pairwise bool) error {
 	if fs.K != k {
 		return fmt.Errorf("step index %d", fs.K)
 	}
@@ -582,7 +584,10 @@ func (fs *facStep) validate(k, nt, nb int, lu bool) error {
 			}
 		}
 	}
-	if !lu || fs.HasInc || fs.HasHLU {
+	switch {
+	case pairwise && !fs.HasInc && !fs.HasHLU:
+		return fmt.Errorf("pairwise LU step without its factors")
+	case pairwise || !lu:
 		return nil
 	}
 	switch LUVariant(fs.Variant) {
@@ -637,8 +642,10 @@ func checkPivots(piv []int, rows int) error {
 	return nil
 }
 
-// unpackStep inverts the facStep packing. The step has been validated.
-func unpackStep(fs *facStep, nt int) (*stepState, error) {
+// unpackStep inverts the facStep packing. The step has been validated. A
+// pairwise LU step's heads and pairs (facInc or facHLU) go into the maps a
+// QR step keeps its reflectors in.
+func unpackStep(fs *facStep, pairwise bool) (*stepState, error) {
 	st := &stepState{
 		k:       fs.K,
 		rows:    fs.Rows,
@@ -649,62 +656,18 @@ func unpackStep(fs *facStep, nt int) (*stepState, error) {
 	if st.stack, err = unpackMatrix(fs.Stack); err != nil {
 		return nil, err
 	}
-	if len(fs.TGeqrt) > 0 || len(fs.TKill) > 0 {
-		st.tGeqrt = make(map[int]*tFactor, len(fs.TGeqrt))
-		st.tKill = make(map[int]*tFactor, len(fs.TKill))
-		for _, kv := range fs.TGeqrt {
-			if st.tGeqrt[kv.I], err = unpackTFactor(kv.M); err != nil {
-				return nil, err
-			}
-		}
-		for _, kv := range fs.TKill {
-			if st.tKill[kv.I], err = unpackTFactor(kv.M); err != nil {
-				return nil, err
-			}
-		}
+	heads, kills := fs.TGeqrt, fs.TKill
+	switch {
+	case pairwise && fs.HasInc:
+		heads, kills = []facKeyed{{I: fs.K, M: fs.Inc.L0, Piv: fs.Inc.PivK}}, fs.Inc.Rows
+	case pairwise:
+		heads, kills = fs.HLU.Heads, fs.HLU.Pairs
 	}
-	hlu := fs.HLU
-	if fs.HasInc {
-		hlu = fs.Inc.asHLU(fs.K, nt)
+	if st.tGeqrt, err = unpackKeyedMap(heads); err != nil {
+		return nil, err
 	}
-	if fs.HasInc || fs.HasHLU {
-		st.hlu = newHLUState(nt, nil)
-		for _, op := range hlu.Ops {
-			st.hlu.ops = append(st.hlu.ops, tree.Op{Kind: tree.Kind(op.Kind), I: op.I, Piv: op.Piv})
-		}
-		if err := unpackLUFactors(st.hlu.heads, hlu.Heads); err != nil {
-			return nil, err
-		}
-		if err := unpackLUFactors(st.hlu.pairs, hlu.Pairs); err != nil {
-			return nil, err
-		}
+	if st.tKill, err = unpackKeyedMap(kills); err != nil {
+		return nil, err
 	}
 	return st, nil
-}
-
-// unpackLUFactors inverts packLUFactors into dst, indexed by row.
-func unpackLUFactors(dst []*luFactors, kvs []facKeyed) error {
-	for _, kv := range kvs {
-		m, err := unpackMatrix(kv.M)
-		if err != nil {
-			return err
-		}
-		dst[kv.I] = &luFactors{lu: m, piv: kv.Piv}
-	}
-	return nil
-}
-
-// asHLU converts LU IncPiv step k of an older stream into the flat-TS HLU
-// step that runs LU IncPiv: the diagonal GETRF is the head, and each killed
-// row's stacked factors are its pair.
-func (in *facInc) asHLU(k, nt int) facHLU {
-	rows := make([]int, 0, nt-k)
-	for i := k; i < nt; i++ {
-		rows = append(rows, i)
-	}
-	h := facHLU{Heads: []facKeyed{{I: k, M: in.L0, Piv: in.PivK}}, Pairs: in.Rows}
-	for _, op := range tree.Eliminations(rows, tree.FlatTS) {
-		h.Ops = append(h.Ops, facOp{Kind: int(op.Kind), I: op.I, Piv: op.Piv})
-	}
-	return h
 }

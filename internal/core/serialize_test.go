@@ -436,7 +436,8 @@ func TestSerializeV1Migration(t *testing.T) {
 // A run with float32 steps is the exception: its accepted float32 GEQRTs
 // formed Y in float32, while decoding forms it in float64 from the
 // widened factors, so there the replays agree to float32's rounding and
-// the refined solve still reaches the acceptance band.
+// the refined solve still reaches the acceptance band. A pairwise LU
+// stream's heads are no QR factors, and decode leaves them as they are.
 func TestSerializeV2FormsY(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	n := 64
@@ -513,6 +514,20 @@ func TestSerializeV2FormsY(t *testing.T) {
 			t.Fatalf("f32 run: refined solve from the v2 stream has HPL3 %g", h)
 		}
 	}
+
+	// An HLU step keeps its GETRF heads where a QR step keeps its GEQRT
+	// factors, but a head holds L\U, not reflectors: a v2 stream of it
+	// decodes without forming Y.
+	res := runOn(t, a, b, Config{Alg: HLU, NB: 16, Grid: tile.NewGrid(2, 1)})
+	data, err := res.EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := DecodeFactorization(rebuildStream(2, data[factHeaderLen:]))
+	if err != nil {
+		t.Fatalf("HLU v2 stream rejected: %v", err)
+	}
+	assertReplaysIdentically(t, res, v2, n, 408)
 }
 
 // incPivParentStream rewrites an LU IncPiv stream into the shape builds
@@ -520,19 +535,43 @@ func TestSerializeV2FormsY(t *testing.T) {
 // its factors as a facInc (the diagonal GETRF's snapshot and pivots, then
 // each killed row's stack) and its pivot rows as [k], not as a facHLU.
 func incPivParentStream(t testing.TB, data []byte) []byte {
+	return restream(t, data, func(p *facPayload) {
+		for k := range p.Steps {
+			fs := &p.Steps[k]
+			if fs.HasInc || !fs.HasHLU || len(fs.HLU.Heads) != 1 || fs.HLU.Heads[0].I != k {
+				t.Fatalf("step %d is not a flat-tree HLU step: %+v", k, fs)
+			}
+			fs.Rows = []int{k}
+			fs.HasInc, fs.Inc = true, facInc{L0: fs.HLU.Heads[0].M, PivK: fs.HLU.Heads[0].Piv, Rows: fs.HLU.Pairs}
+			fs.HasHLU, fs.HLU = false, facHLU{}
+		}
+	})
+}
+
+// pairwiseStepAsQR rewrites a pairwise LU stream so that step 0 carries no
+// facHLU but an nb×nb kill factor, the shape of a QR step's. Replay goes by
+// algorithm, so the step would still replay as a pairwise one and read
+// that factor as a 2nb×nb pair.
+func pairwiseStepAsQR(t testing.TB, data []byte) []byte {
+	return restream(t, data, func(p *facPayload) {
+		fs := &p.Steps[0]
+		if !fs.HasHLU || len(fs.HLU.Pairs) == 0 {
+			t.Fatalf("step 0 is not a pairwise LU step with a kill: %+v", fs)
+		}
+		kill := fs.HLU.Pairs[0].I
+		fs.HasHLU, fs.HLU = false, facHLU{}
+		fs.TKill = []facKeyed{{I: kill, M: facMatrix{Rows: p.NB, Cols: p.NB, Data: make([]float64, p.NB*p.NB)}}}
+	})
+}
+
+// restream decodes data's payload, applies mutate and re-encodes it behind
+// a valid header of the current version.
+func restream(t testing.TB, data []byte, mutate func(p *facPayload)) []byte {
 	var p facPayload
 	if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
-	for k := range p.Steps {
-		fs := &p.Steps[k]
-		if fs.HasInc || !fs.HasHLU || len(fs.HLU.Heads) != 1 || fs.HLU.Heads[0].I != k {
-			t.Fatalf("step %d is not a flat-tree HLU step: %+v", k, fs)
-		}
-		fs.Rows = []int{k}
-		fs.HasInc, fs.Inc = true, facInc{L0: fs.HLU.Heads[0].M, PivK: fs.HLU.Heads[0].Piv, Rows: fs.HLU.Pairs}
-		fs.HasHLU, fs.HLU = false, facHLU{}
-	}
+	mutate(&p)
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
 		t.Fatal(err)
@@ -585,16 +624,7 @@ func TestSerializeRejectsF32WithoutA0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p facPayload
-	if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	p.A0 = facMatrix{}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFactorization(rebuildStream(factEncodingVersion, payload.Bytes())); err == nil {
+	if _, err := DecodeFactorization(restream(t, data, func(p *facPayload) { p.A0 = facMatrix{} })); err == nil {
 		t.Fatal("decode accepted an f32 stream without the original matrix")
 	} else if !strings.Contains(err.Error(), "original matrix") {
 		t.Fatalf("error %q does not mention the missing original matrix", err)
@@ -615,19 +645,6 @@ func TestSerializeRejectsUnreplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mutated re-encodes data's payload after mutate, behind a valid header.
-	mutated := func(t *testing.T, mutate func(p *facPayload)) []byte {
-		var p facPayload
-		if err := gob.NewDecoder(bytes.NewReader(data[factHeaderLen:])).Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&p)
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
-			t.Fatal(err)
-		}
-		return rebuildStream(factEncodingVersion, payload.Bytes())
-	}
 	for _, tc := range []struct {
 		name    string
 		mutate  func(p *facPayload)
@@ -642,7 +659,7 @@ func TestSerializeRejectsUnreplayable(t *testing.T) {
 		}, "invalid shape"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeFactorization(mutated(t, tc.mutate)); err == nil {
+			if _, err := DecodeFactorization(restream(t, data, tc.mutate)); err == nil {
 				t.Fatal("decode accepted a payload replay cannot use")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
@@ -650,7 +667,7 @@ func TestSerializeRejectsUnreplayable(t *testing.T) {
 		})
 	}
 	t.Run("grid-p-huge", func(t *testing.T) {
-		res, err := DecodeFactorization(mutated(t, func(p *facPayload) { p.GridP = 1 << 44 }))
+		res, err := DecodeFactorization(restream(t, data, func(p *facPayload) { p.GridP = 1 << 44 }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,6 +675,45 @@ func TestSerializeRejectsUnreplayable(t *testing.T) {
 		// any more; Solve may report that, but it must return.
 		res.Solve(b)
 	})
+}
+
+// TestSerializeValidatesByAlgorithm: decoding checks each LU step against
+// the replay it will get, which goes by algorithm. An HLU step that lost its
+// facHLU but carries a QR-shaped kill factor is rejected (it would replay
+// that factor as a pair), and so is a hybrid LU step whose panel factors
+// are gone, even with a facHLU beside them (it replays its panel, not the
+// facHLU).
+func TestSerializeValidatesByAlgorithm(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	n := 64
+	a := matgen.Random(n, rng)
+	b := matgen.RandomVector(n, rng)
+	hlu, err := runOn(t, a, b, Config{Alg: HLU, NB: 16, Grid: tile.NewGrid(2, 1)}).EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFactorization(pairwiseStepAsQR(t, hlu)); err == nil {
+		t.Fatal("decode accepted an HLU step without its factors")
+	} else if !strings.Contains(err.Error(), "pairwise LU step without its factors") {
+		t.Fatalf("error %q does not name the missing pairwise factors", err)
+	}
+
+	res := runOn(t, a, b, Config{Alg: LUQR, NB: 16, Criterion: criteria.Always{}})
+	luqr, err := res.EncodeFactorization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeFactorization(restream(t, luqr, func(p *facPayload) {
+		fs := &p.Steps[0]
+		fs.Rows = nil
+		head := facMatrix{Rows: p.NB, Cols: p.NB, Data: make([]float64, p.NB*p.NB)}
+		fs.HasHLU, fs.HLU = true, facHLU{Heads: []facKeyed{{I: 0, M: head}}}
+	}))
+	if err == nil {
+		t.Fatal("decode accepted a hybrid LU step without pivot rows beside a facHLU")
+	} else if !strings.Contains(err.Error(), "0 pivot rows") {
+		t.Fatalf("error %q does not name the missing pivot rows", err)
+	}
 }
 
 // reseal rewrites a stream's header length and checksum to match the
@@ -681,7 +737,8 @@ func reseal(data []byte) []byte {
 // not). Inputs are re-sealed, so the checksum does not stop mutations
 // before the gob decoder and the validation. Seeds are valid encodings of
 // several algorithms, an LU IncPiv stream in the facInc shape of earlier
-// builds, and every class of stream damage.
+// builds, an HLU stream with a step that lost its factors, and every class
+// of stream damage.
 func FuzzDecodeFactorization(f *testing.F) {
 	rng := rand.New(rand.NewSource(87))
 	n := 12
@@ -704,8 +761,11 @@ func FuzzDecodeFactorization(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
-		if cfg.Alg == LUIncPiv {
+		switch cfg.Alg {
+		case LUIncPiv:
 			f.Add(incPivParentStream(f, data))
+		case HLU:
+			f.Add(pairwiseStepAsQR(f, data))
 		}
 	}
 	for _, d := range streamDamage {

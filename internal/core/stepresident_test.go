@@ -74,11 +74,13 @@ func TestForcedF32ConversionsPerTileBounded(t *testing.T) {
 }
 
 // TestKillUpdateRHSFlopsLabel pins the trace label of every tile-kernel
-// task — matrix and RHS tiles, TS and TT trees — of a mixed LU/QR hybrid
-// run and of HQR runs: each task's Flops must equal its kernel's flops
-// formula at the task's width (nb, or the RHS width 1). A mislabel skews
-// per-kernel GFLOP/s in traces and the breakdown experiment; the RHS update
-// of a TT kill once carried TSMQR's count.
+// task — matrix and RHS tiles, TS and TT trees — of mixed LU/QR hybrid runs
+// (variants (A1), (B1) and (B2)), of HQR runs and of the pairwise LU runs
+// (LU IncPiv's TS chain, HLU's TT trees): each task's Flops must equal its
+// kernel's flops formula at the task's width (nb, or the RHS width 1). A
+// mislabel skews per-kernel GFLOP/s in traces and the breakdown experiment;
+// the RHS update of a TT kill once carried TSMQR's count. Every entry of
+// the kernel table needs a formula here.
 func TestKillUpdateRHSFlopsLabel(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	n, nb := 96, 16
@@ -94,23 +96,42 @@ func TestKillUpdateRHSFlopsLabel(t *testing.T) {
 		"TTQRT":   func(int) float64 { return flops.Ttqrt(nb) },
 		"TSMQR":   func(w int) float64 { return flops.Tsmqr(nb, w) },
 		"TTMQR":   func(w int) float64 { return flops.Ttmqr(nb, w) },
+		"GETRF":   func(int) float64 { return flops.Getrf(nb, nb) },
+		"GESSM":   func(w int) float64 { return flops.Trsm(nb, w) },
+		"TSTRF":   func(int) float64 { return flops.Trsm(nb, nb) },
+		"SSSSM":   func(w int) float64 { return flops.Trsm(nb, w) + flops.Gemm(nb, w, nb) },
+		"TRSM2":   func(int) float64 { return 2 * flops.Trsm(nb, nb) },
+		"TRSMQR":  func(int) float64 { return flops.Trsm(nb, nb) + flops.Unmqr(nb, nb) },
+	}
+	for _, kd := range kernels {
+		if want[kd.name] == nil {
+			t.Errorf("kernel %s has no flops formula in this test", kd.name)
+		}
 	}
 	seen := map[string]bool{} // kernel, or kernel+" rhs"
 	// A 2-row grid with a flat-TS intra tree: TS kills inside each domain,
-	// TT kills merging the domain roots; Greedy's kills are all TT.
+	// TT kills merging the domain roots; Greedy's kills are all TT. LU
+	// IncPiv's chain kills with TS, HLU's greedy tree with TT.
 	for _, cfg := range []Config{
 		{Alg: LUQR, Criterion: criteria.Random{Alpha: 50}, IntraTree: tree.FlatTS, InterTree: tree.Fibonacci},
+		{Alg: LUQR, Variant: VarB1, Criterion: criteria.Random{Alpha: 50}},
+		{Alg: LUQR, Variant: VarB2, Criterion: criteria.Random{Alpha: 50}},
 		{Alg: HQR, IntraTree: tree.FlatTS, InterTree: tree.Fibonacci},
 		{Alg: HQR, IntraTree: tree.Greedy, InterTree: tree.Fibonacci},
+		{Alg: LUIncPiv},
+		{Alg: HLU, IntraTree: tree.Greedy, InterTree: tree.Fibonacci},
 	} {
 		cfg.NB, cfg.Grid, cfg.Trace, cfg.Seed = nb, tile.NewGrid(2, 2), true, 3
 		res := runOn(t, a, b, cfg)
 		if cfg.Alg == LUQR && (res.Report.LUSteps == 0 || res.Report.QRSteps == 0) {
-			t.Fatalf("hybrid run took %d LU and %d QR steps; need both", res.Report.LUSteps, res.Report.QRSteps)
+			t.Fatalf("hybrid %v run took %d LU and %d QR steps; need both", cfg.Variant, res.Report.LUSteps, res.Report.QRSteps)
 		}
 		for _, tr := range res.Report.Trace {
 			formula, ok := want[tr.Kernel]
-			if !ok {
+			// The panels (PanelLU, PanelTrialGETRF, CALUPanel) run GETRF
+			// on stacked panels, with their own counts; the heads are the
+			// table's GETRF(i,k).
+			if !ok || tr.Kernel == "GETRF" && !strings.HasPrefix(tr.Name, "GETRF(") {
 				continue
 			}
 			w, key := nb, tr.Kernel
@@ -128,7 +149,7 @@ func TestKillUpdateRHSFlopsLabel(t *testing.T) {
 			t.Errorf("no %s task in the traces", k)
 		}
 	}
-	for _, k := range []string{"SWPTRSM", "GEMM", "UNMQR", "TSMQR", "TTMQR"} {
+	for _, k := range []string{"SWPTRSM", "GEMM", "UNMQR", "TSMQR", "TTMQR", "GESSM", "SSSSM"} {
 		if !seen[k+" rhs"] {
 			t.Errorf("no %s task on the RHS in the traces", k)
 		}

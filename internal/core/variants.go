@@ -10,6 +10,7 @@ import (
 	"luqr/internal/mat"
 	"luqr/internal/runtime"
 	"luqr/internal/tile"
+	"luqr/internal/tree"
 )
 
 // The §II-C LU-step variants (A2), (B1), (B2) run the hybrid step of
@@ -44,7 +45,7 @@ func (f *fact) submitVariantTrial(st *stepState) {
 	accesses := []runtime.Access{runtime.W(st.hStack), runtime.W(f.h[k][k])}
 	if qrBased {
 		kernel, flop = "GEQRT", flops.Geqrt(nb, nb)
-		tf := f.newTFactor(st, "Tg", k)
+		tf := f.newTFactor(st, kGeqrt, k)
 		st.tGeqrt[k] = tf
 		t = tf.t
 		accesses = append(accesses, runtime.W(tf.h))
@@ -101,59 +102,30 @@ func (f *fact) submitVariantTrial(st *stepState) {
 // variant, assuming the trial factorization of the diagonal tile was kept.
 func (f *fact) submitVariantLUStep(st *stepState) {
 	k := st.k
-	nb := f.nb
 	variant := st.variant
 
-	// Apply (row k and the RHS tile) — (A2) only; the B variants leave row
-	// k untouched, which is what makes their result block triangular.
-	if variant == VarA2 {
-		f.submitGeqrtUpdates(st, k) // UNMQR on A_kj and b_k
+	// Eliminate every sub-diagonal panel tile against the diagonal factors:
+	// (A2) with R, (B1) with the LU, whose pivots its kernel reads (it has
+	// no T to wait on: the diagonal tile orders it), (B2) with R and Q.
+	var kn kernel
+	var tf *tFactor
+	switch variant {
+	case VarA2:
+		// Apply (row k and the RHS tile) — (A2) only; the B variants leave
+		// row k untouched, which is what makes their result block
+		// triangular.
+		f.submitUpdates(st, tree.Op{Kind: tree.OpGeqrt, I: k}, kUnmqr)
+		kn = kTrsm
+	case VarB1:
+		kn, tf = kTrsm2, &tFactor{piv: st.piv}
+	case VarB2:
+		kn, tf = kTrsmqr, st.tGeqrt[k]
+	default:
+		panic(fmt.Sprintf("core: submitVariantLUStep with variant %v", variant))
 	}
-
-	// Eliminate every sub-diagonal panel tile against the diagonal factors.
 	for i := k + 1; i < f.nt; i++ {
-		name := fmt.Sprintf("Elim%s(%d,%d)", variant, i, k)
-		if variant == VarA2 {
-			f.submitTile(st, kTrsm, name, f.owner(i, k), prioElim(k),
-				[]tile.Ref{tile.At(k, k)}, []tile.Ref{tile.At(i, k)}, nil)
-			continue
-		}
-		var elim func()
-		var kernel string
-		var flop float64
-		accesses := []runtime.Access{runtime.R(f.h[k][k]), runtime.W(f.h[i][k])}
-		switch variant {
-		case VarB1:
-			kernel, flop = "TRSM2", 2*flops.Trsm(nb, nb)
-			elim = func() {
-				akk := f.A.Tile(k, k)
-				x := f.A.Tile(i, k)
-				blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, akk, x)
-				blas.Trsm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, 1, akk, x)
-				lapack.LaswpCols(x, st.piv, true)
-			}
-		case VarB2:
-			kernel, flop = "TRSMQR", flops.Trsm(nb, nb)+flops.Unmqr(nb, nb)
-			tf := st.tGeqrt[k]
-			elim = func() {
-				akk := f.A.Tile(k, k)
-				x := f.A.Tile(i, k)
-				blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, akk, x)
-				lapack.UnmqrRight(blas.Trans, akk, tf.t, x)
-			}
-			accesses = append(accesses, runtime.R(tf.h))
-		default:
-			panic("core: submitVariantLUStep with variant A1")
-		}
-		f.e.Submit(runtime.TaskSpec{
-			Name:     name,
-			Kernel:   kernel,
-			Node:     f.owner(i, k),
-			Flops:    flop,
-			Priority: prioElim(k),
-			Accesses: accesses,
-			Run:      elim,
-		})
+		f.submitTile(st, kn, fmt.Sprintf("Elim%s(%d,%d)", variant, i, k), f.owner(i, k), prioElim(k),
+			[]tile.Ref{tile.At(k, k)}, []tile.Ref{tile.At(i, k)}, tf)
 	}
 
 	// Update: for (A2) row k has been Qᵀ-applied; for (B1)/(B2) it carries

@@ -20,8 +20,7 @@ import (
 // identical on every node after the all-reduce, so every node reaches the
 // same decision without further communication.
 type Input struct {
-	Alpha float64
-	Step  int
+	Step int
 	// InvDiagNorm1 is the estimate of ‖(A_kk^(k))⁻¹‖₁ computed from the LU
 	// factors of the diagonal tile after pivoting inside the diagonal domain
 	// (§III-A). math.Inf(1) signals an exactly singular diagonal tile.
@@ -68,9 +67,9 @@ func (c Max) Name() string { return "max" }
 
 // Decide implements Criterion.
 func (c Max) Decide(in *Input) bool {
-	rhs := maxOf(in.OffDiagTileNorms)
-	in.Margin = normMargin(c.Alpha, in.InvDiagNorm1, rhs)
-	return decideNorm(c.Alpha, in.InvDiagNorm1, rhs)
+	var lu bool
+	lu, in.Margin = normTest(c.Alpha, in.InvDiagNorm1, maxOf(in.OffDiagTileNorms))
+	return lu
 }
 
 // Sum is the stricter criterion of §III-B:
@@ -90,8 +89,9 @@ func (c Sum) Decide(in *Input) bool {
 	for _, v := range in.OffDiagTileNorms {
 		s += v
 	}
-	in.Margin = normMargin(c.Alpha, in.InvDiagNorm1, s)
-	return decideNorm(c.Alpha, in.InvDiagNorm1, s)
+	var lu bool
+	lu, in.Margin = normTest(c.Alpha, in.InvDiagNorm1, s)
+	return lu
 }
 
 // maxOf returns the largest entry, poisoning the result on unusable inputs:
@@ -99,7 +99,7 @@ func (c Sum) Decide(in *Input) bool {
 // with NaN is false) and negative garbage (m starts at 0), letting a panel
 // whose tile norm is NaN satisfy the Max criterion and take an unstable LU
 // step. Any value a 1-norm cannot produce — NaN, ±Inf, negative — turns the
-// result into NaN so decideNorm forces a QR step, the same behaviour Sum
+// result into NaN so normTest forces a QR step, the same behaviour Sum
 // gets for free from addition.
 func maxOf(xs []float64) float64 {
 	m := 0.0
@@ -114,62 +114,45 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-func decideNorm(alpha, invNorm, rhs float64) bool {
+// normTest is the test of Max and Sum, α·‖A_kk⁻¹‖₁⁻¹ ≥ rhs, and its
+// margin rhs·‖A_kk⁻¹‖₁/α, the ratio of the observed norm quantity to the
+// α-scaled bound. Every forced-QR input has margin +Inf and every
+// unconditional-LU input margin 0, so margin ≤ 1 agrees with the decision
+// (up to rounding in the strict-inequality regime, where the decision
+// itself stays authoritative).
+func normTest(alpha, invNorm, rhs float64) (lu bool, margin float64) {
 	// Non-finite panel data — a NaN or infinite tile norm, or a norm the
 	// kernels could never produce (negative) — means the trial measurements
 	// are unusable: force the unconditionally stable QR step, even when
 	// α = ∞ disables the threshold test. Always{} remains the only way to
 	// take an LU step blindly.
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) || rhs < 0 {
-		return false
+		return false, math.Inf(1)
 	}
 	// A NaN (or negative) inverse-norm estimate means the trial
 	// factorization itself was poisoned — unusable at every α, unlike
 	// invNorm = +Inf, which is the documented "exactly singular diagonal"
 	// signal that α = ∞ deliberately overrides below.
 	if math.IsNaN(invNorm) || invNorm < 0 {
-		return false
+		return false, math.Inf(1)
 	}
 	if rhs == 0 {
 		// Nothing below the diagonal (last step, or a zero panel): an LU
 		// step cannot cause growth, but honor α = 0 as "always QR".
-		return alpha > 0
-	}
-	if math.IsInf(alpha, 1) {
-		return true
-	}
-	if invNorm == 0 || math.IsInf(invNorm, 1) {
-		return false // singular diagonal tile
-	}
-	return alpha*(1/invNorm) >= rhs
-}
-
-// normMargin is the Margin companion of decideNorm: rhs·‖A_kk⁻¹‖₁ / α, the
-// ratio of the observed norm quantity to the α-scaled bound. The edge cases
-// mirror decideNorm exactly: every forced-QR input maps to +Inf and every
-// unconditional-LU input to 0, so margin ≤ 1 agrees with the decision (up
-// to rounding in the strict-inequality regime, where the decision itself
-// stays authoritative).
-func normMargin(alpha, invNorm, rhs float64) float64 {
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) || rhs < 0 {
-		return math.Inf(1)
-	}
-	if math.IsNaN(invNorm) || invNorm < 0 {
-		return math.Inf(1)
-	}
-	if rhs == 0 {
 		if alpha > 0 {
-			return 0
+			return true, 0
 		}
-		return math.Inf(1)
+		return false, math.Inf(1)
 	}
 	if math.IsInf(alpha, 1) {
-		return 0
+		return true, 0
 	}
+	// A singular diagonal tile, or α ≤ 0, whose threshold no positive rhs
+	// meets.
 	if alpha <= 0 || invNorm == 0 || math.IsInf(invNorm, 1) {
-		return math.Inf(1)
+		return false, math.Inf(1)
 	}
-	return rhs * invNorm / alpha
+	return alpha*(1/invNorm) >= rhs, rhs * invNorm / alpha
 }
 
 // MUMPS is the scalar criterion of §III-C, adapted from the pivot-quality

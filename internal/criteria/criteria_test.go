@@ -31,12 +31,9 @@ func TestSumStricterThanMax(t *testing.T) {
 		for i := range norms {
 			norms[i] = rng.Float64() * 10
 		}
-		in := &Input{
-			InvDiagNorm1:     rng.Float64() + 0.1,
-			OffDiagTileNorms: norms,
-			Alpha:            rng.Float64() * 5,
-		}
-		alpha := in.Alpha
+		inv := rng.Float64() + 0.1
+		alpha := rng.Float64() * 5
+		in := &Input{InvDiagNorm1: inv, OffDiagTileNorms: norms}
 		// Whenever Sum accepts, Max must accept too (Σ ≥ max).
 		if (Sum{alpha}).Decide(in) && !(Max{alpha}).Decide(in) {
 			return false
