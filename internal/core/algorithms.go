@@ -29,7 +29,7 @@ func (f *fact) scheduleHybridStep(k int) {
 		f.submitBackup(st)
 	}
 	if st.variant == VarA1 {
-		f.submitPanelFactor(st, true)
+		f.submitPanelFactor(st, f.reads)
 	} else {
 		f.submitVariantTrial(st)
 	}
@@ -145,7 +145,7 @@ func (f *fact) scheduleLU(scope Scope, wholePanel bool) {
 // with breakdown reporting in the factor task itself (there is no decision
 // task to defer it to).
 func (f *fact) submitPanelFactorStatic(st *stepState) {
-	f.submitPanelFactor(st, false)
+	f.submitPanelFactor(st, 0)
 	// Wrap breakdown reporting: the panel task stores luErr; a tiny control
 	// task reads the stack handle and records it.
 	k := st.k

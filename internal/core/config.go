@@ -219,8 +219,8 @@ const (
 // Config configures a factorization run.
 type Config struct {
 	Alg Algorithm
-	// NB is the tile order (default min(40, N)). Run pads N to the next
-	// multiple of NB.
+	// NB is the tile order; zero means the default, min(40, N), and a
+	// negative one is an error. Run pads N to the next multiple of NB.
 	NB int
 	// Grid is the virtual process grid for the 2-D block-cyclic
 	// distribution; it determines domains and communication accounting.
@@ -238,9 +238,9 @@ type Config struct {
 	// (defaults: GREEDY inside nodes, FIBONACCI between nodes — §IV).
 	IntraTree, InterTree tree.Tree
 	// IB is the inner block size of the blocked panel kernels (GEQRT,
-	// TSQRT, TTQRT). Zero means the default, lapack.PanelIB() (32); the
-	// kernels receive the value explicitly, so concurrent runs may use
-	// different ib.
+	// TSQRT, TTQRT). Zero means the default, lapack.PanelIB() (32), and a
+	// negative one is an error; the kernels receive the value explicitly,
+	// so concurrent runs may use different ib.
 	IB int
 	// Workers is the size of the runtime worker pool (default: GOMAXPROCS,
 	// at most MaxWorkers).
@@ -256,7 +256,8 @@ type Config struct {
 	// TrackGrowth samples the trailing submatrix after every elimination
 	// step and records the peak intermediate element growth in
 	// Report.PeakGrowth — the quantity the §III growth bounds govern.
-	// Costs an extra O(N²) read per step and a mild serialization.
+	// Costs an extra O(N²) read per step, as one small probe task per
+	// trailing tile that orders only against that tile's own writers.
 	TrackGrowth bool
 	// Seed seeds the Random criterion's generator.
 	Seed int64
@@ -291,10 +292,11 @@ const MaxWorkers = 256
 
 // withDefaults fills in the unset fields and rejects the out-of-range
 // ones, before Run starts an engine: an unknown algorithm, variant, scope,
-// precision or reduction tree, or a grid side below 1 (the all-zero grid
-// is the 1×1 default). Each would otherwise panic in a task or divide by
-// zero in Grid.Owner. Run has already resolved NB and padded N to a
-// multiple of it.
+// precision or reduction tree, a negative inner block size, or a grid side
+// below 1 (the all-zero grid is the 1×1 default). Each would otherwise
+// panic in a task, divide by zero in Grid.Owner, or run as a default the
+// caller did not ask for. Run has already rejected a negative NB, resolved
+// a zero one and padded N to a multiple of it.
 func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
 	if cfg.Grid.P == 0 && cfg.Grid.Q == 0 {
@@ -313,6 +315,8 @@ func (c *Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("core: unknown reduction tree %v/%v", cfg.IntraTree, cfg.InterTree)
 	case cfg.Grid.P < 1 || cfg.Grid.Q < 1:
 		return cfg, fmt.Errorf("core: invalid grid %dx%d", cfg.Grid.P, cfg.Grid.Q)
+	case cfg.IB < 0:
+		return cfg, fmt.Errorf("core: negative inner block size IB=%d", cfg.IB)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), MaxWorkers)

@@ -347,9 +347,10 @@ func TestRunInputValidation(t *testing.T) {
 }
 
 // TestRunRejectsOutOfRangeConfigs: Run returns an error, and neither panics
-// nor runs, for every enumeration outside its constants and every grid side
-// below 1: unchecked, a variant past (B2) panics on a worker goroutine, a
-// zero grid side divides by zero in Grid.Owner, and a negative one runs.
+// nor runs, for every enumeration outside its constants, every grid side
+// below 1 and a negative NB or IB: unchecked, a variant past (B2) panics on
+// a worker goroutine, a zero grid side divides by zero in Grid.Owner, a
+// negative one runs, and a negative NB or IB runs as the default.
 // The all-zero grid stays the 1×1 default, and every enumeration's last
 // constant runs.
 func TestRunRejectsOutOfRangeConfigs(t *testing.T) {
@@ -374,9 +375,15 @@ func TestRunRejectsOutOfRangeConfigs(t *testing.T) {
 		{"grid-q-zero", Config{Alg: LUQR, Grid: tile.Grid{P: 2, Q: 0}}, "grid"},
 		{"grid-p-negative", Config{Alg: HLU, Grid: tile.Grid{P: -1, Q: 2}}, "grid"},
 		{"grid-q-negative", Config{Alg: LUPP, Grid: tile.Grid{P: 2, Q: -1}}, "grid"},
+		{"nb-negative", Config{Alg: HQR, NB: -8, IB: -5}, "tile size"},
+		{"nb-negative-lu", Config{Alg: LUQR, NB: -1}, "tile size"},
+		{"ib-negative", Config{Alg: HQR, IB: -5}, "inner block"},
+		{"ib-negative-hlu", Config{Alg: HLU, IB: -1}, "inner block"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.NB = 8
+			if tc.cfg.NB == 0 {
+				tc.cfg.NB = 8
+			}
 			_, err := Run(a, b, tc.cfg)
 			if err == nil {
 				t.Fatalf("Run accepted %+v", tc.cfg)

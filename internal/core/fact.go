@@ -141,6 +141,10 @@ type fact struct {
 	// normalizes its tiles with ensure64 first.
 	res *tile.Residency
 
+	// reads names the criterion inputs the hybrid steps gather: only those
+	// the configured criterion reads (criteria.Reads).
+	reads criteria.Data
+
 	mu        sync.Mutex
 	breakdown bool
 	peakAbs   float64 // max |a_ij| seen by growth probes
@@ -151,7 +155,7 @@ type fact struct {
 
 func newFact(cfg Config, a *tile.Matrix, rhs *tile.Vector) *fact {
 	ib := cfg.IB
-	if ib <= 0 {
+	if ib == 0 {
 		ib = lapack.PanelIB()
 	}
 	f := &fact{
@@ -170,6 +174,9 @@ func newFact(cfg Config, a *tile.Matrix, rhs *tile.Vector) *fact {
 	}
 	for k := range f.report.Margins {
 		f.report.Margins[k] = math.NaN() // no criterion margin recorded (yet)
+	}
+	if cfg.Alg == LUQR {
+		f.reads = criteria.Reads(cfg.Criterion)
 	}
 	f.e = runtime.NewEngine(runtime.Config{Workers: cfg.Workers, Trace: cfg.Trace})
 	tileBytes := a.NB * a.NB * 8
@@ -336,13 +343,16 @@ func inSet(rows []int, i int) bool {
 	return false
 }
 
-// submitNormTasks measures ‖A_ik‖₁ and the per-column maxima of every
-// sub-diagonal panel tile before the trial factorization (criterion data,
-// §III). One task per tile, on the tile's owner, so that the trace charges
-// only the small norm payloads for the criterion exchange.
+// submitNormTasks measures ‖A_ik‖₁ of every sub-diagonal panel tile, and
+// the per-column maxima of those outside the pivot rows, before the trial
+// factorization (criterion data, §III), each when the criterion reads it.
+// One task per tile, on the tile's owner, so that the trace charges only
+// the small norm payloads for the criterion exchange; the tasks stay when
+// the criterion reads neither, so the task graph does not depend on it.
 func (f *fact) submitNormTasks(st *stepState) {
 	k := st.k
 	nb := f.nb
+	norms, colMax := f.reads&criteria.TileNorms != 0, f.reads&criteria.ColMaxima != 0
 	for i := k + 1; i < f.nt; i++ {
 		i := i
 		nr := &normResult{row: i, inDomain: inSet(st.rows, i)}
@@ -357,21 +367,27 @@ func (f *fact) submitNormTasks(st *stepState) {
 			Priority: prioPanel(k),
 			Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.W(h)},
 			Run: func() {
-				nr.colMax = make([]float64, nb)
+				if colMax && !nr.inDomain {
+					nr.colMax = make([]float64, nb)
+				}
 				if f.res != nil {
 					// Read through the residency state: a resident tile is
 					// measured over its image without being demoted, so a
 					// criterion probe never ends a float32 epoch.
-					nr.norm1 = f.res.TileNorm1(i, k)
-					for j := 0; j < nb; j++ {
-						nr.colMax[j] = f.res.TileColAbsMax(i, k, j)
+					if norms {
+						nr.norm1 = f.res.TileNorm1(i, k)
+					}
+					if nr.colMax != nil {
+						f.res.TileColsAbsMax(i, k, nr.colMax)
 					}
 					return
 				}
 				t := f.A.Tile(i, k)
-				nr.norm1 = t.Norm1()
-				for j := 0; j < nb; j++ {
-					nr.colMax[j] = t.ColAbsMax(j)
+				if norms {
+					nr.norm1 = t.Norm1()
+				}
+				if nr.colMax != nil {
+					t.ColsAbsMax(nr.colMax)
 				}
 			},
 		})
@@ -379,7 +395,8 @@ func (f *fact) submitNormTasks(st *stepState) {
 }
 
 // submitBackup snapshots the pivot-row tiles (and records their pre-factor
-// column maxima for the MUMPS criterion) — the Backup Panel stage of Fig. 1.
+// column maxima, when the criterion reads them: MUMPS) — the Backup Panel
+// stage of Fig. 1.
 func (f *fact) submitBackup(st *stepState) {
 	k := st.k
 	st.hBackup = f.e.NewHandle(fmt.Sprintf("backup(%d)", k), len(st.rows)*f.nb*f.nb*8, f.owner(k, k))
@@ -413,13 +430,15 @@ func (f *fact) submitBackup(st *stepState) {
 					st.backup[r].CopyFrom(f.A.Tile(i, k))
 				}
 			}
-			st.localMax = make([]float64, f.nb)
-			for j := 0; j < f.nb; j++ {
-				m := 0.0
+			if f.reads&criteria.ColMaxima != 0 {
+				st.localMax = make([]float64, nb)
+				colMax := make([]float64, nb)
 				for _, t := range st.backup {
-					m = foldAbsMax(m, t.ColAbsMax(j))
+					t.ColsAbsMax(colMax)
+					for j, v := range colMax {
+						st.localMax[j] = foldAbsMax(st.localMax[j], v)
+					}
 				}
-				st.localMax[j] = m
 			}
 		},
 	})
@@ -427,13 +446,13 @@ func (f *fact) submitBackup(st *stepState) {
 
 // submitPanelFactor stacks the pivot-row tiles of column k, factors them
 // with partial pivoting, writes the factors back into the tiles, and
-// computes the criterion's diagonal-tile data (pivot magnitudes and the
+// computes the diagonal-tile data of reads (pivot magnitudes, the
 // Hager–Higham estimate of ‖(A_kk^(k))⁻¹‖₁). This is the LU On Panel stage
 // of Fig. 1; the paper uses the multithreaded recursive-LU kernel of PLASMA
 // here, our stand-in is the stacked Getrf. A float32 step runs the same
 // Getrf on a resident float32 stack instead and demotes the whole step to
 // float64 on a breakdown or an excursion.
-func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
+func (f *fact) submitPanelFactor(st *stepState, reads criteria.Data) {
 	k := st.k
 	nb := f.nb
 	st.hStack = f.e.NewHandle(fmt.Sprintf("panelLU(%d)", k), len(st.rows)*nb*nb*8, f.owner(k, k))
@@ -498,14 +517,12 @@ func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 				st.piv, st.luErr = lapack.Getrf(st.stack)
 				f.A.UnstackRows(st.stack, st.rows, k)
 			}
-			if withCriterion {
-				top := st.stack.View(0, 0, nb, nb)
+			top := st.stack.View(0, 0, nb, nb)
+			if reads&criteria.PivotMagnitudes != 0 {
 				st.pivots = lapack.LUPivotGrowth(top)
-				if st.luErr != nil {
-					st.invNorm = math.Inf(1)
-				} else {
-					st.invNorm = lapack.InvNorm1EstLU(top, nil)
-				}
+			}
+			if reads&criteria.InvNorm != 0 {
+				st.invNorm = invNorm1(top, nil, st.luErr)
 			}
 			tr.ChargeConv(m.NS)
 		},
@@ -536,26 +553,41 @@ func stepRng(seed int64, k int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
 }
 
+// invNorm1 is the criterion's ‖A_kk⁻¹‖₁ from the LU factors lu (pivots
+// piv, nil when the rows were swapped already) of the diagonal tile: +Inf
+// when the factorization broke down on an exactly singular tile.
+func invNorm1(lu *mat.Matrix, piv []int, luErr error) float64 {
+	if luErr != nil {
+		return math.Inf(1)
+	}
+	return lapack.InvNorm1EstLU(lu, piv)
+}
+
 // criterionInput assembles the Input for the configured criterion from the
-// data gathered by the norm, backup and panel tasks.
+// data the norm, backup and panel tasks gathered for it (f.reads).
 func (f *fact) criterionInput(st *stepState) *criteria.Input {
 	in := &criteria.Input{
 		Step:         st.k,
 		InvDiagNorm1: st.invNorm,
 		LocalMax:     st.localMax,
 		Pivots:       st.pivots,
-		Rng:          stepRng(f.cfg.Seed, st.k),
 	}
-	away := make([]float64, f.nb)
-	for _, nr := range st.norms {
-		in.OffDiagTileNorms = append(in.OffDiagTileNorms, nr.norm1)
-		if !nr.inDomain {
+	if f.reads&criteria.Coin != 0 {
+		in.Rng = stepRng(f.cfg.Seed, st.k)
+	}
+	if f.reads&criteria.TileNorms != 0 {
+		for _, nr := range st.norms {
+			in.OffDiagTileNorms = append(in.OffDiagTileNorms, nr.norm1)
+		}
+	}
+	if f.reads&criteria.ColMaxima != 0 {
+		in.AwayMax = make([]float64, f.nb)
+		for _, nr := range st.norms {
 			for j, v := range nr.colMax {
-				away[j] = foldAbsMax(away[j], v)
+				in.AwayMax[j] = foldAbsMax(in.AwayMax[j], v)
 			}
 		}
 	}
-	in.AwayMax = away
 	return in
 }
 
@@ -612,45 +644,40 @@ func (st *stepState) releaseBackup() {
 
 // submitGrowthProbe samples max|A^(k+1)| over the trailing submatrix after
 // step k's updates and folds it into the report's peak intermediate growth
-// (Config.TrackGrowth). The probe reads every trailing tile, so it also
-// acts as a soft barrier; it is purely observational.
+// (Config.TrackGrowth). Each tile gets its own probe, on its owner, that
+// reads only that tile and folds its max|a_ij| into f.peakAbs: a probe
+// waits only for its tile's step-k writers and holds up only the tile's
+// step-(k+1) writers, so no task waits on a tile it does not touch and the
+// next panel keeps its lookahead. A probe runs at its column's update
+// priority, the lookahead band for column k+1. The probes are purely
+// observational, and the maximum is the same whatever order they run in.
 func (f *fact) submitGrowthProbe(k int) {
 	if !f.cfg.TrackGrowth {
 		return
 	}
-	acc := make([]runtime.Access, 0, (f.nt-k)*(f.nt-k))
 	for i := k; i < f.nt; i++ {
 		for j := k; j < f.nt; j++ {
-			acc = append(acc, runtime.R(f.h[i][j]))
-		}
-	}
-	f.e.Submit(runtime.TaskSpec{
-		Name:     fmt.Sprintf("GrowthProbe(%d)", k),
-		Kernel:   "PROBE",
-		Node:     f.owner(k, k),
-		Priority: prioUpdate(k, f.nt),
-		Accesses: acc,
-		Run: func() {
-			m := 0.0
-			for i := k; i < f.nt; i++ {
-				for j := k; j < f.nt; j++ {
-					v := 0.0
+			f.e.Submit(runtime.TaskSpec{
+				Name:     fmt.Sprintf("GrowthProbe(%d,%d,%d)", k, i, j),
+				Kernel:   "PROBE",
+				Node:     f.owner(i, j),
+				Priority: prioUpdate(k, j),
+				Accesses: []runtime.Access{runtime.R(f.h[i][j])},
+				Run: func() {
+					var v float64
 					if f.res != nil {
 						// Read through a live image without demoting it.
 						v = f.res.TileNormMax(i, j)
 					} else {
 						v = f.A.Tile(i, j).NormMax()
 					}
-					if v > m {
-						m = v
+					f.mu.Lock()
+					if v > f.peakAbs {
+						f.peakAbs = v
 					}
-				}
-			}
-			f.mu.Lock()
-			if m > f.peakAbs {
-				f.peakAbs = m
-			}
-			f.mu.Unlock()
-		},
-	})
+					f.mu.Unlock()
+				},
+			})
+		}
+	}
 }

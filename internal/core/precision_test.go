@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -334,6 +335,112 @@ func TestMixedPaddedSystem(t *testing.T) {
 		}
 		if h := mat.HPL3(a, x2, b); math.IsNaN(h) || h > refineHPL3Tol {
 			t.Fatalf("N=%d %v: padded refined re-solve HPL3 = %g", c.n, c.cfg.Grid, h)
+		}
+	}
+}
+
+// float32State reports whether f still holds any float32 state: the
+// residency store, a step's float32 panel, or a factor's float32 T.
+func float32State(f *fact) bool {
+	if f.res != nil {
+		return true
+	}
+	for _, st := range f.steps {
+		if st.stack32 != nil || st.l11_32 != nil {
+			return true
+		}
+		for _, m := range []map[int]*tFactor{st.tGeqrt, st.tKill} {
+			for _, tf := range m {
+				if tf.t32 != nil {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// poisonFloat32 puts NaN-filled float32 state back into f: a residency
+// store with a dirty NaN image of every tile and of the right-hand side,
+// and NaN float32 panels and T factors. Anything that read one, or
+// flushed the store into the tiles, would change its answer.
+func poisonFloat32(f *fact) {
+	nan := func(m *mat.Matrix32) *mat.Matrix32 {
+		for i := 0; i < m.Rows; i++ {
+			for j := range m.Row(i) {
+				m.Row(i)[j] = float32(math.NaN())
+			}
+		}
+		return m
+	}
+	f.res = tile.NewResidency(f.A, f.rhs)
+	for i := 0; i < f.A.MT; i++ {
+		for j := 0; j < f.A.NT; j++ {
+			img, _ := f.res.Write32(tile.At(i, j), nil)
+			nan(img)
+		}
+		img, _ := f.res.Write32(tile.RHS(i), nil)
+		nan(img)
+	}
+	for _, st := range f.steps {
+		st.stack32 = nan(mat.NewMatrix32(len(st.rows)*f.nb, f.nb))
+		st.l11_32 = nan(mat.NewMatrix32(f.nb, f.nb))
+		for _, m := range []map[int]*tFactor{st.tGeqrt, st.tKill} {
+			for _, tf := range m {
+				tf.t32 = nan(mat.NewMatrix32(tf.t.Rows, tf.t.Cols))
+			}
+		}
+	}
+}
+
+// TestRunDropsFloat32State: a Result of a run with float32 steps keeps no
+// float32 state once Run returns, and nothing after Run reads any:
+// SolveBatchRefined and EncodeFactorization give the same bits after
+// NaN-poisoned float32 state is put back. Precision auto runs the
+// residency store and the steps' float32 panel images, forced f32 the
+// step stacks, and HQR the factors' float32 T.
+func TestRunDropsFloat32State(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 96
+	a := matgen.DiagDominant(n, rng)
+	b := matgen.RandomVector(n, rng)
+	bs := [][]float64{matgen.RandomVector(n, rng), matgen.RandomVector(n, rng)}
+	answers := func(res *Result) ([][]float64, []byte) {
+		xs, _, err := res.SolveBatchRefined(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := res.EncodeFactorization()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xs, enc
+	}
+	for _, cfg := range []Config{
+		{Alg: LUQR, NB: 16, Precision: PrecisionAuto},
+		{Alg: LUQR, NB: 16, Precision: PrecisionF32},
+		{Alg: HQR, NB: 16, Precision: PrecisionF32},
+	} {
+		res := runOn(t, a, b, cfg)
+		if res.Report.F32Steps == 0 {
+			t.Fatalf("%v %v: no float32 steps; nothing to drop", cfg.Alg, cfg.Precision)
+		}
+		if float32State(res.f) {
+			t.Fatalf("%v %v: the Result keeps float32 state", cfg.Alg, cfg.Precision)
+		}
+		xs, enc := answers(res)
+		poisonFloat32(res.f)
+		xs2, enc2 := answers(res)
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("%v %v: EncodeFactorization read float32 state", cfg.Alg, cfg.Precision)
+		}
+		for r := range xs {
+			for i := range xs[r] {
+				if math.Float64bits(xs[r][i]) != math.Float64bits(xs2[r][i]) {
+					t.Fatalf("%v %v: SolveBatchRefined read float32 state: x%d[%d] %v vs %v",
+						cfg.Alg, cfg.Precision, r, i, xs2[r][i], xs[r][i])
+				}
+			}
 		}
 	}
 }

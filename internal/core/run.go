@@ -44,7 +44,10 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("core: rhs length %d for N=%d", len(b), n)
 	}
-	if cfg.NB <= 0 {
+	if cfg.NB < 0 {
+		return nil, fmt.Errorf("core: negative tile size NB=%d", cfg.NB)
+	}
+	if cfg.NB == 0 {
 		cfg.NB = 40
 		if n < cfg.NB {
 			cfg.NB = n
@@ -119,6 +122,7 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 		f.report.F32Epochs = int(epochs)
 		f.report.Conversions = int(to32 + to64)
 		f.report.ConvTime = time.Duration(f.res.ConvNS())
+		f.dropF32()
 	}
 	// The wall time, trace and scheduler counters are the DAG's: take them
 	// before the work below runs on the same workers.
@@ -197,6 +201,26 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 	f.e.Close()
 	f.e = nil // later solves run on the caller's goroutine
 	return &Result{X: x, Factored: ta, Report: f.report, f: f}, nil
+}
+
+// dropF32 releases the float32 state of a finished, flushed run: the
+// residency store, which holds every tile's last float32 image and the
+// committed step stacks, each step's float32 panel, and each factor's
+// float32 T. Nothing after the flush reads them — the growth scan, the
+// back substitution and replay read f.A, st.stack and tf.t, refinement
+// reads f.a0, and serialization writes none of them — and a cached Result
+// would otherwise keep up to N²·4 bytes of images alive.
+func (f *fact) dropF32() {
+	f.res = nil
+	for _, st := range f.steps {
+		st.stack32, st.l11_32 = nil, nil
+		for _, tf := range st.tGeqrt {
+			tf.t32 = nil
+		}
+		for _, tf := range st.tKill {
+			tf.t32 = nil
+		}
+	}
 }
 
 // foldMax returns the largest of xs (0 when empty), folded with `>` like

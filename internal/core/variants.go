@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"luqr/internal/blas"
+	"luqr/internal/criteria"
 	"luqr/internal/flops"
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
@@ -61,16 +61,21 @@ func (f *fact) submitVariantTrial(st *stepState) {
 		Run: func() {
 			akk := f.A.Tile(k, k)
 			// Pre-factorization column maxima for the MUMPS criterion.
-			st.localMax = make([]float64, nb)
-			for j := 0; j < nb; j++ {
-				st.localMax[j] = akk.ColAbsMax(j)
+			if f.reads&criteria.ColMaxima != 0 {
+				st.localMax = make([]float64, nb)
+				akk.ColsAbsMax(st.localMax)
 			}
 			if qrBased {
 				lapack.GeqrtIB(akk, t, f.ib)
 				// |R_jj| plays the pivot role in the MUMPS input; the
 				// estimate of ‖A_kk⁻¹‖₁ uses the exact operator
 				// R⁻¹·Qᵀ / Q·R⁻ᵀ through the stored reflectors.
-				st.pivots = lapack.LUPivotGrowth(akk)
+				if f.reads&criteria.PivotMagnitudes != 0 {
+					st.pivots = lapack.LUPivotGrowth(akk)
+				}
+				if f.reads&criteria.InvNorm == 0 {
+					return
+				}
 				st.invNorm = lapack.OneNormEst(nb,
 					func(x []float64) {
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
@@ -85,14 +90,12 @@ func (f *fact) submitVariantTrial(st *stepState) {
 				)
 				return
 			}
-			piv, err := lapack.Getrf(akk)
-			st.piv = piv
-			st.luErr = err
-			st.pivots = lapack.LUPivotGrowth(akk)
-			if err != nil {
-				st.invNorm = math.Inf(1)
-			} else {
-				st.invNorm = lapack.InvNorm1EstLU(akk, piv)
+			st.piv, st.luErr = lapack.Getrf(akk)
+			if f.reads&criteria.PivotMagnitudes != 0 {
+				st.pivots = lapack.LUPivotGrowth(akk)
+			}
+			if f.reads&criteria.InvNorm != 0 {
+				st.invNorm = invNorm1(akk, st.piv, st.luErr)
 			}
 		},
 	})

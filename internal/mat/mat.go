@@ -328,24 +328,22 @@ func RowAbsStats(a *Matrix, lo, hi int) (normInf, maxAbs float64) {
 	return normInf, maxAbs
 }
 
-// ColAbsMax returns max_i |a(i,j)| for column j, propagating NaN (see
-// Norm1): the per-column maxima feed the MUMPS criterion, which must see a
-// poisoned column rather than the max of its finite entries.
-func (m *Dense[T]) ColAbsMax(j int) float64 {
-	if j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("mat: ColAbsMax(%d) out of range %d", j, m.Cols))
-	}
-	max := 0.0
+// ColsAbsMax writes max_i |a(i,j)| of every column j to dst[j], in one
+// pass over the rows, propagating NaN (see Norm1): a column holding a NaN
+// gets the first one down the column, made positive. The per-column maxima
+// feed the MUMPS criterion, which must see a poisoned column rather than
+// the max of its finite entries.
+func (m *Dense[T]) ColsAbsMax(dst []float64) {
+	dst = dst[:m.Cols]
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
-		a := math.Abs(float64(m.Data[i*m.Stride+j]))
-		if math.IsNaN(a) {
-			return a
-		}
-		if a > max {
-			max = a
+		for j, v := range m.Row(i) {
+			// `a > dst[j]` is false once dst[j] is NaN, so the first sticks.
+			if a := math.Abs(float64(v)); a > dst[j] || math.IsNaN(a) && !math.IsNaN(dst[j]) {
+				dst[j] = a
+			}
 		}
 	}
-	return max
 }
 
 // SwapRows exchanges rows i and j in place.

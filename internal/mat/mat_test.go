@@ -181,9 +181,60 @@ func TestNormsKnownValues(t *testing.T) {
 	if got := m.NormFro(); math.Abs(got-math.Sqrt(30)) > 1e-15 {
 		t.Fatalf("NormFro = %g, want sqrt(30)", got)
 	}
-	if got := m.ColAbsMax(0); got != 3 {
-		t.Fatalf("ColAbsMax(0) = %g, want 3", got)
+	cols := make([]float64, 2)
+	if m.ColsAbsMax(cols); cols[0] != 3 || cols[1] != 4 {
+		t.Fatalf("ColsAbsMax = %v, want [3 4]", cols)
 	}
+}
+
+// colAbsMax is ColsAbsMax's definition for one column: the largest |a(i,j)|
+// down the column, or its first NaN, made positive.
+func colAbsMax[T Float](m *Dense[T], j int) float64 {
+	max := 0.0
+	for i := 0; i < m.Rows; i++ {
+		a := math.Abs(float64(m.At(i, j)))
+		if math.IsNaN(a) {
+			return a
+		}
+		if a > max {
+			max = a
+		}
+	}
+	return max
+}
+
+// TestColsAbsMaxMatchesColumnScan: the one-pass column maxima equal a scan
+// down each column bit for bit, on a view and in both precisions, with
+// NaNs of different payloads and signs stacked in some columns, where the
+// first one down the column must win.
+func TestColsAbsMaxMatchesColumnScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := New(9, 7)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	nan1, nan2 := math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	a.Set(1, 2, nan1)
+	a.Set(6, 2, nan2)
+	a.Set(4, 3, nan2)
+	a.Set(2, 5, math.Inf(-1))
+	a.Set(8, 5, nan1)
+	v := a.View(1, 1, 8, 5)
+	check := func(name string, got []float64, want func(j int) float64) {
+		for j := range got {
+			if w := want(j); math.Float64bits(got[j]) != math.Float64bits(w) {
+				t.Errorf("%s column %d: %v (%#x), want %v (%#x)", name, j, got[j], math.Float64bits(got[j]), w, math.Float64bits(w))
+			}
+		}
+	}
+	got := make([]float64, v.Cols)
+	v.ColsAbsMax(got)
+	check("float64 view", got, func(j int) float64 { return colAbsMax(v, j) })
+	a32 := NewMatrix32(a.Rows, a.Cols)
+	a32.RoundFrom(a)
+	v32 := a32.View(1, 1, 8, 5)
+	v32.ColsAbsMax(got)
+	check("float32 view", got, func(j int) float64 { return colAbsMax(v32, j) })
 }
 
 func TestNorm1EqualsTransposeNormInf(t *testing.T) {

@@ -25,6 +25,10 @@ type MatrixSpec struct {
 	Gen  string    `json:"gen,omitempty"`
 	Seed int64     `json:"seed,omitempty"`
 	Data []float64 `json:"data,omitempty"`
+
+	// prefix is the digest state of Data when the decoder's memo shared
+	// the array (dataMemo), nil otherwise.
+	prefix *dataPrefix
 }
 
 // ConfigSpec is the wire form of core.Config. Zero values take the library
@@ -258,7 +262,9 @@ func parse(spec MatrixSpec, cs ConfigSpec, rhs []float64, opts Options) (*parsed
 
 // operator builds the request's matrix: the generator's output, or a view of
 // the decoded matrix.data — core.Run only reads its operand, so the data
-// needs no copy.
+// needs no copy. The data may be shared with other requests through the
+// decoder's memo (dataMemo), which is one more reason nothing here or in
+// core.Run may write to it.
 func (p *parsedRequest) operator() *mat.Matrix {
 	n := p.spec.N
 	if p.gen != nil {

@@ -3,8 +3,10 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"sync"
 
@@ -29,23 +31,20 @@ import (
 // filenames (which outlive the process, so truncation-induced collisions
 // would silently serve one operator's factors for another). Display
 // surfaces may shorten it with ShortDigest.
+//
+// An explicit matrix the decoder's memo shared (spec.prefix) hashes its
+// entries once: later digests resume the SHA-256 state after them.
 func digestKey(spec MatrixSpec, cfg core.Config, criterion string) string {
-	h := sha256.New()
-	if spec.Gen != "" {
+	var h hash.Hash
+	switch {
+	case spec.Gen != "":
+		h = sha256.New()
 		fmt.Fprintf(h, "gen:%s:%d:%d", spec.Gen, spec.N, spec.Seed)
-	} else {
-		fmt.Fprintf(h, "data:%d:", spec.N)
-		// The same bytes as one little-endian word per entry, handed to the
-		// hash 4 KiB at a time rather than 8 bytes a call.
-		var buf [4096]byte
-		for d := spec.Data; len(d) > 0; {
-			k := min(len(d), len(buf)/8)
-			for i, v := range d[:k] {
-				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-			}
-			h.Write(buf[:8*k])
-			d = d[k:]
-		}
+	case spec.prefix != nil:
+		h = spec.prefix.resume(spec)
+	default:
+		h = sha256.New()
+		hashData(h, spec)
 	}
 	fmt.Fprintf(h, "|alg=%s nb=%d ib=%d grid=%dx%d crit=%s variant=%s scope=%d seed=%d",
 		cfg.Alg, cfg.NB, cfg.IB, cfg.Grid.P, cfg.Grid.Q, criterion, cfg.Variant, cfg.Scope, cfg.Seed)
@@ -57,6 +56,53 @@ func digestKey(spec MatrixSpec, cfg core.Config, criterion string) string {
 		fmt.Fprintf(h, " prec=%s", p)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// hashData writes an explicit operator's part of the digest: "data:N:" and
+// then each entry's bits, one little-endian word per entry, handed to the
+// hash 4 KiB at a time rather than 8 bytes a call.
+func hashData(h hash.Hash, spec MatrixSpec) {
+	fmt.Fprintf(h, "data:%d:", spec.N)
+	var buf [4096]byte
+	for d := spec.Data; len(d) > 0; {
+		k := min(len(d), len(buf)/8)
+		for i, v := range d[:k] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		h.Write(buf[:8*k])
+		d = d[k:]
+	}
+}
+
+// dataPrefix holds the SHA-256 state after hashData of one remembered
+// matrix.data array, computed by the first digest that needs it and
+// resumed by every later one: the decoder's memo hands it out with the
+// array, so requests repeating the array hash its entries once.
+type dataPrefix struct {
+	once  sync.Once
+	n     int
+	state []byte
+}
+
+// resume returns a SHA-256 hash that has absorbed hashData(spec): a copy
+// of the remembered state, or, for an order other than the one it was
+// computed at, a fresh hash of spec. The state round-trips exactly, so the
+// digest is the one a fresh hash gives.
+func (p *dataPrefix) resume(spec MatrixSpec) hash.Hash {
+	p.once.Do(func() {
+		h := sha256.New()
+		hashData(h, spec)
+		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err == nil {
+			p.n, p.state = spec.N, state
+		}
+	})
+	h := sha256.New()
+	if p.state == nil || p.n != spec.N || h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state) != nil {
+		h.Reset()
+		hashData(h, spec)
+	}
+	return h
 }
 
 // ShortDigest is the documented display form of a cache key: the first 12

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/json"
 	"io"
 	"math"
@@ -16,24 +17,26 @@ import (
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readRequest reads body, already size-limited, into a pooled buffer and
-// decodes it. Nothing it returns aliases the buffer.
-func readRequest(body io.Reader) (SolveRequest, error) {
+// decodes it through memo (nil: none). Nothing it returns aliases the
+// buffer; a matrix.data slice may be shared with other requests (dataMemo).
+func readRequest(body io.Reader, memo *dataMemo) (SolveRequest, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(body); err != nil {
 		return SolveRequest{}, err
 	}
-	return decodeRequest(buf.Bytes())
+	return decodeRequest(buf.Bytes(), memo)
 }
 
 // decodeRequest decodes a request body exactly as
 // json.NewDecoder(bytes.NewReader(b)).Decode into a zero SolveRequest does:
 // the same bodies succeed, with the same values, and the same ones fail,
 // with the same errors. A canonical body takes decodeCanonical's single
-// pass; any other is handed to encoding/json from the start.
-func decodeRequest(b []byte) (SolveRequest, error) {
-	if req, ok := decodeCanonical(b); ok {
+// pass, through memo (nil: none); any other is handed to encoding/json from
+// the start.
+func decodeRequest(b []byte, memo *dataMemo) (SolveRequest, error) {
+	if req, ok := decodeCanonical(b, memo); ok {
 		return req, nil
 	}
 	var req SolveRequest
@@ -53,16 +56,34 @@ func decodeRequest(b []byte) (SolveRequest, error) {
 // these restrictions encoding/json's case-folded key matching, object
 // merging, escape and UTF-8 handling never come into play, which is why the
 // two decoders cannot disagree.
-func decodeCanonical(b []byte) (req SolveRequest, ok bool) {
+//
+// A data array byte-identical to one memo holds takes memo's values
+// without a scan (dataMemo); a scanned one enters memo once the whole body
+// has decoded.
+func decodeCanonical(b []byte, memo *dataMemo) (req SolveRequest, ok bool) {
 	d := decoder{b: b}
 	m, c := &req.Matrix, &req.Config
+	var scanned []byte // the data array's bytes, when it was scanned
 	ok = d.object(map[string]func() bool{
 		"matrix": func() bool {
 			return d.object(map[string]func() bool{
 				"n":    func() bool { return d.setInt(&m.N) },
 				"gen":  func() bool { return d.setString(&m.Gen) },
 				"seed": func() bool { return d.setInt64(&m.Seed) },
-				"data": func() bool { return d.setFloats(&m.Data, d.entries(m.N, m.N)) },
+				"data": func() bool {
+					d.space()
+					start := d.i
+					if d.recall(memo, m) {
+						return true
+					}
+					if !d.setFloats(&m.Data, d.entries(m.N, m.N)) {
+						return false
+					}
+					if m.Data != nil {
+						scanned = d.b[start:d.i]
+					}
+					return true
+				},
 			})
 		},
 		"config": func() bool {
@@ -83,7 +104,33 @@ func decodeCanonical(b []byte) (req SolveRequest, ok bool) {
 		"rhs": func() bool { return d.setFloats(&req.RHS, d.entries(m.N, 1)) },
 	})
 	d.space()
-	return req, ok && d.i == len(b)
+	ok = ok && d.i == len(b)
+	if ok && scanned != nil {
+		m.prefix = memo.remember(scanned, m.Data)
+	}
+	return req, ok
+}
+
+// recall looks the data array that starts at the cursor up in memo. In a
+// canonical body a float array holds only numbers, commas and whitespace,
+// so it runs from its '[' to the first ']', and memo holds only arrays
+// that decoded cleanly. On a hit m takes memo's values and their digest
+// state, and the cursor moves past the ']'; otherwise the cursor stays
+// where it was.
+func (d *decoder) recall(memo *dataMemo, m *MatrixSpec) bool {
+	if memo == nil || d.i == len(d.b) || d.b[d.i] != '[' {
+		return false
+	}
+	end := bytes.IndexByte(d.b[d.i:], ']')
+	if end < 0 {
+		return false
+	}
+	e, ok := memo.lookup(d.b[d.i : d.i+end+1])
+	if ok {
+		m.Data, m.prefix = e.data, e.prefix
+		d.i += end + 1
+	}
+	return ok
 }
 
 // decoder is decodeCanonical's cursor over the body. Each method consumes
@@ -424,4 +471,87 @@ func (d *decoder) entries(rows, cols int) int {
 		return 0
 	}
 	return rows * cols
+}
+
+// dataMemo remembers the matrix.data arrays of recent canonical bodies: the
+// array's raw bytes, from '[' to ']', map to the values they decoded to and
+// the values' digest state (dataPrefix), so a body repeating a remembered
+// array byte for byte takes its values without scanning a number, and its
+// cache key without hashing them. The map is keyed by the bytes
+// themselves, and a Go map compares a key in full after hashing it, so a
+// hit is exact, never probabilistic; an array spelled any other way (other
+// whitespace, other digits for the same value) misses and is scanned as
+// before. It holds at most maxEntries arrays and maxBytes of keys plus
+// values, evicting the least recently used, and is safe for concurrent
+// use.
+//
+// A remembered slice is handed to every request that repeats its array, so
+// requests share it, and nothing may write to it: the request parser and
+// the cache digest only read the data, the operator core.Run factors is a
+// view of it that Run only reads (it copies A into its tiles), and a job
+// drops its request when it finishes.
+type dataMemo struct {
+	maxEntries int
+	maxBytes   int64
+
+	mu      sync.Mutex
+	bytes   int64                    // keys plus values held
+	entries map[string]*list.Element // raw array → element; value is *memoEntry
+	lru     *list.List               // front = least recently used
+}
+
+type memoEntry struct {
+	raw    string
+	data   []float64
+	prefix *dataPrefix
+}
+
+// size is what an entry counts against maxBytes: its key and its values.
+func (e *memoEntry) size() int64 { return int64(len(e.raw)) + 8*int64(len(e.data)) }
+
+func newDataMemo(maxEntries int, maxBytes int64) *dataMemo {
+	return &dataMemo{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		entries:    make(map[string]*list.Element),
+		lru:        list.New(),
+	}
+}
+
+// lookup returns the remembered array raw, marking it recently used.
+func (m *dataMemo) lookup(raw []byte) (*memoEntry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[string(raw)]
+	if !ok {
+		return nil, false
+	}
+	m.lru.MoveToBack(el)
+	return el.Value.(*memoEntry), true
+}
+
+// remember records that raw decoded to data, evicting the least recently
+// used arrays beyond the bounds, and returns the digest state the array
+// will share with the requests that repeat it (nil when it is not kept:
+// an array larger than maxBytes on its own). data is capped at its length,
+// so an append to a shared slice copies instead of writing past it.
+func (m *dataMemo) remember(raw []byte, data []float64) *dataPrefix {
+	if m == nil || int64(len(raw))+8*int64(len(data)) > m.maxBytes {
+		return nil
+	}
+	e := &memoEntry{raw: string(raw), data: data[:len(data):len(data)], prefix: new(dataPrefix)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[e.raw]; ok {
+		// A concurrent request remembered it first; its values are equal.
+		return el.Value.(*memoEntry).prefix
+	}
+	m.entries[e.raw] = m.lru.PushBack(e)
+	m.bytes += e.size()
+	for len(m.entries) > m.maxEntries || m.bytes > m.maxBytes {
+		old := m.lru.Remove(m.lru.Front()).(*memoEntry)
+		delete(m.entries, old.raw)
+		m.bytes -= old.size()
+	}
+	return e.prefix
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"luqr/internal/core"
+	"luqr/internal/mat"
 	"luqr/internal/matgen"
 )
 
@@ -167,14 +170,19 @@ func decodeSeeds(t testing.TB) [][]byte {
 // FuzzDecodeRequest: for any bytes, the served decoder and encoding/json's
 // streaming decoder agree on success, on the error, and on every decoded
 // field; a body the canonical pass accepts decodes to what encoding/json
-// makes of it.
+// makes of it. The served decoder runs twice on each input through one
+// memo, which earlier inputs have filled too: the second decode of a
+// canonical body with data is a memo hit, sharing the first decode's
+// values, and must equal both the first and encoding/json's.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, b := range decodeSeeds(f) {
 		f.Add(b)
 	}
+	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, werr := referenceDecode(b)
-		if fast, ok := decodeCanonical(b); ok {
+		fast, canonical := decodeCanonical(b, nil)
+		if canonical {
 			if werr != nil {
 				t.Fatalf("canonical pass accepted a body encoding/json refuses (%v)", werr)
 			}
@@ -182,13 +190,27 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("canonical pass: %s", d)
 			}
 		}
-		got, err := decodeRequest(b)
-		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-			t.Fatalf("error %v, encoding/json %v", err, werr)
-		}
-		if err == nil {
+		var first SolveRequest
+		for pass := 0; pass < 2; pass++ {
+			got, err := decodeRequest(b, memo)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("pass %d: error %v, encoding/json %v", pass, err, werr)
+			}
+			if err != nil {
+				return
+			}
 			if d := requestDiff(got, want); d != "" {
-				t.Fatalf("decoded %s", d)
+				t.Fatalf("pass %d: decoded %s", pass, d)
+			}
+			if pass == 0 {
+				first = got
+				continue
+			}
+			if d := requestDiff(got, first); d != "" {
+				t.Fatalf("memo pass: %s differs from the first decode", d)
+			}
+			if canonical && len(got.Matrix.Data) > 0 && &got.Matrix.Data[0] != &first.Matrix.Data[0] {
+				t.Fatal("memo pass scanned matrix.data again instead of taking the remembered values")
 			}
 		}
 	})
@@ -340,7 +362,7 @@ func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 		bodies := benchBodies(t, seed)
 		bodies["every field"] = every
 		for kind, b := range bodies {
-			got, ok := decodeCanonical(b)
+			got, ok := decodeCanonical(b, nil)
 			if !ok {
 				t.Fatalf("seed %d: the %s body left the canonical pass", seed, kind)
 			}
@@ -367,15 +389,25 @@ func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 }
 
 // BenchmarkDecodeRequest times the served decoder, readRequest's pooled
-// read and canonical pass, on the serve benchmark's body shapes.
+// read and canonical pass, on the serve benchmark's body shapes: gen and
+// data without a memo, so every number is scanned, and data-repeat, the
+// data body again through a memo that already holds its array.
 func BenchmarkDecodeRequest(b *testing.B) {
 	bodies := benchBodies(b, 1)
-	for _, kind := range []string{"gen", "data"} {
-		body := bodies[kind]
+	for _, kind := range []string{"gen", "data", "data-repeat"} {
+		body := bodies[strings.TrimSuffix(kind, "-repeat")]
 		b.Run(kind, func(b *testing.B) {
+			var memo *dataMemo
+			if kind == "data-repeat" {
+				memo = newDataMemo(16, DefaultMaxBodyBytes)
+				if _, err := readRequest(bytes.NewReader(body), memo); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := readRequest(bytes.NewReader(body)); err != nil {
+				if _, err := readRequest(bytes.NewReader(body), memo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -384,9 +416,10 @@ func BenchmarkDecodeRequest(b *testing.B) {
 }
 
 // TestDecodeConcurrentNoAlias decodes bodies through the pooled buffers
-// from several goroutines at once. A decoded string or slice that aliased
-// its buffer would be overwritten by a later body read into it: the race
-// detector flags the overlap, and the values no longer match encoding/json's.
+// and one data memo from several goroutines at once. A decoded string or
+// slice that aliased its buffer would be overwritten by a later body read
+// into it: the race detector flags the overlap, and the values no longer
+// match encoding/json's.
 func TestDecodeConcurrentNoAlias(t *testing.T) {
 	bodies := [][]byte{
 		[]byte(`{"matrix":{"n":2,"gen":"random","seed":1},"config":{"alg":"hqr","criterion":"sum","variant":"b2","precision":"auto"},"rhs":[1,2]}`),
@@ -395,6 +428,7 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 		[]byte(`{"Matrix":{"n":2,"gen":"wilkinson"},"config":{"alg":"calu","criterion":"random"}}`),
 	}
 	const goroutines, rounds = 4, 200
+	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	var wg sync.WaitGroup
 	got := make([][]SolveRequest, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -402,7 +436,7 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				req, err := readRequest(bytes.NewReader(bodies[(g+r)%len(bodies)]))
+				req, err := readRequest(bytes.NewReader(bodies[(g+r)%len(bodies)]), memo)
 				if err != nil {
 					t.Error(err)
 					return
@@ -422,5 +456,194 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 				t.Fatalf("goroutine %d round %d: %s", g, r, d)
 			}
 		}
+	}
+}
+
+// TestDataMemoSharedSliceUnmodified: four goroutines decode bodies that
+// repeat one data array, each under its own config, through one warmed
+// memo, and factor and solve them at once. Every request takes the memo's
+// slice, so four factorizations read one backing array; under the race
+// detector a write to it would be flagged, and the slice must hold its
+// original bits afterwards.
+func TestDataMemoSharedSliceUnmodified(t *testing.T) {
+	const n = 32
+	rng := rand.New(rand.NewSource(41))
+	a := matgen.DiagDominant(n, rng)
+	rhs := matgen.RandomVector(n, rng)
+	alpha := 100.0
+	body := func(nb int) []byte {
+		b, err := json.Marshal(SolveRequest{
+			Matrix: MatrixSpec{N: n, Data: a.Data},
+			Config: ConfigSpec{Alg: "luqr", NB: nb, Alpha: &alpha},
+			RHS:    rhs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	memo := newDataMemo(16, DefaultMaxBodyBytes)
+	warm, err := readRequest(bytes.NewReader(body(4)), memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := warm.Matrix.Data
+	m := mustManager(t, Options{QueueSize: 8, Concurrency: 4})
+	defer m.Drain(context.Background())
+
+	nbs := []int{4, 8, 16, 32}
+	var wg sync.WaitGroup
+	for _, nb := range nbs {
+		wg.Add(1)
+		go func(nb int) {
+			defer wg.Done()
+			req, err := readRequest(bytes.NewReader(body(nb)), memo)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if &req.Matrix.Data[0] != &shared[0] {
+				t.Errorf("nb=%d: matrix.data was scanned again, not taken from the memo", nb)
+			}
+			p, err := parse(req.Matrix, req.Config, req.RHS, m.Options())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			x, _, _, _, err := m.Solve(context.Background(), p, p.b)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if h := mat.HPL3(a, x, rhs); !(h < 16) {
+				t.Errorf("nb=%d: HPL3 = %v", nb, h)
+			}
+		}(nb)
+	}
+	wg.Wait()
+	for i, v := range a.Data {
+		if math.Float64bits(shared[i]) != math.Float64bits(v) {
+			t.Fatalf("shared matrix.data[%d] changed from %v to %v", i, v, shared[i])
+		}
+	}
+}
+
+// TestDataMemoBounds: the memo never holds more arrays than its entry cap,
+// nor more key and value bytes than its byte cap; it evicts the least
+// recently used, a hit counts as a use, and an array above the byte cap on
+// its own is not kept.
+func TestDataMemoBounds(t *testing.T) {
+	body := func(i, n int) []byte {
+		data := make([]float64, n)
+		for j := range data {
+			data[j] = float64(i*1000 + j)
+		}
+		b, err := json.Marshal(SolveRequest{Matrix: MatrixSpec{N: 2, Data: data}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	held := func(memo *dataMemo) (entries int, bytes int64) {
+		memo.mu.Lock()
+		defer memo.mu.Unlock()
+		if memo.lru.Len() != len(memo.entries) {
+			t.Fatalf("LRU list holds %d arrays, map %d", memo.lru.Len(), len(memo.entries))
+		}
+		for el := memo.lru.Front(); el != nil; el = el.Next() {
+			bytes += el.Value.(*memoEntry).size()
+		}
+		if bytes != memo.bytes {
+			t.Fatalf("memo counts %d bytes, holds %d", memo.bytes, bytes)
+		}
+		return len(memo.entries), bytes
+	}
+	decode := func(memo *dataMemo, b []byte) []float64 {
+		req, err := decodeRequest(b, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.Matrix.Data
+	}
+
+	// Entry cap: ten arrays through a three-entry memo that a hit keeps
+	// array 0 in.
+	memo := newDataMemo(3, DefaultMaxBodyBytes)
+	first := decode(memo, body(0, 4))
+	for i := 1; i < 10; i++ {
+		decode(memo, body(i, 4))
+		if got := decode(memo, body(0, 4)); &got[0] != &first[0] {
+			t.Fatalf("after array %d: array 0 was evicted despite its hits", i)
+		}
+		if entries, _ := held(memo); entries > 3 {
+			t.Fatalf("after array %d: %d arrays held, cap 3", i, entries)
+		}
+	}
+
+	// Byte cap: each 4-number array costs its raw bytes plus 32 bytes of
+	// values; a cap of 2.5 arrays keeps two.
+	one := int64(len(`[1000,1001,1002,1003]`)) + 32
+	memo = newDataMemo(16, one*5/2)
+	for i := 1; i < 10; i++ {
+		decode(memo, body(i, 4))
+		entries, bytes := held(memo)
+		if bytes > one*5/2 || entries > 2 {
+			t.Fatalf("after array %d: %d arrays in %d bytes, cap %d bytes", i, entries, bytes, one*5/2)
+		}
+	}
+
+	// An array larger than the whole byte cap is decoded but not kept, and
+	// evicts nothing.
+	before, _ := held(memo)
+	if got := decode(memo, body(99, 64)); len(got) != 64 {
+		t.Fatalf("decoded %d numbers, want 64", len(got))
+	}
+	if entries, _ := held(memo); entries != before {
+		t.Fatalf("an oversized array changed the memo from %d to %d arrays", before, entries)
+	}
+}
+
+// TestDataMemoDigest: requests that repeat a data array through the memo,
+// under several configs, hash its entries once and get the cache keys a
+// fresh hash gives; a digest at another order than the remembered state's
+// hashes afresh.
+func TestDataMemoDigest(t *testing.T) {
+	const n = 16
+	a := matgen.DiagDominant(n, rand.New(rand.NewSource(8)))
+	memo := newDataMemo(16, DefaultMaxBodyBytes)
+	var prefix *dataPrefix
+	for i, cs := range []ConfigSpec{{NB: 4}, {NB: 8}, {NB: 4, Alg: "hqr"}, {NB: 4}} {
+		body, err := json.Marshal(SolveRequest{Matrix: MatrixSpec{N: n, Data: a.Data}, Config: cs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := decodeRequest(body, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Matrix.prefix == nil || prefix != nil && req.Matrix.prefix != prefix {
+			t.Fatalf("request %d: the memo did not share the array's digest state", i)
+		}
+		prefix = req.Matrix.prefix
+		p, err := parse(req.Matrix, req.Config, req.RHS, Options{MaxN: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := req.Matrix
+		fresh.prefix = nil
+		if want := digestKey(fresh, p.cfg, p.criterion); p.key != want {
+			t.Fatalf("request %d: key %s, a fresh hash gives %s", i, p.key, want)
+		}
+	}
+	if prefix.n != n || prefix.state == nil {
+		t.Fatalf("remembered state at n=%d (%d bytes), want n=%d", prefix.n, len(prefix.state), n)
+	}
+	// The same entries read at another order are another operator.
+	other := MatrixSpec{N: 8, Data: a.Data[:64], prefix: prefix}
+	fresh := other
+	fresh.prefix = nil
+	var cfg core.Config
+	if got, want := digestKey(other, cfg, ""), digestKey(fresh, cfg, ""); got != want {
+		t.Fatalf("n=8 over an n=16 state: key %s, want %s", got, want)
 	}
 }

@@ -10,21 +10,31 @@ import (
 // matrix in JSON is ~80 MB; the default allows it with headroom).
 const DefaultMaxBodyBytes = 128 << 20
 
-// Server is the HTTP surface over a Manager. It holds no state of its own,
-// so one instance may serve any number of concurrent requests.
+// Server is the HTTP surface over a Manager. Its only state of its own is
+// the decoder's memo of recent matrix.data arrays, which is safe for
+// concurrent use, so one instance may serve any number of concurrent
+// requests.
 type Server struct {
 	m        *Manager
 	maxBytes int64
+	memo     *dataMemo
 	mux      *http.ServeMux
 }
 
 // NewServer builds the HTTP handler for m. maxBytes bounds request bodies
-// (0 = DefaultMaxBodyBytes).
+// (0 = DefaultMaxBodyBytes) and the data memo's keys plus values; the memo
+// holds as many arrays as the factorization cache holds entries, since a
+// remembered array pays only while its factorization is cached.
 func NewServer(m *Manager, maxBytes int64) *Server {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBodyBytes
 	}
-	s := &Server{m: m, maxBytes: maxBytes, mux: http.NewServeMux()}
+	s := &Server{
+		m:        m,
+		maxBytes: maxBytes,
+		memo:     newDataMemo(m.Options().CacheEntries, maxBytes),
+		mux:      http.NewServeMux(),
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -59,7 +69,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // Reports whether decoding succeeded; on failure the response has been
 // written.
 func (s *Server) request(w http.ResponseWriter, r *http.Request) (SolveRequest, bool) {
-	req, err := readRequest(http.MaxBytesReader(w, r.Body, s.maxBytes))
+	req, err := readRequest(http.MaxBytesReader(w, r.Body, s.maxBytes), s.memo)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -597,8 +597,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(data)
 	}
 	opts := Options{MaxN: 512}
+	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeRequest(data)
+		req, err := decodeRequest(data, nil)
 		if err != nil {
 			return
 		}
@@ -613,6 +614,18 @@ func FuzzParse(f *testing.F) {
 		again, err := parse(req.Matrix, req.Config, req.RHS, opts)
 		if err != nil || again.key != p.key {
 			t.Fatalf("second parse: key %s vs %s, err %v", again.key, p.key, err)
+		}
+		// Through a memo, twice: a repeated data array's digest resumes
+		// the state its first digest left, and must not move.
+		for pass := 0; pass < 2; pass++ {
+			req, err := decodeRequest(data, memo)
+			if err != nil {
+				t.Fatalf("memo pass %d: %v", pass, err)
+			}
+			mp, err := parse(req.Matrix, req.Config, req.RHS, opts)
+			if err != nil || mp.key != p.key {
+				t.Fatalf("memo pass %d: key %s vs %s, err %v", pass, mp.key, p.key, err)
+			}
 		}
 	})
 }

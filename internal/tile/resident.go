@@ -221,15 +221,17 @@ func (r *Residency) TileNorm1(i, j int) float64 {
 	return r.a.Tile(i, j).Norm1()
 }
 
-// TileColAbsMax returns max_r |A_ij(r, col)| over the tile's current values.
-func (r *Residency) TileColAbsMax(i, j, col int) float64 {
+// TileColsAbsMax writes the per-column maxima of |A_ij| over the tile's
+// current values to dst (mat.Dense.ColsAbsMax), under one lock.
+func (r *Residency) TileColsAbsMax(i, j int, dst []float64) {
 	e := &r.am[i][j]
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == stateDirty {
-		return e.img.ColAbsMax(col)
+		e.img.ColsAbsMax(dst)
+		return
 	}
-	return r.a.Tile(i, j).ColAbsMax(col)
+	r.a.Tile(i, j).ColsAbsMax(dst)
 }
 
 // TileNormMax returns max |A_ij| over the tile's current values.

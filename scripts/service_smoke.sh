@@ -90,6 +90,36 @@ assert t["alpha_classes"] >= 1, "no alpha classes learned"
 assert t["alpha_updates"] >= 2, "alpha_updates = %d, want >= 2" % t["alpha_updates"]
 print("metrics: misses=2, hits=%d, alpha_updates=%d" % (hits, t["alpha_updates"]))'
 
+echo "== explicit data: factored once, then served from the cache"
+# One solve factors an explicit operator; two repeats of the byte-identical
+# body take the decoder's memo of the data array, and one body spelling the
+# same array with extra whitespace takes the full parse. All three must hit
+# the same factorization and answer the first solve's x, compared as JSON
+# text so equal means bit-identical. α is pinned, as above.
+python3 - "$DIR" <<'PY'
+import json, random, sys
+d, n = sys.argv[1], 64
+rng = random.Random(11)
+data = [rng.uniform(-1, 1) + (n if i % (n + 1) == 0 else 0) for i in range(n * n)]
+req = {"matrix": {"n": n, "data": data}, "config": {"alg": "luqr", "nb": 16, "alpha": 100}}
+open(d + "/data.json", "w").write(json.dumps(req, separators=(",", ":")))
+open(d + "/data_spaced.json", "w").write(json.dumps(req, separators=(" ,  ", " : ")))
+PY
+for i in 1 2 3; do
+  curl -sf -X POST --data-binary @"$DIR/data.json" "$BASE/v1/solve" >"$DIR/xd$i.json"
+done
+curl -sf -X POST --data-binary @"$DIR/data_spaced.json" "$BASE/v1/solve" >"$DIR/xd4.json"
+python3 - "$DIR" <<'PY'
+import json, sys
+d = sys.argv[1]
+r = [json.load(open("%s/xd%d.json" % (d, i)), parse_float=str) for i in range(1, 5)]
+assert not r[0]["cache_hit"], "the first explicit-data solve did not factor"
+for i in (1, 2, 3):
+    assert r[i]["cache_hit"], "explicit-data solve %d missed the factorization cache" % (i + 1)
+    assert r[i]["x"] == r[0]["x"], "explicit-data solve %d is not bit-identical to the first" % (i + 1)
+print("explicit data: 1 factorization, 3 cache hits (1 respelled), x bit-identical (%d entries)" % len(r[0]["x"]))
+PY
+
 echo "== request loop (2 clients, 16 requests)"
 # Each client sends 8 requests at n=160 over two operators: four solves, two
 # job submissions, and a GET of the job each submission made (/metrics when
