@@ -29,7 +29,7 @@ func (f *fact) scheduleHybridStep(k int) {
 		f.submitBackup(st)
 	}
 	if st.variant == VarA1 {
-		f.submitPanelFactor(st, f.reads)
+		f.submitPanelFactor(st, true)
 	} else {
 		f.submitVariantTrial(st)
 	}
@@ -96,7 +96,7 @@ func (f *fact) scheduleHybridStep(k int) {
 				st.preFactored = true
 				f.submitTreeStep(st, &qrOps)
 			}
-			f.submitGrowthProbe(k)
+			f.probeGrowth(k)
 			if k+1 < f.nt {
 				f.scheduleHybridStep(k + 1)
 			}
@@ -137,7 +137,7 @@ func (f *fact) scheduleLU(scope Scope, wholePanel bool) {
 		f.report.Decisions[k] = true
 		f.submitPanelFactorStatic(st)
 		f.submitLUStep(st)
-		f.submitGrowthProbe(k)
+		f.probeGrowth(k)
 	}
 }
 
@@ -145,7 +145,7 @@ func (f *fact) scheduleLU(scope Scope, wholePanel bool) {
 // with breakdown reporting in the factor task itself (there is no decision
 // task to defer it to).
 func (f *fact) submitPanelFactorStatic(st *stepState) {
-	f.submitPanelFactor(st, 0)
+	f.submitPanelFactor(st, false)
 	// Wrap breakdown reporting: the panel task stores luErr; a tiny control
 	// task reads the stack handle and records it.
 	k := st.k
@@ -171,6 +171,6 @@ func (f *fact) scheduleTree() {
 		f.steps[k] = st
 		f.report.Decisions[k] = f.cfg.Alg.pairwise()
 		f.submitTreeStep(st, ks)
-		f.submitGrowthProbe(k)
+		f.probeGrowth(k)
 	}
 }

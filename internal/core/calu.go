@@ -135,7 +135,7 @@ func (f *fact) scheduleCALUStep(k int) {
 		Then: func(*runtime.Engine) {
 			f.submitCALUSwapsAndFactor(st)
 			f.submitLUStep(st)
-			f.submitGrowthProbe(k)
+			f.probeGrowth(k)
 			if k+1 < f.nt {
 				f.scheduleCALUStep(k + 1)
 			}

@@ -256,8 +256,8 @@ type Config struct {
 	// TrackGrowth samples the trailing submatrix after every elimination
 	// step and records the peak intermediate element growth in
 	// Report.PeakGrowth — the quantity the §III growth bounds govern.
-	// Costs an extra O(N²) read per step, as one small probe task per
-	// trailing tile that orders only against that tile's own writers.
+	// Costs an extra O(N²) read per step, each tile read inside the task
+	// that next touches it, so tracking adds no task and no wait.
 	TrackGrowth bool
 	// Seed seeds the Random criterion's generator.
 	Seed int64

@@ -141,10 +141,6 @@ type fact struct {
 	// normalizes its tiles with ensure64 first.
 	res *tile.Residency
 
-	// reads names the criterion inputs the hybrid steps gather: only those
-	// the configured criterion reads (criteria.Reads).
-	reads criteria.Data
-
 	mu        sync.Mutex
 	breakdown bool
 	peakAbs   float64 // max |a_ij| seen by growth probes
@@ -174,9 +170,6 @@ func newFact(cfg Config, a *tile.Matrix, rhs *tile.Vector) *fact {
 	}
 	for k := range f.report.Margins {
 		f.report.Margins[k] = math.NaN() // no criterion margin recorded (yet)
-	}
-	if cfg.Alg == LUQR {
-		f.reads = criteria.Reads(cfg.Criterion)
 	}
 	f.e = runtime.NewEngine(runtime.Config{Workers: cfg.Workers, Trace: cfg.Trace})
 	tileBytes := a.NB * a.NB * 8
@@ -344,15 +337,13 @@ func inSet(rows []int, i int) bool {
 }
 
 // submitNormTasks measures ‖A_ik‖₁ of every sub-diagonal panel tile, and
-// the per-column maxima of those outside the pivot rows, before the trial
-// factorization (criterion data, §III), each when the criterion reads it.
-// One task per tile, on the tile's owner, so that the trace charges only
-// the small norm payloads for the criterion exchange; the tasks stay when
-// the criterion reads neither, so the task graph does not depend on it.
+// the per-column maxima of those outside the pivot rows (the only ones the
+// criterion input folds), before the trial factorization (criterion data,
+// §III). One task per tile, on the tile's owner, so that the trace charges
+// only the small norm payloads for the criterion exchange.
 func (f *fact) submitNormTasks(st *stepState) {
 	k := st.k
 	nb := f.nb
-	norms, colMax := f.reads&criteria.TileNorms != 0, f.reads&criteria.ColMaxima != 0
 	for i := k + 1; i < f.nt; i++ {
 		i := i
 		nr := &normResult{row: i, inDomain: inSet(st.rows, i)}
@@ -367,25 +358,21 @@ func (f *fact) submitNormTasks(st *stepState) {
 			Priority: prioPanel(k),
 			Accesses: []runtime.Access{runtime.R(f.h[i][k]), runtime.W(h)},
 			Run: func() {
-				if colMax && !nr.inDomain {
+				if !nr.inDomain {
 					nr.colMax = make([]float64, nb)
 				}
 				if f.res != nil {
 					// Read through the residency state: a resident tile is
 					// measured over its image without being demoted, so a
 					// criterion probe never ends a float32 epoch.
-					if norms {
-						nr.norm1 = f.res.TileNorm1(i, k)
-					}
+					nr.norm1 = f.res.TileNorm1(i, k)
 					if nr.colMax != nil {
 						f.res.TileColsAbsMax(i, k, nr.colMax)
 					}
 					return
 				}
 				t := f.A.Tile(i, k)
-				if norms {
-					nr.norm1 = t.Norm1()
-				}
+				nr.norm1 = t.Norm1()
 				if nr.colMax != nil {
 					t.ColsAbsMax(nr.colMax)
 				}
@@ -395,8 +382,7 @@ func (f *fact) submitNormTasks(st *stepState) {
 }
 
 // submitBackup snapshots the pivot-row tiles (and records their pre-factor
-// column maxima, when the criterion reads them: MUMPS) — the Backup Panel
-// stage of Fig. 1.
+// column maxima for the MUMPS criterion) — the Backup Panel stage of Fig. 1.
 func (f *fact) submitBackup(st *stepState) {
 	k := st.k
 	st.hBackup = f.e.NewHandle(fmt.Sprintf("backup(%d)", k), len(st.rows)*f.nb*f.nb*8, f.owner(k, k))
@@ -430,14 +416,12 @@ func (f *fact) submitBackup(st *stepState) {
 					st.backup[r].CopyFrom(f.A.Tile(i, k))
 				}
 			}
-			if f.reads&criteria.ColMaxima != 0 {
-				st.localMax = make([]float64, nb)
-				colMax := make([]float64, nb)
-				for _, t := range st.backup {
-					t.ColsAbsMax(colMax)
-					for j, v := range colMax {
-						st.localMax[j] = foldAbsMax(st.localMax[j], v)
-					}
+			st.localMax = make([]float64, nb)
+			colMax := make([]float64, nb)
+			for _, t := range st.backup {
+				t.ColsAbsMax(colMax)
+				for j, v := range colMax {
+					st.localMax[j] = foldAbsMax(st.localMax[j], v)
 				}
 			}
 		},
@@ -446,13 +430,13 @@ func (f *fact) submitBackup(st *stepState) {
 
 // submitPanelFactor stacks the pivot-row tiles of column k, factors them
 // with partial pivoting, writes the factors back into the tiles, and
-// computes the diagonal-tile data of reads (pivot magnitudes, the
+// computes the criterion's diagonal-tile data (pivot magnitudes and the
 // Hager–Higham estimate of ‖(A_kk^(k))⁻¹‖₁). This is the LU On Panel stage
 // of Fig. 1; the paper uses the multithreaded recursive-LU kernel of PLASMA
 // here, our stand-in is the stacked Getrf. A float32 step runs the same
 // Getrf on a resident float32 stack instead and demotes the whole step to
 // float64 on a breakdown or an excursion.
-func (f *fact) submitPanelFactor(st *stepState, reads criteria.Data) {
+func (f *fact) submitPanelFactor(st *stepState, withCriterion bool) {
 	k := st.k
 	nb := f.nb
 	st.hStack = f.e.NewHandle(fmt.Sprintf("panelLU(%d)", k), len(st.rows)*nb*nb*8, f.owner(k, k))
@@ -517,11 +501,9 @@ func (f *fact) submitPanelFactor(st *stepState, reads criteria.Data) {
 				st.piv, st.luErr = lapack.Getrf(st.stack)
 				f.A.UnstackRows(st.stack, st.rows, k)
 			}
-			top := st.stack.View(0, 0, nb, nb)
-			if reads&criteria.PivotMagnitudes != 0 {
+			if withCriterion {
+				top := st.stack.View(0, 0, nb, nb)
 				st.pivots = lapack.LUPivotGrowth(top)
-			}
-			if reads&criteria.InvNorm != 0 {
 				st.invNorm = invNorm1(top, nil, st.luErr)
 			}
 			tr.ChargeConv(m.NS)
@@ -564,30 +546,24 @@ func invNorm1(lu *mat.Matrix, piv []int, luErr error) float64 {
 }
 
 // criterionInput assembles the Input for the configured criterion from the
-// data the norm, backup and panel tasks gathered for it (f.reads).
+// data gathered by the norm, backup and panel tasks.
 func (f *fact) criterionInput(st *stepState) *criteria.Input {
 	in := &criteria.Input{
 		Step:         st.k,
 		InvDiagNorm1: st.invNorm,
 		LocalMax:     st.localMax,
 		Pivots:       st.pivots,
+		Rng:          stepRng(f.cfg.Seed, st.k),
 	}
-	if f.reads&criteria.Coin != 0 {
-		in.Rng = stepRng(f.cfg.Seed, st.k)
-	}
-	if f.reads&criteria.TileNorms != 0 {
-		for _, nr := range st.norms {
-			in.OffDiagTileNorms = append(in.OffDiagTileNorms, nr.norm1)
+	away := make([]float64, f.nb)
+	for _, nr := range st.norms {
+		in.OffDiagTileNorms = append(in.OffDiagTileNorms, nr.norm1)
+		// nr.colMax is nil for the pivot rows' tiles.
+		for j, v := range nr.colMax {
+			away[j] = foldAbsMax(away[j], v)
 		}
 	}
-	if f.reads&criteria.ColMaxima != 0 {
-		in.AwayMax = make([]float64, f.nb)
-		for _, nr := range st.norms {
-			for j, v := range nr.colMax {
-				in.AwayMax[j] = foldAbsMax(in.AwayMax[j], v)
-			}
-		}
-	}
+	in.AwayMax = away
 	return in
 }
 
@@ -642,41 +618,34 @@ func (st *stepState) releaseBackup() {
 	st.backupBuf = nil
 }
 
-// submitGrowthProbe samples max|A^(k+1)| over the trailing submatrix after
-// step k's updates and folds it into the report's peak intermediate growth
-// (Config.TrackGrowth). Each tile gets its own probe, on its owner, that
-// reads only that tile and folds its max|a_ij| into f.peakAbs: a probe
-// waits only for its tile's step-k writers and holds up only the tile's
-// step-(k+1) writers, so no task waits on a tile it does not touch and the
-// next panel keeps its lookahead. A probe runs at its column's update
-// priority, the lookahead band for column k+1. The probes are purely
-// observational, and the maximum is the same whatever order they run in.
-func (f *fact) submitGrowthProbe(k int) {
+// probeGrowth samples max|A^(k+1)| over the trailing submatrix after step
+// k's updates and folds it into f.peakAbs, the peak intermediate growth
+// (Config.TrackGrowth), without a task of its own: it leaves an observer
+// (runtime.Engine.Observe) on each tile of rows and columns k+1 on, which
+// the first task to touch the tile after step k runs before its kernel, so
+// it reads the tile as step k left it, and no task waits for it. No later
+// step writes row or column k, so their values after step k are the final
+// ones: Run folds them in from its scan of the final tiles. The maximum is
+// the same whatever order the observers run in.
+func (f *fact) probeGrowth(k int) {
 	if !f.cfg.TrackGrowth {
 		return
 	}
-	for i := k; i < f.nt; i++ {
-		for j := k; j < f.nt; j++ {
-			f.e.Submit(runtime.TaskSpec{
-				Name:     fmt.Sprintf("GrowthProbe(%d,%d,%d)", k, i, j),
-				Kernel:   "PROBE",
-				Node:     f.owner(i, j),
-				Priority: prioUpdate(k, j),
-				Accesses: []runtime.Access{runtime.R(f.h[i][j])},
-				Run: func() {
-					var v float64
-					if f.res != nil {
-						// Read through a live image without demoting it.
-						v = f.res.TileNormMax(i, j)
-					} else {
-						v = f.A.Tile(i, j).NormMax()
-					}
-					f.mu.Lock()
-					if v > f.peakAbs {
-						f.peakAbs = v
-					}
-					f.mu.Unlock()
-				},
+	for i := k + 1; i < f.nt; i++ {
+		for j := k + 1; j < f.nt; j++ {
+			f.e.Observe(f.h[i][j], func() {
+				var v float64
+				if f.res != nil {
+					// Read through a live image without demoting it.
+					v = f.res.TileNormMax(i, j)
+				} else {
+					v = f.A.Tile(i, j).NormMax()
+				}
+				f.mu.Lock()
+				if v > f.peakAbs {
+					f.peakAbs = v
+				}
+				f.mu.Unlock()
 			})
 		}
 	}

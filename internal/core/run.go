@@ -175,9 +175,15 @@ func Run(a *mat.Matrix, b []float64, cfg Config) (*Result, error) {
 			}
 		}
 	})
-	// Growth factor: max|final tiles| / max|A|.
+	// Growth factor: max|final tiles| / max|A|. The peak growth folds in
+	// the final tiles too: they hold each step's row and column as the step
+	// left them (probeGrowth).
 	if maxA0 > 0 {
-		f.report.Growth = foldMax(rowMax) / maxA0
+		final := foldMax(rowMax)
+		f.report.Growth = final / maxA0
+		if c.TrackGrowth && final > f.peakAbs {
+			f.peakAbs = final
+		}
 		if f.peakAbs > 0 {
 			f.report.PeakGrowth = f.peakAbs / maxA0
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luqr/internal/blas"
-	"luqr/internal/criteria"
 	"luqr/internal/flops"
 	"luqr/internal/lapack"
 	"luqr/internal/mat"
@@ -61,21 +60,14 @@ func (f *fact) submitVariantTrial(st *stepState) {
 		Run: func() {
 			akk := f.A.Tile(k, k)
 			// Pre-factorization column maxima for the MUMPS criterion.
-			if f.reads&criteria.ColMaxima != 0 {
-				st.localMax = make([]float64, nb)
-				akk.ColsAbsMax(st.localMax)
-			}
+			st.localMax = make([]float64, nb)
+			akk.ColsAbsMax(st.localMax)
 			if qrBased {
 				lapack.GeqrtIB(akk, t, f.ib)
 				// |R_jj| plays the pivot role in the MUMPS input; the
 				// estimate of ‖A_kk⁻¹‖₁ uses the exact operator
 				// R⁻¹·Qᵀ / Q·R⁻ᵀ through the stored reflectors.
-				if f.reads&criteria.PivotMagnitudes != 0 {
-					st.pivots = lapack.LUPivotGrowth(akk)
-				}
-				if f.reads&criteria.InvNorm == 0 {
-					return
-				}
+				st.pivots = lapack.LUPivotGrowth(akk)
 				st.invNorm = lapack.OneNormEst(nb,
 					func(x []float64) {
 						c := &mat.Matrix{Rows: nb, Cols: 1, Stride: 1, Data: x}
@@ -91,12 +83,8 @@ func (f *fact) submitVariantTrial(st *stepState) {
 				return
 			}
 			st.piv, st.luErr = lapack.Getrf(akk)
-			if f.reads&criteria.PivotMagnitudes != 0 {
-				st.pivots = lapack.LUPivotGrowth(akk)
-			}
-			if f.reads&criteria.InvNorm != 0 {
-				st.invNorm = invNorm1(akk, st.piv, st.luErr)
-			}
+			st.pivots = lapack.LUPivotGrowth(akk)
+			st.invNorm = invNorm1(akk, st.piv, st.luErr)
 		},
 	})
 }

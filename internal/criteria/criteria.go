@@ -55,43 +55,6 @@ type Criterion interface {
 	Decide(in *Input) bool
 }
 
-// Data names Input fields, so the caller gathers only what a criterion
-// reads (Reads): the inputs cost a pass over every panel tile, an
-// estimate of ‖A_kk⁻¹‖₁ and a generator per step.
-type Data uint8
-
-const (
-	// TileNorms is OffDiagTileNorms.
-	TileNorms Data = 1 << iota
-	// InvNorm is InvDiagNorm1.
-	InvNorm
-	// ColMaxima is LocalMax and AwayMax.
-	ColMaxima
-	// PivotMagnitudes is Pivots.
-	PivotMagnitudes
-	// Coin is Rng.
-	Coin
-
-	// AllData is every input field.
-	AllData = TileNorms | InvNorm | ColMaxima | PivotMagnitudes | Coin
-)
-
-// Reads returns the Input fields c's Decide reads. A criterion of a type
-// this package does not define may read anything, so it gets AllData.
-func Reads(c Criterion) Data {
-	switch c.(type) {
-	case Max, Sum:
-		return TileNorms | InvNorm
-	case MUMPS:
-		return ColMaxima | PivotMagnitudes
-	case Random:
-		return Coin
-	case Always, Never:
-		return 0
-	}
-	return AllData
-}
-
 // Max is the criterion of §III-A:
 //
 //	α · ‖(A_kk)⁻¹‖₁⁻¹ ≥ max_{i>k} ‖A_ik‖₁

@@ -416,63 +416,3 @@ func TestMargins(t *testing.T) {
 		t.Errorf("poisoned max margin %g, want +Inf", pi.Margin)
 	}
 }
-
-// TestReadsCoversDecide: every criterion decides, and reports its margin,
-// bit for bit the same from an Input holding only the fields Reads names
-// as from the full Input; a criterion type the package does not define
-// reads everything.
-func TestReadsCoversDecide(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vec := func(n int, scale float64) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = scale * rng.Float64()
-		}
-		return v
-	}
-	for trial := 0; trial < 300; trial++ {
-		alpha := []float64{0, 1, 10, 100, math.Inf(1)}[trial%5]
-		full := Input{
-			Step:             trial,
-			InvDiagNorm1:     rng.Float64() * 2,
-			OffDiagTileNorms: vec(1+rng.Intn(4), 50),
-			LocalMax:         vec(4, 3),
-			AwayMax:          vec(4, 300),
-			Pivots:           vec(4, 2),
-		}
-		seed := rng.Int63()
-		for _, c := range []Criterion{Max{alpha}, Sum{alpha}, MUMPS{alpha}, Random{alpha}, Always{}, Never{}} {
-			want, got := full, Input{Step: full.Step}
-			want.Rng = rand.New(rand.NewSource(seed))
-			reads := Reads(c)
-			if reads&TileNorms != 0 {
-				got.OffDiagTileNorms = full.OffDiagTileNorms
-			}
-			if reads&InvNorm != 0 {
-				got.InvDiagNorm1 = full.InvDiagNorm1
-			}
-			if reads&ColMaxima != 0 {
-				got.LocalMax, got.AwayMax = full.LocalMax, full.AwayMax
-			}
-			if reads&PivotMagnitudes != 0 {
-				got.Pivots = full.Pivots
-			}
-			if reads&Coin != 0 {
-				got.Rng = rand.New(rand.NewSource(seed))
-			}
-			dw, dg := c.Decide(&want), c.Decide(&got)
-			if dw != dg || math.Float64bits(want.Margin) != math.Float64bits(got.Margin) {
-				t.Fatalf("%s α=%g trial %d: decided %v (margin %v) from the fields Reads names, %v (%v) from all",
-					c.Name(), alpha, trial, dg, got.Margin, dw, want.Margin)
-			}
-		}
-	}
-	if Reads(otherCriterion{}) != AllData {
-		t.Fatal("a criterion of another package does not read every field")
-	}
-}
-
-type otherCriterion struct{}
-
-func (otherCriterion) Name() string       { return "other" }
-func (otherCriterion) Decide(*Input) bool { return true }

@@ -73,6 +73,9 @@ type Handle struct {
 	// handful of nodes at most, and a linear scan is faster than hashing.
 	sentTo  []int
 	version int
+	// observe is the observer Observe left for the current version, taken
+	// by the next task submitted with an access to the handle.
+	observe func()
 }
 
 // sentToContains reports whether node already received the current version.
@@ -248,6 +251,9 @@ type task struct {
 	execWorker int32
 
 	trace *TraceTask
+	// observers run before the body: the ones this task took from its
+	// handles at Submit (Observe).
+	observers []func()
 	// loop marks a Parallel runner: it is no part of the graph, so it adds
 	// nothing to the dispatch counters (and it never has a trace record).
 	loop bool
@@ -455,6 +461,19 @@ func (e *Engine) NewHandle(name string, bytes, home int) *Handle {
 	return h
 }
 
+// Observe arranges for fn to see h as it stands now, after every task
+// submitted so far that writes it: the next task submitted with an access
+// to h runs fn before its body, and no later writer of h can run before
+// that task has finished. fn adds no task and no dependency, and it runs
+// only if such a task is submitted. A later Observe on h, before any task
+// has taken fn, replaces it: both would see the same version. fn must only
+// read h.
+func (e *Engine) Observe(h *Handle, fn func()) {
+	e.mu.Lock()
+	h.observe = fn
+	e.mu.Unlock()
+}
+
 // Submit adds a task. Dependencies on previously submitted tasks are derived
 // from the declared accesses. Submit may be called from Then callbacks.
 func (e *Engine) Submit(spec TaskSpec) {
@@ -555,6 +574,10 @@ func (e *Engine) Submit(spec TaskSpec) {
 	// accesses a handle twice does not depend on itself).
 	for _, a := range spec.Accesses {
 		h := a.H
+		if h.observe != nil {
+			t.observers = append(t.observers, h.observe)
+			h.observe = nil
+		}
 		if a.Write {
 			h.lastWriter = t
 			h.readers = h.readers[:0]
@@ -768,6 +791,9 @@ func (e *Engine) execute(t *task, id int, src DispatchKind) {
 		t.trace.Dispatch = src
 		t.trace.QueueDepth = e.queuedLen()
 		t.trace.BeginNS = e.sinceStart()
+	}
+	for _, fn := range t.observers {
+		fn()
 	}
 	if t.spec.RunTraced != nil {
 		t.spec.RunTraced(t.trace)

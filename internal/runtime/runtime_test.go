@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSequentialChain(t *testing.T) {
@@ -304,6 +305,51 @@ func TestWARBlocksEarlyWrite(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestObserveSeesVersion: an observer runs once, in the next task that
+// accesses its handle, and sees the version the tasks submitted before it
+// left, however the workers interleave; a second Observe before any such
+// task replaces the first, an observer no task takes never runs, and
+// observers add no task and no dependency.
+func TestObserveSeesVersion(t *testing.T) {
+	f := func(seed int64) bool {
+		e := NewEngine(Config{Workers: 4, Trace: true})
+		defer e.Close()
+		h, other := e.NewHandle("x", 8, 0), e.NewHandle("y", 8, 0)
+		var v atomic.Int64
+		var saw [4]atomic.Int64
+		var runs [4]atomic.Int32
+		observer := func(i int) func() {
+			return func() { runs[i].Add(1); saw[i].Store(v.Load()) }
+		}
+		write := func(x int64) TaskSpec {
+			return TaskSpec{Name: "w", Accesses: []Access{W(h)}, Run: func() {
+				time.Sleep(time.Duration(seed%3) * time.Microsecond)
+				v.Store(x)
+			}}
+		}
+		e.Submit(write(1))
+		e.Observe(h, observer(0))
+		e.Submit(TaskSpec{Name: "y", Accesses: []Access{W(other)}})
+		e.Submit(TaskSpec{Name: "r", Accesses: []Access{R(h)}})
+		e.Submit(write(2))
+		e.Observe(h, observer(1))
+		e.Observe(h, observer(2))
+		e.Submit(write(3))
+		e.Observe(h, observer(3))
+		e.Wait()
+		if len(e.Trace()) != 5 {
+			return false
+		}
+		return runs[0].Load() == 1 && saw[0].Load() == 1 &&
+			runs[1].Load() == 0 &&
+			runs[2].Load() == 1 && saw[2].Load() == 2 &&
+			runs[3].Load() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -80,27 +80,27 @@ func hashData(h hash.Hash, spec MatrixSpec) {
 // array, so requests repeating the array hash its entries once.
 type dataPrefix struct {
 	once  sync.Once
-	n     int
 	state []byte
 }
 
-// resume returns a SHA-256 hash that has absorbed hashData(spec): a copy
-// of the remembered state, or, for an order other than the one it was
-// computed at, a fresh hash of spec. The state round-trips exactly, so the
-// digest is the one a fresh hash gives.
+// resume returns a SHA-256 hash that has absorbed hashData(spec). The memo
+// shares a prefix only among requests with byte-identical data, and parse
+// digests only a request whose data holds N² entries, so every request
+// that resumes it has the N the state was computed at. crypto/sha256's
+// state round-trips exactly, so the digest is the one a fresh hash gives.
 func (p *dataPrefix) resume(spec MatrixSpec) hash.Hash {
 	p.once.Do(func() {
 		h := sha256.New()
 		hashData(h, spec)
 		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-		if err == nil {
-			p.n, p.state = spec.N, state
+		if err != nil {
+			panic(err)
 		}
+		p.state = state
 	})
 	h := sha256.New()
-	if p.state == nil || p.n != spec.N || h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state) != nil {
-		h.Reset()
-		hashData(h, spec)
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic(err)
 	}
 	return h
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
+	"hash/maphash"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // bodyPool holds request-body buffers between requests, so a stream of
@@ -18,13 +21,15 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readRequest reads body, already size-limited, into a pooled buffer and
 // decodes it through memo (nil: none). Nothing it returns aliases the
-// buffer; a matrix.data slice may be shared with other requests (dataMemo).
-func readRequest(body io.Reader, memo *dataMemo) (SolveRequest, error) {
+// buffer; a matrix.data slice may be shared with other requests (dataMemo),
+// and the memoKey, when the array was scanned, is what memo.remember takes
+// once the request is accepted.
+func readRequest(body io.Reader, memo *dataMemo) (SolveRequest, memoKey, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(body); err != nil {
-		return SolveRequest{}, err
+		return SolveRequest{}, memoKey{}, err
 	}
 	return decodeRequest(buf.Bytes(), memo)
 }
@@ -35,13 +40,13 @@ func readRequest(body io.Reader, memo *dataMemo) (SolveRequest, error) {
 // with the same errors. A canonical body takes decodeCanonical's single
 // pass, through memo (nil: none); any other is handed to encoding/json from
 // the start.
-func decodeRequest(b []byte, memo *dataMemo) (SolveRequest, error) {
-	if req, ok := decodeCanonical(b, memo); ok {
-		return req, nil
+func decodeRequest(b []byte, memo *dataMemo) (SolveRequest, memoKey, error) {
+	if req, key, ok := decodeCanonical(b, memo); ok {
+		return req, key, nil
 	}
 	var req SolveRequest
 	err := json.NewDecoder(bytes.NewReader(b)).Decode(&req)
-	return req, err
+	return req, memoKey{}, err
 }
 
 // decodeCanonical decodes b in one pass when it is a canonical request:
@@ -58,12 +63,10 @@ func decodeRequest(b []byte, memo *dataMemo) (SolveRequest, error) {
 // two decoders cannot disagree.
 //
 // A data array byte-identical to one memo holds takes memo's values
-// without a scan (dataMemo); a scanned one enters memo once the whole body
-// has decoded.
-func decodeCanonical(b []byte, memo *dataMemo) (req SolveRequest, ok bool) {
+// without a scan (dataMemo); a scanned one returns its memoKey.
+func decodeCanonical(b []byte, memo *dataMemo) (req SolveRequest, key memoKey, ok bool) {
 	d := decoder{b: b}
 	m, c := &req.Matrix, &req.Config
-	var scanned []byte // the data array's bytes, when it was scanned
 	ok = d.object(map[string]func() bool{
 		"matrix": func() bool {
 			return d.object(map[string]func() bool{
@@ -71,18 +74,11 @@ func decodeCanonical(b []byte, memo *dataMemo) (req SolveRequest, ok bool) {
 				"gen":  func() bool { return d.setString(&m.Gen) },
 				"seed": func() bool { return d.setInt64(&m.Seed) },
 				"data": func() bool {
-					d.space()
-					start := d.i
-					if d.recall(memo, m) {
+					var hit bool
+					if hit, key = d.recall(memo, m); hit {
 						return true
 					}
-					if !d.setFloats(&m.Data, d.entries(m.N, m.N)) {
-						return false
-					}
-					if m.Data != nil {
-						scanned = d.b[start:d.i]
-					}
-					return true
+					return d.setFloats(&m.Data, d.entries(m.N, m.N))
 				},
 			})
 		},
@@ -104,33 +100,35 @@ func decodeCanonical(b []byte, memo *dataMemo) (req SolveRequest, ok bool) {
 		"rhs": func() bool { return d.setFloats(&req.RHS, d.entries(m.N, 1)) },
 	})
 	d.space()
-	ok = ok && d.i == len(b)
-	if ok && scanned != nil {
-		m.prefix = memo.remember(scanned, m.Data)
+	if ok = ok && d.i == len(b); !ok {
+		key = memoKey{}
 	}
-	return req, ok
+	return req, key, ok
 }
 
 // recall looks the data array that starts at the cursor up in memo. In a
 // canonical body a float array holds only numbers, commas and whitespace,
 // so it runs from its '[' to the first ']', and memo holds only arrays
 // that decoded cleanly. On a hit m takes memo's values and their digest
-// state, and the cursor moves past the ']'; otherwise the cursor stays
-// where it was.
-func (d *decoder) recall(memo *dataMemo, m *MatrixSpec) bool {
+// state, and the cursor moves past the ']'; on a miss the cursor stays
+// where it was, and key names the array the cursor's scan will read when
+// it succeeds.
+func (d *decoder) recall(memo *dataMemo, m *MatrixSpec) (hit bool, key memoKey) {
+	d.space()
 	if memo == nil || d.i == len(d.b) || d.b[d.i] != '[' {
-		return false
+		return false, memoKey{}
 	}
 	end := bytes.IndexByte(d.b[d.i:], ']')
 	if end < 0 {
-		return false
+		return false, memoKey{}
 	}
-	e, ok := memo.lookup(d.b[d.i : d.i+end+1])
-	if ok {
-		m.Data, m.prefix = e.data, e.prefix
-		d.i += end + 1
+	e, key := memo.lookup(d.b[d.i : d.i+end+1])
+	if e == nil {
+		return false, key
 	}
-	return ok
+	m.Data, m.prefix = e.data, e.prefix
+	d.i += end + 1
+	return true, memoKey{}
 }
 
 // decoder is decodeCanonical's cursor over the body. Each method consumes
@@ -473,17 +471,23 @@ func (d *decoder) entries(rows, cols int) int {
 	return rows * cols
 }
 
-// dataMemo remembers the matrix.data arrays of recent canonical bodies: the
-// array's raw bytes, from '[' to ']', map to the values they decoded to and
-// the values' digest state (dataPrefix), so a body repeating a remembered
-// array byte for byte takes its values without scanning a number, and its
-// cache key without hashing them. The map is keyed by the bytes
-// themselves, and a Go map compares a key in full after hashing it, so a
-// hit is exact, never probabilistic; an array spelled any other way (other
+// dataMemo remembers the matrix.data arrays of recent accepted requests:
+// an array's raw bytes, from '[' to ']', map to the values they decoded to
+// and the values' digest state (dataPrefix), so a body repeating a
+// remembered array byte for byte takes its values without scanning a
+// number, and its cache key without hashing them. Entries are found by a
+// hash of the bytes and then compared with them in full, so a hit is
+// exact, never probabilistic; an array spelled any other way (other
 // whitespace, other digits for the same value) misses and is scanned as
-// before. It holds at most maxEntries arrays and maxBytes of keys plus
-// values, evicting the least recently used, and is safe for concurrent
-// use.
+// before.
+//
+// An array is kept on its second sighting: the first only records its
+// hash, in a ring of the last maxEntries hashes, so traffic that never
+// repeats an array holds no arrays and pays one hash of each on top of its
+// scan. Only arrays of requests that parsed are recorded (Server.request),
+// so a rejected request can neither take a slot nor evict one. The memo
+// holds at most maxEntries arrays and maxBytes of keys plus values,
+// evicting the least recently used, and is safe for concurrent use.
 //
 // A remembered slice is handed to every request that repeats its array, so
 // requests share it, and nothing may write to it: the request parser and
@@ -491,67 +495,113 @@ func (d *decoder) entries(rows, cols int) int {
 // view of it that Run only reads (it copies A into its tiles), and a job
 // drops its request when it finishes.
 type dataMemo struct {
+	seed       maphash.Seed
 	maxEntries int
 	maxBytes   int64
 
 	mu      sync.Mutex
 	bytes   int64                    // keys plus values held
-	entries map[string]*list.Element // raw array → element; value is *memoEntry
+	entries map[uint64]*list.Element // hash of the raw array → element; value is *memoEntry
 	lru     *list.List               // front = least recently used
+	seen    []uint64                 // hashes of arrays sighted once, a ring
+	next    int                      // the ring slot the next sighting takes
 }
 
 type memoEntry struct {
+	h      uint64
 	raw    string
 	data   []float64
 	prefix *dataPrefix
+	size   int64 // counted against maxBytes: the key and the values' backing array
 }
 
-// size is what an entry counts against maxBytes: its key and its values.
-func (e *memoEntry) size() int64 { return int64(len(e.raw)) + 8*int64(len(e.data)) }
+// memoKey is what dataMemo.remember takes of a scanned data array: the
+// hash of its bytes and, when the memo had sighted that hash before, a
+// copy of the bytes. The zero memoKey names no array.
+type memoKey struct {
+	h   uint64
+	raw string // "" on a first sighting
+	ok  bool
+}
 
 func newDataMemo(maxEntries int, maxBytes int64) *dataMemo {
 	return &dataMemo{
+		seed:       maphash.MakeSeed(),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		entries:    make(map[string]*list.Element),
+		entries:    make(map[uint64]*list.Element),
 		lru:        list.New(),
+		seen:       make([]uint64, maxEntries),
 	}
 }
 
-// lookup returns the remembered array raw, marking it recently used.
-func (m *dataMemo) lookup(raw []byte) (*memoEntry, bool) {
+// lookup returns the remembered values of the array raw, marking them
+// recently used, or, on a miss, the key remember takes for raw once its
+// request is accepted.
+func (m *dataMemo) lookup(raw []byte) (*memoEntry, memoKey) {
+	k := memoKey{h: m.hash(raw), ok: true}
+	var e *memoEntry
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[string(raw)]
-	if !ok {
-		return nil, false
+	if el, ok := m.entries[k.h]; ok {
+		m.lru.MoveToBack(el)
+		e = el.Value.(*memoEntry)
 	}
-	m.lru.MoveToBack(el)
-	return el.Value.(*memoEntry), true
+	again := slices.Contains(m.seen, k.h)
+	m.mu.Unlock()
+	if e != nil && e.raw == string(raw) {
+		return e, memoKey{}
+	}
+	if again {
+		k.raw = string(raw)
+	}
+	return nil, k
 }
 
-// remember records that raw decoded to data, evicting the least recently
-// used arrays beyond the bounds, and returns the digest state the array
-// will share with the requests that repeat it (nil when it is not kept:
-// an array larger than maxBytes on its own). data is capped at its length,
-// so an append to a shared slice copies instead of writing past it.
-func (m *dataMemo) remember(raw []byte, data []float64) *dataPrefix {
-	if m == nil || int64(len(raw))+8*int64(len(data)) > m.maxBytes {
-		return nil
+// hash hashes an array's bytes with the runtime's string hash, which takes
+// them in one call (maphash.Bytes takes them 128 at a time, at a fifth of
+// the speed); the string aliases raw only for the call.
+func (m *dataMemo) hash(raw []byte) uint64 {
+	return maphash.Comparable(m.seed, unsafe.String(unsafe.SliceData(raw), len(raw)))
+}
+
+// remember records the data array k of an accepted request, which decoded
+// to data: on a first sighting only its hash, on a later one its bytes and
+// values, evicting the least recently used arrays beyond the bounds. An
+// array larger than maxBytes on its own is not kept. The kept slice is
+// capped at its length, so an append to it copies instead of writing past
+// it.
+func (m *dataMemo) remember(k memoKey, data []float64) {
+	if m == nil || !k.ok {
+		return
 	}
-	e := &memoEntry{raw: string(raw), data: data[:len(data):len(data)], prefix: new(dataPrefix)}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[e.raw]; ok {
-		// A concurrent request remembered it first; its values are equal.
-		return el.Value.(*memoEntry).prefix
+	if k.raw == "" {
+		m.seen[m.next] = k.h
+		m.next = (m.next + 1) % len(m.seen)
+		return
 	}
-	m.entries[e.raw] = m.lru.PushBack(e)
-	m.bytes += e.size()
+	e := &memoEntry{h: k.h, raw: k.raw, data: data[:len(data):len(data)], prefix: new(dataPrefix),
+		size: int64(len(k.raw)) + 8*int64(cap(data))}
+	if e.size > m.maxBytes {
+		return
+	}
+	if el, ok := m.entries[k.h]; ok {
+		if el.Value.(*memoEntry).raw == k.raw {
+			return // a concurrent request remembered it first
+		}
+		m.drop(el) // another array with the same hash: the newer one replaces it
+	}
+	m.entries[k.h] = m.lru.PushBack(e)
+	m.bytes += e.size
 	for len(m.entries) > m.maxEntries || m.bytes > m.maxBytes {
-		old := m.lru.Remove(m.lru.Front()).(*memoEntry)
-		delete(m.entries, old.raw)
-		m.bytes -= old.size()
+		m.drop(m.lru.Front())
 	}
-	return e.prefix
+}
+
+// drop removes one remembered array. m.mu must be held.
+func (m *dataMemo) drop(el *list.Element) {
+	e := m.lru.Remove(el).(*memoEntry)
+	delete(m.entries, e.h)
+	m.bytes -= e.size
 }

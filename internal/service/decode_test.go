@@ -8,13 +8,15 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"luqr/internal/core"
 	"luqr/internal/mat"
 	"luqr/internal/matgen"
 )
@@ -170,10 +172,12 @@ func decodeSeeds(t testing.TB) [][]byte {
 // FuzzDecodeRequest: for any bytes, the served decoder and encoding/json's
 // streaming decoder agree on success, on the error, and on every decoded
 // field; a body the canonical pass accepts decodes to what encoding/json
-// makes of it. The served decoder runs twice on each input through one
-// memo, which earlier inputs have filled too: the second decode of a
-// canonical body with data is a memo hit, sharing the first decode's
-// values, and must equal both the first and encoding/json's.
+// makes of it. The served decoder runs three times on each input through
+// one memo, which earlier inputs have filled too, each decode followed by
+// the memo's remember as an accepted request's is: the first two sight a
+// canonical body's data array and keep it, so the third is a memo hit that
+// shares the second decode's values and must equal every decode and
+// encoding/json's.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, b := range decodeSeeds(f) {
 		f.Add(b)
@@ -181,7 +185,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, werr := referenceDecode(b)
-		fast, canonical := decodeCanonical(b, nil)
+		fast, _, canonical := decodeCanonical(b, nil)
 		if canonical {
 			if werr != nil {
 				t.Fatalf("canonical pass accepted a body encoding/json refuses (%v)", werr)
@@ -190,9 +194,9 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("canonical pass: %s", d)
 			}
 		}
-		var first SolveRequest
-		for pass := 0; pass < 2; pass++ {
-			got, err := decodeRequest(b, memo)
+		var kept SolveRequest
+		for pass := 0; pass < 3; pass++ {
+			got, key, err := decodeRequest(b, memo)
 			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 				t.Fatalf("pass %d: error %v, encoding/json %v", pass, err, werr)
 			}
@@ -202,15 +206,14 @@ func FuzzDecodeRequest(f *testing.F) {
 			if d := requestDiff(got, want); d != "" {
 				t.Fatalf("pass %d: decoded %s", pass, d)
 			}
-			if pass == 0 {
-				first = got
-				continue
-			}
-			if d := requestDiff(got, first); d != "" {
-				t.Fatalf("memo pass: %s differs from the first decode", d)
-			}
-			if canonical && len(got.Matrix.Data) > 0 && &got.Matrix.Data[0] != &first.Matrix.Data[0] {
-				t.Fatal("memo pass scanned matrix.data again instead of taking the remembered values")
+			memo.remember(key, got.Matrix.Data)
+			switch pass {
+			case 1:
+				kept = got
+			case 2:
+				if canonical && len(got.Matrix.Data) > 0 && &got.Matrix.Data[0] != &kept.Matrix.Data[0] {
+					t.Fatal("memo pass scanned matrix.data again instead of taking the remembered values")
+				}
 			}
 		}
 	})
@@ -362,7 +365,7 @@ func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 		bodies := benchBodies(t, seed)
 		bodies["every field"] = every
 		for kind, b := range bodies {
-			got, ok := decodeCanonical(b, nil)
+			got, _, ok := decodeCanonical(b, nil)
 			if !ok {
 				t.Fatalf("seed %d: the %s body left the canonical pass", seed, kind)
 			}
@@ -389,31 +392,55 @@ func TestBenchmarkBodiesTakeFastPath(t *testing.T) {
 }
 
 // BenchmarkDecodeRequest times the served decoder, readRequest's pooled
-// read and canonical pass, on the serve benchmark's body shapes: gen and
-// data without a memo, so every number is scanned, and data-repeat, the
+// read and canonical pass and then the memo's remember, on the serve
+// benchmark's body shapes: gen and data without a memo, so every number is
+// scanned; data-miss, the data body through a memo that never hits, since
+// each iteration sends an array it has not sighted; and data-repeat, the
 // data body again through a memo that already holds its array.
 func BenchmarkDecodeRequest(b *testing.B) {
 	bodies := benchBodies(b, 1)
-	for _, kind := range []string{"gen", "data", "data-repeat"} {
-		body := bodies[strings.TrimSuffix(kind, "-repeat")]
+	for _, kind := range []string{"gen", "data", "data-miss", "data-repeat"} {
+		shape, _, _ := strings.Cut(kind, "-")
+		body := bytes.Clone(bodies[shape])
 		b.Run(kind, func(b *testing.B) {
-			var memo *dataMemo
-			if kind == "data-repeat" {
-				memo = newDataMemo(16, DefaultMaxBodyBytes)
-				if _, err := readRequest(bytes.NewReader(body), memo); err != nil {
+			decode := func(memo *dataMemo) {
+				req, key, err := readRequest(bytes.NewReader(body), memo)
+				if err != nil {
 					b.Fatal(err)
 				}
+				memo.remember(key, req.Matrix.Data)
+			}
+			var memo *dataMemo
+			if kind != shape {
+				memo = newDataMemo(16, DefaultMaxBodyBytes)
+			}
+			if kind == "data-repeat" {
+				decode(memo) // sighted
+				decode(memo) // kept
+			}
+			// data-miss writes the iteration number over the last six
+			// digits of the first matrix entry's fraction: a new array of
+			// the same length on each iteration.
+			first := bytes.Index(body, []byte(`"data":[`)) + len(`"data":[`)
+			digits := first + bytes.IndexByte(body[first:], ',') - 6
+			if kind == "data-miss" && !sixFractionDigits.Match(body[first:digits+6]) {
+				b.Fatalf("first matrix entry %q has no six trailing fraction digits", body[first:digits+6])
 			}
 			b.SetBytes(int64(len(body)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := readRequest(bytes.NewReader(body), memo); err != nil {
-					b.Fatal(err)
+				if kind == "data-miss" {
+					copy(body[digits:], fmt.Appendf(nil, "%06d", i%1_000_000))
 				}
+				decode(memo)
 			}
 		})
 	}
 }
+
+// sixFractionDigits matches a number without an exponent that has at
+// least six digits after its point.
+var sixFractionDigits = regexp.MustCompile(`^-?[0-9]+\.[0-9]*[0-9]{6}$`)
 
 // TestDecodeConcurrentNoAlias decodes bodies through the pooled buffers
 // and one data memo from several goroutines at once. A decoded string or
@@ -436,11 +463,12 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				req, err := readRequest(bytes.NewReader(bodies[(g+r)%len(bodies)]), memo)
+				req, key, err := readRequest(bytes.NewReader(bodies[(g+r)%len(bodies)]), memo)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				memo.remember(key, req.Matrix.Data)
 				got[g] = append(got[g], req)
 			}
 		}(g)
@@ -459,12 +487,29 @@ func TestDecodeConcurrentNoAlias(t *testing.T) {
 	}
 }
 
+// keepArray decodes body through memo twice, remembering it as an
+// accepted request's each time, so that memo keeps its data array, and
+// returns the second decode, whose values memo now holds.
+func keepArray(t *testing.T, memo *dataMemo, body []byte) SolveRequest {
+	t.Helper()
+	var req SolveRequest
+	for range 2 {
+		var key memoKey
+		var err error
+		if req, key, err = decodeRequest(body, memo); err != nil {
+			t.Fatal(err)
+		}
+		memo.remember(key, req.Matrix.Data)
+	}
+	return req
+}
+
 // TestDataMemoSharedSliceUnmodified: four goroutines decode bodies that
-// repeat one data array, each under its own config, through one warmed
-// memo, and factor and solve them at once. Every request takes the memo's
-// slice, so four factorizations read one backing array; under the race
-// detector a write to it would be flagged, and the slice must hold its
-// original bits afterwards.
+// repeat one data array, each under its own config, through one memo that
+// keeps it, and factor and solve them at once. Every request takes the
+// memo's slice, so four factorizations read one backing array; under the
+// race detector a write to it would be flagged, and the slice must hold
+// its original bits afterwards.
 func TestDataMemoSharedSliceUnmodified(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(41))
@@ -483,11 +528,7 @@ func TestDataMemoSharedSliceUnmodified(t *testing.T) {
 		return b
 	}
 	memo := newDataMemo(16, DefaultMaxBodyBytes)
-	warm, err := readRequest(bytes.NewReader(body(4)), memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := warm.Matrix.Data
+	shared := keepArray(t, memo, body(4)).Matrix.Data
 	m := mustManager(t, Options{QueueSize: 8, Concurrency: 4})
 	defer m.Drain(context.Background())
 
@@ -497,7 +538,7 @@ func TestDataMemoSharedSliceUnmodified(t *testing.T) {
 		wg.Add(1)
 		go func(nb int) {
 			defer wg.Done()
-			req, err := readRequest(bytes.NewReader(body(nb)), memo)
+			req, key, err := readRequest(bytes.NewReader(body(nb)), memo)
 			if err != nil {
 				t.Error(err)
 				return
@@ -510,6 +551,7 @@ func TestDataMemoSharedSliceUnmodified(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			memo.remember(key, req.Matrix.Data)
 			x, _, _, _, err := m.Solve(context.Background(), p, p.b)
 			if err != nil {
 				t.Error(err)
@@ -528,8 +570,10 @@ func TestDataMemoSharedSliceUnmodified(t *testing.T) {
 	}
 }
 
-// TestDataMemoBounds: the memo never holds more arrays than its entry cap,
-// nor more key and value bytes than its byte cap; it evicts the least
+// TestDataMemoBounds: the memo keeps an array only on its second
+// sighting, so arrays sighted once hold nothing; it never holds more
+// arrays than its entry cap, nor more key and value bytes than its byte
+// cap, counting each slice's whole backing array; it evicts the least
 // recently used, a hit counts as a use, and an array above the byte cap on
 // its own is not kept.
 func TestDataMemoBounds(t *testing.T) {
@@ -551,7 +595,7 @@ func TestDataMemoBounds(t *testing.T) {
 			t.Fatalf("LRU list holds %d arrays, map %d", memo.lru.Len(), len(memo.entries))
 		}
 		for el := memo.lru.Front(); el != nil; el = el.Next() {
-			bytes += el.Value.(*memoEntry).size()
+			bytes += el.Value.(*memoEntry).size
 		}
 		if bytes != memo.bytes {
 			t.Fatalf("memo counts %d bytes, holds %d", memo.bytes, bytes)
@@ -559,19 +603,28 @@ func TestDataMemoBounds(t *testing.T) {
 		return len(memo.entries), bytes
 	}
 	decode := func(memo *dataMemo, b []byte) []float64 {
-		req, err := decodeRequest(b, memo)
+		req, key, err := decodeRequest(b, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
+		memo.remember(key, req.Matrix.Data)
 		return req.Matrix.Data
 	}
 
-	// Entry cap: ten arrays through a three-entry memo that a hit keeps
-	// array 0 in.
+	// Ten arrays sighted once each: none is kept.
 	memo := newDataMemo(3, DefaultMaxBodyBytes)
-	first := decode(memo, body(0, 4))
-	for i := 1; i < 10; i++ {
+	for i := 0; i < 10; i++ {
 		decode(memo, body(i, 4))
+	}
+	if entries, bytes := held(memo); entries != 0 || bytes != 0 {
+		t.Fatalf("arrays sighted once: %d kept in %d bytes", entries, bytes)
+	}
+
+	// Entry cap: ten arrays kept through a three-entry memo that a hit
+	// keeps array 0 in.
+	first := keepArray(t, memo, body(0, 4)).Matrix.Data
+	for i := 1; i < 10; i++ {
+		keepArray(t, memo, body(i, 4))
 		if got := decode(memo, body(0, 4)); &got[0] != &first[0] {
 			t.Fatalf("after array %d: array 0 was evicted despite its hits", i)
 		}
@@ -585,7 +638,7 @@ func TestDataMemoBounds(t *testing.T) {
 	one := int64(len(`[1000,1001,1002,1003]`)) + 32
 	memo = newDataMemo(16, one*5/2)
 	for i := 1; i < 10; i++ {
-		decode(memo, body(i, 4))
+		keepArray(t, memo, body(i, 4))
 		entries, bytes := held(memo)
 		if bytes > one*5/2 || entries > 2 {
 			t.Fatalf("after array %d: %d arrays in %d bytes, cap %d bytes", i, entries, bytes, one*5/2)
@@ -595,55 +648,93 @@ func TestDataMemoBounds(t *testing.T) {
 	// An array larger than the whole byte cap is decoded but not kept, and
 	// evicts nothing.
 	before, _ := held(memo)
-	if got := decode(memo, body(99, 64)); len(got) != 64 {
-		t.Fatalf("decoded %d numbers, want 64", len(got))
-	}
+	keepArray(t, memo, body(99, 64))
 	if entries, _ := held(memo); entries != before {
 		t.Fatalf("an oversized array changed the memo from %d to %d arrays", before, entries)
 	}
+
+	// Data before n: the decoder grows the slice by appending, and the
+	// memo counts the backing array it keeps, not the length.
+	memo = newDataMemo(16, DefaultMaxBodyBytes)
+	raw := `[1,2,3,4,5,6,7,8,9]`
+	data := keepArray(t, memo, []byte(`{"matrix":{"data":`+raw+`,"n":3}}`)).Matrix.Data
+	if _, bytes := held(memo); bytes != int64(len(raw))+8*int64(cap(data)) || cap(data) <= len(data) {
+		t.Fatalf("memo counts %d bytes for %d raw bytes and %d values of capacity %d", bytes, len(raw), len(data), cap(data))
+	}
 }
 
-// TestDataMemoDigest: requests that repeat a data array through the memo,
-// under several configs, hash its entries once and get the cache keys a
-// fresh hash gives; a digest at another order than the remembered state's
-// hashes afresh.
+// TestDataMemoDigest: requests that repeat a kept data array, under
+// several configs, share its digest state and get the cache keys a fresh
+// hash gives.
 func TestDataMemoDigest(t *testing.T) {
 	const n = 16
 	a := matgen.DiagDominant(n, rand.New(rand.NewSource(8)))
 	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	var prefix *dataPrefix
-	for i, cs := range []ConfigSpec{{NB: 4}, {NB: 8}, {NB: 4, Alg: "hqr"}, {NB: 4}} {
+	for i, cs := range []ConfigSpec{{NB: 4}, {NB: 4}, {NB: 8}, {NB: 4, Alg: "hqr"}, {NB: 4}} {
 		body, err := json.Marshal(SolveRequest{Matrix: MatrixSpec{N: n, Data: a.Data}, Config: cs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := decodeRequest(body, memo)
+		req, key, err := decodeRequest(body, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if req.Matrix.prefix == nil || prefix != nil && req.Matrix.prefix != prefix {
-			t.Fatalf("request %d: the memo did not share the array's digest state", i)
-		}
-		prefix = req.Matrix.prefix
 		p, err := parse(req.Matrix, req.Config, req.RHS, Options{MaxN: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
+		memo.remember(key, req.Matrix.Data)
 		fresh := req.Matrix
 		fresh.prefix = nil
 		if want := digestKey(fresh, p.cfg, p.criterion); p.key != want {
 			t.Fatalf("request %d: key %s, a fresh hash gives %s", i, p.key, want)
 		}
+		if i < 2 {
+			continue // sighted, then kept
+		}
+		if req.Matrix.prefix == nil || prefix != nil && req.Matrix.prefix != prefix {
+			t.Fatalf("request %d: the memo did not share the array's digest state", i)
+		}
+		prefix = req.Matrix.prefix
 	}
-	if prefix.n != n || prefix.state == nil {
-		t.Fatalf("remembered state at n=%d (%d bytes), want n=%d", prefix.n, len(prefix.state), n)
+	if prefix.state == nil {
+		t.Fatal("no digest state was remembered")
 	}
-	// The same entries read at another order are another operator.
-	other := MatrixSpec{N: 8, Data: a.Data[:64], prefix: prefix}
-	fresh := other
-	fresh.prefix = nil
-	var cfg core.Config
-	if got, want := digestKey(other, cfg, ""), digestKey(fresh, cfg, ""); got != want {
-		t.Fatalf("n=8 over an n=16 state: key %s, want %s", got, want)
+}
+
+// TestDataMemoAcceptedOnly: through the HTTP server, a data array whose
+// request parse rejects is never sighted, however often it is sent, while
+// an accepted one is kept on its second request and then served from the
+// memo.
+func TestDataMemoAcceptedOnly(t *testing.T) {
+	m := mustManager(t, Options{QueueSize: 4, Concurrency: 1})
+	defer m.Drain(context.Background())
+	s := NewServer(m, 0)
+	post := func(body string) int {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		return w.Code
+	}
+	state := func() (entries int, sighted bool) {
+		s.memo.mu.Lock()
+		defer s.memo.mu.Unlock()
+		return len(s.memo.entries), slices.ContainsFunc(s.memo.seen, func(h uint64) bool { return h != 0 })
+	}
+	for range 3 {
+		if code := post(`{"matrix":{"n":3,"data":[4,1,1,3]}}`); code != http.StatusBadRequest {
+			t.Fatalf("n*n mismatch: status %d, want 400", code)
+		}
+	}
+	if entries, sighted := state(); entries != 0 || sighted {
+		t.Fatalf("rejected requests: %d arrays kept, sighted %v", entries, sighted)
+	}
+	for i, want := range []int{0, 1, 1} {
+		if code := post(`{"matrix":{"n":2,"data":[4,1,1,3]},"config":{"nb":1}}`); code != http.StatusOK {
+			t.Fatalf("request %d: status %d, want 200", i, code)
+		}
+		if entries, _ := state(); entries != want {
+			t.Fatalf("after request %d: %d arrays kept, want %d", i, entries, want)
+		}
 	}
 }

@@ -64,12 +64,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// request reads and decodes the size-limited body of a submission or a
-// solve, mapping an oversized body to 413 and malformed JSON to 400.
-// Reports whether decoding succeeded; on failure the response has been
-// written.
-func (s *Server) request(w http.ResponseWriter, r *http.Request) (SolveRequest, bool) {
-	req, err := readRequest(http.MaxBytesReader(w, r.Body, s.maxBytes), s.memo)
+// request reads, decodes and parses the size-limited body of a submission
+// or a solve, mapping an oversized body to 413 and malformed JSON or an
+// invalid request to 400. Only an accepted request's data array is offered
+// to the memo. Reports whether the request was accepted; otherwise the
+// response has been written.
+func (s *Server) request(w http.ResponseWriter, r *http.Request) (*parsedRequest, bool) {
+	req, key, err := readRequest(http.MaxBytesReader(w, r.Body, s.maxBytes), s.memo)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -77,9 +78,15 @@ func (s *Server) request(w http.ResponseWriter, r *http.Request) (SolveRequest, 
 		} else {
 			writeError(w, http.StatusBadRequest, err)
 		}
-		return req, false
+		return nil, false
 	}
-	return req, true
+	p, err := parse(req.Matrix, req.Config, req.RHS, s.m.Options())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	s.memo.remember(key, req.Matrix.Data)
+	return p, true
 }
 
 // submitResponse is the body of a 202 from POST /v1/jobs.
@@ -90,13 +97,8 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.request(w, r)
+	p, ok := s.request(w, r)
 	if !ok {
-		return
-	}
-	p, err := parse(req.Matrix, req.Config, req.RHS, s.m.Options())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	j, err := s.m.Submit(p)
@@ -147,13 +149,8 @@ type solveResponse struct {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.request(w, r)
+	p, ok := s.request(w, r)
 	if !ok {
-		return
-	}
-	p, err := parse(req.Matrix, req.Config, req.RHS, s.m.Options())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	x, hit, batch, jobID, err := s.m.Solve(r.Context(), p, p.b)

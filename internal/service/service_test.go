@@ -599,7 +599,7 @@ func FuzzParse(f *testing.F) {
 	opts := Options{MaxN: 512}
 	memo := newDataMemo(16, DefaultMaxBodyBytes)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeRequest(data, nil)
+		req, _, err := decodeRequest(data, nil)
 		if err != nil {
 			return
 		}
@@ -615,10 +615,12 @@ func FuzzParse(f *testing.F) {
 		if err != nil || again.key != p.key {
 			t.Fatalf("second parse: key %s vs %s, err %v", again.key, p.key, err)
 		}
-		// Through a memo, twice: a repeated data array's digest resumes
-		// the state its first digest left, and must not move.
-		for pass := 0; pass < 2; pass++ {
-			req, err := decodeRequest(data, memo)
+		// Through a memo, three times, remembering each accepted array: the
+		// third decode of a data array takes the kept values, and its
+		// digest resumes the state the first digest through the memo left;
+		// the key must not move.
+		for pass := 0; pass < 3; pass++ {
+			req, key, err := decodeRequest(data, memo)
 			if err != nil {
 				t.Fatalf("memo pass %d: %v", pass, err)
 			}
@@ -626,6 +628,7 @@ func FuzzParse(f *testing.F) {
 			if err != nil || mp.key != p.key {
 				t.Fatalf("memo pass %d: key %s vs %s, err %v", pass, mp.key, p.key, err)
 			}
+			memo.remember(key, req.Matrix.Data)
 		}
 	})
 }

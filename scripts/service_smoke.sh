@@ -92,10 +92,11 @@ print("metrics: misses=2, hits=%d, alpha_updates=%d" % (hits, t["alpha_updates"]
 
 echo "== explicit data: factored once, then served from the cache"
 # One solve factors an explicit operator; two repeats of the byte-identical
-# body take the decoder's memo of the data array, and one body spelling the
-# same array with extra whitespace takes the full parse. All three must hit
-# the same factorization and answer the first solve's x, compared as JSON
-# text so equal means bit-identical. α is pinned, as above.
+# body follow: the first repeat is the array's second sighting, which the
+# decoder's memo keeps, and the second takes the kept values. One body
+# spelling the same array with extra whitespace takes the full parse. All
+# three must hit the same factorization and answer the first solve's x,
+# compared as JSON text so equal means bit-identical. α is pinned, as above.
 python3 - "$DIR" <<'PY'
 import json, random, sys
 d, n = sys.argv[1], 64
