@@ -551,7 +551,9 @@ func (m *dataMemo) lookup(raw []byte) (*memoEntry, memoKey) {
 	if e != nil && e.raw == string(raw) {
 		return e, memoKey{}
 	}
-	if again {
+	// A second sighting copies the bytes, unless the array, counted at one
+	// value per comma-separated number, cannot fit the byte cap.
+	if again && int64(len(raw))+8*int64(bytes.Count(raw, []byte{','})+1) <= m.maxBytes {
 		k.raw = string(raw)
 	}
 	return nil, k

@@ -646,11 +646,14 @@ func TestDataMemoBounds(t *testing.T) {
 	}
 
 	// An array larger than the whole byte cap is decoded but not kept, and
-	// evicts nothing.
+	// evicts nothing; sighted again, its bytes are not copied.
 	before, _ := held(memo)
 	keepArray(t, memo, body(99, 64))
 	if entries, _ := held(memo); entries != before {
 		t.Fatalf("an oversized array changed the memo from %d to %d arrays", before, entries)
+	}
+	if _, key, _ := decodeRequest(body(99, 64), memo); key.raw != "" {
+		t.Fatal("an array the byte cap cannot hold was copied for the memo")
 	}
 
 	// Data before n: the decoder grows the slice by appending, and the
